@@ -18,7 +18,7 @@ step and the final placement need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -433,7 +433,7 @@ def refine_copies(
 def copies_to_placement(
     copies_per_object: Sequence[ObjectCopies],
     pattern: AccessPattern,
-    fallback_holders: Optional[Sequence[int]] = None,
+    fallback_holders: Optional[Union[Sequence[int], Mapping[int, int]]] = None,
 ) -> Tuple[Placement, RequestAssignment]:
     """Convert per-object copy records into a placement and an assignment.
 
@@ -446,7 +446,8 @@ def copies_to_placement(
         The access pattern (used for the object count and request totals).
     fallback_holders:
         Holder to use for an object that ended up with no copies at all
-        (only possible for objects without requests); one node per object.
+        (only possible for objects without requests); one node per object,
+        or a mapping holding at least the objects without copies.
     """
     holders: List[List[int]] = []
     shares: Dict[Tuple[int, int], List[Share]] = {}

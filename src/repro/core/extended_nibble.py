@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.core.congestion import LoadProfile, compute_loads
 from repro.core.deletion import ObjectCopies, apply_deletion, copies_to_placement
 from repro.core.mapping import MappingResult, map_copies_to_leaves
@@ -95,16 +97,6 @@ class ExtendedNibbleResult:
         return self.loads(network, pattern).congestion
 
 
-def _fallback_leaf(
-    network: HierarchicalBusNetwork, center: int
-) -> int:
-    """Leaf used for objects without any requests: closest to the center."""
-    if network.is_processor(center):
-        return center
-    rooted = network.rooted()
-    return rooted.nearest_in_set(center, network.processors)
-
-
 def extended_nibble(
     network: HierarchicalBusNetwork,
     pattern: AccessPattern,
@@ -145,11 +137,15 @@ def extended_nibble(
     t3 = time.perf_counter()
 
     # Objects without requests keep a single copy on the leaf closest to
-    # their gravity center (they induce no load, but every object must have
-    # at least one holder).
-    fallback = [
-        _fallback_leaf(network, nib.centers[obj]) for obj in range(pattern.n_objects)
-    ]
+    # their gravity center, ties to the smallest id (they induce no load,
+    # but every object must have at least one holder).  Only objects left
+    # without copies read it.
+    bare = [obj for obj in range(pattern.n_objects) if not copies[obj].holder_nodes]
+    fallback = {}
+    if bare:
+        centers = np.asarray([nib.centers[obj] for obj in bare])
+        leaves = network.rooted().path_matrix().nearest_in_set(centers, network.processors)
+        fallback = dict(zip(bare, leaves.tolist()))
     placement, assignment = copies_to_placement(copies, pattern, fallback_holders=fallback)
 
     # Copies of *unaffected* read-only objects that the deletion step kept on

@@ -80,17 +80,9 @@ def gravity_candidates(
     total = int(weights.sum())
     rooted = network.rooted(0)
     subtree = rooted.subtree_sums(weights)
-    candidates: List[int] = []
-    half = total / 2.0
-    for v in network.nodes():
-        # components when removing v: one per child subtree, plus the rest
-        worst = 0
-        for c in rooted.children(v):
-            worst = max(worst, int(subtree[c]))
-        rest = total - int(subtree[v])
-        worst = max(worst, rest)
-        if worst <= half:
-            candidates.append(v)
+    # components when removing v: one per child subtree, plus the rest
+    worst = np.maximum(rooted.child_maxima(subtree), total - subtree)
+    candidates: List[int] = np.flatnonzero(2 * worst <= total).tolist()
     if not candidates:  # pragma: no cover - impossible by the paper's remark
         raise AlgorithmError("no gravity-center candidate found")
     return candidates
@@ -117,11 +109,7 @@ def nibble_holders_for_object(
     rooted = network.rooted(center)
     subtree_weights = rooted.subtree_sums(weights)
     holders = {center}
-    for v in network.nodes():
-        if v == center:
-            continue
-        if int(subtree_weights[v]) > total_writes:
-            holders.add(v)
+    holders.update(np.flatnonzero(subtree_weights > total_writes).tolist())
     return frozenset(holders), center
 
 

@@ -509,16 +509,6 @@ class PathMatrix:
         inside = (below > 0) & (below < totals[None, :])
         return inside @ wvec
 
-    def steiner_edge_mask(self, terminals: Iterable[int]) -> np.ndarray:
-        """Boolean per-edge membership mask of one Steiner tree."""
-        term = np.asarray(sorted(set(int(t) for t in terminals)), dtype=np.int64)
-        if term.size <= 1:
-            return np.zeros(self.n_edges, dtype=bool)
-        indicator = np.zeros(self.n_nodes, dtype=np.float64)
-        indicator[term] = 1.0
-        below = self.edge_loads_from_deltas(indicator)
-        return (below > 0) & (below < term.size)
-
     def bus_loads_from_edge_loads(self, edge_loads: np.ndarray) -> np.ndarray:
         """Fold edge loads into bus loads (half the incident-edge sum).
 

@@ -45,6 +45,7 @@ class RootedTree:
         "_height",
         "_subtree_size",
         "_path_matrix",
+        "_levels",
     )
 
     def __init__(self, network, root: int) -> None:
@@ -83,13 +84,9 @@ class RootedTree:
         self._order = np.asarray(order, dtype=np.int64)
         self._children = [tuple(sorted(c)) for c in children]
         self._height = int(depth.max())
-        sizes = np.ones(n, dtype=np.int64)
-        for u in reversed(order):
-            p = parent[u]
-            if p >= 0:
-                sizes[p] += sizes[u]
-        self._subtree_size = sizes
         self._path_matrix = None
+        self._levels = None
+        self._subtree_size = self.subtree_sums(np.ones(n, dtype=np.int64))
 
     def path_matrix(self):
         """Cached :class:`~repro.core.pathmatrix.PathMatrix` for this root."""
@@ -131,6 +128,7 @@ class RootedTree:
         view._height = int(height)
         view._subtree_size = subtree_size
         view._path_matrix = None
+        view._levels = None
         return view
 
     def _ensure_children(self) -> None:
@@ -411,51 +409,78 @@ class RootedTree:
         return int(self._depth[u] + self._depth[v] - 2 * self._depth[a])
 
     # ------------------------------------------------------------------ #
-    # subtree aggregation and Steiner trees
+    # subtree aggregation and Steiner trees: array passes over the parent
+    # and depth arrays, valid on repaired (only topological) orders too
     # ------------------------------------------------------------------ #
+    def _depth_levels(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(nodes, parents)`` per depth, deepest first, root excluded.
+
+        Within a level the nodes keep their reversed topological order, so
+        every parent receives its children in the sequence of a sequential
+        bottom-up sweep.
+        """
+        if self._levels is None:
+            rev = self._order[::-1]
+            depth = self._depth[rev]
+            levels = [rev[depth == d] for d in range(self._height, 0, -1)]
+            self._levels = [(nodes, self._parent[nodes]) for nodes in levels]
+        return self._levels
+
     def subtree_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum the per-node ``values`` over every maximal subtree ``T(v)``.
 
         Returns an array ``s`` with ``s[v] = sum(values[u] for u in T(v))``
         where ``T(v)`` is the maximal subtree containing ``v`` but not its
-        parent (the paper's definition in Section 3.1).
+        parent (the paper's definition in Section 3.1).  One ``np.add.at``
+        per depth level, deepest first; the per-parent addition order is
+        that of a bottom-up sweep, so float sums are bit-identical to it.
         """
         values = np.asarray(values)
         if values.shape[0] != self.network.n_nodes:
             raise ValueError("values must have one entry per node")
-        sums = values.astype(np.float64 if values.dtype.kind == "f" else np.int64).copy()
-        for u in self._order[::-1]:
-            p = self._parent[u]
-            if p >= 0:
-                sums[p] += sums[u]
+        sums = values.astype(np.float64 if values.dtype.kind == "f" else np.int64)
+        for nodes, parents in self._depth_levels():
+            np.add.at(sums, parents, sums[nodes])
         return sums
+
+    def child_maxima(self, values: np.ndarray) -> np.ndarray:
+        """Per node, the largest ``values[c]`` over its children ``c``.
+
+        Leaves get 0, so ``values`` is meant to be non-negative (subtree
+        weights, for the center-of-gravity test).
+        """
+        values = np.asarray(values)
+        out = np.zeros_like(values)
+        child = np.flatnonzero(self._parent >= 0)
+        np.maximum.at(out, self._parent[child], values[child])
+        return out
 
     def steiner_edge_ids(self, terminals: Iterable[int]) -> List[int]:
         """Edges of the minimal subtree connecting ``terminals``.
 
         Used for the write-broadcast cost: a write to object ``x`` loads every
         edge of the Steiner tree connecting the holder set ``P_x``.
-        Returns an empty list when fewer than two terminals are given.
+        Returns an empty list when fewer than two terminals are given;
+        otherwise the parent edges of the nodes with ``0 < below < |S|``
+        terminals in their subtree, by ascending node id.  The counts come
+        from walking the terminals up their ancestor chains, at most
+        ``height + 1`` vectorised steps.
         """
-        term = sorted(set(int(t) for t in terminals))
-        for t in term:
-            if not 0 <= t < self.network.n_nodes:
-                raise InvalidNodeError(f"invalid terminal {t}")
-        if len(term) <= 1:
+        n = self.network.n_nodes
+        term = np.asarray(sorted(set(int(t) for t in terminals)), dtype=np.int64)
+        bad = term[(term < 0) | (term >= n)]
+        if bad.size:
+            raise InvalidNodeError(f"invalid terminal {int(bad[0])}")
+        if term.size <= 1:
             return []
-        marks = np.zeros(self.network.n_nodes, dtype=np.int64)
-        marks[term] = 1
-        counts = self.subtree_sums(marks)
-        total = len(term)
-        edges: List[int] = []
-        for v in range(self.network.n_nodes):
-            p = self._parent[v]
-            if p < 0:
-                continue
-            below = counts[v]
-            if 0 < below < total:
-                edges.append(int(self._parent_edge[v]))
-        return edges
+        below = np.zeros(n, dtype=np.int64)
+        x = term
+        while x.size:
+            np.add.at(below, x, 1)
+            x = self._parent[x]
+            x = x[x >= 0]
+        inside = np.flatnonzero((below > 0) & (below < term.size))
+        return self._parent_edge[inside].tolist()
 
     def steiner_node_ids(self, terminals: Iterable[int]) -> List[int]:
         """Nodes of the minimal subtree connecting ``terminals``.

@@ -234,6 +234,12 @@ class MicroBatcher:
                 chunk = self._events[: self.max_batch]
                 del self._events[: self.max_batch]
                 replies.append(self._reply("ack", self.session.feed(chunk)))
+            if not replies and not self._events:
+                # an empty message with nothing buffered: no drain will
+                # ever ack it, so ack it now at the current position
+                replies.append(
+                    self._reply("ack", {"position": self.session.position})
+                )
         elif mtype == "mutation":
             drained = self.drain()
             if drained is not None:

@@ -13,6 +13,7 @@ from repro.network.builders import (
     single_bus,
     star_of_buses,
 )
+from repro.network.tree import NetworkBuilder
 from repro.workload.access import AccessPattern
 from repro.workload.adversarial import bisection_stress, write_conflict_pattern
 from repro.workload.generators import random_sparse_pattern, uniform_pattern, zipf_pattern
@@ -40,6 +41,31 @@ class TestStructuralValidity:
         result = extended_nibble(net, pat)
         assert_valid_result(net, pat, result)
         assert result.congestion(net, pat) == 0.0
+
+    def test_requestless_objects_sit_on_the_leaf_nearest_their_center(self):
+        # bus 0 carries processors 4 and 5 directly; processors 2 and 3 have
+        # smaller ids but sit one bus further away, behind bus 1
+        builder = NetworkBuilder()
+        root, bus = builder.add_bus("root"), builder.add_bus("child")
+        near = [builder.add_processor(f"p{i}") for i in range(4)]
+        builder.connect(bus, root)
+        for proc in near[:2]:
+            builder.connect(proc, bus)
+        for proc in near[2:]:
+            builder.connect(proc, root)
+        net = builder.build()
+        assert net.processors == (2, 3, 4, 5)
+        pat = AccessPattern.from_requests(net, 3, [(2, 0, 3, 1)])
+        result = extended_nibble(net, pat)
+        assert_valid_result(net, pat, result)
+        rooted = net.rooted()
+        for obj in (1, 2):  # the requestless objects
+            center = result.nibble.centers[obj]
+            # the processor nearest the center, ties to the smallest id
+            expected = min(net.processors, key=lambda p: (rooted.distance(center, p), p))
+            assert result.placement.holders(obj) == frozenset({expected})
+            assert expected == 4
+        assert result.placement.holders(0) == frozenset({2})
 
     def test_timings_reported(self):
         net = single_bus(4)

@@ -14,6 +14,8 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
 * the repaired ``LoadState`` matches a fresh state charged with the
   surviving edge loads (fused loads, denominators, congestion, incident
   CSR) and its nearest-copy resolution agrees with the fresh path matrix;
+* the array-pass tree queries (subtree sums, Steiner edges, the nibble
+  selections) equal their per-node loop references on the repaired view;
 * snapshot/rollback round-trips still work on the repaired state, while
   rolling back across a mutation raises a clear ``ReproError``.
 
@@ -33,6 +35,7 @@ from repro.network.builders import balanced_tree, random_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, SplitBus, apply_mutation
 from repro.network.rooted import RootedTree
 from repro.workload.churn import random_valid_mutation
+from tests.properties.test_tree_queries import assert_tree_queries_match_reference
 
 DEFAULT_SEEDS = (0, 1, 2, 3)
 
@@ -134,6 +137,13 @@ class TestChurnDifferential:
                 state.pm.nearest_in_set(nodes, candidates),
                 fresh_pm.nearest_in_set(nodes, candidates),
             )
+
+            # the array-pass tree queries equal their per-node loops on the
+            # repaired view, whose order is only topological (invariant 1);
+            # it is the network's cached view, so the nibble selections
+            # read it as well
+            assert state.rooted is net.rooted()
+            assert_tree_queries_match_reference(net, state.rooted, rng)
 
             # keep replaying requests on the repaired substrate
             charge_random_paths(state, ground, fresh_rooted, procs, rng, 10)

@@ -81,7 +81,7 @@ class TestStructuralParity:
         assert pm.distances(u, v).tolist() == expected_dist
         terminals = list(rng.choice(net.n_nodes, size=min(4, net.n_nodes), replace=False))
         assert (
-            sorted(np.flatnonzero(pm.steiner_edge_mask(terminals)).tolist())
+            np.flatnonzero(pm.steiner_edge_loads([terminals], [1]) > 0).tolist()
             == sorted(rooted.steiner_edge_ids(terminals))
         )
 

@@ -84,7 +84,7 @@ def make_trace(seed, n=N_EVENTS):
     mutations = []
     for time in times:
         mutation = random_valid_mutation(scratch, rng)
-        apply_mutation(scratch, mutation)
+        scratch = apply_mutation(scratch, mutation).network
         mutations.append((time, mutation))
     return ChurnTrace(mutations)
 

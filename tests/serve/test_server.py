@@ -85,6 +85,25 @@ class TestServerEdges:
         assert reply["type"] == "error"
         assert "teleport" in reply["message"]
 
+    def test_empty_requests_message_is_acked(self, spec):
+        async def drive(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            await reader.readline()  # session hello
+            writer.write(b'{"type": "requests", "id": 1, "events": []}\n')
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            writer.write(b'{"type": "end", "id": 2}\n')
+            await writer.drain()
+            end = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            writer.close()
+            return reply, end
+
+        with run_server(spec) as (host, port):
+            reply, end = asyncio.run(drive(host, port))
+        assert reply == {"type": "ack", "id": 1, "position": 0}
+        assert end["type"] == "end"
+        assert end["summary"]["n_events"] == 0
+
     def test_disconnect_without_end_leaves_aborted_recording(self, spec, tmp_path):
         event = workload_from_spec(spec)[0][0]
         row = [event.processor, event.obj, "r"]

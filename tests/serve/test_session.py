@@ -94,6 +94,18 @@ class TestMicroBatcher:
         (reply,) = batcher.add({"type": "flush", "id": 5})
         assert reply == {"type": "ack", "id": 5, "position": 0}
 
+    def test_empty_requests_message_is_acked(self):
+        session = make_session()
+        batcher = MicroBatcher(session, max_batch=100)
+        (reply,) = batcher.add(req(1))
+        assert reply == {"type": "ack", "id": 1, "position": 0}
+        assert batcher.drain() is None
+        # with events buffered, the next drain's ack carries the id instead
+        assert batcher.add(req(2, [3, 0, "r"])) == []
+        assert batcher.add(req(3)) == []
+        ack = batcher.drain()
+        assert (ack["id"], ack["position"]) == (3, 1)
+
     def test_end_drains_and_finishes(self):
         session = make_session()
         batcher = MicroBatcher(session, max_batch=100)

@@ -39,9 +39,9 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import BandwidthError, MutationError
-from repro.network.node import BusSpec, NodeSpec, ProcessorSpec
-from repro.network.tree import HierarchicalBusNetwork
+from repro.errors import BandwidthError, InvalidEdgeError, MutationError
+from repro.network.node import NodeKind
+from repro.network.tree import Edge, HierarchicalBusNetwork
 
 __all__ = [
     "Mutation",
@@ -191,31 +191,19 @@ class MutationOutcome:
         return out
 
 
-def _node_specs(network: HierarchicalBusNetwork) -> List[NodeSpec]:
-    """Reconstruct the per-node spec list of an existing network."""
-    specs: List[NodeSpec] = []
-    for v in range(network.n_nodes):
-        if network.is_bus(v):
-            specs.append(BusSpec(network.name(v), network.bus_bandwidth(v)))
-        else:
-            specs.append(ProcessorSpec(network.name(v)))
-    return specs
-
-
-def _edge_lists(
-    network: HierarchicalBusNetwork,
-) -> Tuple[List[Tuple[int, int]], List[float]]:
-    """Edges and parallel bandwidths of an existing network, in id order."""
-    edges = [(e.u, e.v) for e in network.edges]
-    bandwidths = [float(b) for b in network.edge_bandwidths]
-    return edges, bandwidths
-
-
 def _identity_maps(network: HierarchicalBusNetwork) -> Tuple[np.ndarray, np.ndarray]:
     return (
         np.arange(network.n_nodes, dtype=np.int64),
         np.arange(network.n_edges, dtype=np.int64),
     )
+
+
+def _positive(value: float, what: str) -> float:
+    """``value`` as a float; :class:`BandwidthError` unless it is > 0 (NaN is not)."""
+    bandwidth = float(value)
+    if not bandwidth > 0:
+        raise BandwidthError(f"{what} must be positive, got {value}")
+    return bandwidth
 
 
 # --------------------------------------------------------------------------- #
@@ -226,9 +214,17 @@ def apply_mutation(
 ) -> MutationOutcome:
     """Apply one mutation functionally; returns the outcome with the new network.
 
+    The new network is derived from ``network``'s columns: the columns the
+    mutation leaves unchanged are shared, the touched ones are copied and
+    patched, and the result passes the full
+    :meth:`~repro.network.tree.HierarchicalBusNetwork.validate`.  ``network``
+    itself is never modified.
+
     Raises :class:`~repro.errors.MutationError` when the mutation is invalid
     for the network (unknown ids, wrong node kinds, or a result that would
-    violate the hierarchical-bus-network model).
+    violate the hierarchical-bus-network model), and
+    :class:`~repro.errors.BandwidthError` for a bandwidth that is not
+    positive.
     """
     if isinstance(mutation, SetEdgeBandwidth):
         return _apply_set_edge_bandwidth(network, mutation)
@@ -258,14 +254,16 @@ def apply_mutations(
 def _apply_set_edge_bandwidth(
     network: HierarchicalBusNetwork, mutation: SetEdgeBandwidth
 ) -> MutationOutcome:
-    if mutation.bandwidth <= 0:
-        raise BandwidthError(
-            f"edge bandwidth must be positive, got {mutation.bandwidth}"
-        )
-    eid = network.edge_id(mutation.u, mutation.v)  # raises for unknown edges
-    edges, bandwidths = _edge_lists(network)
-    bandwidths[eid] = float(mutation.bandwidth)
-    new = HierarchicalBusNetwork(_node_specs(network), edges, bandwidths)
+    bandwidth = _positive(mutation.bandwidth, "edge bandwidth")
+    try:
+        eid = network.edge_id(mutation.u, mutation.v)
+    except InvalidEdgeError as exc:
+        raise MutationError(
+            f"({mutation.u}, {mutation.v}) is not an edge of the network"
+        ) from exc
+    edge_bandwidth = network.edge_bandwidths.copy()
+    edge_bandwidth[eid] = bandwidth
+    new = network._derive(edge_bandwidth=edge_bandwidth)
     node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
@@ -280,17 +278,13 @@ def _apply_set_edge_bandwidth(
 def _apply_set_bus_bandwidth(
     network: HierarchicalBusNetwork, mutation: SetBusBandwidth
 ) -> MutationOutcome:
-    if mutation.bandwidth <= 0:
-        raise BandwidthError(
-            f"bus bandwidth must be positive, got {mutation.bandwidth}"
-        )
+    bandwidth = _positive(mutation.bandwidth, "bus bandwidth")
     bus = int(mutation.bus)
     if bus not in network or not network.is_bus(bus):
         raise MutationError(f"node {bus} is not a bus of the network")
-    specs = _node_specs(network)
-    specs[bus] = BusSpec(network.name(bus), float(mutation.bandwidth))
-    edges, bandwidths = _edge_lists(network)
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
+    bus_bandwidth = network.bus_bandwidths.copy()
+    bus_bandwidth[bus] = bandwidth
+    new = network._derive(bus_bandwidth=bus_bandwidth)
     node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
@@ -305,23 +299,30 @@ def _apply_set_bus_bandwidth(
 def _apply_attach_leaf(
     network: HierarchicalBusNetwork, mutation: AttachLeaf
 ) -> MutationOutcome:
-    if mutation.bandwidth <= 0:
-        raise BandwidthError(
-            f"edge bandwidth must be positive, got {mutation.bandwidth}"
-        )
+    bandwidth = _positive(mutation.bandwidth, "edge bandwidth")
     bus = int(mutation.bus)
     if bus not in network or not network.is_bus(bus):
         raise MutationError(f"cannot attach a leaf to non-bus node {bus}")
-    specs = _node_specs(network)
-    new_node = len(specs)
-    specs.append(ProcessorSpec(mutation.name or f"p{new_node}"))
-    edges, bandwidths = _edge_lists(network)
-    new_edge = len(edges)
-    edges.append((bus, new_node))
-    bandwidths.append(float(mutation.bandwidth))
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
-    node_map = np.arange(network.n_nodes, dtype=np.int64)
-    edge_map = np.arange(network.n_edges, dtype=np.int64)
+    new_node = network.n_nodes
+    new_edge = network.n_edges
+    edge = Edge(bus, new_node)
+    adjacency = list(network._adjacency)
+    adjacency[bus] = adjacency[bus] + [new_node]  # the largest id: stays sorted
+    adjacency.append([bus])
+    incident = list(network._incident_edges)
+    incident[bus] = incident[bus] + [new_edge]
+    incident.append([new_edge])
+    new = network._derive(
+        kinds=np.append(network._kinds, np.int8(NodeKind.PROCESSOR)),
+        names=network._names + [mutation.name or f"p{new_node}"],
+        bus_bandwidth=np.append(network.bus_bandwidths, 1.0),
+        edges=network.edges + (edge,),
+        edge_index={**network._edge_index, edge: new_edge},
+        edge_bandwidth=np.append(network.edge_bandwidths, bandwidth),
+        adjacency=adjacency,
+        incident_edges=incident,
+    )
+    node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
@@ -356,17 +357,37 @@ def _apply_detach_leaf(
     edge_map[removed_edge] = -1
     edge_map[removed_edge + 1 :] -= 1
 
-    specs = _node_specs(network)
-    del specs[proc]
-    old_edges, old_bandwidths = _edge_lists(network)
-    edges = []
-    bandwidths = []
-    for eid, (u, v) in enumerate(old_edges):
-        if eid == removed_edge:
-            continue
-        edges.append((int(node_map[u]), int(node_map[v])))
-        bandwidths.append(old_bandwidths[eid])
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
+    # One pass through the maps.  Both are monotone on the surviving ids,
+    # so renumbered lists stay sorted and renumbered edges stay canonical;
+    # a list or edge whose largest id lies below the removed one keeps its
+    # numbering and is shared.
+    nm = node_map.tolist()
+    em = edge_map.tolist()
+    adjacency = [
+        adj if adj[-1] < proc else [nm[x] for x in adj if x != proc]
+        for v, adj in enumerate(network._adjacency)
+        if v != proc
+    ]
+    incident = [
+        inc if inc[-1] < removed_edge else [em[x] for x in inc if x != removed_edge]
+        for v, inc in enumerate(network._incident_edges)
+        if v != proc
+    ]
+    edges = tuple(
+        e if e.v < proc else Edge(nm[e.u], nm[e.v])
+        for eid, e in enumerate(network.edges)
+        if eid != removed_edge
+    )
+    new = network._derive(
+        kinds=np.delete(network._kinds, proc),
+        names=network._names[:proc] + network._names[proc + 1 :],
+        bus_bandwidth=np.delete(network.bus_bandwidths, proc),
+        edges=edges,
+        edge_index=dict(zip(edges, range(len(edges)))),
+        edge_bandwidth=np.delete(network.edge_bandwidths, removed_edge),
+        adjacency=adjacency,
+        incident_edges=incident,
+    )
     return MutationOutcome(
         mutation=mutation,
         old_network=network,
@@ -382,8 +403,8 @@ def _apply_detach_leaf(
 def _apply_split_bus(
     network: HierarchicalBusNetwork, mutation: SplitBus
 ) -> MutationOutcome:
-    if mutation.bus_bandwidth <= 0 or mutation.trunk_bandwidth <= 0:
-        raise BandwidthError("split bandwidths must be positive")
+    bus_bandwidth = _positive(mutation.bus_bandwidth, "split bus bandwidth")
+    trunk_bandwidth = _positive(mutation.trunk_bandwidth, "split trunk bandwidth")
     bus = int(mutation.bus)
     if bus not in network or not network.is_bus(bus):
         raise MutationError(f"cannot split non-bus node {bus}")
@@ -405,20 +426,39 @@ def _apply_split_bus(
     if network.degree(bus) - len(moved) + 1 < 2:
         raise MutationError(f"split would leave bus {bus} with degree < 2")
 
-    specs = _node_specs(network)
-    new_node = len(specs)
-    specs.append(BusSpec(mutation.name or f"b{new_node}", float(mutation.bus_bandwidth)))
-    old_edges, bandwidths = _edge_lists(network)
+    new_node = network.n_nodes
+    new_edge = network.n_edges
     moved_edge_ids = tuple(network.edge_id(bus, m) for m in moved)
-    edges = list(old_edges)
+    trunk = Edge(bus, new_node)
+    edges = list(network.edges)
+    edge_index = dict(network._edge_index)
+    adjacency = list(network._adjacency)
     for m, eid in zip(moved, moved_edge_ids):
-        edges[eid] = (m, new_node)
-    new_edge = len(edges)
-    edges.append((bus, new_node))
-    bandwidths.append(float(mutation.trunk_bandwidth))
-    new = HierarchicalBusNetwork(specs, edges, bandwidths)
-    node_map = np.arange(network.n_nodes, dtype=np.int64)
-    edge_map = np.arange(network.n_edges, dtype=np.int64)
+        del edge_index[edges[eid]]
+        edges[eid] = Edge(m, new_node)
+        edge_index[edges[eid]] = eid
+        # swap bus for the new bus, which has the largest id
+        adjacency[m] = [x for x in adjacency[m] if x != bus] + [new_node]
+    edges.append(trunk)
+    edge_index[trunk] = new_edge
+    moved_set = set(moved)
+    adjacency[bus] = [x for x in adjacency[bus] if x not in moved_set] + [new_node]
+    adjacency.append(sorted(moved + (bus,)))
+    moved_edge_set = set(moved_edge_ids)
+    incident = list(network._incident_edges)
+    incident[bus] = [e for e in incident[bus] if e not in moved_edge_set] + [new_edge]
+    incident.append(sorted(moved_edge_ids) + [new_edge])
+    new = network._derive(
+        kinds=np.append(network._kinds, np.int8(NodeKind.BUS)),
+        names=network._names + [mutation.name or f"b{new_node}"],
+        bus_bandwidth=np.append(network.bus_bandwidths, bus_bandwidth),
+        edges=tuple(edges),
+        edge_index=edge_index,
+        edge_bandwidth=np.append(network.edge_bandwidths, trunk_bandwidth),
+        adjacency=adjacency,
+        incident_edges=incident,
+    )
+    node_map, edge_map = _identity_maps(network)
     return MutationOutcome(
         mutation=mutation,
         old_network=network,

@@ -163,16 +163,51 @@ class HierarchicalBusNetwork:
         for lst in self._adjacency:
             lst.sort()
 
+        self._assemble(validate)
+
+    # The per-node and per-edge columns.  None is written once installed, so
+    # a network derived by a mutation shares every column it leaves unchanged.
+    _COLUMNS = (
+        "_kinds",
+        "_names",
+        "_bus_bandwidth",
+        "_edges",
+        "_edge_index",
+        "_edge_bandwidth",
+        "_adjacency",
+        "_incident_edges",
+    )
+
+    def _assemble(self, validate: bool = True) -> None:
+        """Finish a network whose columns are installed, then validate it.
+
+        The one assembly step of the constructor and of :meth:`_derive`.
+        """
         self._processors: Tuple[int, ...] = tuple(
-            int(i) for i in np.flatnonzero(self._kinds == int(NodeKind.PROCESSOR))
+            np.flatnonzero(self._kinds == int(NodeKind.PROCESSOR)).tolist()
         )
         self._buses: Tuple[int, ...] = tuple(
-            int(i) for i in np.flatnonzero(self._kinds == int(NodeKind.BUS))
+            np.flatnonzero(self._kinds == int(NodeKind.BUS)).tolist()
         )
         self._rooted_cache: Dict[int, object] = {}
-
         if validate:
             self.validate()
+
+    def _derive(self, **columns: object) -> "HierarchicalBusNetwork":
+        """A new validated network: this one's columns, the named ones replaced.
+
+        Keywords name columns without the leading underscore
+        (``edge_bandwidth=...``); every column not named is shared with this
+        network, not copied.  :func:`~repro.network.mutation.apply_mutation`
+        builds each mutated network this way.
+        """
+        derived = object.__new__(HierarchicalBusNetwork)
+        for slot in self._COLUMNS:
+            setattr(derived, slot, columns.pop(slot[1:], getattr(self, slot)))
+        if columns:
+            raise TypeError(f"unknown network columns {sorted(columns)}")
+        derived._assemble()
+        return derived
 
     # ------------------------------------------------------------------ #
     # validation
@@ -189,21 +224,23 @@ class HierarchicalBusNetwork:
             the degenerate single-processor network), or the single node is
             a bus.
         BandwidthError
-            If any bandwidth is not positive.
+            If any bandwidth is not positive (NaN included).
         """
         n = self.n_nodes
+        adjacency = self._adjacency
         if len(self._edges) != n - 1:
             raise NotATreeError(
                 f"a tree on {n} nodes has {n - 1} edges, got {len(self._edges)}"
             )
-        # connectivity check by BFS from node 0
-        seen = np.zeros(n, dtype=bool)
+        # connectivity check by DFS from node 0 (a list indexes faster than
+        # an array from Python)
+        seen = [False] * n
         stack = [0]
         seen[0] = True
         count = 1
         while stack:
             u = stack.pop()
-            for v in self._adjacency[u]:
+            for v in adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
                     count += 1
@@ -215,19 +252,21 @@ class HierarchicalBusNetwork:
             if not self.is_processor(0):
                 raise TopologyError("a single-node network must be a processor")
         else:
-            for v in range(n):
-                deg = len(self._adjacency[v])
-                if self.is_processor(v) and deg != 1:
+            degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+            is_processor = self._kinds == int(NodeKind.PROCESSOR)
+            bad = np.flatnonzero(np.where(is_processor, degree != 1, degree < 2))
+            if bad.size:
+                v = int(bad[0])
+                if is_processor[v]:
                     raise TopologyError(
-                        f"processor {v} must be a leaf, has degree {deg}"
+                        f"processor {v} must be a leaf, has degree {degree[v]}"
                     )
-                if self.is_bus(v) and deg < 2:
-                    raise TopologyError(
-                        f"bus {v} must be an inner node, has degree {deg}"
-                    )
-        if np.any(self._edge_bandwidth <= 0):
+                raise TopologyError(
+                    f"bus {v} must be an inner node, has degree {degree[v]}"
+                )
+        if not np.all(self._edge_bandwidth > 0):
             raise BandwidthError("all edge bandwidths must be positive")
-        if np.any(self._bus_bandwidth <= 0):
+        if not np.all(self._bus_bandwidth > 0):
             raise BandwidthError("all bus bandwidths must be positive")
 
     # ------------------------------------------------------------------ #
@@ -492,7 +531,7 @@ class NetworkBuilder:
         """
         if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
             raise InvalidNodeError(f"cannot connect unknown nodes ({u}, {v})")
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # NaN fails too
             raise BandwidthError(f"edge bandwidth must be positive, got {bandwidth}")
         e = (min(u, v), max(u, v))
         self._edges.append(e)

@@ -27,6 +27,7 @@ renumbering a detach causes).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -60,15 +61,20 @@ def _rng(rng: Optional[np.random.Generator], seed: Optional[int]) -> np.random.G
 
 
 def _detachable_processors(network: HierarchicalBusNetwork) -> List[int]:
-    """Processors whose removal keeps the network valid."""
+    """Processors whose removal keeps the network valid, ascending."""
     if network.n_processors <= 2:
         return []
-    out = []
-    for p in network.processors:
-        (bus,) = network.neighbors(p)
-        if network.degree(bus) > 2:
-            out.append(p)
-    return out
+    ends = np.fromiter(
+        chain.from_iterable(network.edges), dtype=np.int64, count=2 * network.n_edges
+    ).reshape(-1, 2)
+    degree = np.bincount(ends.ravel(), minlength=network.n_nodes)
+    # with three or more processors no edge joins two leaves, so every edge
+    # with a degree-1 (processor) end is a switch edge (processor, bus)
+    leaf_first = degree[ends[:, 0]] == 1
+    proc = np.where(leaf_first, ends[:, 0], ends[:, 1])
+    bus = np.where(leaf_first, ends[:, 1], ends[:, 0])
+    detachable = (degree[proc] == 1) & (degree[bus] > 2)
+    return np.sort(proc[detachable]).tolist()
 
 
 def flash_crowd_attach(
@@ -284,6 +290,10 @@ def mutation_storm(
     for _ in range(n_mutations):
         mutation = random_valid_mutation(net, gen)
         events.append(TimedMutation(t, mutation))
-        net = apply_mutation(net, mutation).network
+        outcome = apply_mutation(net, mutation)
+        # repair the rooted view into the new network's cache, so the next
+        # draw reads it instead of building a fresh traversal
+        net.rooted().repaired(outcome)
+        net = outcome.network
         t += int(spacing)
     return ChurnTrace(events)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import BandwidthError, MutationError, ReproError
+from repro.errors import BandwidthError, InvalidEdgeError, MutationError, ReproError
 from repro.network.builders import balanced_tree, single_bus, star_of_buses
 from repro.network.mutation import (
     AttachLeaf,
@@ -16,11 +16,17 @@ from repro.network.mutation import (
     apply_mutation,
     apply_mutations,
 )
+from repro.network.node import BusSpec, ProcessorSpec
+from repro.network.tree import HierarchicalBusNetwork, NetworkBuilder
 from repro.workload.churn import (
     bandwidth_degradation,
     flash_crowd_attach,
     mutation_storm,
     rolling_maintenance_detach,
+)
+from tests.properties.test_churn_differential import (
+    read_network,
+    reference_apply_mutation,
 )
 
 
@@ -58,6 +64,49 @@ class TestBandwidthMutations:
         proc = net.processors[0]
         with pytest.raises(MutationError):
             apply_mutation(net, SetBusBandwidth(proc, 2.0))
+
+    @pytest.mark.parametrize("u, v", [(1, 2), (1, 1), (0, 99)])
+    def test_set_edge_bandwidth_on_missing_edge_rejected(self, u, v):
+        # two processors, a self-loop, an unknown node
+        net = single_bus(3)
+        with pytest.raises(MutationError) as info:
+            apply_mutation(net, SetEdgeBandwidth(u, v, 2.0))
+        assert isinstance(info.value.__cause__, InvalidEdgeError)
+
+
+def _build_two_leaf_bus(bandwidth):
+    builder = NetworkBuilder()
+    bus = builder.add_bus("b")
+    builder.connect(builder.add_processor(), bus)
+    builder.connect(builder.add_processor(), bus, bandwidth=bandwidth)
+    return builder.build()
+
+
+# every entry point that takes a bandwidth, fed one value
+BANDWIDTH_ENTRY_POINTS = {
+    "constructor": lambda bw: HierarchicalBusNetwork(
+        [BusSpec("b"), ProcessorSpec(), ProcessorSpec()], [(0, 1), (0, 2)], [1.0, bw]
+    ),
+    "NetworkBuilder.connect": _build_two_leaf_bus,
+    "SetEdgeBandwidth": lambda bw: apply_mutation(single_bus(3), SetEdgeBandwidth(0, 1, bw)),
+    "SetBusBandwidth": lambda bw: apply_mutation(single_bus(3), SetBusBandwidth(0, bw)),
+    "AttachLeaf": lambda bw: apply_mutation(single_bus(3), AttachLeaf(0, bandwidth=bw)),
+    "SplitBus.trunk_bandwidth": lambda bw: apply_mutation(
+        single_bus(4), SplitBus(0, (1, 2), trunk_bandwidth=bw)
+    ),
+    "SplitBus.bus_bandwidth": lambda bw: apply_mutation(
+        single_bus(4), SplitBus(0, (1, 2), bus_bandwidth=bw)
+    ),
+}
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(BANDWIDTH_ENTRY_POINTS))
+def test_bandwidth_not_above_zero_rejected(entry, bandwidth):
+    # NaN compares false with everything, so a `<= 0` guard lets it through
+    with pytest.raises(BandwidthError):
+        BANDWIDTH_ENTRY_POINTS[entry](bandwidth)
+    BANDWIDTH_ENTRY_POINTS[entry](2.0)  # the same call with a valid value passes
 
 
 class TestAttachLeaf:
@@ -150,6 +199,42 @@ class TestSplitBus:
         net = star_of_buses(2, 2)
         with pytest.raises(MutationError):
             apply_mutation(net, SplitBus(0, (net.processors[0],)))
+
+
+class TestMatchesRebuild:
+    """Exactness against the constructor rebuild when edge ids run against node ids.
+
+    The churn generators number every child's edge in child-id order; a
+    network read from a file need not.  Here every edge id is reversed.
+    """
+
+    @staticmethod
+    def _reversed_edges():
+        base = balanced_tree(2, 2, 3)  # b0 -> b1, b2 -> p3..p5, p6..p8
+        specs = [
+            BusSpec(base.name(v), 1.0 + v) if base.is_bus(v) else ProcessorSpec()
+            for v in base.nodes()
+        ]
+        return HierarchicalBusNetwork(specs, base.edges[::-1], np.arange(8.0, 0.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            SetEdgeBandwidth(1, 4, 3.5),
+            SetBusBandwidth(2, 5.5),
+            AttachLeaf(1, name="joined", bandwidth=2.5),
+            DetachLeaf(4),
+            SplitBus(2, (6, 7), name="split", bus_bandwidth=3.5, trunk_bandwidth=2.5),
+            SplitBus(1, (3, 4)),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_equals_rebuild(self, mutation):
+        net = self._reversed_edges()
+        before = read_network(net)
+        new = apply_mutation(net, mutation).network
+        assert read_network(new) == read_network(reference_apply_mutation(net, mutation))
+        assert read_network(net) == before
 
 
 class TestChurnTrace:

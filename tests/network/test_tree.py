@@ -1,12 +1,15 @@
 """Tests for the HierarchicalBusNetwork data structure and the builder."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     BandwidthError,
     InvalidEdgeError,
     InvalidNodeError,
     NotATreeError,
+    ReproError,
     TopologyError,
 )
 from repro.network.node import BusSpec, NodeKind, ProcessorSpec
@@ -195,3 +198,119 @@ class TestRootedCache:
         assert net.edge_bandwidth(0, 2) == 3.0
         with pytest.raises(BandwidthError):
             HierarchicalBusNetwork(specs, edges, edge_bandwidths=[2.0])
+
+
+# --------------------------------------------------------------------------- #
+# validate() against the per-node loop it replaced (verbatim)
+# --------------------------------------------------------------------------- #
+def reference_validate(net):
+    """``HierarchicalBusNetwork.validate`` as the traversal and per-node kind loop it was."""
+    n = net.n_nodes
+    if len(net._edges) != n - 1:
+        raise NotATreeError(
+            f"a tree on {n} nodes has {n - 1} edges, got {len(net._edges)}"
+        )
+    # connectivity check by BFS from node 0
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in net._adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                count += 1
+                stack.append(v)
+    if count != n:
+        raise NotATreeError("the network graph is not connected")
+
+    if n == 1:
+        if not net.is_processor(0):
+            raise TopologyError("a single-node network must be a processor")
+    else:
+        for v in range(n):
+            deg = len(net._adjacency[v])
+            if net.is_processor(v) and deg != 1:
+                raise TopologyError(
+                    f"processor {v} must be a leaf, has degree {deg}"
+                )
+            if net.is_bus(v) and deg < 2:
+                raise TopologyError(
+                    f"bus {v} must be an inner node, has degree {deg}"
+                )
+    if np.any(net._edge_bandwidth <= 0):
+        raise BandwidthError("all edge bandwidths must be positive")
+    if np.any(net._bus_bandwidth <= 0):
+        raise BandwidthError("all bus bandwidths must be positive")
+
+
+NON_POSITIVE = st.floats(min_value=-4.0, max_value=0.0)
+POSITIVE = st.floats(min_value=0.25, max_value=8.0)
+
+
+@st.composite
+def unchecked_networks(draw):
+    """A network built with ``validate=False`` from random finite inputs.
+
+    Edges are a random spanning tree, that tree with one edge added (a
+    cycle) or dropped (disconnected), or any ``n - 1`` distinct pairs.
+    Kinds either fit the degrees (leaves are processors), with one node
+    possibly flipped, or are random: so valid trees, bus leaves and inner
+    processors all occur.  At most one edge and one bus bandwidth are
+    non-positive.
+    """
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    shape = draw(st.sampled_from(["tree", "tree", "add", "drop", "pairs"]))
+    if shape == "add" and len(edges) < len(pairs):
+        edges.append(draw(st.sampled_from([e for e in pairs if e not in edges])))
+    elif shape == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif shape == "pairs" and pairs:
+        edges = draw(
+            st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=n - 1, unique=True)
+        )
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    if draw(st.sampled_from(["fit", "fit", "random"])) == "fit":
+        kinds = [NodeKind.BUS if d >= 2 else NodeKind.PROCESSOR for d in degree]
+        if draw(st.sampled_from([False, False, True])):
+            flip = draw(st.integers(0, n - 1))
+            kinds[flip] = NodeKind(1 - kinds[flip])
+    else:
+        kinds = draw(st.lists(st.sampled_from(NodeKind), min_size=n, max_size=n))
+    specs = [
+        BusSpec(f"b{i}", draw(POSITIVE)) if kind is NodeKind.BUS else ProcessorSpec()
+        for i, kind in enumerate(kinds)
+    ]
+    edge_bandwidths = [draw(POSITIVE) for _ in edges]
+    if edges and draw(st.sampled_from([False, False, True])):
+        edge_bandwidths[draw(st.integers(0, len(edges) - 1))] = draw(NON_POSITIVE)
+    net = HierarchicalBusNetwork(specs, edges, edge_bandwidths, validate=False)
+    if net.buses and draw(st.sampled_from([False, False, True])):
+        # NodeSpec refuses such a bus, so it can only be planted
+        net._bus_bandwidth[draw(st.sampled_from(net.buses))] = draw(NON_POSITIVE)
+    return net
+
+
+def _verdict(check, net):
+    try:
+        check(net)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(unchecked_networks())
+    def test_same_verdict_as_reference(self, net):
+        # same exception type and message (so the same first failing node),
+        # or both pass
+        assert _verdict(HierarchicalBusNetwork.validate, net) == _verdict(
+            reference_validate, net
+        )

@@ -17,7 +17,12 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
 * the array-pass tree queries (subtree sums, Steiner edges, the nibble
   selections) equal their per-node loop references on the repaired view;
 * snapshot/rollback round-trips still work on the repaired state, while
-  rolling back across a mutation raises a clear ``ReproError``.
+  rolling back across a mutation raises a clear ``ReproError``;
+* the network ``apply_mutation`` derives from its parent's columns equals
+  the node-by-node constructor rebuild it replaced (kept verbatim as
+  ``reference_apply_mutation``) exactly, through public accessors, and
+  every earlier network of the chain still reads as it did (a mutation
+  shares the columns it leaves unchanged and must never write them).
 
 The seed matrix is extendable via the ``REPRO_CHURN_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed matrix.
@@ -32,8 +37,17 @@ from repro.core.loadstate import LoadState
 from repro.core.pathmatrix import PathMatrix
 from repro.errors import MutationError, ReproError
 from repro.network.builders import balanced_tree, random_tree
-from repro.network.mutation import AttachLeaf, DetachLeaf, SplitBus, apply_mutation
+from repro.network.mutation import (
+    AttachLeaf,
+    DetachLeaf,
+    SetBusBandwidth,
+    SetEdgeBandwidth,
+    SplitBus,
+    apply_mutation,
+)
+from repro.network.node import BusSpec, ProcessorSpec
 from repro.network.rooted import RootedTree
+from repro.network.tree import Edge, HierarchicalBusNetwork
 from repro.workload.churn import random_valid_mutation
 from tests.properties.test_tree_queries import assert_tree_queries_match_reference
 
@@ -45,6 +59,108 @@ def _seed_matrix():
     if raw.strip():
         return tuple(int(s) for s in raw.split(","))
     return DEFAULT_SEEDS
+
+
+# --------------------------------------------------------------------------- #
+# the node-by-node rebuild apply_mutation replaced (verbatim)
+# --------------------------------------------------------------------------- #
+def _node_specs(network):
+    """Reconstruct the per-node spec list of an existing network."""
+    specs = []
+    for v in range(network.n_nodes):
+        if network.is_bus(v):
+            specs.append(BusSpec(network.name(v), network.bus_bandwidth(v)))
+        else:
+            specs.append(ProcessorSpec(network.name(v)))
+    return specs
+
+
+def _edge_lists(network):
+    """Edges and parallel bandwidths of an existing network, in id order."""
+    edges = [(e.u, e.v) for e in network.edges]
+    bandwidths = [float(b) for b in network.edge_bandwidths]
+    return edges, bandwidths
+
+
+def reference_apply_mutation(network, mutation):
+    """The network after the valid ``mutation``, rebuilt through the constructor."""
+    if isinstance(mutation, SetEdgeBandwidth):
+        eid = network.edge_id(mutation.u, mutation.v)
+        edges, bandwidths = _edge_lists(network)
+        bandwidths[eid] = float(mutation.bandwidth)
+        return HierarchicalBusNetwork(_node_specs(network), edges, bandwidths)
+    if isinstance(mutation, SetBusBandwidth):
+        bus = int(mutation.bus)
+        specs = _node_specs(network)
+        specs[bus] = BusSpec(network.name(bus), float(mutation.bandwidth))
+        edges, bandwidths = _edge_lists(network)
+        return HierarchicalBusNetwork(specs, edges, bandwidths)
+    if isinstance(mutation, AttachLeaf):
+        bus = int(mutation.bus)
+        specs = _node_specs(network)
+        new_node = len(specs)
+        specs.append(ProcessorSpec(mutation.name or f"p{new_node}"))
+        edges, bandwidths = _edge_lists(network)
+        edges.append((bus, new_node))
+        bandwidths.append(float(mutation.bandwidth))
+        return HierarchicalBusNetwork(specs, edges, bandwidths)
+    if isinstance(mutation, DetachLeaf):
+        proc = int(mutation.processor)
+        (bus,) = network.neighbors(proc)
+        removed_edge = network.edge_id(proc, bus)
+        node_map = np.arange(network.n_nodes, dtype=np.int64)
+        node_map[proc] = -1
+        node_map[proc + 1 :] -= 1
+        specs = _node_specs(network)
+        del specs[proc]
+        old_edges, old_bandwidths = _edge_lists(network)
+        edges = []
+        bandwidths = []
+        for eid, (u, v) in enumerate(old_edges):
+            if eid == removed_edge:
+                continue
+            edges.append((int(node_map[u]), int(node_map[v])))
+            bandwidths.append(old_bandwidths[eid])
+        return HierarchicalBusNetwork(specs, edges, bandwidths)
+    if isinstance(mutation, SplitBus):
+        bus = int(mutation.bus)
+        moved = mutation.moved
+        specs = _node_specs(network)
+        new_node = len(specs)
+        specs.append(BusSpec(mutation.name or f"b{new_node}", float(mutation.bus_bandwidth)))
+        old_edges, bandwidths = _edge_lists(network)
+        moved_edge_ids = tuple(network.edge_id(bus, m) for m in moved)
+        edges = list(old_edges)
+        for m, eid in zip(moved, moved_edge_ids):
+            edges[eid] = (m, new_node)
+        edges.append((bus, new_node))
+        bandwidths.append(float(mutation.trunk_bandwidth))
+        return HierarchicalBusNetwork(specs, edges, bandwidths)
+    raise AssertionError(f"no reference for {type(mutation).__name__}")
+
+
+def read_network(net):
+    """Everything a caller reads of ``net``, through public accessors only.
+
+    Bandwidths compare as bytes (``__eq__`` would use ``allclose``).
+    """
+    nodes = net.nodes()
+    return {
+        "kinds": [net.kind(v) for v in nodes],
+        "names": [net.name(v) for v in nodes],
+        "bus_bandwidths": (net.bus_bandwidths.dtype.str, net.bus_bandwidths.tobytes()),
+        "edge_bandwidths": (
+            net.edge_bandwidths.dtype.str,
+            net.edge_bandwidths.tobytes(),
+        ),
+        "edges": net.edges,
+        "edge_types": {type(e) for e in net.edges},
+        "neighbors": [net.neighbors(v) for v in nodes],
+        "incident_edge_ids": [net.incident_edge_ids(v) for v in nodes],
+        "edge_ids": [net.edge_id(e.u, e.v) for e in net.edges],
+        "processors": net.processors,
+        "buses": net.buses,
+    }
 
 
 def fresh_substrate(net):
@@ -115,9 +231,13 @@ class TestChurnDifferential:
         procs = list(net.processors)
         charge_random_paths(state, ground, fresh_rooted, procs, rng, 24)
 
+        readings = [(net, read_network(net))]
         for _ in range(10):
             mutation = random_valid_mutation(net, rng)
             outcome = apply_mutation(net, mutation)
+            reading = read_network(outcome.network)
+            assert reading == read_network(reference_apply_mutation(net, mutation))
+            assert reading["edge_types"] <= {Edge}
             state.repair(outcome)
             net = outcome.network
             ground = outcome.mapped_edge_loads(ground)
@@ -147,6 +267,11 @@ class TestChurnDifferential:
 
             # keep replaying requests on the repaired substrate
             charge_random_paths(state, ground, fresh_rooted, procs, rng, 10)
+
+            # no network of the chain was written by a later mutation
+            for old, old_reading in readings:
+                assert read_network(old) == old_reading
+            readings.append((net, reading))
 
         # the final interleaved state still equals a rebuild
         assert_loadstate_equals_rebuild(state, net, fresh_substrate(net)[0], ground)

@@ -144,26 +144,16 @@ def _assignment_pair_arrays(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten an assignment into ``(proc, holder, weight)`` arrays.
 
-    With ``objects`` given, only shares of those objects are included.
+    Reads the assignment's share columns directly; shares without requests
+    are dropped.  With ``objects`` given, only shares of those objects are
+    included.
     """
-    wanted = None if objects is None else set(int(x) for x in objects)
-    procs: List[int] = []
-    holders: List[int] = []
-    weights: List[int] = []
-    for (proc, obj), shares in assignment.items():
-        if wanted is not None and obj not in wanted:
-            continue
-        for share in shares:
-            if share.total == 0:
-                continue
-            procs.append(proc)
-            holders.append(share.holder)
-            weights.append(share.total)
-    return (
-        np.asarray(procs, dtype=np.int64),
-        np.asarray(holders, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
-    )
+    procs, objs, holders, reads, writes = assignment.share_rows()
+    weights = reads + writes
+    keep = weights != 0
+    if objects is not None:
+        keep &= np.isin(objs, np.asarray(list(objects), dtype=np.int64))
+    return procs[keep], holders[keep], weights[keep].astype(np.float64)
 
 
 def _nearest_pair_arrays(

@@ -10,20 +10,20 @@ between ``κ_x`` and ``2·κ_x`` requests* (Observation 3.2).  This bounds the
 number of copies per object and bounds the extra load of the later mapping
 step.
 
-The module tracks request ownership exactly: every copy records the list of
-``(processor, reads, writes)`` portions it serves, which is what the mapping
-step and the final placement need.
+The module tracks request ownership exactly: every copy records the
+``(processor, reads, writes)`` portions it serves as three columns, which is
+what the mapping step and the final placement need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.loadstate import LoadState
-from repro.core.placement import Placement, RequestAssignment, Share
+from repro.core.placement import Placement, RequestAssignment
 from repro.errors import AlgorithmError
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
@@ -36,11 +36,11 @@ __all__ = [
     "delete_rarely_used_copies",
     "apply_deletion",
     "copies_to_placement",
+    "portion_columns",
     "refine_copies",
 ]
 
 
-@dataclass
 class CopyRecord:
     """One physical copy of an object and the requests it serves.
 
@@ -50,41 +50,89 @@ class CopyRecord:
         Object index.
     node:
         Node currently holding the copy (mutated by the mapping step).
-    served:
-        List of ``(processor, reads, writes)`` portions served by this copy.
     home:
         Node the copy was created on (before any mapping movement).
+    procs, reads, writes:
+        The served portions as parallel int64 columns, one row per
+        processor, in the order they were added.
+    s:
+        Number of requests served by this copy (``s(c)`` in the paper),
+        kept in step with the columns.
     """
 
-    obj: int
-    node: int
-    served: List[Tuple[int, int, int]] = field(default_factory=list)
-    home: int = -1
+    __slots__ = ("obj", "node", "home", "procs", "reads", "writes", "s", "_rows")
 
-    def __post_init__(self) -> None:
-        if self.home < 0:
-            self.home = self.node
+    def __init__(
+        self,
+        obj: int,
+        node: int,
+        served: Iterable[Tuple[int, int, int]] = (),
+        home: int = -1,
+    ) -> None:
+        portions = list(served)
+        self._set(
+            obj,
+            node,
+            node if home < 0 else home,
+            np.array([p for p, _r, _w in portions], dtype=np.int64),
+            np.array([r for _p, r, _w in portions], dtype=np.int64),
+            np.array([w for _p, _r, w in portions], dtype=np.int64),
+            sum(r + w for _p, r, w in portions),
+        )
+
+    def _set(self, obj, node, home, procs, reads, writes, s) -> None:
+        self.obj = obj
+        self.node = node
+        self.home = home
+        self.procs = procs
+        self.reads = reads
+        self.writes = writes
+        self.s = s
+        self._rows: Optional[Dict[int, int]] = None
+
+    @classmethod
+    def _from_columns(cls, obj, node, procs, reads, writes, s) -> "CopyRecord":
+        """A copy created on ``node`` serving the given columns (``s`` is their total)."""
+        copy = cls.__new__(cls)
+        copy._set(obj, node, node, procs, reads, writes, s)
+        return copy
 
     @property
-    def s(self) -> int:
-        """Number of requests served by this copy (``s(c)`` in the paper)."""
-        return sum(r + w for (_p, r, w) in self.served)
+    def served(self) -> List[Tuple[int, int, int]]:
+        """The served ``(processor, reads, writes)`` portions, in order."""
+        return list(zip(self.procs.tolist(), self.reads.tolist(), self.writes.tolist()))
 
     def add(self, proc: int, reads: int, writes: int) -> None:
         """Add a served portion (merging with an existing one for the processor)."""
         if reads == 0 and writes == 0:
             return
-        for i, (p, r, w) in enumerate(self.served):
-            if p == proc:
-                self.served[i] = (p, r + reads, w + writes)
-                return
-        self.served.append((proc, reads, writes))
+        if self._rows is None:  # first row of each processor
+            self._rows = {}
+            for i, p in enumerate(self.procs.tolist()):
+                self._rows.setdefault(p, i)
+        row = self._rows.get(proc)
+        if row is None:
+            self._rows[proc] = self.procs.size
+            self.procs = np.append(self.procs, proc)
+            self.reads = np.append(self.reads, reads)
+            self.writes = np.append(self.writes, writes)
+        else:
+            self.reads[row] += reads
+            self.writes[row] += writes
+        self.s += reads + writes
 
     def take_all(self) -> List[Tuple[int, int, int]]:
         """Remove and return all served portions."""
         out = self.served
-        self.served = []
+        empty = np.empty(0, dtype=np.int64)
+        self._set(self.obj, self.node, self.home, empty, empty.copy(), empty.copy(), 0)
         return out
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"CopyRecord(obj={self.obj}, node={self.node}, home={self.home}, "
+            f"s={self.s}, portions={self.procs.size})"
+        )
 
 
 @dataclass
@@ -140,46 +188,48 @@ def _induced_subtree_structure(
     return root, parent, depth
 
 
-def _split_copy(copy: CopyRecord, kappa: int) -> List[CopyRecord]:
-    """Split a copy serving more than ``2·κ`` requests into several copies.
+def _split_quotas(s: int, kappa: int) -> List[int]:
+    """Request counts of the copies a copy serving ``s`` requests splits into.
 
-    Every resulting copy serves between ``κ`` and ``2·κ`` requests
-    (Observation 3.2).  Portions of a single processor may be divided across
-    copies; reads are handed out before writes within a portion.
+    A copy serving more than ``2·κ`` requests becomes ``m`` co-located
+    copies, ``m`` the smallest count with ``s <= 2·κ·m``, whose quotas
+    differ by at most one; then every copy serves between ``κ`` and ``2·κ``
+    requests (Observation 3.2).  Any other copy stays whole.
     """
-    s = copy.s
     if kappa <= 0 or s <= 2 * kappa:
-        return [copy]
-    # number of copies: smallest m with s <= 2*kappa*m; then s >= kappa*m holds
+        return [s]
     m = -(-s // (2 * kappa))
     base, extra = divmod(s, m)
-    quotas = [base + 1] * extra + [base] * (m - extra)
+    return [base + 1] * extra + [base] * (m - extra)
 
-    pieces: List[Tuple[int, int, int]] = []  # (proc, reads, writes) stream
-    for proc, reads, writes in copy.served:
-        pieces.append((proc, reads, writes))
 
-    result: List[CopyRecord] = []
-    idx = 0
-    cur_proc, cur_reads, cur_writes = (None, 0, 0)
-    for quota in quotas:
-        new_copy = CopyRecord(obj=copy.obj, node=copy.node, home=copy.home)
-        need = quota
-        while need > 0:
-            if cur_reads == 0 and cur_writes == 0:
-                cur_proc, cur_reads, cur_writes = pieces[idx]
-                idx += 1
-            take_reads = min(cur_reads, need)
-            cur_reads -= take_reads
-            need -= take_reads
-            take_writes = min(cur_writes, need)
-            cur_writes -= take_writes
-            need -= take_writes
-            new_copy.add(cur_proc, take_reads, take_writes)
-        result.append(new_copy)
-    if cur_reads or cur_writes or idx != len(pieces):  # pragma: no cover
+def _split_stream(
+    procs: np.ndarray,
+    reads: np.ndarray,
+    writes: np.ndarray,
+    quotas: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut a stream of served portions into consecutive copies of given sizes.
+
+    The stream lists every portion's reads before its writes; copy ``k``
+    takes the next ``quotas[k]`` requests, so a portion may be divided
+    between neighbouring copies.  Returns the cut portions' columns and the
+    row offsets of each copy (``bounds[k]:bounds[k + 1]``).
+    """
+    total = int(reads.sum() + writes.sum())
+    port_start = np.cumsum(reads + writes) - (reads + writes)
+    quotas = np.asarray(quotas, dtype=np.int64)
+    if int(quotas.sum()) != total:  # pragma: no cover - quotas partition every copy
         raise AlgorithmError("copy splitting lost requests")
-    return result
+    copy_start = np.cumsum(quotas) - quotas
+    cuts = np.sort(np.concatenate((port_start, copy_start)))
+    cuts = cuts[np.append(cuts[1:] != cuts[:-1], True) & (cuts < total)]
+    length = np.diff(np.append(cuts, total))
+    portion = np.searchsorted(port_start, cuts, side="right") - 1
+    owner = np.searchsorted(copy_start, cuts, side="right") - 1
+    cut_reads = np.clip(port_start[portion] + reads[portion] - cuts, 0, length)
+    bounds = np.searchsorted(owner, np.arange(len(quotas) + 1))
+    return procs[portion], cut_reads, length - cut_reads, bounds
 
 
 def delete_rarely_used_copies(
@@ -209,67 +259,7 @@ def delete_rarely_used_copies(
     """
     if rooted is None:
         rooted = network.rooted()
-    kappa = pattern.write_contention(obj)
-
-    # Initial reference copies: the holder nearest to each requester,
-    # resolved for all requesters at once via the path-incidence structure.
-    holder_list = sorted(holders)
-    copy_at: Dict[int, CopyRecord] = {
-        node: CopyRecord(obj=obj, node=node) for node in holder_list
-    }
-    requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
-    if requesters.size:
-        nearest = rooted.path_matrix().nearest_in_set(requesters, holder_list)
-        reads = pattern.reads[requesters, obj]
-        writes = pattern.writes[requesters, obj]
-        for proc, holder, r, w in zip(requesters, nearest, reads, writes):
-            copy_at[int(holder)].add(int(proc), int(r), int(w))
-
-    if len(holder_list) == 1:
-        only = copy_at[holder_list[0]]
-        return ObjectCopies(obj=obj, kappa=kappa, copies=_split_copy(only, kappa))
-
-    subtree_root, parent_in, depth_in = _induced_subtree_structure(rooted, holders)
-    height = max(depth_in.values()) if depth_in else 0
-    # level(v) = height - depth(v); process levels 0 .. height (leaves first).
-    by_level: Dict[int, List[int]] = {}
-    for node in holder_list:
-        by_level.setdefault(height - depth_in[node], []).append(node)
-
-    alive: Dict[int, CopyRecord] = dict(copy_at)
-    for level in range(0, height + 1):
-        for node in sorted(by_level.get(level, [])):
-            copy = alive.get(node)
-            if copy is None:
-                continue
-            if copy.s >= kappa and not (kappa == 0 and copy.s == 0 and len(alive) > 1):
-                continue
-            # The copy serves too few requests: delete it and move its
-            # requests to the parent copy (or the nearest surviving copy for
-            # the root of T(x)).  The ``kappa == 0`` clause additionally
-            # prunes completely unused copies of read-only objects, which the
-            # paper keeps but which carry no load either way.
-            if node != subtree_root:
-                target_node = parent_in[node]
-                target = alive.get(target_node)
-                if target is None:
-                    # The parent was already deleted in an earlier round
-                    # (possible only for kappa == 0 pruning); fall back to
-                    # the nearest surviving copy.
-                    target = alive[rooted.nearest_in_set(node, list(alive))]
-            else:
-                others = [n for n in alive if n != node]
-                if not others:
-                    continue  # the last copy is never deleted
-                target = alive[rooted.nearest_in_set(node, others)]
-            for proc, reads, writes in copy.take_all():
-                target.add(proc, reads, writes)
-            del alive[node]
-
-    survivors: List[CopyRecord] = []
-    for node in sorted(alive):
-        survivors.extend(_split_copy(alive[node], kappa))
-    return ObjectCopies(obj=obj, kappa=kappa, copies=survivors)
+    return _delete(rooted, pattern, [obj], [holders])[0]
 
 
 def apply_deletion(
@@ -278,15 +268,122 @@ def apply_deletion(
     nibble_placement: Placement,
 ) -> List[ObjectCopies]:
     """Run the deletion algorithm for every object of a nibble placement."""
-    rooted = network.rooted()
-    result: List[ObjectCopies] = []
-    for obj in range(pattern.n_objects):
-        result.append(
-            delete_rarely_used_copies(
-                network, pattern, obj, nibble_placement.holders(obj), rooted=rooted
+    objects = range(pattern.n_objects)
+    holder_sets = [nibble_placement.holders(obj) for obj in objects]
+    return _delete(network.rooted(), pattern, objects, holder_sets)
+
+
+def _delete(
+    rooted: RootedTree,
+    pattern: AccessPattern,
+    objects: Sequence[int],
+    holder_sets: Sequence[frozenset],
+) -> List[ObjectCopies]:
+    """The deletion algorithm for several objects over one set of columns.
+
+    Each requester is served by exactly one copy until the split: the
+    initial reference copy is the holder nearest to it, and a deleted copy
+    hands *all* its portions to one target.  So the per-object loop only
+    tracks each copy's request count and the holders whose initial
+    portions it has absorbed, in absorption order.  Applying that order to
+    the requester rows is one sort per object; cutting the survivors into
+    copies of ``κ_x``..``2·κ_x`` requests is one pass over all objects.
+    """
+    # requester rows of every object, by object and then processor
+    selected = np.asarray(list(objects), dtype=np.int64)
+    totals = pattern.totals[:, selected]
+    position, procs = np.nonzero(totals.T)
+    objs = selected[position]
+    reads = pattern.reads[procs, objs]
+    writes = pattern.writes[procs, objs]
+    bounds = np.searchsorted(position, np.arange(selected.size + 1))
+    kappas = pattern.write_contentions()[selected].tolist()
+
+    order = np.empty(procs.size, dtype=np.int64)
+    plan: List[Tuple[int, int, List[int]]] = []  # (k, node, quotas) per survivor
+    for k, (obj, holders, kappa) in enumerate(zip(selected.tolist(), holder_sets, kappas)):
+        lo, hi = bounds[k], bounds[k + 1]
+        holder_list = sorted(holders)
+        if not holder_list:
+            raise AlgorithmError(f"object {obj} has an empty holder set")
+        slot = np.zeros(hi - lo, dtype=np.int64)
+        if hi > lo and len(holder_list) > 1:
+            nearest = rooted.path_matrix().nearest_in_set(procs[lo:hi], holder_list)
+            slot = np.searchsorted(holder_list, nearest)
+        initial = np.bincount(slot, weights=totals[procs[lo:hi], k], minlength=len(holder_list))
+        served = dict(zip(holder_list, initial.astype(np.int64).tolist()))
+        absorbed = {node: [i] for i, node in enumerate(holder_list)}
+        if len(holder_list) > 1:
+            _delete_rarely_used(rooted, holders, kappa, served, absorbed)
+
+        # survivors by node id, each serving its absorbed portions in order
+        survivors = sorted(served)
+        rank = np.empty(len(holder_list), dtype=np.int64)
+        rank[[i for node in survivors for i in absorbed[node]]] = np.arange(len(holder_list))
+        order[lo:hi] = lo + np.argsort(rank[slot], kind="stable")
+        plan.extend((k, node, _split_quotas(served[node], kappa)) for node in survivors)
+
+    cut_procs, cut_reads, cut_writes, cut_bounds = _split_stream(
+        procs[order], reads[order], writes[order], [q for _o, _n, qs in plan for q in qs]
+    )
+    result = [
+        ObjectCopies(obj=obj, kappa=kappa, copies=[])
+        for obj, kappa in zip(selected.tolist(), kappas)
+    ]
+    i = 0
+    for k, node, quotas in plan:
+        oc = result[k]
+        for quota in quotas:
+            lo, hi = cut_bounds[i], cut_bounds[i + 1]
+            oc.copies.append(
+                CopyRecord._from_columns(
+                    oc.obj, node, cut_procs[lo:hi], cut_reads[lo:hi], cut_writes[lo:hi], quota
+                )
             )
-        )
+            i += 1
     return result
+
+
+def _delete_rarely_used(
+    rooted: RootedTree,
+    holders: frozenset,
+    kappa: int,
+    served: Dict[int, int],
+    absorbed: Dict[int, List[int]],
+) -> None:
+    """Figure 4's loop over ``T(x)``, leaves first, on request counts.
+
+    ``served`` maps each alive copy's node to its request count and
+    ``absorbed`` to the initial holders whose portions it serves; a deleted
+    copy's entries are moved to its target.
+    """
+    subtree_root, parent_in, depth_in = _induced_subtree_structure(rooted, holders)
+    height = max(depth_in.values()) if depth_in else 0
+    # level(v) = height - depth(v); process levels 0 .. height (leaves first).
+    by_level: Dict[int, List[int]] = {}
+    for node in sorted(holders):
+        by_level.setdefault(height - depth_in[node], []).append(node)
+
+    for level in range(0, height + 1):
+        for node in sorted(by_level.get(level, [])):
+            s = served[node]
+            if s >= kappa and not (kappa == 0 and s == 0 and len(served) > 1):
+                continue
+            # The copy serves too few requests: delete it and move its
+            # requests to the parent copy (one level up, so not yet
+            # processed) or, for the root of T(x), to the nearest surviving
+            # copy.  The ``kappa == 0`` clause additionally prunes
+            # completely unused copies of read-only objects, which the
+            # paper keeps but which carry no load either way.
+            if node != subtree_root:
+                target = parent_in[node]
+            else:
+                others = [n for n in served if n != node]
+                if not others:
+                    continue  # the last copy is never deleted
+                target = rooted.nearest_in_set(node, others)
+            served[target] += served.pop(node)
+            absorbed[target].extend(absorbed.pop(node))
 
 
 @dataclass(frozen=True)
@@ -316,7 +413,7 @@ def _clone_copies(copies_per_object: Sequence[ObjectCopies]) -> List[ObjectCopie
             obj=oc.obj,
             kappa=oc.kappa,
             copies=[
-                CopyRecord(obj=c.obj, node=c.node, served=list(c.served), home=c.home)
+                CopyRecord(obj=c.obj, node=c.node, served=c.served, home=c.home)
                 for c in oc.copies
             ],
         )
@@ -324,17 +421,31 @@ def _clone_copies(copies_per_object: Sequence[ObjectCopies]) -> List[ObjectCopie
     ]
 
 
+def portion_columns(
+    copies: Sequence[CopyRecord],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(procs, nodes, reads, writes)`` of the copies' portions, copy by copy.
+
+    ``nodes`` repeats each copy's current node once per portion.
+    """
+    if not copies:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    return (
+        np.concatenate([c.procs for c in copies]),
+        np.repeat(
+            np.asarray([c.node for c in copies], dtype=np.int64),
+            [c.procs.size for c in copies],
+        ),
+        np.concatenate([c.reads for c in copies]),
+        np.concatenate([c.writes for c in copies]),
+    )
+
+
 def _charge_copies(state: LoadState, oc: ObjectCopies) -> None:
     """Charge one object's serving traffic and write broadcast into a state."""
-    procs: List[int] = []
-    nodes: List[int] = []
-    weights: List[int] = []
-    for copy in oc.copies:
-        for proc, reads, writes in copy.served:
-            procs.append(proc)
-            nodes.append(copy.node)
-            weights.append(reads + writes)
-    state.apply_pairs(procs, nodes, weights)
+    procs, nodes, reads, writes = portion_columns(oc.copies)
+    state.apply_pairs(procs, nodes, reads + writes)
     holders = set(c.node for c in oc.copies)
     if oc.kappa > 0 and len(holders) > 1:
         state.apply_steiner(holders, float(oc.kappa))
@@ -450,32 +561,28 @@ def copies_to_placement(
         or a mapping holding at least the objects without copies.
     """
     holders: List[List[int]] = []
-    shares: Dict[Tuple[int, int], List[Share]] = {}
+    copies: List[CopyRecord] = []
+    objs: List[int] = []
     for obj in range(pattern.n_objects):
         oc = copies_per_object[obj]
         nodes = sorted(oc.holder_nodes)
         if not nodes:
-            if fallback_holders is None:
+            try:
+                fallback = None if fallback_holders is None else fallback_holders[obj]
+            except (KeyError, IndexError):
+                fallback = None
+            if fallback is None:
                 raise AlgorithmError(
                     f"object {obj} has no copies and no fallback holder was given"
                 )
-            nodes = [int(fallback_holders[obj])]
+            nodes = [int(fallback)]
         holders.append(nodes)
-        for copy in oc.copies:
-            for proc, reads, writes in copy.served:
-                shares.setdefault((proc, obj), []).append(
-                    Share(copy.node, reads, writes)
-                )
-    # Merge shares with identical holders (a processor may have several
-    # portions on the same node after splitting).
-    merged: Dict[Tuple[int, int], List[Share]] = {}
-    for key, entries in shares.items():
-        by_holder: Dict[int, List[int]] = {}
-        for s in entries:
-            agg = by_holder.setdefault(s.holder, [0, 0])
-            agg[0] += s.reads
-            agg[1] += s.writes
-        merged[key] = [Share(h, r, w) for h, (r, w) in sorted(by_holder.items())]
+        copies.extend(oc.copies)
+        objs.extend([obj] * len(oc.copies))
+    procs, nodes_col, reads, writes = portion_columns(copies)
+    obj_col = np.repeat(np.asarray(objs, dtype=np.int64), [c.procs.size for c in copies])
     placement = Placement(holders)
-    assignment = RequestAssignment(merged, pattern.n_objects)
+    assignment = RequestAssignment.from_rows(
+        pattern.n_objects, procs, obj_col, nodes_col, reads, writes
+    )
     return placement, assignment

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.deletion import CopyRecord, ObjectCopies
+from repro.core.deletion import CopyRecord, ObjectCopies, portion_columns
 from repro.errors import AlgorithmError
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
@@ -97,23 +97,27 @@ def directed_basic_loads(
     result arrays are indexed by the child endpoint of each (parent, child)
     tree edge: ``up[child]`` is the child→parent direction and
     ``down[child]`` the parent→child direction.
+
+    The path climbs from ``u`` to ``a = lca(u, p)`` and descends to ``p``,
+    so the edge above ``v`` carries the request upwards iff ``u`` lies
+    below ``v`` and ``a`` does not: ``up`` is the subtree sum of the counts
+    at ``u`` minus those at ``a``, and ``down`` likewise with ``p`` --
+    one batched LCA and two subtree sums, exact in int64.
     """
     n = network.n_nodes
-    up = np.zeros(n, dtype=np.int64)
-    down = np.zeros(n, dtype=np.int64)
-    for copy in copies:
-        u = copy.node
-        for proc, reads, writes in copy.served:
-            count = reads + writes
-            if count == 0 or proc == u:
-                continue
-            path = rooted.path_nodes(u, proc)
-            for a, b in zip(path, path[1:]):
-                if rooted.parent(a) == b:
-                    up[a] += count  # a -> parent(a)
-                else:  # b is a child of a
-                    down[b] += count  # parent(b) -> b
+    procs, nodes, reads, writes = portion_columns(copies)
+    if not procs.size:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    counts = reads + writes
+    at_lca = _node_counts(rooted.path_matrix().lca(nodes, procs), counts, n)
+    up = rooted.subtree_sums(_node_counts(nodes, counts, n) - at_lca)
+    down = rooted.subtree_sums(_node_counts(procs, counts, n) - at_lca)
     return up, down
+
+
+def _node_counts(nodes: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Per-node sums of integer ``counts`` (exact: integer sums below 2**53)."""
+    return np.bincount(nodes, weights=counts, minlength=n).astype(np.int64)
 
 
 def map_copies_to_leaves(
@@ -147,10 +151,21 @@ def map_copies_to_leaves(
     AlgorithmError
         If the downwards phase cannot find a free child edge -- impossible
         by Lemma 4.1 for well-formed inputs.
+
+    Notes
+    -----
+    Within one level of either phase the nodes touch disjoint state (a
+    node's stash, its own edge loads and, going down, its own children),
+    so only nodes that hold copies are visited; the adjustment of the
+    acceptable loads, which every non-root node receives after its upward
+    moves, is applied to all of them at once when the upwards phase ends.
     """
     if root is None:
         root = network.canonical_root()
     rooted = network.rooted(root)
+    n = network.n_nodes
+    is_bus = np.zeros(n, dtype=bool)
+    is_bus[list(network.buses)] = True
 
     if affected_objects is None:
         affected_objects = [
@@ -165,7 +180,6 @@ def map_copies_to_leaves(
         if oc.obj in affected_set:
             participating.extend(oc.copies)
 
-    n = network.n_nodes
     empty = np.zeros(n, dtype=np.float64)
     if not participating or network.n_edges == 0:
         return MappingResult(
@@ -186,75 +200,80 @@ def map_copies_to_leaves(
     up_acc = 2.0 * up_basic.astype(np.float64)
     down_acc = 2.0 * down_basic.astype(np.float64)
     up_map = np.zeros(n, dtype=np.float64)
-    down_map = np.zeros(n, dtype=np.float64)
 
-    # copies currently stored at each node, in deterministic order
-    at_node: Dict[int, List[CopyRecord]] = {v: [] for v in network.nodes()}
-    order: Dict[int, int] = {}
-    for seq, copy in enumerate(
-        sorted(participating, key=lambda c: (c.obj, c.home, -c.s))
-    ):
-        order[id(copy)] = seq
-        at_node[copy.node].append(copy)
-
+    # Copies are handled through their rank in a deterministic order; a
+    # stash holds the ranks of the copies currently at a node, and the
+    # nodes holding copies are bucketed by paper level.
+    ranked = sorted(participating, key=lambda c: (c.obj, c.home, -c.s))
+    cost = [c.s + kappa_of[c.obj] for c in ranked]
     height = rooted.height
-    by_level = rooted.nodes_by_level()
+    level = (height - rooted.path_matrix().depths).tolist()
+    stash: Dict[int, List[int]] = {}
+    pending: List[set] = [set() for _ in range(height + 1)]
+    for rank, copy in enumerate(ranked):
+        stash.setdefault(copy.node, []).append(rank)
+        pending[level[copy.node]].add(copy.node)
 
     # ------------------------------------------------------------------ #
     # upwards phase (Figure 5)
     # ------------------------------------------------------------------ #
     moves_up = 0
-    for level in range(0, height):
-        for v in by_level.get(level, []):
+    for lvl in range(0, height):
+        for v in sorted(pending[lvl]):
             parent = rooted.parent(v)
-            if parent < 0:
-                continue
-            stash = at_node[v]
-            stash.sort(key=lambda c: order[id(c)])
-            while stash and up_map[v] + tau_max <= up_acc[v]:
-                copy = stash.pop(0)
-                cost = copy.s + kappa_of[copy.obj]
-                copy.node = parent
-                at_node[parent].append(copy)
-                up_map[v] += cost
-                moves_up += 1
-            delta = up_acc[v] - up_map[v]
-            up_acc[v] -= delta
-            down_acc[v] -= delta
+            ranks = stash[v]
+            ranks.sort()
+            moved = 0
+            while moved < len(ranks) and up_map[v] + tau_max <= up_acc[v]:
+                rank = ranks[moved]
+                ranked[rank].node = parent
+                stash.setdefault(parent, []).append(rank)
+                pending[lvl + 1].add(parent)
+                up_map[v] += cost[rank]
+                moved += 1
+            moves_up += moved
+            del ranks[:moved]
+    nonroot = np.arange(n) != root
+    delta = up_acc[nonroot] - up_map[nonroot]
+    up_acc[nonroot] -= delta
+    down_acc[nonroot] -= delta
 
     # ------------------------------------------------------------------ #
     # downwards phase (Figure 6)
     # ------------------------------------------------------------------ #
     moves_down = 0
-    for level in range(height, 0, -1):
-        for v in by_level.get(level, []):
-            if network.is_processor(v):
+    room = (down_acc + tau_max).tolist()  # L_acc + τ_max per edge
+    down_map = [0.0] * n
+    for lvl in range(height, 0, -1):
+        for v in sorted(pending[lvl]):
+            ranks = stash.get(v)
+            if not ranks or not is_bus[v]:
                 continue
-            stash = list(at_node[v])
-            stash.sort(key=lambda c: order[id(c)])
+            ranks.sort()
             children = rooted.children(v)
-            for copy in stash:
-                cost = copy.s + kappa_of[copy.obj]
+            for rank in ranks:
+                c = cost[rank]
                 best_child = None
                 best_slack = None
                 for child in children:
-                    slack = down_acc[child] + tau_max - down_map[child] - cost
+                    slack = room[child] - down_map[child] - c
                     if slack >= 0 and (best_slack is None or slack > best_slack):
                         best_child, best_slack = child, slack
                 if best_child is None:
                     raise AlgorithmError(
                         f"no free child edge at node {v} for a copy of object "
-                        f"{copy.obj}; Lemma 4.1 excludes this for valid inputs"
+                        f"{ranked[rank].obj}; Lemma 4.1 excludes this for valid inputs"
                     )
-                at_node[v].remove(copy)
-                copy.node = best_child
-                at_node[best_child].append(copy)
-                down_map[best_child] += cost
+                ranked[rank].node = best_child
+                stash.setdefault(best_child, []).append(rank)
+                pending[lvl - 1].add(best_child)
+                down_map[best_child] += c
                 moves_down += 1
+            stash[v] = []
 
     # Sanity: every participating copy must now sit on a processor.
     for copy in participating:
-        if not network.is_processor(copy.node):
+        if is_bus[copy.node]:
             raise AlgorithmError(
                 f"copy of object {copy.obj} remained on bus {copy.node} after mapping"
             )
@@ -266,7 +285,7 @@ def map_copies_to_leaves(
         moves_up=moves_up,
         moves_down=moves_down,
         up_mapping_load=up_map,
-        down_mapping_load=down_map,
+        down_mapping_load=np.asarray(down_map, dtype=np.float64),
         up_acceptable_load=up_acc,
         down_acceptable_load=down_acc,
     )

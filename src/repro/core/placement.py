@@ -26,7 +26,7 @@ exactly, while keeping the common single-reference-copy case convenient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,37 +185,113 @@ class Share:
         return self.reads + self.writes
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """First row of every run of equal key tuples (rows sorted by the keys)."""
+    first = np.zeros(keys[0].size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(first)
+
+
 class RequestAssignment:
     """Assignment of every request to the copy that serves it.
 
     In the simplest (paper-default) case every (processor, object) pair has a
     single reference copy; the deletion step of the extended-nibble strategy
     may however split one pair's requests between several copies.  This class
-    stores, for every (processor, object) pair with requests, the list of
-    :class:`Share` records describing how the requests are split.
+    stores, for every (processor, object) pair with requests, the
+    :class:`Share` rows describing how the requests are split.
+
+    Storage is columnar (CSR): pair ``i`` is ``(pair_procs[i], pair_objs[i])``,
+    pairs sorted by object and then processor, and its shares are the rows
+    ``indptr[i]:indptr[i + 1]`` of the ``holders``/``reads``/``writes``
+    columns, one row per holder, sorted by holder (every constructor merges
+    the shares a pair has on one holder).  :meth:`shares` and :meth:`items`
+    are views that build :class:`Share` records on demand.
     """
 
-    __slots__ = ("_shares", "_n_objects")
+    __slots__ = (
+        "_n_objects",
+        "_pair_procs",
+        "_pair_objs",
+        "_indptr",
+        "_holders",
+        "_reads",
+        "_writes",
+        "_lookup",
+    )
 
     def __init__(
         self,
         shares: Mapping[Tuple[int, int], Sequence[Share]],
         n_objects: int,
     ) -> None:
-        self._shares: Dict[Tuple[int, int], Tuple[Share, ...]] = {}
+        rows: List[Tuple[int, int, int, int, int]] = []
         for key, value in shares.items():
             proc, obj = int(key[0]), int(key[1])
             if not 0 <= obj < n_objects:
                 raise AssignmentError(f"object index {obj} out of range")
-            entries = tuple(value)
-            if not entries:
-                continue
-            self._shares[(proc, obj)] = entries
+            rows.extend((proc, obj, s.holder, s.reads, s.writes) for s in value)
+        self._install(n_objects, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+
+    def _install(self, n_objects: int, procs, objs, holders, reads, writes) -> None:
+        """Set the CSR columns from share rows in any order.
+
+        Rows of one (processor, object, holder) triple are merged, and a
+        pair's shares are sorted by holder.
+        """
+        procs, objs, holders, reads, writes = (
+            np.asarray(c, dtype=np.int64).ravel()
+            for c in (procs, objs, holders, reads, writes)
+        )
+        bad = np.flatnonzero((objs < 0) | (objs >= n_objects))
+        if bad.size:
+            raise AssignmentError(f"object index {int(objs[bad[0]])} out of range")
+        if np.any(reads < 0) or np.any(writes < 0):
+            raise AssignmentError("share counts must be non-negative")
+        order = np.lexsort((holders, procs, objs))
+        procs, objs, holders = procs[order], objs[order], holders[order]
+        reads, writes = reads[order], writes[order]
+        starts = _run_starts(objs, procs, holders)
+        if procs.size:
+            reads = np.add.reduceat(reads, starts)
+            writes = np.add.reduceat(writes, starts)
+        procs, objs, holders = procs[starts], objs[starts], holders[starts]
+        pairs = _run_starts(objs, procs)
         self._n_objects = int(n_objects)
+        self._pair_procs = procs[pairs]
+        self._pair_objs = objs[pairs]
+        self._indptr = np.append(pairs, procs.size)
+        self._holders = holders
+        self._reads = reads
+        self._writes = writes
+        for column in (self._pair_procs, self._pair_objs, self._indptr, holders, reads, writes):
+            column.flags.writeable = False
+        self._lookup = None
 
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_rows(
+        cls,
+        n_objects: int,
+        procs,
+        objs,
+        holders,
+        reads,
+        writes,
+    ) -> "RequestAssignment":
+        """Build an assignment from flat share rows (one lexsort, one ``reduceat``).
+
+        Row ``k`` says that ``holders[k]`` serves ``reads[k]`` reads and
+        ``writes[k]`` writes of processor ``procs[k]`` to object ``objs[k]``.
+        """
+        assignment = cls.__new__(cls)
+        assignment._install(n_objects, procs, objs, holders, reads, writes)
+        return assignment
+
     @classmethod
     def nearest_copy(
         cls,
@@ -230,23 +306,24 @@ class RequestAssignment:
         node closest to ``P``").
         """
         placement.validate_for(network, pattern)
-        rooted = network.rooted()
-        path_matrix = rooted.path_matrix()
-        reads_matrix = pattern.reads
-        writes_matrix = pattern.writes
-        shares: Dict[Tuple[int, int], List[Share]] = {}
+        path_matrix = network.rooted().path_matrix()
+        obj_idx, proc_idx = np.nonzero(pattern.totals.T)
+        holders = np.empty_like(proc_idx)
+        bounds = np.searchsorted(obj_idx, np.arange(pattern.n_objects + 1))
         for obj in range(pattern.n_objects):
-            requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
-            if requesters.size == 0:
-                continue
-            nearest = path_matrix.nearest_in_set(
-                requesters, sorted(placement.holders(obj))
-            )
-            reads = reads_matrix[requesters, obj]
-            writes = writes_matrix[requesters, obj]
-            for proc, holder, r, w in zip(requesters, nearest, reads, writes):
-                shares[(int(proc), obj)] = [Share(int(holder), int(r), int(w))]
-        return cls(shares, pattern.n_objects)
+            lo, hi = bounds[obj], bounds[obj + 1]
+            if lo < hi:
+                holders[lo:hi] = path_matrix.nearest_in_set(
+                    proc_idx[lo:hi], sorted(placement.holders(obj))
+                )
+        return cls.from_rows(
+            pattern.n_objects,
+            proc_idx,
+            obj_idx,
+            holders,
+            pattern.reads[proc_idx, obj_idx],
+            pattern.writes[proc_idx, obj_idx],
+        )
 
     @classmethod
     def single_reference(
@@ -255,19 +332,23 @@ class RequestAssignment:
         reference: Mapping[Tuple[int, int], int],
     ) -> "RequestAssignment":
         """Build an assignment from an explicit ``(processor, object) -> holder`` map."""
-        shares: Dict[Tuple[int, int], List[Share]] = {}
-        for obj in range(pattern.n_objects):
-            for proc in pattern.requesters(obj):
-                try:
-                    holder = reference[(proc, obj)]
-                except KeyError:
-                    raise AssignmentError(
-                        f"no reference copy given for processor {proc}, object {obj}"
-                    ) from None
-                shares[(proc, obj)] = [
-                    Share(holder, pattern.reads_of(proc, obj), pattern.writes_of(proc, obj))
-                ]
-        return cls(shares, pattern.n_objects)
+        obj_idx, proc_idx = np.nonzero(pattern.totals.T)
+        holders: List[int] = []
+        for proc, obj in zip(proc_idx.tolist(), obj_idx.tolist()):
+            try:
+                holders.append(reference[(proc, obj)])
+            except KeyError:
+                raise AssignmentError(
+                    f"no reference copy given for processor {proc}, object {obj}"
+                ) from None
+        return cls.from_rows(
+            pattern.n_objects,
+            proc_idx,
+            obj_idx,
+            holders,
+            pattern.reads[proc_idx, obj_idx],
+            pattern.writes[proc_idx, obj_idx],
+        )
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -277,13 +358,47 @@ class RequestAssignment:
         """Number of objects covered."""
         return self._n_objects
 
+    def share_rows(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only columns ``(procs, objs, holders, reads, writes)``, one per share.
+
+        Rows are grouped by pair, pairs sorted by object and then processor.
+        """
+        counts = np.diff(self._indptr)
+        return (
+            np.repeat(self._pair_procs, counts),
+            np.repeat(self._pair_objs, counts),
+            self._holders,
+            self._reads,
+            self._writes,
+        )
+
+    def _scalar_view(self):
+        """``({(proc, obj): pair}, indptr, [(holder, reads, writes)])`` as
+        Python objects, built on the first per-pair lookup."""
+        if self._lookup is None:
+            pairs = zip(self._pair_procs.tolist(), self._pair_objs.tolist())
+            self._lookup = (
+                {key: i for i, key in enumerate(pairs)},
+                self._indptr.tolist(),
+                list(zip(self._holders.tolist(), self._reads.tolist(), self._writes.tolist())),
+            )
+        return self._lookup
+
+    def _shares_at(self, i: int) -> Tuple[Share, ...]:
+        _pairs, indptr, rows = self._scalar_view()
+        return tuple(Share(h, r, w) for h, r, w in rows[indptr[i] : indptr[i + 1]])
+
     def shares(self, proc: int, obj: int) -> Tuple[Share, ...]:
         """Shares of the (processor, object) pair (empty if no requests)."""
-        return self._shares.get((proc, obj), ())
+        i = self._scalar_view()[0].get((proc, obj))
+        return () if i is None else self._shares_at(i)
 
-    def items(self):
-        """Iterate over ``((processor, object), shares)`` pairs."""
-        return self._shares.items()
+    def items(self) -> List[Tuple[Tuple[int, int], Tuple[Share, ...]]]:
+        """``((processor, object), shares)`` for every stored pair, by object
+        and then processor."""
+        return [(key, self._shares_at(i)) for key, i in self._scalar_view()[0].items()]
 
     def reference_copy(self, proc: int, obj: int) -> int:
         """The single reference copy of a pair (error if split across copies)."""
@@ -300,9 +415,8 @@ class RequestAssignment:
 
     def is_single_reference(self) -> bool:
         """True iff no (processor, object) pair is split across holders."""
-        return all(
-            len({s.holder for s in entries}) == 1 for entries in self._shares.values()
-        )
+        first = np.repeat(self._holders[self._indptr[:-1]], np.diff(self._indptr))
+        return bool(np.all(self._holders == first))
 
     # ------------------------------------------------------------------ #
     # validation
@@ -315,40 +429,105 @@ class RequestAssignment:
     ) -> None:
         """Check consistency of the assignment.
 
-        * counts of every pair sum to the pattern frequencies,
-        * every share's holder is a holder of the object in ``placement``,
-        * every pair with requests in the pattern has shares.
+        * every pair with requests in the pattern has shares,
+        * every stored pair's processor is a node of ``network`` and its
+          shares sum to the pattern frequencies (zero for a pair without
+          requests),
+        * every share's holder is a holder of the object in ``placement``.
+
+        The checks run over all pairs at once; the first failing pair in
+        (object, processor) order is reported.
         """
         if pattern.n_objects != self._n_objects:
             raise AssignmentError("assignment and pattern cover different object counts")
-        for obj in range(pattern.n_objects):
-            holders = placement.holders(obj)
-            for proc in pattern.requesters(obj):
-                entries = self.shares(proc, obj)
-                if not entries:
-                    raise AssignmentError(
-                        f"processor {proc} requests object {obj} but has no shares"
-                    )
-                reads = sum(s.reads for s in entries)
-                writes = sum(s.writes for s in entries)
-                if reads != pattern.reads_of(proc, obj) or writes != pattern.writes_of(
-                    proc, obj
-                ):
-                    raise AssignmentError(
-                        f"shares of processor {proc}, object {obj} do not sum to the "
-                        "pattern frequencies"
-                    )
-                for s in entries:
-                    if s.holder not in holders:
-                        raise AssignmentError(
-                            f"share of processor {proc}, object {obj} uses holder "
-                            f"{s.holder} which is not in P_x = {sorted(holders)}"
-                        )
-                    if s.holder not in network:
-                        raise AssignmentError(f"unknown holder node {s.holder}")
+        n_rows = pattern.n_nodes
+        req_objs, req_procs = np.nonzero(pattern.totals.T)
+        procs, objs = self._pair_procs, self._pair_objs
+        failing: List[Tuple[int, int]] = []
+
+        # requested pairs without shares
+        rows = np.flatnonzero((procs >= 0) & (procs < n_rows))
+        missing = np.flatnonzero(
+            ~np.isin(req_objs * n_rows + req_procs, objs[rows] * n_rows + procs[rows])
+        )
+        if missing.size:
+            failing.append((int(req_objs[missing[0]]), int(req_procs[missing[0]])))
+
+        if procs.size:
+            bad = (procs < 0) | (procs >= network.n_nodes)
+            expect_reads = np.zeros(procs.size, dtype=np.int64)
+            expect_writes = np.zeros(procs.size, dtype=np.int64)
+            expect_reads[rows] = pattern.reads[procs[rows], objs[rows]]
+            expect_writes[rows] = pattern.writes[procs[rows], objs[rows]]
+            starts = self._indptr[:-1]
+            bad |= np.add.reduceat(self._reads, starts) != expect_reads
+            bad |= np.add.reduceat(self._writes, starts) != expect_writes
+            bad |= np.logical_or.reduceat(
+                ~self._holds(network, placement), starts
+            )
+            first = np.flatnonzero(bad)
+            if first.size:
+                failing.append((int(objs[first[0]]), int(procs[first[0]])))
+
+        if failing:
+            obj, proc = min(failing)
+            raise AssignmentError(self._pair_error(network, pattern, placement, proc, obj))
+
+    def _holds(self, network: HierarchicalBusNetwork, placement: Placement) -> np.ndarray:
+        """Per share row: the holder is a network node holding the object."""
+        n = network.n_nodes
+        sizes = [len(hs) for hs in placement.all_holders()]
+        held = np.fromiter(
+            (h for hs in placement.all_holders() for h in hs),
+            dtype=np.int64,
+            count=sum(sizes),
+        )
+        held_objs = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        valid = (held >= 0) & (held < n)
+        holders = self._holders
+        row_objs = np.repeat(self._pair_objs, np.diff(self._indptr))
+        ok = (holders >= 0) & (holders < n) & (row_objs < len(sizes))
+        ok[ok] = np.isin(row_objs[ok] * n + holders[ok], held_objs[valid] * n + held[valid])
+        return ok
+
+    def _pair_error(
+        self,
+        network: HierarchicalBusNetwork,
+        pattern: AccessPattern,
+        placement: Placement,
+        proc: int,
+        obj: int,
+    ) -> str:
+        """The message of the first failed check of one pair."""
+        entries = self.shares(proc, obj)
+        if not entries:
+            return f"processor {proc} requests object {obj} but has no shares"
+        if proc not in network:
+            return (
+                f"shares for object {obj} are stored under processor {proc}, "
+                "which is not a node of the network"
+            )
+        requested = (0, 0)
+        if proc < pattern.n_nodes:
+            requested = (pattern.reads_of(proc, obj), pattern.writes_of(proc, obj))
+        if (sum(s.reads for s in entries), sum(s.writes for s in entries)) != requested:
+            return (
+                f"shares of processor {proc}, object {obj} do not sum to the "
+                "pattern frequencies"
+            )
+        holders = placement.holders(obj)
+        for s in entries:
+            if s.holder not in holders:
+                return (
+                    f"share of processor {proc}, object {obj} uses holder "
+                    f"{s.holder} which is not in P_x = {sorted(holders)}"
+                )
+            if s.holder not in network:
+                return f"unknown holder node {s.holder}"
+        raise AssertionError("validate_for flagged a pair that passes every check")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"RequestAssignment(n_objects={self._n_objects}, "
-            f"n_pairs={len(self._shares)})"
+            f"n_pairs={self._pair_procs.size})"
         )

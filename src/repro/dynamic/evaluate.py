@@ -81,10 +81,13 @@ def hindsight_static_manager(
     processors that have not attached yet -- are excluded from the
     aggregate; for churn-free sequences every event survives the filter.
     """
-    base_events = [
-        ev for ev in sequence.events if ev.processor < network.n_nodes
-    ]
-    pattern = RequestSequence(base_events, sequence.n_objects).to_pattern(network)
+    procs = sequence.as_arrays()[0]
+    if procs.size and procs.max() >= network.n_nodes:
+        sequence = RequestSequence(
+            [ev for ev in sequence.events if ev.processor < network.n_nodes],
+            sequence.n_objects,
+        )
+    pattern = sequence.to_pattern(network)
     placement = extended_nibble(network, pattern).placement
     return StaticPlacementManager(network, placement)
 

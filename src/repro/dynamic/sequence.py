@@ -122,14 +122,25 @@ class RequestSequence:
                 )
 
     def to_pattern(self, network: HierarchicalBusNetwork) -> AccessPattern:
-        """Aggregate frequencies of the whole sequence (hindsight workload)."""
-        reads = np.zeros((network.n_nodes, self._n_objects), dtype=np.int64)
-        writes = np.zeros((network.n_nodes, self._n_objects), dtype=np.int64)
-        for ev in self._events:
-            if ev.is_write:
-                writes[ev.processor, ev.obj] += 1
-            else:
-                reads[ev.processor, ev.obj] += 1
+        """Aggregate frequencies of the whole sequence (hindsight workload).
+
+        One ``bincount`` per request kind over the cached columns.  Raises
+        :class:`~repro.errors.WorkloadError` for an event whose processor
+        id is not a node of ``network``.
+        """
+        procs, objs, is_write = self.as_arrays()
+        n_nodes, n_objects = network.n_nodes, self._n_objects
+        outside = np.flatnonzero((procs < 0) | (procs >= n_nodes))
+        if outside.size:
+            raise WorkloadError(
+                f"event issued by node {int(procs[outside[0]])}, which is not "
+                "a node of the network"
+            )
+        cells = procs * n_objects + objs
+        shape = (n_nodes, n_objects)
+        size = n_nodes * n_objects
+        reads = np.bincount(cells[~is_write], minlength=size).reshape(shape)
+        writes = np.bincount(cells[is_write], minlength=size).reshape(shape)
         pattern = AccessPattern(reads, writes)
         pattern.validate_for(network)
         return pattern

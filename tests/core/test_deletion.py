@@ -175,6 +175,18 @@ class TestStructuralBehaviour:
         )
         assert placement.holders(0) == frozenset({net.processors[0]})
 
+    def test_copies_to_placement_fallback_mapping_missing_object(self):
+        """A fallback mapping without an object that has no copies raises the
+        same AlgorithmError as no fallback at all (not a bare KeyError)."""
+        from repro.core.deletion import ObjectCopies
+        from repro.errors import AlgorithmError
+
+        net = single_bus(3)
+        pat = AccessPattern.empty(net.n_nodes, 2)
+        empty = [ObjectCopies(obj=x, kappa=0, copies=[]) for x in range(2)]
+        with pytest.raises(AlgorithmError, match="object 1 has no copies"):
+            copies_to_placement(empty, pat, fallback_holders={0: net.processors[0]})
+
     def test_disconnected_holder_set_rejected(self):
         net = single_bus(3)
         procs = list(net.processors)

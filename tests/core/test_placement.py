@@ -188,3 +188,24 @@ class TestRequestAssignment:
     def test_object_index_out_of_range(self):
         with pytest.raises(AssignmentError):
             RequestAssignment({(0, 5): [Share(0, 1, 0)]}, 2)
+
+    def test_phantom_shares_rejected(self):
+        """Shares stored on a pair without requests must sum to zero and
+        name a network node; before, they validated and were charged."""
+        from repro.core.congestion import compute_loads
+
+        net = single_bus(3)
+        procs = list(net.processors)
+        pat = AccessPattern.from_requests(net, 1, [(procs[0], 0, 3, 0)])
+        placement = Placement([[procs[0]]])
+        base = {(procs[0], 0): [Share(procs[0], 3, 0)]}
+        RequestAssignment(base, 1).validate_for(net, pat, placement)
+        assert compute_loads(net, pat, placement).congestion == 0.0
+        for phantom in (procs[-1], net.buses[0], -1, net.n_nodes):
+            shares = dict(base)
+            shares[(phantom, 0)] = [Share(procs[0], 100, 0)]
+            assignment = RequestAssignment(shares, 1)
+            with pytest.raises(AssignmentError):
+                assignment.validate_for(net, pat, placement)
+            with pytest.raises(AssignmentError):
+                compute_loads(net, pat, placement, assignment=assignment)

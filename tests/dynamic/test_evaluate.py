@@ -46,6 +46,22 @@ class TestEvaluateStrategies:
             assert manager.holders(obj)  # every object has at least one holder
 
 
+    def test_hindsight_manager_skips_events_beyond_the_network(self):
+        """Churn reference ids of processors not attached yet stay out of
+        the aggregate, as before."""
+        from repro.dynamic.sequence import RequestEvent, RequestSequence
+
+        net = balanced_tree(2, 2, 2)
+        seq = sequence_from_pattern(net, uniform_pattern(net, 4, seed=3), seed=4)
+        late = RequestSequence(
+            list(seq.events) + [RequestEvent(net.n_nodes + 2, 1, "write")], 4
+        )
+        with_late = hindsight_static_manager(net, late)
+        without = hindsight_static_manager(net, seq)
+        assert [with_late.holders(x) for x in range(4)] == [
+            without.holders(x) for x in range(4)
+        ]
+
 class TestCompetitiveRatio:
     def test_ratio_reasonable_on_stationary_workload(self):
         net = balanced_tree(2, 2, 2)

@@ -59,6 +59,15 @@ class TestRequestSequence:
         seq = sequence_from_pattern(net, pattern, seed=1)
         assert seq.to_pattern(net) == pattern
 
+    @pytest.mark.parametrize("proc", [-1, 4])
+    def test_to_pattern_rejects_events_outside_the_network(self, proc):
+        """A negative id was credited to the last node's row and an id past
+        the last node raised a bare IndexError; both are workload errors."""
+        net = single_bus(3)  # nodes 0..3
+        events = [RequestEvent(net.processors[0], 0, "read"), RequestEvent(proc, 0, "write")]
+        with pytest.raises(WorkloadError, match=f"node {proc}"):
+            RequestSequence(events, 1).to_pattern(net)
+
 
 class TestGenerators:
     def test_sequence_length_matches_pattern_totals(self):

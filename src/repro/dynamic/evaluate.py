@@ -81,11 +81,11 @@ def hindsight_static_manager(
     processors that have not attached yet -- are excluded from the
     aggregate; for churn-free sequences every event survives the filter.
     """
-    procs = sequence.as_arrays()[0]
+    procs, objs, writes = sequence.as_arrays()
     if procs.size and procs.max() >= network.n_nodes:
-        sequence = RequestSequence(
-            [ev for ev in sequence.events if ev.processor < network.n_nodes],
-            sequence.n_objects,
+        keep = procs < network.n_nodes
+        sequence = RequestSequence.from_columns(
+            procs[keep], objs[keep], writes[keep], sequence.n_objects
         )
     pattern = sequence.to_pattern(network)
     placement = extended_nibble(network, pattern).placement

@@ -372,7 +372,7 @@ class OnlineStrategy:
         static reference) override this with a vectorized batch charge that
         produces bit-for-bit identical loads.
         """
-        for event in sequence.events[start:stop]:
+        for event in sequence[start:stop]:
             self.serve(event)
 
     def run(
@@ -1145,7 +1145,7 @@ class EdgeCounterManager(OnlineStrategy):
         if n == 1 or getattr(self.account, "state", None) is None:
             # Single events and reference accounts (no LoadState to
             # scatter into) go through the scalar path.
-            for event in sequence.events[start:stop]:
+            for event in sequence[start:stop]:
                 self.serve(event)
             return
         chunk_procs, procs, writes, positions = self._decode_chunk(
@@ -1203,7 +1203,7 @@ class EdgeCounterManager(OnlineStrategy):
         if n <= 0:
             return
         if n == 1:
-            event = sequence.events[start]
+            event = sequence[start]
             for manager in managers:
                 manager.serve(event)
             return

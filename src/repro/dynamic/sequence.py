@@ -6,8 +6,9 @@ discusses, in its related-work section, the *dynamic* model of [MMVW97] /
 migrate and invalidate copies while serving them.  This subpackage provides
 the substrate to study that model on hierarchical bus networks:
 
-* :class:`RequestEvent` / :class:`RequestSequence` -- an ordered sequence of
-  read/write requests issued by processors;
+* :class:`RequestSequence` -- an ordered sequence of read/write requests
+  issued by processors, stored as three columns; :class:`RequestEvent` is
+  the one-request view of it;
 * generators that interleave an :class:`~repro.workload.access.AccessPattern`
   into a sequence (stationary workloads) or switch between patterns
   (phase-changing workloads, where online adaptation pays off);
@@ -18,11 +19,12 @@ the substrate to study that model on hierarchical bus networks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.network.node import NodeKind
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
 
@@ -35,6 +37,9 @@ __all__ = [
 
 READ = "read"
 WRITE = "write"
+
+# (processors, objects, is_write): int64, int64, bool
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -61,70 +66,124 @@ class RequestEvent:
 
 
 class RequestSequence:
-    """An ordered sequence of requests over a fixed object universe."""
+    """An ordered sequence of requests over a fixed object universe.
 
-    __slots__ = ("_events", "_n_objects", "_arrays")
+    The requests are stored as three columns -- issuing processors and
+    objects (``int64``) and the write flags (``bool``) -- which every fast
+    path reads directly.  :class:`RequestEvent` objects exist only as views:
+    ``events``, iteration and indexing build them on demand, for the scalar
+    ``serve`` references and for tests.
 
-    def __init__(self, events: Sequence[RequestEvent], n_objects: int) -> None:
-        self._events: Tuple[RequestEvent, ...] = tuple(events)
+    Build a sequence from events with ``RequestSequence(events, n_objects)``
+    or from columns with :meth:`from_columns`.
+    """
+
+    __slots__ = ("_procs", "_objs", "_writes", "_n_objects")
+
+    def __init__(
+        self,
+        events: Iterable[RequestEvent],
+        n_objects: int,
+        *,
+        columns: Optional[Columns] = None,
+    ) -> None:
+        if columns is None:
+            events = tuple(events)
+            n = len(events)
+            columns = (
+                np.fromiter((ev.processor for ev in events), np.int64, n),
+                np.fromiter((ev.obj for ev in events), np.int64, n),
+                np.fromiter((ev.kind == WRITE for ev in events), bool, n),
+            )
         if n_objects < 0:
             raise WorkloadError("n_objects must be non-negative")
-        for ev in self._events:
-            if not 0 <= ev.obj < n_objects:
-                raise WorkloadError(f"event object {ev.obj} out of range")
+        procs, objs, writes = columns
+        procs = np.asarray(procs, dtype=np.int64)
+        objs = np.asarray(objs, dtype=np.int64)
+        writes = np.asarray(writes, dtype=bool)
+        if not procs.ndim == 1 or not procs.shape == objs.shape == writes.shape:
+            raise WorkloadError("request columns must be 1-d and of equal length")
+        if objs.size and (objs.min() < 0 or objs.max() >= n_objects):
+            bad = np.flatnonzero((objs < 0) | (objs >= n_objects))[0]
+            raise WorkloadError(f"event object {int(objs[bad])} out of range")
+        self._procs, self._objs, self._writes = procs, objs, writes
         self._n_objects = int(n_objects)
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar view ``(processors, objects, is_write)`` of the events.
+    @classmethod
+    def from_columns(
+        cls,
+        procs: np.ndarray,
+        objs: np.ndarray,
+        is_write: np.ndarray,
+        n_objects: int,
+    ) -> "RequestSequence":
+        """A sequence over the given ``(procs, objs, is_write)`` columns."""
+        return cls((), n_objects, columns=(procs, objs, is_write))
 
-        Built once and cached; the batch replay mode of the online layer
-        slices whole chunks out of these arrays instead of iterating the
-        event objects.
-        """
-        if self._arrays is None:
-            n = len(self._events)
-            procs = np.empty(n, dtype=np.int64)
-            objs = np.empty(n, dtype=np.int64)
-            writes = np.zeros(n, dtype=bool)
-            for i, ev in enumerate(self._events):
-                procs[i] = ev.processor
-                objs[i] = ev.obj
-                writes[i] = ev.kind == WRITE
-            self._arrays = (procs, objs, writes)
-        return self._arrays
+    def as_arrays(self) -> Columns:
+        """The columns ``(processors, objects, is_write)`` of the sequence."""
+        return self._procs, self._objs, self._writes
 
     @property
     def n_objects(self) -> int:
         """Number of shared objects referenced by the sequence."""
         return self._n_objects
 
+    def _views(self, index: slice) -> Tuple[RequestEvent, ...]:
+        return tuple(
+            RequestEvent(proc, obj, WRITE if write else READ)
+            for proc, obj, write in zip(
+                self._procs[index].tolist(),
+                self._objs[index].tolist(),
+                self._writes[index].tolist(),
+            )
+        )
+
     @property
     def events(self) -> Tuple[RequestEvent, ...]:
-        """The events in order."""
-        return self._events
+        """The events in order (built on each access)."""
+        return self._views(slice(None))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._procs)
 
     def __iter__(self) -> Iterator[RequestEvent]:
-        return iter(self._events)
+        return iter(self.events)
 
-    def __getitem__(self, index: int) -> RequestEvent:
-        return self._events[index]
+    def __getitem__(self, index):
+        """One event, or a tuple of events for a slice."""
+        if isinstance(index, slice):
+            return self._views(index)
+        return RequestEvent(
+            int(self._procs[index]),
+            int(self._objs[index]),
+            WRITE if self._writes[index] else READ,
+        )
+
+    def subsequence(self, start: int, stop: int) -> "RequestSequence":
+        """The events ``start:stop`` as a new sequence (sharing the columns)."""
+        window = slice(start, stop)
+        return RequestSequence.from_columns(
+            self._procs[window], self._objs[window], self._writes[window],
+            self._n_objects,
+        )
 
     def validate_for(self, network: HierarchicalBusNetwork) -> None:
         """Check that every request is issued by a processor of ``network``."""
-        for ev in self._events:
-            if ev.processor not in network or not network.is_processor(ev.processor):
-                raise WorkloadError(
-                    f"event issued by node {ev.processor}, which is not a processor"
-                )
+        procs = self._procs
+        inside = (procs >= 0) & (procs < network.n_nodes)
+        bad = ~inside
+        bad[inside] = network.node_kinds[procs[inside]] != NodeKind.PROCESSOR
+        if bad.any():
+            raise WorkloadError(
+                f"event issued by node {int(procs[np.argmax(bad)])}, which is "
+                "not a processor"
+            )
 
     def to_pattern(self, network: HierarchicalBusNetwork) -> AccessPattern:
         """Aggregate frequencies of the whole sequence (hindsight workload).
 
-        One ``bincount`` per request kind over the cached columns.  Raises
+        One ``bincount`` per request kind over the columns.  Raises
         :class:`~repro.errors.WorkloadError` for an event whose processor
         id is not a node of ``network``.
         """
@@ -147,13 +206,16 @@ class RequestSequence:
 
     def prefix(self, length: int) -> "RequestSequence":
         """The first ``length`` events as a new sequence."""
-        return RequestSequence(self._events[: max(0, length)], self._n_objects)
+        return self.subsequence(0, max(0, length))
 
     def concatenated_with(self, other: "RequestSequence") -> "RequestSequence":
         """Concatenate two sequences over the same object universe."""
         if other.n_objects != self._n_objects:
             raise WorkloadError("sequences must share the object universe")
-        return RequestSequence(self._events + other.events, self._n_objects)
+        return RequestSequence.from_columns(
+            *(np.concatenate(pair) for pair in zip(self.as_arrays(), other.as_arrays())),
+            self._n_objects,
+        )
 
 
 def sequence_from_pattern(
@@ -167,22 +229,24 @@ def sequence_from_pattern(
     Every (processor, object) read/write frequency becomes that many
     individual events; the order is a uniformly random permutation, so the
     sequence is stationary and its aggregate equals the original pattern.
+    Before the shuffle the events run by object, then processor ascending,
+    reads before writes -- the permutation is applied to that order, which
+    fixes the sequence a seed produces.
     """
     gen = rng if rng is not None else np.random.default_rng(seed)
     pattern.validate_for(network)
-    events: List[RequestEvent] = []
-    for obj in range(pattern.n_objects):
-        for proc in pattern.requesters(obj):
-            events.extend(
-                RequestEvent(proc, obj, READ) for _ in range(pattern.reads_of(proc, obj))
-            )
-            events.extend(
-                RequestEvent(proc, obj, WRITE)
-                for _ in range(pattern.writes_of(proc, obj))
-            )
-    order = gen.permutation(len(events))
-    shuffled = [events[i] for i in order]
-    return RequestSequence(shuffled, pattern.n_objects)
+    # one cell per (object, node, kind) in that nesting order
+    counts = np.stack([pattern.reads.T, pattern.writes.T], axis=-1).ravel()
+    cells = np.flatnonzero(counts)
+    repeats = counts[cells]
+    n_cells_per_object = 2 * pattern.n_nodes
+    procs = np.repeat((cells % n_cells_per_object) // 2, repeats)
+    objs = np.repeat(cells // n_cells_per_object, repeats)
+    writes = np.repeat(cells % 2 == 1, repeats)
+    order = gen.permutation(procs.size)
+    return RequestSequence.from_columns(
+        procs[order], objs[order], writes[order], pattern.n_objects
+    )
 
 
 def phase_change_sequence(

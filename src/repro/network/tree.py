@@ -311,6 +311,12 @@ class HierarchicalBusNetwork:
         """Iterate over all node ids."""
         return range(self.n_nodes)
 
+    @property
+    def node_kinds(self) -> np.ndarray:
+        """:class:`~repro.network.node.NodeKind` code of every node (int8),
+        indexed by node id; shared, so never write into it."""
+        return self._kinds
+
     def is_processor(self, node: int) -> bool:
         """``True`` iff ``node`` is a processor (leaf)."""
         self._check_node(node)

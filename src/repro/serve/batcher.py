@@ -23,7 +23,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.dynamic.sequence import RequestEvent, RequestSequence
+import numpy as np
+
+from repro.dynamic.sequence import Columns, RequestSequence
 from repro.errors import SimulationError
 from repro.serve.wire import decode_events, mutation_from_dict
 from repro.sim.engine import EngineStream, SimulationResult
@@ -130,11 +132,20 @@ class ServeSession:
         info.update(self.meta)
         return info
 
-    def feed(self, events: Sequence[RequestEvent]) -> Dict[str, object]:
-        """Serve one micro-batch now; returns the live ack payload."""
-        batch = RequestSequence(events, self.n_objects)
+    def feed(self, events) -> Dict[str, object]:
+        """Serve one micro-batch now; returns the live ack payload.
+
+        ``events`` is a :class:`~repro.dynamic.sequence.RequestSequence`
+        over the session's object universe or an iterable of
+        :class:`~repro.dynamic.sequence.RequestEvent`.  The batch is
+        validated whole, then journaled, then served: the journal never
+        holds a batch the engine rejects.
+        """
+        if not isinstance(events, RequestSequence):
+            events = RequestSequence(events, self.n_objects)
+        batch = self.stream.validate(events)
         if self.recorder is not None:
-            self.recorder.record_events(batch.events)
+            self.recorder.record_events(batch)
         served, dropped = self.stream.serve(batch)
         account = self.stream.account
         return {
@@ -146,11 +157,16 @@ class ServeSession:
         }
 
     def mutate(self, op: Mapping) -> Dict[str, object]:
-        """Schedule one churn mutation at the current position."""
+        """Schedule one churn mutation at the current position.
+
+        A mutation that cannot apply (after the ones already queued)
+        raises :class:`~repro.errors.MutationError` before it is journaled
+        or acked.
+        """
         mutation = mutation_from_dict(op)
+        self.stream.mutate(mutation)
         if self.recorder is not None:
             self.recorder.record_mutation(op, time=self.stream.position)
-        self.stream.mutate(mutation)
         return {"position": self.stream.position, "scheduled": True}
 
     def finish(self) -> Dict[str, object]:
@@ -180,12 +196,14 @@ class ServeSession:
 class MicroBatcher:
     """Coalesce decoded messages into engine micro-batches.
 
-    ``add(message)`` buffers request events and returns the list of reply
-    payloads produced by whatever the message forced to happen; mutation,
-    flush and end messages are barriers that drain the buffer first.  The
-    caller (the server's engine task) decides *when* to call
-    :meth:`drain` for opportunistic batching -- typically when its inbound
-    queue runs empty.
+    ``add(message)`` decodes and buffers request events (as column chunks)
+    and returns the list of reply payloads produced by whatever the
+    message forced to happen; mutation, flush and end messages are
+    barriers that drain the buffer first.  A malformed message raises
+    :class:`~repro.errors.SimulationError` before any of its events is
+    buffered.  The caller (the server's engine task) decides *when* to
+    call :meth:`drain` for opportunistic batching -- typically when its
+    inbound queue runs empty.
     """
 
     def __init__(self, session: ServeSession, max_batch: int = 1024) -> None:
@@ -193,14 +211,15 @@ class MicroBatcher:
             raise SimulationError("max_batch must be a positive integer")
         self.session = session
         self.max_batch = int(max_batch)
-        self._events: List[RequestEvent] = []
+        self._chunks: List[Columns] = []
+        self._buffered = 0
         self._last_id: Optional[int] = None
         self.finished = False
 
     @property
     def buffered(self) -> int:
         """Number of events waiting for the next drain."""
-        return len(self._events)
+        return self._buffered
 
     def _reply(self, kind: str, payload: Mapping) -> Dict[str, object]:
         reply = {"type": kind}
@@ -209,42 +228,58 @@ class MicroBatcher:
         reply.update(payload)
         return reply
 
+    def _feed(self, count: int) -> Dict[str, object]:
+        """Serve the first ``count`` buffered events; returns their ack."""
+        chunks = self._chunks
+        columns = chunks[0] if len(chunks) == 1 else tuple(map(np.concatenate, zip(*chunks)))
+        rest = tuple(column[count:] for column in columns)
+        self._chunks = [rest] if len(rest[0]) else []
+        self._buffered -= count
+        batch = RequestSequence.from_columns(
+            *(column[:count] for column in columns), self.session.n_objects
+        )
+        return self._reply("ack", self.session.feed(batch))
+
     def drain(self) -> Optional[Dict[str, object]]:
         """Serve the buffered events now (``None`` when nothing waits)."""
-        if not self._events:
+        if not self._buffered:
             return None
-        events, self._events = self._events, []
-        return self._reply("ack", self.session.feed(events))
+        return self._feed(self._buffered)
 
-    def add(
-        self, message: Mapping, events: Optional[Sequence[RequestEvent]] = None
-    ) -> List[Dict[str, object]]:
+    def add(self, message: Mapping) -> List[Dict[str, object]]:
         """Ingest one decoded message; returns the replies it produced."""
         if self.finished:
             raise SimulationError("stream already ended")
         mtype = message.get("type")
         if "id" in message:
-            self._last_id = int(message["id"])
+            try:
+                self._last_id = int(message["id"])
+            except (TypeError, ValueError, OverflowError):
+                raise SimulationError(
+                    f"message id must be an integer, got {message['id']!r}"
+                ) from None
         replies: List[Dict[str, object]] = []
         if mtype == "requests":
-            self._events.extend(
-                events if events is not None else decode_events(message["events"])
-            )
-            while len(self._events) >= self.max_batch:
-                chunk = self._events[: self.max_batch]
-                del self._events[: self.max_batch]
-                replies.append(self._reply("ack", self.session.feed(chunk)))
-            if not replies and not self._events:
+            columns = decode_events(message.get("events"))
+            if len(columns[0]):
+                self._chunks.append(columns)
+                self._buffered += len(columns[0])
+            while self._buffered >= self.max_batch:
+                replies.append(self._feed(self.max_batch))
+            if not replies and not self._buffered:
                 # an empty message with nothing buffered: no drain will
                 # ever ack it, so ack it now at the current position
                 replies.append(
                     self._reply("ack", {"position": self.session.position})
                 )
         elif mtype == "mutation":
+            op = message.get("op")
+            if not isinstance(op, Mapping):
+                raise SimulationError(f"mutation message needs an 'op' object, got {op!r}")
             drained = self.drain()
             if drained is not None:
                 replies.append(drained)
-            replies.append(self._reply("ack", self.session.mutate(message["op"])))
+            replies.append(self._reply("ack", self.session.mutate(op)))
         elif mtype == "flush":
             drained = self.drain()
             replies.append(
@@ -351,10 +386,10 @@ def resume_session(path, sync: bool = False):
     position = 0
     for time, op in recording.mutations:
         if time > position:
-            session.feed(events[position:time])
+            session.feed(events.subsequence(position, time))
             position = time
         session.mutate(op)
     if position < len(events):
-        session.feed(events[position:])
+        session.feed(events.subsequence(position, len(events)))
     session.recorder = StreamRecorder(path, sync=sync, append=True)
     return session, len(events), len(recording.mutations)

@@ -1,22 +1,30 @@
 """Stream recordings: the durable journal of every served stream.
 
-A recording is a JSON-lines file (``repro.stream-recording/v1``):
+A recording is a JSON-lines file (``repro.stream-recording/v2``):
 
 * line 1 -- the header: the full scenario spec, the served strategy
   label, the engine ``chunk_size`` and the object-universe size.  That is
   everything needed to rebuild the identical session offline.
 * one line per ingested item, in arrival order:
-  ``{"events": [[proc, obj, "r"|"w"], ...]}`` for a served micro-batch,
-  ``{"mutation": {...}, "time": t}`` for a churn mutation (``t`` is the
-  number of request events ingested before it -- exactly the
-  :class:`~repro.network.mutation.ChurnTrace` time contract).
+  ``{"events": {"procs": [...], "objs": [...], "writes": [...]}}`` for a
+  served micro-batch (its columns; ``writes`` lists the positions of the
+  write requests), ``{"mutation": {...}, "time": t}`` for a churn
+  mutation (``t`` is the number of request events ingested before it --
+  exactly the :class:`~repro.network.mutation.ChurnTrace` time contract).
 * the footer: ``{"summary": {...}}`` with the canonical result record of
   the served stream (or ``{"aborted": reason}`` for a stream that died).
 
-**Write-ahead journal.**  The recorder writes every item *before* the
-engine serves it and (in ``sync`` mode) fsyncs each line, so the
-position a client saw acked is always covered by durable journal bytes
--- the acked-event watermark.  A crash mid-write leaves at worst one
+``repro.stream-recording/v1`` files are still read: their events items
+hold ``[proc, obj, "r"|"w"]`` rows, decoded by the wire's row decoder.
+The loader reads each events item by its shape, so a v1 journal that a
+newer server resumed (v1 rows, then appended v2 columns) replays too.
+
+**Write-ahead journal.**  The recorder writes every item after the
+engine has validated it and *before* the engine serves it, and (in
+``sync`` mode) fsyncs each line, so the position a client saw acked is
+always covered by durable journal bytes -- the acked-event watermark.
+The journal never holds an item the engine rejected, so every journal
+replays and resumes.  A crash mid-write leaves at worst one
 *torn trailing line*; :func:`heal_journal` truncates it (and any
 ``aborted`` footer) back to the last durable item, and
 :func:`load_recording` skips a torn tail with a warning instead of
@@ -39,13 +47,15 @@ import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro import faults
-from repro.dynamic.sequence import RequestEvent, RequestSequence
+from repro.dynamic.sequence import Columns, RequestSequence
 from repro.errors import SimulationError
 from repro.network.mutation import ChurnTrace
-from repro.serve.wire import decode_events, encode_events, mutation_from_dict
+from repro.serve.wire import decode_events, mutation_from_dict
 
 __all__ = [
     "RECORDING_FORMAT",
@@ -56,7 +66,9 @@ __all__ = [
     "replay_recording",
 ]
 
-RECORDING_FORMAT = "repro.stream-recording/v1"
+RECORDING_FORMAT = "repro.stream-recording/v2"
+# every format the loader reads; v1 stores events as wire rows
+READABLE_FORMATS = ("repro.stream-recording/v1", RECORDING_FORMAT)
 
 
 class StreamRecorder:
@@ -154,9 +166,18 @@ class StreamRecorder:
             "n_objects": int(n_objects),
         }
 
-    def record_events(self, events: Sequence[RequestEvent]) -> None:
-        """One served micro-batch, in arrival order."""
-        self._write({"events": encode_events(events)})
+    def record_events(self, batch: RequestSequence) -> None:
+        """One validated micro-batch, in arrival order, as its columns."""
+        procs, objs, writes = batch.as_arrays()
+        self._write(
+            {
+                "events": {
+                    "procs": procs.tolist(),
+                    "objs": objs.tolist(),
+                    "writes": np.flatnonzero(writes).tolist(),
+                }
+            }
+        )
 
     def record_mutation(self, op: Dict, time: int) -> None:
         """One churn mutation at stream position ``time``."""
@@ -190,6 +211,32 @@ class StreamRecorder:
                 self._fh.close()
             except OSError:
                 pass
+
+
+def _check_format(path, header: Dict) -> None:
+    if header.get("format") not in READABLE_FORMATS:
+        raise SimulationError(
+            f"{path} is not a {RECORDING_FORMAT} recording "
+            f"(format: {header.get('format')!r})"
+        )
+
+
+def _item_columns(item: Dict) -> Columns:
+    """The columns of one events item: v2 columns or v1 wire rows."""
+    payload = item["events"]
+    if isinstance(payload, list):
+        return decode_events(payload)
+    try:
+        procs = np.array(payload["procs"], dtype=np.int64)
+        objs = np.array(payload["objs"], dtype=np.int64)
+        at = np.array(payload["writes"], dtype=np.int64)
+        if procs.ndim != 1 or procs.shape != objs.shape or (at < 0).any():
+            raise ValueError("columns of unequal length or a negative position")
+        writes = np.zeros(len(procs), dtype=bool)
+        writes[at] = True
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise SimulationError(f"malformed recording events item {item!r}") from exc
+    return procs, objs, writes
 
 
 # --------------------------------------------------------------------------- #
@@ -258,11 +305,7 @@ def heal_journal(path) -> JournalHeal:
     items, torn = _parse_lines(text)
     if not items:
         raise SimulationError(f"journal {path} has no intact header line")
-    if items[0].get("format") != RECORDING_FORMAT:
-        raise SimulationError(
-            f"{path} is not a {RECORDING_FORMAT} recording "
-            f"(format: {items[0].get('format')!r})"
-        )
+    _check_format(path, items[0])
     dropped_aborted = False
     if "aborted" in items[-1]:
         items = items[:-1]
@@ -272,7 +315,7 @@ def heal_journal(path) -> JournalHeal:
     )
     if torn is not None or dropped_aborted:
         path.write_text(healed, encoding="utf-8")
-    n_events = sum(len(item.get("events", ())) for item in items)
+    n_events = sum(len(_item_columns(item)[0]) for item in items if "events" in item)
     n_mutations = sum(1 for item in items if "mutation" in item)
     return JournalHeal(
         n_events=n_events,
@@ -292,7 +335,7 @@ class Recording:
     def __init__(
         self,
         header: Dict,
-        events: List[RequestEvent],
+        events: RequestSequence,
         mutations: List[Tuple[int, Dict]],
         summary: Optional[Dict],
         aborted: Optional[str],
@@ -307,10 +350,6 @@ class Recording:
     def complete(self) -> bool:
         """True when the stream was sealed and its summary recorded."""
         return self.summary is not None and self.aborted is None
-
-    def sequence(self) -> RequestSequence:
-        """The recorded events over the session's object universe."""
-        return RequestSequence(self.events, int(self.header["n_objects"]))
 
     def trace(self) -> Optional[ChurnTrace]:
         """The recorded churn trace (``None`` when no mutation arrived)."""
@@ -340,18 +379,14 @@ def load_recording(path) -> Recording:
     if not items:
         raise SimulationError(f"recording {path} is empty")
     header = items[0]
-    if header.get("format") != RECORDING_FORMAT:
-        raise SimulationError(
-            f"{path} is not a {RECORDING_FORMAT} recording "
-            f"(format: {header.get('format')!r})"
-        )
-    events: List[RequestEvent] = []
+    _check_format(path, header)
+    chunks: List[Columns] = []
     mutations: List[Tuple[int, Dict]] = []
     summary: Optional[Dict] = None
     aborted: Optional[str] = None
     for item in items[1:]:
         if "events" in item:
-            events.extend(decode_events(item["events"]))
+            chunks.append(_item_columns(item))
         elif "mutation" in item:
             mutations.append((int(item["time"]), item["mutation"]))
         elif "summary" in item:
@@ -360,6 +395,8 @@ def load_recording(path) -> Recording:
             aborted = item["aborted"]
         else:
             raise SimulationError(f"unknown recording item {item!r}")
+    columns = [np.concatenate(column) for column in zip(*chunks)] or ([], [], [])
+    events = RequestSequence.from_columns(*columns, int(header["n_objects"]))
     return Recording(header, events, mutations, summary, aborted)
 
 
@@ -393,5 +430,5 @@ def replay_recording(path) -> Tuple[Dict, Optional[Dict]]:
         sinks=built.make_sinks(),
         chunk_size=recording.header.get("chunk_size"),
     )
-    result = engine.run(recording.sequence(), recording.trace())
+    result = engine.run(recording.events, recording.trace())
     return result_record(result), recording.summary

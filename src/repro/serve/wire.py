@@ -6,7 +6,9 @@ narrative description.  Client messages:
 
 ``{"type": "requests", "id": n, "events": [[proc, obj, "r"|"w"], ...]}``
     A batch of request events, in issue order.  ``id`` is a client-chosen
-    monotonically increasing integer used for ack matching.
+    monotonically increasing integer used for ack matching.  A row is
+    exactly two int64 ids and a kind code (``"r"``, ``"w"``, ``"read"``
+    or ``"write"``); a message with any other row is rejected whole.
 ``{"type": "mutation", "id": n, "op": {...}}``
     One churn mutation, scheduled at the current stream position (i.e.
     before the next request event).  ``op`` is the mutation encoding of
@@ -57,9 +59,12 @@ mutations the offline engine understands.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.dynamic.sequence import READ, WRITE, RequestEvent
+import numpy as np
+
+from repro.dynamic.sequence import READ, WRITE, Columns, RequestEvent
 from repro.errors import SimulationError
 from repro.network.mutation import (
     AttachLeaf,
@@ -83,7 +88,8 @@ __all__ = [
 WIRE_FORMAT = "repro.serve/v1"
 
 _KIND_CODE = {READ: "r", WRITE: "w"}
-_CODE_KIND = {"r": READ, "w": WRITE, READ: READ, WRITE: WRITE}
+_IS_WRITE = {"r": False, "w": True, READ: False, WRITE: True}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def encode_message(message: Mapping) -> bytes:
@@ -107,16 +113,49 @@ def encode_events(events: Sequence[RequestEvent]) -> List[List]:
     return [[ev.processor, ev.obj, _KIND_CODE[ev.kind]] for ev in events]
 
 
-def decode_events(rows: Sequence) -> List[RequestEvent]:
-    """Inverse of :func:`encode_events` (loud on malformed rows)."""
-    events = []
-    for row in rows:
-        try:
-            proc, obj, code = row
-            events.append(RequestEvent(int(proc), int(obj), _CODE_KIND[code]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SimulationError(f"malformed event row {row!r}") from exc
-    return events
+def _row_ok(row) -> bool:
+    """One row is ``[int, int, code]``: int64 ids (``bool`` is not an id)."""
+    return (
+        type(row) is list
+        and len(row) == 3
+        and type(row[0]) is int
+        and type(row[1]) is int
+        and _INT64_MIN <= row[0] <= _INT64_MAX
+        and _INT64_MIN <= row[1] <= _INT64_MAX
+        and type(row[2]) is str
+        and row[2] in _IS_WRITE
+    )
+
+
+def decode_events(rows: Sequence) -> Columns:
+    """``[proc, obj, code]`` rows -> the columns ``(procs, objs, is_write)``.
+
+    Strict: a row is two ints in int64 range (``bool`` does not count)
+    and one of ``"r"``, ``"w"``, ``"read"``, ``"write"``.  Anything else
+    raises :class:`~repro.errors.SimulationError` naming the first bad
+    row, before any column is returned.
+    """
+    if type(rows) is not list:
+        raise SimulationError(f"event rows must be a list, got {rows!r}")
+    n = len(rows)
+    if n == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool)
+    try:
+        if set(map(type, rows)) != {list} or set(map(len, rows)) != {3}:
+            raise ValueError
+        flat = list(chain.from_iterable(rows))
+        procs, objs, codes = flat[0::3], flat[1::3], flat[2::3]
+        if set(map(type, procs)) != {int} or set(map(type, objs)) != {int}:
+            raise ValueError
+        columns = (
+            np.array(procs, dtype=np.int64),
+            np.array(objs, dtype=np.int64),
+            np.fromiter(map(_IS_WRITE.__getitem__, codes), bool, n),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        bad = next(row for row in rows if not _row_ok(row))
+        raise SimulationError(f"malformed event row {bad!r}") from None
+    return columns
 
 
 # --------------------------------------------------------------------------- #
@@ -190,7 +229,7 @@ def mutation_from_dict(document: Mapping) -> Mutation:
                 bus_bandwidth=float(document.get("bus_bandwidth", 1.0)),
                 trunk_bandwidth=float(document.get("trunk_bandwidth", 1.0)),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"malformed mutation document {document!r}") from exc
     raise SimulationError(f"unknown mutation kind {document.get('kind')!r}")
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.dynamic.sequence import RequestEvent, RequestSequence
+from repro.dynamic.sequence import RequestSequence
 from repro.errors import SimulationError, WorkloadError
 from repro.network.mutation import (
     AttachLeaf,
@@ -35,6 +35,7 @@ from repro.network.mutation import (
     MutationOutcome,
     apply_mutation,
 )
+from repro.network.node import NodeKind
 from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import MetricsSink
 from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
@@ -59,33 +60,29 @@ def _remap_span(
     The mapping is constant within a span (mutations only happen at span
     boundaries), so the kept events form one chunk.  Returns
     ``(sub, sub_start, sub_stop, served, dropped)``: when every reference
-    maps to itself the original sequence slice is returned directly
-    (keeping its cached columnar view), otherwise a remapped sub-sequence
-    covering exactly the kept events; ``sub`` is ``None`` when every event
-    of the span dropped.
+    maps to itself the original sequence is returned directly, otherwise a
+    remapped sub-sequence covering exactly the kept events; ``sub`` is
+    ``None`` when every event of the span dropped.
     """
-    kept: List[RequestEvent] = []
-    identity = True
-    for event in sequence.events[start:stop]:
-        if not 0 <= event.processor < n_refs:
-            raise WorkloadError(
-                f"event references processor id {event.processor}, but the "
-                f"replay universe has {n_refs} reference ids"
-            )
-        proc = int(current_of_ref[event.processor])
-        if proc < 0:
-            identity = False
-            continue
-        if proc == event.processor:
-            kept.append(event)
-        else:
-            identity = False
-            kept.append(RequestEvent(proc, event.obj, event.kind))
-    if identity:
+    procs, objs, writes = sequence.as_arrays()
+    refs = procs[start:stop]
+    outside = (refs < 0) | (refs >= n_refs)
+    if outside.any():
+        raise WorkloadError(
+            f"event references processor id {int(refs[np.argmax(outside)])}, "
+            f"but the replay universe has {n_refs} reference ids"
+        )
+    nodes = current_of_ref[refs]
+    if np.array_equal(nodes, refs):
         return sequence, start, stop, stop - start, 0
-    if kept:
-        sub = RequestSequence(kept, sequence.n_objects)
-        return sub, 0, len(kept), len(kept), (stop - start) - len(kept)
+    keep = nodes >= 0
+    n_kept = int(np.count_nonzero(keep))
+    if n_kept:
+        sub = RequestSequence.from_columns(
+            nodes[keep], objs[start:stop][keep], writes[start:stop][keep],
+            sequence.n_objects,
+        )
+        return sub, 0, n_kept, n_kept, (stop - start) - n_kept
     return None, 0, 0, 0, stop - start
 
 
@@ -535,10 +532,14 @@ class EngineStream:
         self.dropped = 0
         self.outcomes: List[MutationOutcome] = []
         self._base_n = strategy.network.n_nodes
+        # the network after every mutation queued so far
+        self._network = strategy.network
         # identity until the first mutation; then the growable
-        # reference-id -> current-node mapping (one fresh id per attach)
+        # reference-id -> current-node mapping (one fresh id per attach),
+        # also after every queued mutation
         self._current_of_ref: Optional[np.ndarray] = None
-        self._pending_mutations: List[object] = []
+        self._pending_outcomes: List[MutationOutcome] = []
+        self._validated: Optional[RequestSequence] = None
         self._intervals = sorted(
             {sink.interval for sink in self.sinks if sink.interval}
         )
@@ -562,8 +563,18 @@ class EngineStream:
         if self._finished:
             raise SimulationError("stream is finished; no further feeding")
 
-    def _as_batch(self, events) -> RequestSequence:
-        """Events -> one validated micro-batch sequence."""
+    def validate(self, events) -> RequestSequence:
+        """Check one micro-batch against the stream as it will serve it.
+
+        ``events`` is an iterable of
+        :class:`~repro.dynamic.sequence.RequestEvent` or a prebuilt
+        :class:`~repro.dynamic.sequence.RequestSequence`.  The checks run
+        against the network and reference universe left by every queued
+        mutation: object range, reference-id range, and that no reference
+        resolves to a bus node.  Returns the batch as a sequence; passing
+        that sequence to the next :meth:`serve` does not check it again.
+        """
+        self._check_open()
         if isinstance(events, RequestSequence):
             batch = events
         else:
@@ -589,19 +600,16 @@ class EngineStream:
             # a stream is untrusted input: an in-range ref whose current
             # node is a bus would index out of bounds inside the serving
             # kernels, so reject it here (departed refs are fine -- the
-            # remap drops their events)
-            network = self.strategy.network
-            uniq = np.unique(procs)
-            current = (
-                uniq if self._current_of_ref is None
-                else self._current_of_ref[uniq]
-            )
-            for ref, node in zip(uniq, current):
-                if node >= 0 and not network.is_processor(int(node)):
-                    raise WorkloadError(
-                        f"event references id {int(ref)}, which is a bus "
-                        "node, not a processor"
-                    )
+            # remap drops their events; their -1 reads the last node's kind
+            # and is masked out)
+            nodes = procs if self._current_of_ref is None else self._current_of_ref[procs]
+            bus = (self._network.node_kinds[nodes] != NodeKind.PROCESSOR) & (nodes >= 0)
+            if bus.any():
+                raise WorkloadError(
+                    f"event references id {int(procs[bus].min())}, which is a "
+                    "bus node, not a processor"
+                )
+        self._validated = batch
         return batch
 
     def _cuts(self, start: int, stop: int) -> List[int]:
@@ -618,17 +626,17 @@ class EngineStream:
     def serve(self, events) -> Tuple[int, int]:
         """Serve one micro-batch now; returns its ``(served, dropped)`` split.
 
-        ``events`` is an iterable of
-        :class:`~repro.dynamic.sequence.RequestEvent` (or a prebuilt
-        :class:`~repro.dynamic.sequence.RequestSequence`).  The batch is
-        validated atomically, re-cut at the offline span grid, and each
-        sub-span goes through the same chunk fast path as the offline
+        ``events`` is anything :meth:`validate` accepts.  The batch is
+        validated atomically (unless it is the sequence the last
+        :meth:`validate` returned), re-cut at the offline span grid, and
+        each sub-span goes through the same chunk fast path as the offline
         engine.  Events from departed reference ids are dropped (counted,
         not served), exactly as offline.
         """
         self._check_open()
+        batch = events if events is self._validated else self.validate(events)
+        self._validated = None
         self._flush_mutations()
-        batch = self._as_batch(events)
         n = len(batch)
         if n == 0:
             return 0, 0
@@ -661,34 +669,40 @@ class EngineStream:
     def mutate(self, mutation) -> None:
         """Schedule one churn mutation at the current stream position.
 
-        Mutations apply *lazily*: the queue is flushed immediately before
-        the next served event (or, for trailing mutations, after the
-        closing boundary of :meth:`finish`).  This is exactly the offline
-        timeline contract -- a mutation at time ``t`` lands before the
-        event at position ``t``, and mutations at or past the final
-        position land after the final serve span, so the forced final
-        trajectory sample precedes them.
+        The mutation's outcome is computed now, against the network left
+        by the mutations queued before it, so one that cannot apply raises
+        :class:`~repro.errors.MutationError` here and leaves the stream
+        untouched.  The reference universe follows it at once (later
+        batches validate against it).
+
+        The strategy sees the outcomes *lazily*: the queue is flushed
+        immediately before the next served event (or, for trailing
+        mutations, after the closing boundary of :meth:`finish`).  This is
+        exactly the offline timeline contract -- a mutation at time ``t``
+        lands before the event at position ``t``, and mutations at or past
+        the final position land after the final serve span, so the forced
+        final trajectory sample precedes them.
         """
         self._check_open()
-        self._pending_mutations.append(mutation)
+        outcome = apply_mutation(self._network, mutation)
+        self._network = outcome.network
+        self._validated = None
+        if self._current_of_ref is None:
+            self._current_of_ref = np.arange(self._base_n, dtype=np.int64)
+        alive = self._current_of_ref >= 0
+        self._current_of_ref[alive] = outcome.node_map[self._current_of_ref[alive]]
+        if isinstance(mutation, AttachLeaf):
+            self._current_of_ref = np.append(
+                self._current_of_ref, np.int64(outcome.new_node)
+            )
+        self._pending_outcomes.append(outcome)
 
     def _flush_mutations(self) -> None:
-        """Apply every queued mutation, in arrival order."""
-        pending, self._pending_mutations = self._pending_mutations, []
-        for mutation in pending:
-            outcome = apply_mutation(self.strategy.network, mutation)
+        """Carry the strategy over every queued outcome, in arrival order."""
+        pending, self._pending_outcomes = self._pending_outcomes, []
+        for outcome in pending:
             self.strategy.apply_mutation(outcome)
             self.outcomes.append(outcome)
-            if self._current_of_ref is None:
-                self._current_of_ref = np.arange(self._base_n, dtype=np.int64)
-            alive = self._current_of_ref >= 0
-            self._current_of_ref[alive] = outcome.node_map[
-                self._current_of_ref[alive]
-            ]
-            if isinstance(mutation, AttachLeaf):
-                self._current_of_ref = np.append(
-                    self._current_of_ref, np.int64(outcome.new_node)
-                )
             for sink in self.sinks:
                 sink.on_mutation(self, outcome)
 

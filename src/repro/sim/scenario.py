@@ -59,8 +59,6 @@ from repro.dynamic.online import (
     RentOrBuyManager,
 )
 from repro.dynamic.sequence import (
-    READ,
-    RequestEvent,
     RequestSequence,
     phase_change_sequence,
     sequence_from_pattern,
@@ -437,16 +435,22 @@ def _build_flash_crowd(
         crowd_seed = seeds.derive("workload.crowd_seed")
     gen = np.random.default_rng(crowd_seed)
     probs = zipf_weights(n_objects)
-    base_n = net.n_nodes
-    crowd_events = [
-        RequestEvent(base_n + k, int(obj), READ)
-        for k in range(n_new)
-        for obj in gen.choice(n_objects, size=requests, p=probs)
-    ]
-    tail = list(base_seq.events[cut:]) + crowd_events
-    shuffled_tail = [tail[i] for i in gen.permutation(len(tail))]
-    sequence = RequestSequence(
-        list(base_seq.events[:cut]) + shuffled_tail, n_objects
+    # newcomer k (reference id n_nodes + k) reads `requests` objects,
+    # one draw per newcomer, in order
+    draws = [gen.choice(n_objects, size=requests, p=probs) for _ in range(n_new)]
+    crowd = (
+        np.repeat(np.arange(net.n_nodes, net.n_nodes + n_new), requests),
+        np.concatenate(draws) if draws else np.empty(0, np.int64),
+        np.zeros(n_new * requests, dtype=bool),
+    )
+    # the base prefix stays; the base tail and the crowd shuffle together
+    order = gen.permutation(len(base_seq) - cut + n_new * requests)
+    sequence = RequestSequence.from_columns(
+        *(
+            np.concatenate([column[:cut], np.concatenate([column[cut:], extra])[order]])
+            for column, extra in zip(base_seq.as_arrays(), crowd)
+        ),
+        n_objects,
     )
     return sequence, trace
 

@@ -129,7 +129,7 @@ class TestRecorderModes:
         session = build_session(spec, recorder=StreamRecorder(path))
         session.abort("client disconnected before end")
         items = [json.loads(line) for line in path.read_text().splitlines()]
-        assert items[0]["format"] == "repro.stream-recording/v1"
+        assert items[0]["format"] == "repro.stream-recording/v2"
         assert items[1] == {"aborted": "client disconnected before end"}
 
     def test_crash_writes_no_footer(self, spec, tmp_path):

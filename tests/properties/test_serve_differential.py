@@ -11,7 +11,7 @@ chunk-regridding, lazy mutation flushing, and the trailing-mutation /
 forced-final-sample ordering.
 
 The second half closes the loop through the recorder: a served session
-written as a ``repro.stream-recording/v1`` file, replayed offline via
+written as a ``repro.stream-recording/v2`` file, replayed offline via
 :func:`repro.serve.recorder.replay_recording`, must reproduce the served
 summary exactly.
 

@@ -155,3 +155,29 @@ class TestServerEdges:
         assert hello["n_nodes"] > 0 and hello["n_objects"] > 0
         assert end["type"] == "end"
         assert end["summary"]["n_events"] == 0
+
+    def test_oversized_id_gets_error_reply_and_aborted_journal(self, spec, tmp_path):
+        event = workload_from_spec(spec)[0][0]
+        good = {"type": "requests", "id": 1, "events": [[event.processor, event.obj, "r"]]}
+        bad = {"type": "requests", "id": 2, "events": [[10**30, event.obj, "r"]]}
+
+        async def drive(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            await reader.readline()  # session hello
+            replies = []
+            for message in (good, bad):
+                writer.write(json.dumps(message).encode() + b"\n")
+                await writer.drain()
+                replies.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+            writer.close()
+            return replies
+
+        with run_server(spec, record_dir=tmp_path) as (host, port):
+            ack, error = asyncio.run(drive(host, port))
+        assert ack["type"] == "ack" and ack["position"] == 1
+        assert error["type"] == "error"
+        assert "malformed event row" in error["message"]
+        (path,) = tmp_path.glob("session-*.jsonl")
+        items = [json.loads(line) for line in path.read_text().splitlines()]
+        assert "aborted" in items[-1]
+        assert sum("events" in item for item in items) == 1

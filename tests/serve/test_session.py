@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import READ, WRITE, RequestEvent
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import MutationError, SimulationError, WorkloadError
 from repro.network.builders import balanced_tree
-from repro.serve.batcher import MicroBatcher, ServeSession, build_session
+from repro.serve.batcher import MicroBatcher, ServeSession, build_session, resume_session
+from repro.serve.recorder import StreamRecorder, heal_journal
 from repro.sim.scenario import scenario_spec
 
 
@@ -52,6 +55,53 @@ class TestServeSession:
         assert summary["served"] == 1
         assert summary["n_mutations"] == 0
         assert "loads_sha256" in summary
+
+
+class TestJournalHoldsOnlyAcceptedItems:
+    """The write-ahead journal records a batch or mutation only after the
+    engine has accepted it, so every journal replays and resumes."""
+
+    @staticmethod
+    def journaled_session(tmp_path):
+        path = tmp_path / "j.jsonl"
+        spec = scenario_spec("zipf", seed=0, small=True)
+        return build_session(spec, recorder=StreamRecorder(path)), path
+
+    @staticmethod
+    def items(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_rejected_batch_is_not_journaled(self, tmp_path):
+        session, path = self.journaled_session(tmp_path)
+        session.feed([RequestEvent(3, 0, READ)])
+        with pytest.raises(WorkloadError, match="bus node"):
+            session.feed([RequestEvent(0, 0, READ)])  # node 0: the root bus
+        events_items = [item for item in self.items(path) if "events" in item]
+        assert len(events_items) == 1
+        assert heal_journal(path).n_events == 1
+        resumed, position, n_mutations = resume_session(path)
+        assert (position, n_mutations) == (1, 0)
+        assert resumed.position == 1
+
+    def test_mutation_that_cannot_apply_is_rejected_before_journal(self, tmp_path):
+        session, path = self.journaled_session(tmp_path)
+        session.feed([RequestEvent(3, 0, READ)])
+        with pytest.raises(MutationError):
+            session.mutate({"kind": "detach-leaf", "processor": 0})
+        assert not [item for item in self.items(path) if "mutation" in item]
+        # the stream goes on as if the mutation never arrived
+        assert session.feed([RequestEvent(3, 1, READ)])["position"] == 2
+        _, position, n_mutations = resume_session(path)
+        assert (position, n_mutations) == (2, 0)
+
+    def test_queued_mutations_chain(self, tmp_path):
+        # the second detach is checked against the network the first leaves
+        session, path = self.journaled_session(tmp_path)
+        processor = session.strategy.network.processors[-1]
+        session.mutate({"kind": "detach-leaf", "processor": processor})
+        with pytest.raises(MutationError):
+            session.mutate({"kind": "detach-leaf", "processor": processor})
+        assert len([item for item in self.items(path) if "mutation" in item]) == 1
 
 
 class TestMicroBatcher:
@@ -116,6 +166,36 @@ class TestMicroBatcher:
         assert batcher.finished
         with pytest.raises(SimulationError, match="already ended"):
             batcher.add(req(3, [3, 0, "r"]))
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            req(1, [3, 0, "r"], [3.7, 0, "r"]),
+            req(1, [3, 2.9, "r"]),
+            req(1, ["3", 0, "r"]),
+            req(1, [True, 0, "r"]),
+            req(1, [3, 0, "r"], [10**30, 0, "r"]),
+            req(1, [3, 0, "r", 1]),
+            req(1, [3, 0, "x"]),
+            {"type": "requests", "id": 1},
+            {"type": "requests", "id": 1, "events": "3,0,r"},
+            {"type": "requests", "id": "one", "events": [[3, 0, "r"]]},
+            {"type": "mutation", "id": 1},
+        ],
+        ids=[
+            "float-proc", "float-obj", "string-id", "bool-id", "oversized-id",
+            "long-row", "unknown-kind", "no-events", "events-not-a-list",
+            "non-integer-id", "mutation-without-op",
+        ],
+    )
+    def test_malformed_message_is_rejected_whole(self, message):
+        session = make_session()
+        batcher = MicroBatcher(session, max_batch=100)
+        batcher.add(req(0, [4, 1, "w"]))
+        with pytest.raises(SimulationError):
+            batcher.add(message)
+        assert batcher.buffered == 1  # nothing of the bad message buffered
+        assert batcher.drain()["position"] == 1
 
     def test_unknown_message_type_is_loud(self):
         batcher = MicroBatcher(make_session(), max_batch=4)

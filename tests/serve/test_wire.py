@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.dynamic.sequence import READ, WRITE, RequestEvent
+from repro.dynamic.sequence import READ, WRITE, RequestEvent, RequestSequence
 from repro.errors import SimulationError
 from repro.network.mutation import (
     AttachLeaf,
@@ -61,13 +62,14 @@ class TestEventEncoding:
             RequestEvent(5, 0, WRITE),
             RequestEvent(2, 2, READ),
         ]
-        assert decode_events(encode_events(events)) == events
+        decoded = decode_events(encode_events(events))
+        assert RequestSequence.from_columns(*decoded, 4).events == tuple(events)
 
     def test_long_kind_names_also_decode(self):
-        assert decode_events([[1, 2, "read"], [3, 4, "write"]]) == [
-            RequestEvent(1, 2, READ),
-            RequestEvent(3, 4, WRITE),
-        ]
+        procs, objs, writes = decode_events([[1, 2, "read"], [3, 4, "write"]])
+        assert procs.tolist() == [1, 3] and procs.dtype == np.int64
+        assert objs.tolist() == [2, 4] and objs.dtype == np.int64
+        assert writes.tolist() == [False, True] and writes.dtype == bool
 
     def test_malformed_rows_are_loud(self):
         with pytest.raises(SimulationError, match="malformed event row"):

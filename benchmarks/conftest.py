@@ -66,10 +66,9 @@ def _seed_global_rngs():
 def _prewarm_kernel_backends():
     """One throwaway kernel call per available backend before any timing.
 
-    The numba backend compiles on first call and the cc backend compiles
-    its shared library on first load; paying that cost inside a timed
-    region (or inside the first benchmark that happens to run) would
-    poison the medians recorded into BENCH_history.json.
+    The cc backend compiles its shared library on first load; paying that
+    cost inside a timed region (or inside the first benchmark that happens
+    to run) would poison the medians recorded into BENCH_history.json.
     """
     up = np.zeros((1, 2), dtype=kernels.INDEX_DTYPE)
     depth = np.zeros(2, dtype=np.int64)

@@ -6,6 +6,9 @@ the E9/E10/E11 extensions exercising the dynamic model of Section 1.3,
 topology churn and the declarative scenario registry.  Every runner
 returns a list of plain-dict records (one row of the result table) so the
 benchmarks and ``EXPERIMENTS.md`` share the same data.
+:data:`EXPERIMENT_RUNNERS` maps the ids below to the runners, and
+:func:`run_experiment` is the one entry point that ``repro experiment``
+and the lab's ``experiments`` suite (:mod:`repro.lab.registry`) call.
 
 =====  ==========================================================
  id    paper source / claim
@@ -26,7 +29,8 @@ benchmarks and ``EXPERIMENTS.md`` share the same data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import inspect
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +55,7 @@ from repro.core.extended_nibble import extended_nibble
 from repro.core.nibble import nibble_placement
 from repro.distributed.protocols import distributed_extended_nibble
 from repro.distributed.request_sim import replay_requests
-from repro.dynamic.churn import replay_with_churn
-from repro.dynamic.evaluate import (
-    congestion_trajectory,
-    evaluate_strategies,
-    hindsight_static_manager,
-)
+from repro.dynamic.evaluate import evaluate_strategies, hindsight_static_manager
 from repro.dynamic.online import EdgeCounterManager
 from repro.hardness.partition import PartitionInstance, random_partition_instance
 from repro.hardness.reduction import verify_reduction
@@ -88,7 +87,9 @@ __all__ = [
     "standard_instance_suite",
     "streaming_scenario_suite",
     "churn_scenario_suite",
-    "replay_churn_scenario",
+    "EXPERIMENT_RUNNERS",
+    "EXPERIMENT_IDS",
+    "run_experiment",
 ]
 
 
@@ -536,6 +537,9 @@ def experiment_online_streaming(
     (the streaming read pattern that requires the lazily-repaired running
     max).
     """
+    from repro.sim.engine import SimulationEngine
+    from repro.sim.sinks import TrajectorySink
+
     records: List[Dict[str, object]] = []
     for name, net, seq in streaming_scenario_suite(seed=seed, small=small, large=large):
         runs = evaluate_strategies(net, seq, object_size=object_size)
@@ -550,12 +554,12 @@ def experiment_online_streaming(
             )
             records.append(row)
 
-        sample_every = max(1, len(seq) // max(1, trajectory_samples))
-        trajectory = congestion_trajectory(
+        sink = TrajectorySink(max(1, len(seq) // max(1, trajectory_samples)))
+        SimulationEngine(
             EdgeCounterManager(net, seq.n_objects, object_size=object_size),
-            seq,
-            sample_every=sample_every,
-        )
+            sinks=(sink,),
+        ).run(seq)
+        trajectory = sink.trajectory
         records.append(
             {
                 "scenario": name,
@@ -579,7 +583,6 @@ def churn_scenario_suite(
     seed: int = 0,
     small: bool = False,
     large: bool = False,
-    names: Optional[Sequence[str]] = None,
 ):
     """Labelled ``(name, network, sequence, trace)`` churn scenarios for E10.
 
@@ -595,75 +598,17 @@ def churn_scenario_suite(
     * ``storm`` -- a seeded mix of every mutation kind, including bus
       splits, through a Zipf trace.
 
-    ``names`` restricts construction to the listed scenarios (the CLI
-    replays one at a time); every scenario is seeded independently, so a
-    filtered suite is identical to the matching slice of the full one.
+    Every scenario is seeded independently, so each one equals
+    ``repro simulate --scenario <name>`` on the same seed and size.
     """
     from repro.sim.scenario import build_scenario, scenario_spec
 
-    wanted = ("flash-crowd", "maintenance", "degradation", "storm")
-    if names is not None:
-        unknown = [n for n in names if n not in wanted]
-        if unknown:
-            raise KeyError(f"unknown churn scenarios: {unknown}")
-        wanted = tuple(n for n in wanted if n in set(names))
-
     scenarios = []
-    for name in wanted:
+    for name in ("flash-crowd", "maintenance", "degradation", "storm"):
         spec = scenario_spec(name, seed=seed, small=small, large=large)
         (built,) = build_scenario(spec)
         scenarios.append((name, built.network, built.sequence, built.trace))
     return scenarios
-
-
-def replay_churn_scenario(
-    net,
-    seq,
-    trace,
-    object_size: int = 4,
-    trajectory_samples: int = 4,
-) -> List[Dict[str, object]]:
-    """Replay one churn scenario through the standard strategy pair.
-
-    The static reference (extended nibble on the base-network aggregate,
-    holders remapped and re-homed across mutations) and the adaptive
-    edge-counter strategy both serve the sequence on the incrementally
-    repaired load-state substrate.  Each record carries the served/dropped
-    split, the mutation count, the sampled congestion trajectory and a
-    substrate self-check (incremental bus loads equal a from-scratch
-    recomputation after all repairs).  Shared by E10 and ``repro churn``.
-    """
-    strategies = {
-        "hindsight-static": lambda: hindsight_static_manager(net, seq),
-        "edge-counter": lambda: EdgeCounterManager(
-            net, seq.n_objects, object_size=object_size
-        ),
-    }
-    records: List[Dict[str, object]] = []
-    for sname, factory in strategies.items():
-        result = replay_with_churn(
-            factory(),
-            seq,
-            trace,
-            sample_every=max(1, len(seq) // max(1, trajectory_samples)),
-        )
-        records.append(
-            {
-                "strategy": sname,
-                "n_events": len(seq),
-                "served": result.served,
-                "dropped": result.dropped,
-                "n_mutations": result.n_mutations,
-                "congestion": float(result.congestion),
-                "total_load": float(result.account.total_load),
-                "n_processors_final": result.network.n_processors,
-                "trajectory": [
-                    float(x) for x in result.trajectory[-trajectory_samples:]
-                ],
-                "repair_consistent": bool(result.account.state.verify_bus_loads()),
-            }
-        )
-    return records
 
 
 def experiment_topology_churn(
@@ -675,17 +620,47 @@ def experiment_topology_churn(
 ) -> List[Dict[str, object]]:
     """E10: stream request traces through mutation storms.
 
-    Every scenario of :func:`churn_scenario_suite` is replayed through
-    :func:`replay_churn_scenario` (static reference + adaptive
-    edge-counter on the incrementally repaired substrate).
+    Every scenario of :func:`churn_scenario_suite` is replayed through the
+    standard strategy pair on the incrementally repaired load-state
+    substrate: the static reference (extended nibble on the base-network
+    aggregate, holders remapped and re-homed across mutations) and the
+    adaptive edge-counter strategy.  Each record carries the
+    served/dropped split, the mutation count, the last
+    ``trajectory_samples`` congestion samples and a substrate self-check
+    (incremental bus loads equal a from-scratch recomputation after all
+    repairs).
     """
+    from repro.sim.engine import SimulationEngine
+    from repro.sim.sinks import TrajectorySink
+
     records: List[Dict[str, object]] = []
     for name, net, seq, trace in churn_scenario_suite(seed=seed, small=small, large=large):
-        for rec in replay_churn_scenario(
-            net, seq, trace,
-            object_size=object_size, trajectory_samples=trajectory_samples,
-        ):
-            records.append({"scenario": name, **rec})
+        strategies = {
+            "hindsight-static": lambda: hindsight_static_manager(net, seq),
+            "edge-counter": lambda: EdgeCounterManager(
+                net, seq.n_objects, object_size=object_size
+            ),
+        }
+        for sname, factory in strategies.items():
+            sink = TrajectorySink(max(1, len(seq) // max(1, trajectory_samples)))
+            result = SimulationEngine(factory(), sinks=(sink,)).run(seq, trace)
+            records.append(
+                {
+                    "scenario": name,
+                    "strategy": sname,
+                    "n_events": len(seq),
+                    "served": result.served,
+                    "dropped": result.dropped,
+                    "n_mutations": result.n_mutations,
+                    "congestion": float(result.congestion),
+                    "total_load": float(result.account.total_load),
+                    "n_processors_final": result.network.n_processors,
+                    "trajectory": [
+                        float(x) for x in sink.trajectory[-trajectory_samples:]
+                    ],
+                    "repair_consistent": bool(result.account.state.verify_bus_loads()),
+                }
+            )
     return records
 
 
@@ -721,3 +696,56 @@ def experiment_scenario_registry(
         spec = ScenarioSpec.from_json(spec.to_json())  # prove the JSON path
         records.extend(run_scenario(spec))
     return records
+
+
+# --------------------------------------------------------------------------- #
+# the runner table
+# --------------------------------------------------------------------------- #
+EXPERIMENT_RUNNERS: Dict[str, Callable[..., List[Dict[str, object]]]] = {
+    "E1": experiment_sci_equivalence,
+    "E2": experiment_hardness_reduction,
+    "E3": experiment_nibble_optimality,
+    "E4": experiment_deletion_invariants,
+    "E5": experiment_approximation_ratio,
+    "E6": experiment_runtime_scaling,
+    "E7": experiment_distributed_rounds,
+    "E8": experiment_baseline_comparison,
+    "E9": experiment_online_streaming,
+    "E10": experiment_topology_churn,
+    "E11": experiment_scenario_registry,
+}
+
+# Natural (numeric) order: E10 and E11 sort after E9, so the entropy
+# indices of E1..E9 -- and therefore their per-experiment seeds
+# (repro.lab.registry.experiment_seeds) -- are stable across the table
+# growing.
+EXPERIMENT_IDS: Tuple[str, ...] = tuple(
+    sorted(EXPERIMENT_RUNNERS, key=lambda exp_id: int(exp_id[1:]))
+)
+
+
+def run_experiment(
+    exp_id: str, seed: int = 0, small: bool = False, large: bool = False
+) -> List[Dict[str, object]]:
+    """Run one experiment with the shared ``(seed, small, large)`` knobs.
+
+    Each knob is passed only to runners that take it.  Runners taking a
+    ``seeds`` sequence (E3, E4) get a block of consecutive seeds starting
+    at ``seed``, as wide as their default, so their instance count is
+    preserved; ``seed=0`` therefore reproduces every runner's defaults.
+    """
+    if exp_id not in EXPERIMENT_RUNNERS:
+        raise KeyError(f"unknown experiment id {exp_id!r}")
+    runner = EXPERIMENT_RUNNERS[exp_id]
+    params = inspect.signature(runner).parameters
+    kwargs: Dict[str, object] = {}
+    if "seed" in params:
+        kwargs["seed"] = seed
+    if "seeds" in params:
+        width = len(params["seeds"].default)
+        kwargs["seeds"] = tuple(seed + i for i in range(width))
+    if "small" in params:
+        kwargs["small"] = small
+    if "large" in params:
+        kwargs["large"] = large
+    return runner(**kwargs)

@@ -9,13 +9,8 @@ workflows without writing Python:
 * ``repro place`` -- run a placement strategy and report congestion against
   the lower bound (optionally saving the placement);
 * ``repro experiment`` -- run one of the experiment runners E1..E11 and print
-  its result table (the same rows recorded in EXPERIMENTS.md);
-* ``repro run-experiments`` -- fan a whole experiment sweep out across
-  worker processes (``--parallel N``) with per-experiment seeds and JSON
-  result artifacts;
-* ``repro churn`` -- replay one topology-churn scenario (requests
-  interleaved with seeded mutations, substrate repaired incrementally) and
-  report the congestion trajectory through the storm;
+  its result table (the same rows recorded in EXPERIMENTS.md); whole
+  sweeps run through ``repro lab run-missing --suite experiments``;
 * ``repro simulate`` -- run a scenario from the declarative registry (or a
   ``ScenarioSpec`` JSON file) through the unified simulation kernel and
   write a JSON result artifact; ``--list`` shows the registered scenario
@@ -35,7 +30,8 @@ workflows without writing Python:
 * ``repro lab`` -- the experiment lab (see docs/LAB.md): a persistent run
   registry keyed by ``(spec_hash, seed, engine_version)``.
   ``run-missing`` executes only the suite entries without stored
-  artifacts (a killed sweep resumes), ``status`` shows what is stored,
+  artifacts (a killed sweep resumes; ``--parallel N`` fans them over
+  worker processes), ``status`` shows what is stored,
   ``report`` regenerates RESULTS.md purely from artifacts (``--check``
   fails on drift) and ``gc`` reclaims runs no longer keyed by the suite;
 * ``repro tournament`` -- race the pinned strategy set
@@ -56,7 +52,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.report import format_table, records_to_table
-from repro.analysis.runner import EXPERIMENT_IDS, EXPERIMENT_RUNNERS, run_experiments
+from repro.analysis.experiments import EXPERIMENT_IDS, run_experiment
 from repro.core.baselines import (
     full_replication_placement,
     greedy_congestion_placement,
@@ -102,7 +98,9 @@ _STRATEGIES: Dict[str, Callable] = {
     "full-replication": full_replication_placement,
 }
 
-_EXPERIMENTS: Dict[str, Callable] = dict(EXPERIMENT_RUNNERS)
+#: The default ``--registry``: the committed registry, which holds exactly
+#: the pinned ``ci`` suite (ARCHITECTURE.md invariant 8).
+_COMMITTED_REGISTRY = "lab/registry"
 
 
 def _print_records(records, stream) -> None:
@@ -242,72 +240,10 @@ def _cmd_place(args: argparse.Namespace, stream) -> int:
     return 0
 
 
-def _cmd_run_experiments(args: argparse.Namespace, stream) -> int:
-    outcomes = run_experiments(
-        ids=args.ids,
-        parallel=args.parallel,
-        seed=args.seed,
-        small=args.small,
-        large=args.large,
-        output_dir=args.output_dir,
-        stable_artifacts=args.stable_artifacts,
-        registry=args.registry,
-    )
-    _print_records([o.summary_row() for o in outcomes], stream)
-    failed = [o for o in outcomes if not o.ok]
-    for outcome in failed:
-        print(f"{outcome.experiment} failed: {outcome.error}", file=stream)
-    if args.output_dir:
-        print(f"wrote artifacts to {args.output_dir}", file=stream)
-    return 1 if failed else 0
-
-
 def _cmd_experiment(args: argparse.Namespace, stream) -> int:
-    import inspect
-
-    runner = _EXPERIMENTS[args.id]
-    kwargs = {}
-    if "small" in inspect.signature(runner).parameters:
-        kwargs["small"] = args.small
-    records = runner(**kwargs)
+    records = run_experiment(args.id, small=args.small)
     print(f"experiment {args.id}: {len(records)} rows", file=stream)
     _print_records(records, stream)
-    return 0
-
-
-_CHURN_SCENARIOS = ("flash-crowd", "maintenance", "degradation", "storm")
-
-
-def _cmd_churn(args: argparse.Namespace, stream) -> int:
-    from repro.analysis.experiments import churn_scenario_suite, replay_churn_scenario
-
-    ((_name, net, seq, trace),) = churn_scenario_suite(
-        seed=args.seed, small=args.small, large=args.large,
-        names=[args.scenario],
-    )
-    records = replay_churn_scenario(
-        net, seq, trace, trajectory_samples=args.samples
-    )
-    print(
-        f"churn scenario {args.scenario}: {len(seq)} events, "
-        f"{len(trace)} mutations",
-        file=stream,
-    )
-    _print_records(
-        [{k: v for k, v in rec.items() if k != "trajectory"} for rec in records],
-        stream,
-    )
-    if args.output:
-        document = {
-            "format": "repro.churn-result/v1",
-            "scenario": args.scenario,
-            "seed": args.seed,
-            "n_events": len(seq),
-            "n_mutations": len(trace),
-            "records": records,
-        }
-        Path(args.output).write_text(json.dumps(document, indent=2))
-        print(f"wrote churn report to {args.output}", file=stream)
     return 0
 
 
@@ -509,6 +445,14 @@ def _lab_suite_entries(args: argparse.Namespace):
 def _cmd_lab_run_missing(args: argparse.Namespace, stream) -> int:
     from repro.lab.registry import run_missing
 
+    committed = Path(_COMMITTED_REGISTRY).resolve()
+    if args.suite != "ci" and Path(args.registry).resolve() == committed:
+        print(
+            f"lab run-missing: {_COMMITTED_REGISTRY} holds only the ci suite; "
+            f"sweep suite {args.suite} into another --registry DIR",
+            file=stream,
+        )
+        return 2
     registry, entries = _lab_suite_entries(args)
     result = run_missing(
         registry,
@@ -693,82 +637,9 @@ def build_parser() -> argparse.ArgumentParser:
     place.set_defaults(func=_cmd_place)
 
     exp = sub.add_parser("experiment", help="run an experiment runner (E1..E11)")
-    exp.add_argument("id", choices=sorted(_EXPERIMENTS))
+    exp.add_argument("id", choices=sorted(EXPERIMENT_IDS))
     exp.add_argument("--small", action="store_true", help="use reduced instance sizes")
     exp.set_defaults(func=_cmd_experiment)
-
-    run = sub.add_parser(
-        "run-experiments",
-        help="run an experiment sweep across worker processes",
-    )
-    run.add_argument(
-        "--ids",
-        nargs="+",
-        choices=list(EXPERIMENT_IDS),
-        default=None,
-        help="experiments to run (default: all)",
-    )
-    run.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=1,
-        help="number of worker processes (1 = run inline)",
-    )
-    run.add_argument("--seed", type=int, default=0, help="base seed for the sweep")
-    size = run.add_mutually_exclusive_group()
-    size.add_argument(
-        "--small", action="store_true", help="use reduced instance sizes"
-    )
-    size.add_argument(
-        "--large",
-        action="store_true",
-        help="use the 10-50x larger instance suite (E5/E8/E9)",
-    )
-    run.add_argument(
-        "--output-dir",
-        "-o",
-        default=None,
-        help="write per-experiment JSON artifacts (and summary.json) here",
-    )
-    run.add_argument(
-        "--stable-artifacts",
-        action="store_true",
-        help=(
-            "zero wall-clock fields in the artifacts -- exactly "
-            "elapsed_seconds, the summary's per-row seconds/artifact "
-            "basenames and total_seconds -- so the files are "
-            "byte-identical for any --parallel value"
-        ),
-    )
-    run.add_argument(
-        "--registry",
-        default=None,
-        help=(
-            "also record every successful run into the lab registry "
-            "rooted here (see `repro lab`)"
-        ),
-    )
-    run.set_defaults(func=_cmd_run_experiments)
-
-    churn = sub.add_parser(
-        "churn",
-        help="replay a topology-churn scenario (experiment E10 building block)",
-    )
-    churn.add_argument(
-        "--scenario", choices=list(_CHURN_SCENARIOS), default="storm"
-    )
-    churn.add_argument("--seed", type=int, default=0)
-    size = churn.add_mutually_exclusive_group()
-    size.add_argument("--small", action="store_true", help="use reduced instance sizes")
-    size.add_argument("--large", action="store_true", help="use the larger instance suite")
-    churn.add_argument(
-        "--samples",
-        type=_positive_int,
-        default=8,
-        help="number of congestion trajectory samples",
-    )
-    churn.add_argument("--output", "-o", default=None)
-    churn.set_defaults(func=_cmd_churn)
 
     simulate = sub.add_parser(
         "simulate",
@@ -1001,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _lab_common(p):
         p.add_argument(
             "--registry",
-            default="lab/registry",
+            default=_COMMITTED_REGISTRY,
             help="registry root directory (default: lab/registry)",
         )
         p.add_argument(
@@ -1027,7 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execute exactly the suite entries without stored artifacts; "
             "each finished run registers immediately, so a killed sweep "
-            "resumes without redoing completed work"
+            "resumes without redoing completed work (any suite but ci "
+            "needs an explicit --registry other than lab/registry)"
         ),
     )
     _lab_common(lab_run)
@@ -1089,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lab_heal.add_argument(
         "--registry",
-        default="lab/registry",
+        default=_COMMITTED_REGISTRY,
         help="registry root directory (default: lab/registry)",
     )
     lab_heal.set_defaults(func=_cmd_lab_heal)
@@ -1116,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tournament.add_argument(
         "--registry",
-        default="lab/registry",
+        default=_COMMITTED_REGISTRY,
         help="registry root directory (default: lab/registry)",
     )
     tournament.add_argument("--seed", type=int, default=0, help="suite base seed")

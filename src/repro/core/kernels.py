@@ -3,7 +3,7 @@
 The replay stack funnels every hot loop -- the batched LCA walk, the CSR
 path scatter, the pair-delta scatter, the bus fold, the fused load apply
 and the running-max congestion rescan -- through the small set of kernel
-operations in this module.  Each operation has three interchangeable
+operations in this module.  Each operation has two interchangeable
 implementations:
 
 ``numpy``
@@ -15,18 +15,17 @@ implementations:
     system C compiler (``cc``/``gcc``/``clang``) into a shared object that
     is cached on disk keyed by the source hash, and loaded via ctypes.
     Available wherever a C compiler is installed.
-``numba``
-    ``@njit`` twins of the same loops (see
-    :mod:`repro.core._numba_kernels`).  Available when the optional
-    ``numba`` dependency is installed (``pip install repro[compiled]``).
 
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
-(``numba`` | ``cc`` | ``numpy`` | ``auto``, default ``auto``: numba if
-importable, else cc if a compiler is found, else numpy).  Requesting a
+(``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
+numpy).  With no C compiler on PATH, ``auto`` falls back to numpy
+quietly; a compiler that is found but fails to build makes ``auto`` emit
+one :class:`RuntimeWarning` naming it before falling back.  Requesting a
 backend that is unavailable raises :class:`~repro.errors.AlgorithmError`
-instead of silently falling back.  :func:`set_backend` /
-:func:`use_backend` override the environment at runtime (used by the
-differential suite and the compiled-vs-numpy benchmark gates).
+(with the build error, if there was one) instead of silently falling
+back.  :func:`set_backend` / :func:`use_backend` override the
+environment at runtime (used by the differential suite and the
+compiled-vs-numpy benchmark gates).
 
 **Compiled equals reference (ARCHITECTURE.md invariant 9).**  Every
 compiled kernel is bit-for-bit equal to its numpy ``_reference_*`` twin,
@@ -35,9 +34,8 @@ counts (invariant 2), so every float addition performed by these kernels
 is exact in double precision and the order of additions cannot change the
 result; congestion values are maxima over identical division results.
 The differential suite (``tests/properties/test_kernel_differential.py``)
-pins this down on a seed matrix for every available backend, and the
-compiled library is built without ``-ffast-math`` so IEEE semantics are
-preserved.
+pins this down on a seed matrix, and the compiled library is built
+without ``-ffast-math`` so IEEE semantics are preserved.
 
 Index dtypes: the substrate stores node ids, edge ids and lifting-table
 entries as :data:`INDEX_DTYPE` (int32) so huge networks fit in memory;
@@ -53,6 +51,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -85,7 +84,7 @@ __all__ = [
 INDEX_DTYPE = np.int32
 
 #: Recognised ``REPRO_BACKEND`` values, in auto-detection order.
-BACKENDS = ("numba", "cc", "numpy")
+BACKENDS = ("cc", "numpy")
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -501,8 +500,14 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _load_cc_library() -> ctypes.CDLL:
-    """Compile (once, disk-cached by source hash) and load the C kernels."""
+def _load_cc_library() -> Optional[ctypes.CDLL]:
+    """Compile (once, disk-cached by source hash) and load the C kernels.
+
+    Returns ``None`` when the library is not cached yet and no C compiler
+    is on PATH.  A compiler that fails raises
+    :class:`subprocess.CalledProcessError`; file-system and loader
+    failures raise :class:`OSError`.
+    """
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     cache = os.environ.get("REPRO_KERNEL_CACHE")
     if cache:
@@ -515,7 +520,7 @@ def _load_cc_library() -> ctypes.CDLL:
     if not lib_path.exists():
         compiler = _find_compiler()
         if compiler is None:
-            raise AlgorithmError("no C compiler found for the cc kernel backend")
+            return None
         src_path = base / f"repro_kernels_{digest}.c"
         src_path.write_text(_C_SOURCE)
         tmp_path = base / f".repro_kernels_{digest}.{os.getpid()}.so"
@@ -644,37 +649,38 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
     }
 
 
-def _try_build_cc() -> Optional[Dict[str, Callable]]:
+def _try_build_cc() -> Tuple[Optional[Dict[str, Callable]], Optional[str]]:
+    """Build the cc ops: ``(ops, None)``; ``(None, None)`` when no C
+    compiler is on PATH; ``(None, error)`` when the build fails."""
     try:
-        return _bind_cc_ops(_load_cc_library())
-    except Exception:
-        return None
-
-
-def _try_build_numba() -> Optional[Dict[str, Callable]]:
-    try:
-        from repro.core import _numba_kernels
-    except Exception:
-        return None
-    return _numba_kernels.OPS
+        lib = _load_cc_library()
+    except subprocess.CalledProcessError as exc:
+        stderr = (exc.stderr or b"").decode(errors="replace").strip()
+        error = f"C compiler {exc.cmd[0]} exited with status {exc.returncode}"
+        if stderr:
+            error += f": {stderr[-400:]}"
+    except OSError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        return (None, None) if lib is None else (_bind_cc_ops(lib), None)
+    return None, f"cc kernel build failed: {error}"
 
 
 # --------------------------------------------------------------------- #
 # backend selection
 # --------------------------------------------------------------------- #
 _forced: Optional[str] = None
-_ops_cache: Dict[str, Optional[Dict[str, Callable]]] = {}
+#: backend -> (ops, build error), each built at most once per process
+_ops_cache: Dict[str, Tuple[Optional[Dict[str, Callable]], Optional[str]]] = {}
 _resolved: Tuple[object, str] = (object(), "")
 
 
-def _ops_for(name: str) -> Optional[Dict[str, Callable]]:
+def _backend(name: str) -> Tuple[Optional[Dict[str, Callable]], Optional[str]]:
     if name not in _ops_cache:
         if name == "numpy":
-            _ops_cache[name] = _NUMPY_OPS
+            _ops_cache[name] = (_NUMPY_OPS, None)
         elif name == "cc":
             _ops_cache[name] = _try_build_cc()
-        elif name == "numba":
-            _ops_cache[name] = _try_build_numba()
         else:
             raise AlgorithmError(
                 f"unknown kernel backend {name!r}: expected one of "
@@ -685,15 +691,15 @@ def _ops_for(name: str) -> Optional[Dict[str, Callable]]:
 
 def available_backends() -> Tuple[str, ...]:
     """The kernel backends usable in this environment (numpy always is)."""
-    return tuple(name for name in BACKENDS if _ops_for(name) is not None)
+    return tuple(name for name in BACKENDS if _backend(name)[0] is not None)
 
 
 def active_backend() -> str:
     """The backend the kernel dispatch currently resolves to.
 
     Resolution order: :func:`set_backend` override, then ``REPRO_BACKEND``,
-    then auto-detection (numba, cc, numpy -- first available).  An
-    explicitly requested backend that is unavailable raises
+    then auto-detection (cc if it builds, else numpy; a failed cc build
+    warns).  An explicitly requested backend that is unavailable raises
     :class:`~repro.errors.AlgorithmError` rather than silently degrading.
     """
     global _resolved
@@ -706,17 +712,25 @@ def active_backend() -> str:
         requested = requested or "auto"
     if requested == "auto":
         name = available_backends()[0]
+        error = _backend("cc")[1]
+        if error is not None:
+            warnings.warn(
+                f"{error}; REPRO_BACKEND=auto falls back to numpy",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     else:
         if requested not in BACKENDS:
             raise AlgorithmError(
                 f"unknown kernel backend {requested!r}: expected one of "
                 f"{', '.join(BACKENDS)} or 'auto'"
             )
-        if _ops_for(requested) is None:
+        ops, error = _backend(requested)
+        if ops is None:
             raise AlgorithmError(
                 f"kernel backend {requested!r} was requested but is not "
-                "available in this environment (numba not installed / no C "
-                "compiler); unset REPRO_BACKEND or choose 'numpy'"
+                f"available in this environment ({error or 'no C compiler on PATH'}); "
+                "unset REPRO_BACKEND or choose 'numpy'"
             )
         name = requested
     _resolved = (key, name)
@@ -744,7 +758,7 @@ def use_backend(name: Optional[str]):
 
 
 def _op(name: str) -> Callable:
-    ops = _ops_for(active_backend())
+    ops = _backend(active_backend())[0]
     assert ops is not None  # active_backend() only returns available ones
     return ops[name]
 

@@ -18,10 +18,8 @@ from repro.dynamic.online import (
     OnlineStrategy,
     StaticPlacementManager,
 )
-from repro.dynamic.churn import ChurnReplayResult, replay_with_churn
 from repro.dynamic.evaluate import (
     OnlineRunRecord,
-    congestion_trajectory,
     empirical_competitive_ratio,
     evaluate_strategies,
     hindsight_static_manager,
@@ -36,11 +34,8 @@ __all__ = [
     "OnlineCostAccount",
     "StaticPlacementManager",
     "EdgeCounterManager",
-    "ChurnReplayResult",
-    "replay_with_churn",
     "OnlineRunRecord",
     "evaluate_strategies",
     "empirical_competitive_ratio",
     "hindsight_static_manager",
-    "congestion_trajectory",
 ]

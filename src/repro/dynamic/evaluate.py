@@ -10,10 +10,8 @@ from the aggregate frequencies of the whole sequence -- evaluated with the
 same cost accounting.
 
 :func:`evaluate_strategies` runs a set of strategies over a sequence and
-returns comparable records; :func:`empirical_competitive_ratio` is the
-scalar summary used by the tests and the benchmark, and
-:func:`congestion_trajectory` samples the (incrementally maintained)
-congestion while a strategy streams through a sequence.
+returns comparable records, and :func:`empirical_competitive_ratio` is
+the scalar summary used by the tests and the benchmark.
 
 Since the load-state refactor all cost accounts sit on the incremental
 :class:`~repro.core.loadstate.LoadState` engine, so reading the congestion
@@ -26,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.extended_nibble import extended_nibble
 from repro.dynamic.online import (
@@ -45,7 +41,6 @@ __all__ = [
     "first_touch_manager",
     "evaluate_strategies",
     "empirical_competitive_ratio",
-    "congestion_trajectory",
 ]
 
 
@@ -156,32 +151,6 @@ def evaluate_strategies(
         account = strategy.run(sequence, chunk_size=chunk_size)
         records.append(_record(name, account))
     return records
-
-
-def congestion_trajectory(
-    strategy: OnlineStrategy,
-    sequence: RequestSequence,
-    sample_every: int = 1,
-) -> np.ndarray:
-    """Serve a sequence while sampling the congestion every ``sample_every``
-    events.
-
-    Thin adapter over the unified simulation kernel: a
-    :class:`~repro.sim.sinks.TrajectorySink` breaks the replay at the
-    sample positions and reads the (incrementally maintained) congestion
-    there, while the spans in between stay on the chunk fast path.  Each
-    sample is a lazily-repaired running max (O(touched entries) per
-    event) rather than a full edge/bus rescan.  Returns the sampled
-    congestion values in order (the last entry is the final congestion).
-    """
-    from repro.sim.engine import SimulationEngine
-    from repro.sim.sinks import TrajectorySink
-
-    if sample_every < 1:
-        raise ValueError("sample_every must be a positive integer")
-    sink = TrajectorySink(sample_every)
-    SimulationEngine(strategy, sinks=(sink,)).run(sequence)
-    return sink.trajectory
 
 
 def empirical_competitive_ratio(

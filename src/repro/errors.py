@@ -112,9 +112,10 @@ class LabError(ReproError):
     """The experiment-lab run registry was used inconsistently.
 
     Raised when a registry index or artifact is malformed, when an entry
-    required by a report is missing from the registry, and when a
-    ``run-missing`` job fails (a failed run is never registered, so a
-    resumed sweep retries it).
+    required by a report is missing from the registry, and when
+    ``run-missing`` jobs fail -- once, after every other entry of the
+    sweep has run (a failed run is never registered, so a resumed sweep
+    retries it).
     """
 
 

@@ -12,7 +12,7 @@ Runs are keyed by ``(spec_hash, seed, engine_version)``:
   change to the network, workload, churn, strategies or embedded seeds
   changes the hash.
 * ``seed`` -- the entry's own seed (for experiments: the per-experiment
-  seed derived by :func:`repro.analysis.runner.experiment_seeds`).
+  seed derived by :func:`experiment_seeds`).
 * ``engine_version`` -- :data:`repro.version.__version__`; bumping the
   package version invalidates every stored run (``gc`` reclaims the old
   ones).
@@ -33,8 +33,11 @@ sorted on every update and carries no timestamps for the same reason.
 the missing ones, fanning them over the persistent worker pool
 (:func:`repro.parallel.iter_jobs`) and registering each artifact the
 moment its job completes -- a killed sweep re-run with the same arguments
-redoes only the unfinished entries.  Failed runs are never registered, so
-they are retried on the next pass.
+redoes only the unfinished entries.  A failed run does not stop the
+others: it is never registered (so the next pass retries it), and the
+sweep raises one :class:`~repro.errors.LabError` naming every failed
+entry once the rest have run.  It is the one sweep runner: experiment
+entries run through :func:`repro.analysis.experiments.run_experiment`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro import faults
 from repro.errors import LabError
@@ -64,6 +69,7 @@ __all__ = [
     "RunMissingResult",
     "canonical_json",
     "canonical_hash",
+    "experiment_seeds",
     "experiment_entry",
     "scenario_entry",
     "tournament_entry",
@@ -195,14 +201,33 @@ def tournament_entry(spec, seed: int) -> LabEntry:
     )
 
 
+def experiment_seeds(base_seed: int, ids: Sequence[str]) -> Dict[str, int]:
+    """Deterministic per-experiment seeds derived from one base seed.
+
+    The seed of an experiment is the first word of
+    ``SeedSequence((base_seed, index))``, where ``index`` is its position
+    in the natural id order
+    (:data:`repro.analysis.experiments.EXPERIMENT_IDS`), so it depends
+    only on the base seed and its id -- not on which other experiments
+    run alongside it.
+    """
+    from repro.analysis.experiments import EXPERIMENT_IDS
+
+    seeds: Dict[str, int] = {}
+    for exp_id in set(ids):
+        entropy = (int(base_seed), EXPERIMENT_IDS.index(exp_id))
+        state = np.random.SeedSequence(entropy).generate_state(1)[0]
+        seeds[exp_id] = int(state % 2**31)
+    return seeds
+
+
 def experiment_entry(
     exp_id: str, seed: int, small: bool = False, large: bool = False
 ) -> LabEntry:
     """Registry entry for one experiment runner (E1--E11, minus E6).
 
     ``seed`` is the *per-experiment* seed (derive it with
-    :func:`repro.analysis.runner.experiment_seeds` for sweep-independent
-    keys).
+    :func:`experiment_seeds` for sweep-independent keys).
     """
     if exp_id in NONDETERMINISTIC_EXPERIMENTS:
         raise LabError(
@@ -247,7 +272,7 @@ def _tournament_suite(seed: int, small: bool, large: bool) -> List[LabEntry]:
 
 
 def _experiment_suite(seed: int, small: bool, large: bool) -> List[LabEntry]:
-    from repro.analysis.runner import EXPERIMENT_IDS, experiment_seeds
+    from repro.analysis.experiments import EXPERIMENT_IDS
 
     ids = [i for i in EXPERIMENT_IDS if i not in NONDETERMINISTIC_EXPERIMENTS]
     seeds = experiment_seeds(seed, ids)
@@ -291,11 +316,14 @@ def suite_entries(
     experiment runner (E1--E11 minus E6), ``full`` is all three, and
     ``ci`` is the *pinned* full suite at ``seed=0, small=True``
     regardless of the knobs -- the committed registry is regenerated from
-    it, so it must mean the same thing on every machine.
+    it, so it must mean the same thing on every machine.  ``small`` and
+    ``large`` are mutually exclusive for every suite.
     """
     factory = LAB_SUITES.get(suite)
     if factory is None:
         raise LabError(f"unknown lab suite {suite!r} (have: {sorted(LAB_SUITES)})")
+    if small and large:
+        raise ValueError("small and large are mutually exclusive")
     return factory(seed, small, large)
 
 
@@ -303,10 +331,16 @@ def suite_entries(
 # the registry
 # --------------------------------------------------------------------------- #
 def _json_default(value):
-    """Match the experiment artifact encoder (numpy scalars/arrays)."""
-    from repro.analysis.runner import _json_default as runner_default
-
-    return runner_default(value)
+    """Encode the numpy scalar/array types that experiment records contain."""
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"not JSON serialisable: {type(value).__name__}")
 
 
 def _durable_write(path: Path, text: str) -> None:
@@ -623,22 +657,35 @@ def _execute_entry(job_json: str, fleet: bool = False) -> List[Dict[str, object]
         spec = ScenarioSpec.from_dict(entry.document)
         return run_scenario(spec, fleet=fleet)
     if entry.kind == "experiment":
-        from repro.analysis.runner import _run_single
+        from repro.analysis.experiments import run_experiment
 
         document = entry.document
-        outcome = _run_single(
-            document["experiment"],
-            entry.seed,
-            bool(document.get("small", False)),
-            bool(document.get("large", False)),
-        )
-        if outcome.error is not None:
+        try:
+            return run_experiment(
+                document["experiment"],
+                entry.seed,
+                small=bool(document.get("small", False)),
+                large=bool(document.get("large", False)),
+            )
+        except Exception as exc:
             raise LabError(
                 f"experiment {entry.name} (seed {entry.seed}) failed: "
-                f"{outcome.error}"
-            )
-        return list(outcome.records)
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
     raise LabError(f"unknown lab entry kind {entry.kind!r}")
+
+
+def _attempt_entry(job_json: str, fleet: bool = False):
+    """``(records, None)``, or ``(None, message)`` for a run that failed.
+
+    A failed run comes back as a value, not an exception, so it neither
+    stops the entries after it nor cancels the jobs of a parallel sweep
+    that have not started yet (module-level: pickles to workers).
+    """
+    try:
+        return _execute_entry(job_json, fleet), None
+    except LabError as exc:
+        return None, str(exc)
 
 
 def run_missing(
@@ -657,28 +704,44 @@ def run_missing(
     uninterrupted sweep.  ``fleet`` replays scenario entries through the
     stacked fleet engine -- a pure accelerator, records (and therefore
     artifacts) are bit-for-bit unchanged.
+
+    A run that fails (its job raises :class:`LabError`) is not registered
+    and does not stop the sweep: every other missing entry still runs and
+    registers, then one :class:`LabError` names each failed entry in
+    suite order.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     missing = registry.missing(entries)
     executed: List[str] = []
+    failures: Dict[int, str] = {}
 
-    def note(entry: LabEntry) -> None:
+    def settle(index: int, outcome) -> None:
+        records, error = outcome
+        entry = missing[index]
+        if error is not None:
+            failures[index] = error
+            return
+        registry.record(entry, records)
         executed.append(entry.key.as_string())
         if progress is not None:
             progress(f"{entry.kind} {entry.name} (seed {entry.seed})")
 
     if parallel == 1 or len(missing) <= 1:
-        for entry in missing:
-            registry.record(entry, _execute_entry(entry.to_job_json(), fleet))
-            note(entry)
+        for index, entry in enumerate(missing):
+            settle(index, _attempt_entry(entry.to_job_json(), fleet))
     else:
         from repro.parallel import iter_jobs
 
         jobs = [(entry.to_job_json(), fleet) for entry in missing]
-        for index, records in iter_jobs(min(parallel, len(jobs)), _execute_entry, jobs):
-            registry.record(missing[index], records)
-            note(missing[index])
+        for index, outcome in iter_jobs(min(parallel, len(jobs)), _attempt_entry, jobs):
+            settle(index, outcome)
+    if failures:
+        raise LabError(
+            f"{len(failures)} of {len(missing)} missing runs failed and were "
+            "not registered (the next run-missing retries them): "
+            + "; ".join(failures[index] for index in sorted(failures))
+        )
     return RunMissingResult(
         total=len(entries),
         already_stored=len(entries) - len(missing),

@@ -1,7 +1,7 @@
 """Persistent worker pools shared by the sweep layers.
 
-Both sweep entry points -- the experiment runner of
-:mod:`repro.analysis.runner` and the scenario sweeps of
+Both sweep entry points -- the lab's ``run-missing`` sweep of
+:mod:`repro.lab.registry` and the scenario sweeps of
 :mod:`repro.sim.scenario` -- fan independent jobs out over worker
 processes.  Spinning a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
 up per call throws the workers' warm state away: imports, and (for

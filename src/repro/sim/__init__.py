@@ -1,13 +1,12 @@
 """Unified simulation kernel: one event-timeline engine behind every replay.
 
 Before this package, every layer that replayed traffic carried its own
-event loop: the online batch replay of :mod:`repro.dynamic.online`, the
-trajectory sampler of :mod:`repro.dynamic.evaluate`, the request/churn
-interleaver of :mod:`repro.dynamic.churn` and the round replay of
-:mod:`repro.distributed.request_sim` all re-implemented chunking, mutation
-handling and metrics bookkeeping.  ``repro.sim`` collapses them onto one
-kernel, the same way the load-state refactor collapsed the cost
-bookkeeping onto one substrate:
+event loop: the online batch replay of :mod:`repro.dynamic.online`, a
+congestion-trajectory sampler, a request/churn interleaver and the round
+replay of :mod:`repro.distributed.request_sim` all re-implemented
+chunking, mutation handling and metrics bookkeeping.  ``repro.sim``
+collapses them onto one kernel, the same way the load-state refactor
+collapsed the cost bookkeeping onto one substrate:
 
 * :mod:`repro.sim.timeline` merges a request sequence and an optional
   churn trace into a single ordered timeline of serve spans and mutation
@@ -26,8 +25,10 @@ bookkeeping onto one substrate:
   registry: network builder + workload + churn + strategies + sinks from
   a plain dict / JSON document, runnable via ``repro simulate``.
 
-All four legacy replay entry points are now thin adapters over this
-kernel with bit-for-bit identical results (pinned by
+``OnlineStrategy.run`` and ``replay_requests`` are thin adapters over
+this kernel; trajectory sampling and churn interleaving are the engine
+itself (``SimulationEngine(strategy, sinks=(TrajectorySink(k),)).run(seq,
+trace)``).  All four match the pre-kernel loops bit-for-bit (pinned by
 ``tests/properties/test_sim_kernel.py``).
 """
 

@@ -21,8 +21,7 @@ Built-in sinks:
 
 * :class:`TrajectorySink` -- congestion sampled every ``sample_every``
   processed events (plus a forced final sample), the streaming read
-  pattern of :func:`repro.dynamic.evaluate.congestion_trajectory` and
-  :func:`repro.dynamic.churn.replay_with_churn`;
+  pattern of experiments E9 and E10;
 * :class:`DropAccountingSink` -- served/dropped split per span and in
   total (reference-id requests from departed processors);
 * :class:`CostBreakdownSink` -- final service/management/total-load/

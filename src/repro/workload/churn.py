@@ -89,8 +89,8 @@ def flash_crowd_attach(
 
     All attaches land at ``time`` (a flash crowd) unless ``spacing`` spreads
     them out.  The k-th attached leaf gets replay reference id
-    ``network.n_nodes + k`` (see :mod:`repro.dynamic.churn`), so request
-    generators can address the newcomers before they exist.
+    ``network.n_nodes + k`` (see :meth:`repro.sim.engine.SimulationEngine.run`),
+    so request generators can address the newcomers before they exist.
     """
     if n_new_leaves < 1:
         raise WorkloadError("need at least one attached leaf")

@@ -1,6 +1,4 @@
-"""Tests for the high-level experiment runners (E1 -- E10)."""
-
-import pytest
+"""Tests for the high-level experiment runners (E1 -- E11)."""
 
 from repro.analysis.experiments import (
     churn_scenario_suite,
@@ -145,22 +143,15 @@ class TestE10:
             assert len(seq) > 0
             assert len(trace) > 0
 
-    def test_filtered_suite_matches_full_slice(self):
-        # the CLI builds one scenario lazily; every scenario is seeded
-        # independently, so the filtered tuple must equal the full one
-        full = {name: (seq, trace)
-                for name, _net, seq, trace in churn_scenario_suite(seed=3, small=True)}
-        for name in ("flash-crowd", "storm"):
-            ((got_name, _net, seq, trace),) = churn_scenario_suite(
-                seed=3, small=True, names=[name]
-            )
-            assert got_name == name
-            assert seq.events == full[name][0].events
-            assert trace.mutations == full[name][1].mutations
+    def test_suite_matches_simulate_scenarios(self):
+        # every scenario is seeded independently, so each entry is exactly
+        # what `repro simulate --scenario <name>` builds for the same seed
+        from repro.sim.scenario import build_scenario, scenario_spec
 
-    def test_unknown_scenario_name_rejected(self):
-        with pytest.raises(KeyError):
-            churn_scenario_suite(small=True, names=["earthquake"])
+        for name, _net, seq, trace in churn_scenario_suite(seed=3, small=True):
+            (built,) = build_scenario(scenario_spec(name, seed=3, small=True))
+            assert seq.events == built.sequence.events
+            assert trace.mutations == built.trace.mutations
 
     def test_topology_churn_rows(self):
         records = experiment_topology_churn(small=True)
@@ -170,6 +161,37 @@ class TestE10:
             assert rec["served"] + rec["dropped"] == rec["n_events"]
             assert rec["repair_consistent"]
             assert rec["n_mutations"] > 0
+
+    def test_topology_churn_matches_simulate(self):
+        # E10 drives the engine directly; its numbers are exactly those of
+        # `repro simulate --scenario <name>`, and its trajectory is the tail
+        from repro.sim.scenario import run_scenario, scenario_spec
+
+        records = experiment_topology_churn(seed=2, small=True)
+        for name in ("flash-crowd", "maintenance", "degradation", "storm"):
+            simulated = {
+                rec["strategy"]: rec
+                for rec in run_scenario(scenario_spec(name, seed=2, small=True))
+            }
+            rows = [rec for rec in records if rec["scenario"] == name]
+            assert [rec["strategy"] for rec in rows] == [
+                "hindsight-static", "edge-counter"
+            ]
+            for rec in rows:
+                sim = simulated[rec["strategy"]]
+                for field in ("n_events", "served", "dropped", "n_mutations",
+                              "congestion", "total_load"):
+                    assert rec[field] == sim[field], (name, rec["strategy"], field)
+                assert rec["trajectory"] == sim["trajectory"][-4:]
+
+    def test_topology_churn_keeps_the_last_samples(self):
+        full = experiment_topology_churn(small=True)
+        short = experiment_topology_churn(small=True, trajectory_samples=2)
+        assert len(short) == len(full)
+        for rec, ref in zip(short, full):
+            assert (rec["scenario"], rec["strategy"]) == (ref["scenario"], ref["strategy"])
+            assert 1 <= len(rec["trajectory"]) <= 2
+            assert rec["trajectory"][-1] == ref["trajectory"][-1]
 
 
 class TestE11:

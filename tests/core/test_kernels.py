@@ -2,11 +2,14 @@
 
 Covers the dispatch machinery of :mod:`repro.core.kernels` (environment
 and runtime backend selection, explicit failure on unavailable
-backends), the int32 capacity guard of the memory-scaled substrate
-(raises :class:`~repro.errors.CapacityError`, never wraps), and the
+backends, a loud failure for a C compiler that cannot build), the int32
+capacity guard of the memory-scaled substrate (raises
+:class:`~repro.errors.CapacityError`, never wraps), and the
 int32/int64 parity of the shrunken CSR tables -- including across churn
 repairs, where NEP 50 dtype promotion could silently widen them back.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +25,24 @@ from repro.workload.churn import random_valid_mutation
 INT32_MAX = np.iinfo(np.int32).max
 
 
+def _fresh_kernel_state(monkeypatch, tmp_path):
+    """An empty kernel cache directory and no built or resolved backend."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernel-cache"))
+    monkeypatch.setattr(kernels, "_ops_cache", {})
+    monkeypatch.setattr(kernels, "_resolved", (object(), ""))
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A host without a C compiler: cc cannot be built."""
+    _fresh_kernel_state(monkeypatch, tmp_path)
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+
+
 class TestBackendSelection:
+    def test_backends_are_cc_and_numpy(self):
+        assert kernels.BACKENDS == ("cc", "numpy")
+
     def test_numpy_always_available(self):
         assert "numpy" in kernels.available_backends()
 
@@ -40,28 +60,38 @@ class TestBackendSelection:
         assert kernels.active_backend() == auto
         assert auto == kernels.available_backends()[0]
 
-    def test_env_unknown_backend_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+    # numba is no backend: requesting it fails loudly, never falls back
+    @pytest.mark.parametrize("name", ["fortran", "numba"])
+    def test_env_unknown_backend_raises(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_BACKEND", name)
         with pytest.raises(AlgorithmError, match="unknown kernel backend"):
             kernels.active_backend()
 
-    def test_unavailable_backend_raises_not_degrades(self, monkeypatch):
-        missing = [b for b in kernels.BACKENDS if b not in kernels.available_backends()]
-        if not missing:
-            pytest.skip("every kernel backend is available in this environment")
-        monkeypatch.setenv("REPRO_BACKEND", missing[0])
-        with pytest.raises(AlgorithmError, match="not.*available"):
+    def test_unavailable_backend_raises_not_degrades(self, monkeypatch, no_compiler):
+        assert kernels.available_backends() == ("numpy",)
+        monkeypatch.setenv("REPRO_BACKEND", "cc")
+        with pytest.raises(AlgorithmError, match="not.*available.*no C compiler"):
             kernels.active_backend()
 
-    def test_set_backend_validates_eagerly(self):
-        missing = [b for b in kernels.BACKENDS if b not in kernels.available_backends()]
-        if not missing:
-            pytest.skip("every kernel backend is available in this environment")
+    def test_set_backend_validates_eagerly(self, no_compiler):
         try:
             with pytest.raises(AlgorithmError):
-                kernels.set_backend(missing[0])
+                kernels.set_backend("cc")
         finally:
             kernels.set_backend(None)
+
+    def test_set_backend_rejects_numba(self):
+        try:
+            with pytest.raises(AlgorithmError, match="unknown kernel backend"):
+                kernels.set_backend("numba")
+        finally:
+            kernels.set_backend(None)
+
+    def test_no_compiler_falls_back_to_numpy_quietly(self, monkeypatch, no_compiler):
+        monkeypatch.setenv("REPRO_BACKEND", "auto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.active_backend() == "numpy"
 
     def test_use_backend_restores_previous(self):
         before = kernels.active_backend()
@@ -80,6 +110,27 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_BACKEND", kernels.active_backend())
         with kernels.use_backend("numpy"):
             assert kernels.active_backend() == "numpy"
+
+
+class TestBrokenCompiler:
+    """A compiler that is found but fails must never be hidden."""
+
+    @pytest.fixture(autouse=True)
+    def broken_compiler(self, monkeypatch, tmp_path):
+        _fresh_kernel_state(monkeypatch, tmp_path)
+        monkeypatch.setenv("CC", "/bin/false")
+
+    def test_auto_warns_then_falls_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "auto")
+        with pytest.warns(RuntimeWarning, match="/bin/false.*status 1"):
+            assert kernels.active_backend() == "numpy"
+        assert kernels.available_backends() == ("numpy",)
+
+    def test_explicit_cc_raises_naming_the_compiler(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "cc")
+        with pytest.raises(AlgorithmError, match="/bin/false") as info:
+            kernels.active_backend()
+        assert "exited with status 1" in str(info.value)
 
 
 class TestCapacityGuard:

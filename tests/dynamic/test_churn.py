@@ -1,15 +1,21 @@
-"""Tests for interleaved request + churn replay (dynamic/churn.py)."""
+"""Interleaved request + churn replay: ``SimulationEngine.run(seq, trace)``.
+
+Requests address processors by reference ids that survive renumbering;
+requests from departed (or not yet arrived) processors are dropped, and
+the strategy's substrate is repaired at every mutation.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.extended_nibble import extended_nibble
-from repro.dynamic.churn import replay_with_churn
 from repro.dynamic.online import EdgeCounterManager, StaticPlacementManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.errors import WorkloadError
 from repro.network.builders import balanced_tree, single_bus
 from repro.network.mutation import AttachLeaf, ChurnTrace, DetachLeaf, SetBusBandwidth
+from repro.sim.engine import SimulationEngine
+from repro.sim.sinks import TrajectorySink
 from repro.workload.generators import uniform_pattern
 
 
@@ -22,11 +28,11 @@ def instance():
     return net, pattern, seq, placement
 
 
-class TestReplayWithChurn:
+class TestChurnReplay:
     def test_empty_trace_matches_plain_replay(self, instance):
         net, pattern, seq, placement = instance
-        churned = replay_with_churn(
-            StaticPlacementManager(net, placement), seq, ChurnTrace([])
+        churned = SimulationEngine(StaticPlacementManager(net, placement)).run(
+            seq, ChurnTrace([])
         )
         plain = StaticPlacementManager(net, placement).run(seq)
         assert churned.served == len(seq)
@@ -39,9 +45,7 @@ class TestReplayWithChurn:
         # detach one leaf immediately: all its requests are dropped
         victim = net.processors[0]
         trace = ChurnTrace([(0, DetachLeaf(victim))])
-        result = replay_with_churn(
-            EdgeCounterManager(net, seq.n_objects), seq, trace
-        )
+        result = SimulationEngine(EdgeCounterManager(net, seq.n_objects)).run(seq, trace)
         expected_drops = sum(1 for ev in seq if ev.processor == victim)
         assert result.dropped == expected_drops
         assert result.served == len(seq) - expected_drops
@@ -58,7 +62,7 @@ class TestReplayWithChurn:
         ]
         seq = RequestSequence(events, 1)
         trace = ChurnTrace([(1, AttachLeaf(0))])
-        result = replay_with_churn(EdgeCounterManager(net, 1), seq, trace)
+        result = SimulationEngine(EdgeCounterManager(net, 1)).run(seq, trace)
         assert result.dropped == 1
         assert result.served == 3
         assert result.network.n_processors == 4
@@ -71,7 +75,7 @@ class TestReplayWithChurn:
         for obj in range(seq.n_objects):
             strategy.serve(RequestEvent(victim, obj, "read"))
         trace = ChurnTrace([(0, DetachLeaf(victim))])
-        result = replay_with_churn(strategy, seq, trace)
+        result = SimulationEngine(strategy).run(seq, trace)
         final_net = result.network
         for obj in range(seq.n_objects):
             holders = strategy.holders(obj)
@@ -83,8 +87,8 @@ class TestReplayWithChurn:
         victim = [p for p in net.processors
                   if net.degree(next(iter(net.neighbors(p)))) > 2][0]
         strategy = StaticPlacementManager(net, placement)
-        result = replay_with_churn(
-            strategy, seq, ChurnTrace([(len(seq) // 3, DetachLeaf(victim))])
+        result = SimulationEngine(strategy).run(
+            seq, ChurnTrace([(len(seq) // 3, DetachLeaf(victim))])
         )
         final_net = result.network
         strategy._placement.validate_for(final_net, require_leaf_only=True)
@@ -95,9 +99,7 @@ class TestReplayWithChurn:
     ):
         net, pattern, seq, placement = instance
         trace = ChurnTrace([(len(seq) // 2, SetBusBandwidth(0, 100.0))])
-        churned = replay_with_churn(
-            StaticPlacementManager(net, placement), seq, trace
-        )
+        churned = SimulationEngine(StaticPlacementManager(net, placement)).run(seq, trace)
         plain = StaticPlacementManager(net, placement).run(seq)
         # loads are identical; only the relative-load denominators moved
         assert np.array_equal(churned.account.edge_loads, plain.edge_loads)
@@ -105,35 +107,22 @@ class TestReplayWithChurn:
 
     def test_trajectory_sampling(self, instance):
         net, pattern, seq, placement = instance
-        result = replay_with_churn(
-            StaticPlacementManager(net, placement),
-            seq,
-            ChurnTrace([]),
-            sample_every=10,
+        sink = TrajectorySink(10)
+        SimulationEngine(StaticPlacementManager(net, placement), sinks=(sink,)).run(
+            seq, ChurnTrace([])
         )
-        assert result.trajectory is not None
-        assert result.sample_times[-1] == len(seq)
-        assert np.all(np.diff(result.trajectory) >= 0)  # static never drops
+        assert sink.sample_times[-1] == len(seq)
+        assert np.all(np.diff(sink.trajectory) >= 0)  # static never drops
 
     def test_out_of_universe_reference_rejected(self):
         net = single_bus(3)
         seq = RequestSequence([RequestEvent(99, 0, "read")], 1)
         with pytest.raises(WorkloadError):
-            replay_with_churn(EdgeCounterManager(net, 1), seq, ChurnTrace([]))
-
-    def test_invalid_sample_every_rejected(self, instance):
-        net, pattern, seq, placement = instance
-        with pytest.raises(WorkloadError):
-            replay_with_churn(
-                StaticPlacementManager(net, placement), seq, ChurnTrace([]),
-                sample_every=0,
-            )
+            SimulationEngine(EdgeCounterManager(net, 1)).run(seq, ChurnTrace([]))
 
     def test_mutations_after_sequence_end_applied(self, instance):
         net, pattern, seq, placement = instance
         trace = ChurnTrace([(len(seq) + 50, AttachLeaf(0))])
-        result = replay_with_churn(
-            StaticPlacementManager(net, placement), seq, trace
-        )
+        result = SimulationEngine(StaticPlacementManager(net, placement)).run(seq, trace)
         assert result.n_mutations == 1
         assert result.network.n_processors == net.n_processors + 1

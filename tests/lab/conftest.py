@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lab.registry import experiment_entry, scenario_entry
+from repro.lab.registry import experiment_entry, experiment_seeds, scenario_entry
 from repro.sim.scenario import scenario_spec
 
 
 def _tiny_entries():
     """A fast four-entry suite (two scenarios, two experiments)."""
-    from repro.analysis.runner import experiment_seeds
-
     seeds = experiment_seeds(0, ["E1", "E4"])
     return [
         scenario_entry(scenario_spec("zipf", seed=0, small=True), 0),

@@ -160,7 +160,8 @@ class TestEntries:
     def test_experiment_seeds_are_sweep_independent(self):
         # the entry seed is the per-experiment seed, so the key of E4 does
         # not depend on which other experiments ride in the suite
-        from repro.analysis.runner import EXPERIMENT_IDS, experiment_seeds
+        from repro.analysis.experiments import EXPERIMENT_IDS
+        from repro.lab.registry import experiment_seeds
 
         full = experiment_seeds(0, EXPERIMENT_IDS)
         entry = experiment_entry("E4", full["E4"], small=True)
@@ -215,15 +216,19 @@ class TestRunMissingValidation:
             run_missing(LabRegistry(tmp_path), tiny_suite, parallel=0)
 
     def test_failed_run_is_not_registered(self, tmp_path, tiny_suite, monkeypatch):
-        from repro.analysis import runner as runner_mod
+        from repro.analysis import experiments
 
         def boom(**kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E1", boom)
+        monkeypatch.setitem(experiments.EXPERIMENT_RUNNERS, "E1", boom)
         registry = LabRegistry(tmp_path / "reg")
         entries = [e for e in tiny_suite if e.name == "E1"]
-        with pytest.raises(LabError):
+        message = (
+            rf"experiment E1 \(seed {entries[0].seed}\) failed: "
+            "RuntimeError: synthetic failure"
+        )
+        with pytest.raises(LabError, match=message):
             run_missing(registry, entries, parallel=1)
         assert registry.missing(entries) == entries
 

@@ -10,7 +10,12 @@ import pytest
 
 from repro.errors import LabError
 from repro.lab import registry as registry_mod
-from repro.lab.registry import LabRegistry, run_missing
+from repro.lab.registry import (
+    LabRegistry,
+    experiment_entry,
+    run_missing,
+    suite_entries,
+)
 
 
 def registry_bytes(registry):
@@ -108,20 +113,72 @@ class TestResume:
         assert registry_bytes(registry) == uninterrupted
 
 
+class TestParallelDeterminism:
+    def test_experiments_suite_parallel_byte_identical_to_serial(self, tmp_path):
+        # the whole experiments suite (every seeded runner; E6 is excluded
+        # because its records are wall-clock measurements)
+        entries = suite_entries("experiments", seed=5, small=True)
+        serial = LabRegistry(tmp_path / "serial")
+        parallel = LabRegistry(tmp_path / "parallel")
+        assert run_missing(serial, entries, parallel=1).n_executed == len(entries)
+        assert run_missing(parallel, entries, parallel=4).n_executed == len(entries)
+        assert registry_bytes(serial) == registry_bytes(parallel)
+
+
 class TestFailureIsolation:
     def test_failure_keeps_earlier_artifacts(
         self, tmp_path, tiny_suite, monkeypatch
     ):
-        from repro.analysis import runner as runner_mod
+        from repro.analysis import experiments
 
         def boom(**kwargs):
             raise RuntimeError("synthetic failure")
 
         # parallel=1 keeps the failure in-process so the monkeypatch applies
-        monkeypatch.setitem(runner_mod.EXPERIMENT_RUNNERS, "E4", boom)
+        monkeypatch.setitem(experiments.EXPERIMENT_RUNNERS, "E4", boom)
         registry = LabRegistry(tmp_path / "reg")
         with pytest.raises(LabError):
             run_missing(registry, tiny_suite, parallel=1)
         # everything before the failure is registered; the failed entry is not
         missing = registry.missing(tiny_suite)
         assert [e.name for e in missing] == ["E4"]
+
+    def test_failed_experiment_is_isolated(
+        self, tmp_path, tiny_suite, uninterrupted, monkeypatch
+    ):
+        # E1 fails; E4, which comes after it, still runs and registers
+        from repro.analysis import experiments
+
+        def boom(**kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setitem(experiments.EXPERIMENT_RUNNERS, "E1", boom)
+        registry = LabRegistry(tmp_path / "reg")
+        seed = next(e.seed for e in tiny_suite if e.name == "E1")
+        message = (
+            r"1 of 4 missing runs failed .*"
+            rf"experiment E1 \(seed {seed}\) failed: RuntimeError: synthetic failure"
+        )
+        with pytest.raises(LabError, match=message):
+            run_missing(registry, tiny_suite, parallel=1)
+        assert [e.name for e in registry.missing(tiny_suite)] == ["E1"]
+
+        monkeypatch.undo()
+        resumed = run_missing(registry, tiny_suite, parallel=1)
+        assert resumed.n_executed == 1
+        assert registry_bytes(registry) == uninterrupted
+
+    def test_parallel_failures_do_not_cancel_the_rest(self, tmp_path, tiny_suite):
+        # an unknown experiment id fails deterministically in every worker;
+        # the error names each failed entry in suite order
+        broken = [experiment_entry("E98", 1), experiment_entry("E99", 2)]
+        suite = [broken[0], *tiny_suite, broken[1]]
+        registry = LabRegistry(tmp_path / "reg")
+        with pytest.raises(LabError) as info:
+            run_missing(registry, suite, parallel=2)
+        message = str(info.value)
+        assert message.startswith("2 of 6 missing runs failed")
+        assert message.index("experiment E98 (seed 1)") < message.index(
+            "experiment E99 (seed 2)"
+        )
+        assert registry.missing(suite) == broken

@@ -2,11 +2,10 @@
 
 Pins ARCHITECTURE.md invariant 9 ("compiled equals reference,
 bit-for-bit").  Every kernel operation of :mod:`repro.core.kernels` is
-run against its numpy ``_reference_*`` twin on seeded random inputs, for
-every backend available in the environment (``cc`` wherever a C compiler
-exists, ``numba`` when the optional dependency is installed).  Equality
-is exact -- ``np.array_equal`` on the mutated buffers and returned
-arrays, never ``allclose``: all charges of the cost model are
+run against its numpy ``_reference_*`` twin on seeded random inputs, on
+the compiled ``cc`` backend (available wherever a C compiler exists).
+Equality is exact -- ``np.array_equal`` on the mutated buffers and
+returned arrays, never ``allclose``: all charges of the cost model are
 integer-valued request counts, so every float addition the kernels
 perform is exact in double precision and addition order cannot change
 the result.

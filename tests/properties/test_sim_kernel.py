@@ -1,10 +1,11 @@
 """Differential tests: the simulation kernel vs. the pre-refactor loops.
 
-The four legacy replay loops -- ``OnlineStrategy.run``'s event/chunk
-replay, ``congestion_trajectory``, ``replay_with_churn`` and
-``replay_requests``'s round loop -- were refactored into thin adapters
-over :class:`repro.sim.engine.SimulationEngine` /
-:class:`repro.sim.engine.RoundReplayDriver`.  This module keeps the
+Four legacy replay loops run on :class:`repro.sim.engine.SimulationEngine`
+/ :class:`repro.sim.engine.RoundReplayDriver`: ``OnlineStrategy.run``'s
+event/chunk replay and ``replay_requests``'s round loop through thin
+adapters, and the congestion-trajectory sampler and the request/churn
+interleaver as the engine itself (``SimulationEngine(strategy,
+sinks=(TrajectorySink(k),)).run(seq, trace)``).  This module keeps the
 pre-refactor implementations **verbatim** (as ``_reference_*`` functions,
 per ARCHITECTURE.md invariant 1) and asserts bit-for-bit agreement on
 seeded scenarios: loads, cost units, congestion values, served/dropped
@@ -17,8 +18,6 @@ import pytest
 from repro.core.extended_nibble import extended_nibble
 from repro.core.loadstate import LoadState
 from repro.distributed.request_sim import _expand_messages, replay_requests
-from repro.dynamic.churn import replay_with_churn
-from repro.dynamic.evaluate import congestion_trajectory
 from repro.dynamic.online import (
     EdgeCounterManager,
     HysteresisCounterManager,
@@ -29,6 +28,8 @@ from repro.dynamic.sequence import RequestEvent, sequence_from_pattern
 from repro.network.builders import balanced_tree, star_of_buses
 from repro.network.mutation import apply_mutation
 from repro.core.placement import RequestAssignment
+from repro.sim.engine import SimulationEngine
+from repro.sim.sinks import TrajectorySink
 from repro.workload.churn import mutation_storm, rolling_maintenance_detach
 from repro.workload.generators import uniform_pattern, zipf_pattern
 
@@ -268,14 +269,20 @@ class TestRunParity:
 
 
 # --------------------------------------------------------------------------- #
-# 2. congestion_trajectory
+# 2. congestion trajectory: the engine with a TrajectorySink
 # --------------------------------------------------------------------------- #
+def _kernel_trajectory(strategy, sequence, sample_every):
+    sink = TrajectorySink(sample_every)
+    SimulationEngine(strategy, sinks=(sink,)).run(sequence)
+    return sink.trajectory
+
+
 class TestTrajectoryParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("sample_every", [1, 3, 17, 100_000])
     def test_edge_counter_trajectory(self, seed, sample_every):
         net, _pattern, seq, _placement = _instance(seed)
-        kernel = congestion_trajectory(
+        kernel = _kernel_trajectory(
             EdgeCounterManager(net, seq.n_objects), seq, sample_every=sample_every
         )
         reference = _reference_congestion_trajectory(
@@ -286,7 +293,7 @@ class TestTrajectoryParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_static_trajectory(self, seed):
         net, _pattern, seq, placement = _instance(seed)
-        kernel = congestion_trajectory(
+        kernel = _kernel_trajectory(
             StaticPlacementManager(net, placement), seq, sample_every=5
         )
         reference = _reference_congestion_trajectory(
@@ -296,7 +303,7 @@ class TestTrajectoryParity:
 
 
 # --------------------------------------------------------------------------- #
-# 3. replay_with_churn
+# 3. request/churn interleaving: the engine run with a churn trace
 # --------------------------------------------------------------------------- #
 class TestChurnReplayParity:
     def _traces(self, net, seq, seed):
@@ -326,7 +333,8 @@ class TestChurnReplayParity:
             return EdgeCounterManager(net, seq.n_objects)
 
         for trace in self._traces(net, seq, seed):
-            kernel = replay_with_churn(make(), seq, trace, sample_every=7)
+            sink = TrajectorySink(7)
+            kernel = SimulationEngine(make(), sinks=(sink,)).run(seq, trace)
             reference = _reference_replay_with_churn(
                 make(), seq, trace, sample_every=7
             )
@@ -334,8 +342,8 @@ class TestChurnReplayParity:
             assert kernel.served == reference["served"]
             assert kernel.dropped == reference["dropped"]
             assert kernel.n_mutations == len(reference["outcomes"])
-            assert np.array_equal(kernel.trajectory, reference["trajectory"])
-            assert np.array_equal(kernel.sample_times, reference["sample_times"])
+            assert np.array_equal(sink.trajectory, reference["trajectory"])
+            assert np.array_equal(sink.sample_times, reference["sample_times"])
             assert kernel.network.n_nodes == reference["network"].n_nodes
             assert kernel.account.state.verify_bus_loads()
 

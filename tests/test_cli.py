@@ -166,35 +166,36 @@ class TestWorkloadAndPlace:
         assert strategy in text
 
 
-class TestRunExperimentsCommand:
-    def test_sequential_sweep(self):
-        code, text = run_cli(["run-experiments", "--ids", "E1", "E7"])
-        assert code == 0
-        assert "E1" in text and "E7" in text and "ok" in text
+class TestExperimentSweep:
+    """Whole experiment sweeps run through the lab."""
 
-    def test_parallel_sweep_with_artifacts(self, tmp_path):
-        out = tmp_path / "results"
+    def test_lab_run_missing_experiments_suite(self, tmp_path):
+        root = tmp_path / "registry"
         code, text = run_cli(
-            [
-                "run-experiments",
-                "--ids",
-                "E1",
-                "E4",
-                "--parallel",
-                "2",
-                "-o",
-                str(out),
-            ]
+            ["lab", "run-missing", "--suite", "experiments", "--small",
+             "--registry", str(root)]
         )
         assert code == 0
-        assert (out / "E1.json").exists()
-        assert (out / "E4.json").exists()
-        data = json.loads((out / "summary.json").read_text())
-        assert data["all_ok"] is True
+        assert "suite experiments: 10 entries, 0 already stored, 10 executed" in text
 
-    def test_unknown_id_rejected(self):
+    def test_small_and_large_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run-experiments", "--ids", "E99"])
+            build_parser().parse_args(
+                ["lab", "run-missing", "--suite", "experiments", "--small", "--large"]
+            )
+
+    @pytest.mark.parametrize("registry", [None, "lab/registry", "lab/../lab/registry"])
+    def test_committed_registry_takes_only_the_ci_suite(
+        self, tmp_path, monkeypatch, registry
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["lab", "run-missing", "--suite", "experiments", "--large"]
+        if registry is not None:
+            argv += ["--registry", registry]
+        code, text = run_cli(argv)
+        assert code == 2
+        assert "holds only the ci suite" in text
+        assert not (tmp_path / "lab").exists()
 
 
 class TestExperimentCommand:
@@ -224,46 +225,31 @@ class TestExperimentCommand:
         assert "repair_consistent" in text
 
 
-class TestChurnCommand:
-    def test_churn_storm_smoke(self, tmp_path):
-        out = tmp_path / "churn.json"
+class TestChurnScenarios:
+    """The churn families (E10's building blocks) through `repro simulate`."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["flash-crowd", "maintenance", "degradation", "storm"]
+    )
+    def test_simulate_churn_family(self, tmp_path, scenario):
+        out = tmp_path / "sim.json"
         code, text = run_cli(
-            ["churn", "--scenario", "storm", "--small", "--seed", "1", "-o", str(out)]
+            ["simulate", "--scenario", scenario, "--small", "-o", str(out)]
         )
         assert code == 0
-        assert "churn scenario storm" in text
         assert "edge-counter" in text and "hindsight-static" in text
-        data = json.loads(out.read_text())
-        assert data["format"] == "repro.churn-result/v1"
-        assert data["scenario"] == "storm"
-        assert data["n_mutations"] > 0
-        assert len(data["records"]) == 2
-        for rec in data["records"]:
+        records = json.loads(out.read_text())["records"]
+        assert {rec["strategy"] for rec in records} >= {
+            "hindsight-static", "edge-counter"
+        }
+        for rec in records:
             assert rec["served"] + rec["dropped"] == rec["n_events"]
-            assert rec["congestion"] >= 0
-            assert len(rec["trajectory"]) >= 1
 
-    @pytest.mark.parametrize("scenario", ["flash-crowd", "maintenance", "degradation"])
-    def test_churn_all_scenarios(self, scenario):
-        code, text = run_cli(["churn", "--scenario", scenario, "--small"])
-        assert code == 0
-        assert f"churn scenario {scenario}" in text
-
-    def test_churn_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["churn", "--scenario", "earthquake"])
-
-    def test_run_experiments_accepts_e10(self, tmp_path):
-        out = tmp_path / "res"
-        code, text = run_cli(
-            ["run-experiments", "--ids", "E10", "--small",
-             "--stable-artifacts", "-o", str(out)]
-        )
-        assert code == 0
-        data = json.loads((out / "E10.json").read_text())
-        assert data["experiment"] == "E10"
-        assert data["elapsed_seconds"] == 0.0
-        assert data["n_records"] > 0
+    def test_unknown_scenario_rejected(self, tmp_path):
+        out = tmp_path / "sim.json"
+        with pytest.raises(KeyError, match="unknown scenario 'earthquake'"):
+            run_cli(["simulate", "--scenario", "earthquake", "--small", "-o", str(out)])
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -442,18 +442,34 @@ def _lab_suite_entries(args: argparse.Namespace):
     return registry, entries
 
 
+def _refuses_committed_registry(command: str, registry, entries, stream) -> bool:
+    """Whether ``command`` must not write ``entries`` into ``registry``.
+
+    The committed registry holds exactly the ci suite (ARCHITECTURE.md
+    invariant 8), so it takes only entries of that suite; for anything
+    else the command prints why and exits 2 before writing.
+    """
+    from repro.lab.registry import suite_entries
+
+    if Path(registry).resolve() != Path(_COMMITTED_REGISTRY).resolve():
+        return False
+    ci_keys = {entry.key for entry in suite_entries("ci")}
+    if all(entry.key in ci_keys for entry in entries):
+        return False
+    print(
+        f"{command}: {_COMMITTED_REGISTRY} holds only the ci suite; "
+        "write these entries into another --registry DIR",
+        file=stream,
+    )
+    return True
+
+
 def _cmd_lab_run_missing(args: argparse.Namespace, stream) -> int:
     from repro.lab.registry import run_missing
 
-    committed = Path(_COMMITTED_REGISTRY).resolve()
-    if args.suite != "ci" and Path(args.registry).resolve() == committed:
-        print(
-            f"lab run-missing: {_COMMITTED_REGISTRY} holds only the ci suite; "
-            f"sweep suite {args.suite} into another --registry DIR",
-            file=stream,
-        )
-        return 2
     registry, entries = _lab_suite_entries(args)
+    if _refuses_committed_registry("lab run-missing", registry.root, entries, stream):
+        return 2
     result = run_missing(
         registry,
         entries,
@@ -478,6 +494,8 @@ def _cmd_tournament(args: argparse.Namespace, stream) -> int:
     entries = suite_entries(
         "tournament", seed=args.seed, small=args.small, large=args.large
     )
+    if _refuses_committed_registry("tournament", registry.root, entries, stream):
+        return 2
     result = run_missing(
         registry,
         entries,
@@ -898,8 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execute exactly the suite entries without stored artifacts; "
             "each finished run registers immediately, so a killed sweep "
-            "resumes without redoing completed work (any suite but ci "
-            "needs an explicit --registry other than lab/registry)"
+            "resumes without redoing completed work (lab/registry takes "
+            "only entries of the ci suite; sweep anything else into "
+            "another --registry)"
         ),
     )
     _lab_common(lab_run)
@@ -989,7 +1008,10 @@ def build_parser() -> argparse.ArgumentParser:
     tournament.add_argument(
         "--registry",
         default=_COMMITTED_REGISTRY,
-        help="registry root directory (default: lab/registry)",
+        help=(
+            "registry root directory (default: lab/registry, which takes "
+            "only the ci suite's tournament: --small --seed 0)"
+        ),
     )
     tournament.add_argument("--seed", type=int, default=0, help="suite base seed")
     t_size = tournament.add_mutually_exclusive_group()

@@ -14,7 +14,17 @@ implementations:
     A tiny C library embedded in this file, compiled on first use with the
     system C compiler (``cc``/``gcc``/``clang``) into a shared object that
     is cached on disk keyed by the source hash, and loaded via ctypes.
-    Available wherever a C compiler is installed.
+    Available wherever a C compiler is installed.  Its entry points take
+    plain addresses (``ctypes.c_void_p``): every array argument is checked
+    for dtype, C-contiguity and length by :func:`_address` before any C
+    code runs, and the arrays of a load substrate are checked once per
+    topology epoch (:class:`PairSubstrate`).
+
+One op is fused: :func:`charge_pairs` makes a whole weighted pair charge
+(LCA, pair deltas, path scatter, load apply, rescan and the booked cost)
+in one C call.  Its numpy twin is the composition of the ``lca``,
+``pair_scatter``, ``scatter_paths``, ``apply_column`` and ``rescan``
+twins that ``LoadState.apply_pairs`` made before it existed.
 
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
 (``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
@@ -58,7 +68,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import AlgorithmError, CapacityError
+from repro.errors import AlgorithmError, CapacityError, InvalidNodeError
 
 __all__ = [
     "INDEX_DTYPE",
@@ -78,6 +88,8 @@ __all__ = [
     "apply_columns_lanes",
     "rescan",
     "rescan_rows",
+    "PairSubstrate",
+    "charge_pairs",
 ]
 
 #: Narrowest safe index dtype of the substrate's CSR / lifting tables.
@@ -229,6 +241,41 @@ def _reference_rescan_rows(loads, rows, denom):
     return (loads[rows] / denom).max(axis=1)
 
 
+def _bad_pair_error(u, v, i: int, n_nodes: int) -> InvalidNodeError:
+    return InvalidNodeError(
+        f"pair {i} ({int(u[i])} -> {int(v[i])}) holds a node id outside the "
+        f"network's {n_nodes} nodes; nothing was charged"
+    )
+
+
+def _reference_charge_pairs(sub, u, v, w, congestion, stale, col):
+    # the range check the C op makes before writing; the rest is the
+    # composition LoadState.apply_pairs made before the fused op existed
+    bad = (u < 0) | (u >= sub.n_nodes) | (v < 0) | (v >= sub.n_nodes)
+    if bad.any():
+        raise _bad_pair_error(u, v, int(np.argmax(bad)), sub.n_nodes)
+    anc = _reference_lca(sub.up, sub.depth, u.copy(), v.copy())
+    delta = np.zeros(sub.n_nodes, dtype=np.float64)
+    _reference_pair_scatter(delta, u, v, anc, w)
+    vec = np.zeros(sub.n_edges, dtype=np.float64) if col is None else col
+    vec[:] = 0.0
+    if sub.rp_edges.size:
+        _reference_scatter_paths(vec, sub.rp_edges, sub.rp_nodes, sub.rp_indptr, delta)
+    negative = _reference_apply_column(
+        sub.loads, vec, sub.edge_u, sub.edge_v, sub.is_bus, sub.n_edges, 1.0
+    )
+    if not stale:
+        if not negative:
+            value = _reference_rescan(sub.loads, sub.denom)
+            if value > congestion:
+                congestion = value
+        else:
+            stale = True
+    depth = sub.depth
+    cost = float((depth[u] + depth[v] - 2 * depth[anc]) @ w)
+    return cost, congestion, stale
+
+
 _NUMPY_OPS: Dict[str, Callable] = {
     "lca": _reference_lca,
     "scatter_paths": _reference_scatter_paths,
@@ -239,7 +286,112 @@ _NUMPY_OPS: Dict[str, Callable] = {
     "apply_columns_lanes": _reference_apply_columns_lanes,
     "rescan": _reference_rescan,
     "rescan_rows": _reference_rescan_rows,
+    "charge_pairs": _reference_charge_pairs,
 }
+
+
+# --------------------------------------------------------------------- #
+# raw-pointer arguments, checked once
+# --------------------------------------------------------------------- #
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
+_BOOL = np.dtype(np.bool_)
+_BYTE = ctypes.c_char
+
+
+def _address(arr, dtype: np.dtype, n: int, what: str) -> int:
+    """Address of one array argument of a cc op, checked first.
+
+    The cc ops are bound with plain addresses (``ctypes.c_void_p``), which
+    ctypes passes unchecked, so every array goes through here before any
+    C code runs: it must be a C-contiguous ndarray of exactly ``dtype``
+    with at least ``n`` entries, or :class:`TypeError` is raised.
+    """
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.flags.c_contiguous
+        and arr.size >= n
+    ):
+        got = (
+            f"{arr.dtype} array of shape {arr.shape}"
+            + ("" if arr.flags.c_contiguous else " (not C-contiguous)")
+            if isinstance(arr, np.ndarray)
+            else type(arr).__name__
+        )
+        raise TypeError(
+            f"kernel argument {what}: expected a C-contiguous {dtype} array "
+            f"of at least {n} entries, got {got}"
+        )
+    try:
+        # several times cheaper than arr.ctypes.data, which builds a
+        # helper object on every call
+        return ctypes.addressof(_BYTE.from_buffer(arr))
+    except (TypeError, ValueError):  # read-only or empty buffer
+        return arr.ctypes.data
+
+
+class PairSubstrate:
+    """What one fused pair charge reads and writes, checked once.
+
+    Built for one load row: ``up`` is the ``(levels, n)`` lifting table,
+    ``loads`` the fused ``n_edges + n`` row that the charges go into and
+    ``denom`` its relative-load denominators.  A load substrate keeps one
+    per row until its topology changes
+    (``_SubstrateGeometry._pair_substrate``), so the dtype, contiguity and
+    length checks of these arrays (:class:`TypeError`, like every cc
+    argument check) and their address lookups run once per topology
+    epoch, not once per charge.  The numpy twin reads the arrays; the cc
+    op takes ``c_args``, their addresses and sizes, as its leading
+    arguments and writes its ``(cost, congestion, stale)`` into ``out``,
+    so one substrate serves one thread at a time.
+    """
+
+    __slots__ = (
+        "up",
+        "depth",
+        "rp_edges",
+        "rp_nodes",
+        "rp_indptr",
+        "edge_u",
+        "edge_v",
+        "is_bus",
+        "denom",
+        "loads",
+        "n_nodes",
+        "n_edges",
+        "out",
+        "c_args",
+    )
+
+    def __init__(self, up, depth, rp_edges, rp_nodes, rp_indptr, edge_u,
+                 edge_v, is_bus, denom, loads) -> None:
+        levels, n = up.shape
+        n_edges = edge_u.size
+        width = n_edges + n
+        indptr_address = _address(rp_indptr, _I64, n + 1, "rp_indptr")
+        self.up, self.depth = up, depth
+        self.rp_edges, self.rp_nodes, self.rp_indptr = rp_edges, rp_nodes, rp_indptr
+        self.edge_u, self.edge_v, self.is_bus = edge_u, edge_v, is_bus
+        self.denom, self.loads = denom, loads
+        self.n_nodes, self.n_edges = n, n_edges
+        self.out = np.zeros(3, dtype=np.float64)
+        self.c_args = (
+            _address(up, _I32, levels * n, "up"),
+            levels,
+            n,
+            _address(depth, _I64, n, "depth"),
+            _address(rp_edges, _I32, int(rp_indptr[n]), "rp_edges"),
+            indptr_address,
+            _address(edge_u, _I32, n_edges, "edge_u"),
+            _address(edge_v, _I32, n_edges, "edge_v"),
+            _address(is_bus, _BOOL, n, "is_bus"),
+            _address(denom, _F64, width, "denom"),
+            n_edges,
+            _address(loads, _F64, width, "loads"),
+            _address(self.out, _F64, 3, "out"),
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -249,34 +401,41 @@ _NUMPY_OPS: Dict[str, Callable] = {
 # integer-exactness argument of invariant 9 carries over unchanged.
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+static int64_t repro_lca_one(const int32_t *up, int64_t levels, int64_t n,
+                             const int64_t *depth, int64_t a, int64_t b)
+{
+    int64_t k;
+    int64_t da = depth[a], db = depth[b];
+    int64_t diff;
+    if (da < db) {
+        int64_t t = a; a = b; b = t;
+        t = da; da = db; db = t;
+    }
+    diff = da - db;
+    for (k = 0; diff != 0; k++, diff >>= 1) {
+        if (diff & 1)
+            a = up[k * n + a];
+    }
+    if (a != b) {
+        for (k = levels - 1; k >= 0; k--) {
+            int32_t ua = up[k * n + a], ub = up[k * n + b];
+            if (ua != ub) { a = ua; b = ub; }
+        }
+        a = up[a];
+    }
+    return a;
+}
 
 void repro_lca(const int32_t *up, int64_t levels, int64_t n,
                const int64_t *depth, const int64_t *u, const int64_t *v,
                int64_t m, int64_t *out)
 {
-    int64_t i, k;
-    for (i = 0; i < m; i++) {
-        int64_t a = u[i], b = v[i];
-        int64_t da = depth[a], db = depth[b];
-        int64_t diff;
-        if (da < db) {
-            int64_t t = a; a = b; b = t;
-            t = da; da = db; db = t;
-        }
-        diff = da - db;
-        for (k = 0; diff != 0; k++, diff >>= 1) {
-            if (diff & 1)
-                a = up[k * n + a];
-        }
-        if (a != b) {
-            for (k = levels - 1; k >= 0; k--) {
-                int32_t ua = up[k * n + a], ub = up[k * n + b];
-                if (ua != ub) { a = ua; b = ub; }
-            }
-            a = up[a];
-        }
-        out[i] = a;
-    }
+    int64_t i;
+    for (i = 0; i < m; i++)
+        out[i] = repro_lca_one(up, levels, n, depth, u[i], v[i]);
 }
 
 /* Zero-skip CSR scatter.  Nodes whose delta is (+/-)0.0 are skipped
@@ -488,6 +647,66 @@ void repro_rescan_rows(const double *loads, int64_t row_len,
     for (j = 0; j < n_rows; j++)
         out[j] = repro_rescan_one(loads + rows[j] * row_len, denom, row_len);
 }
+
+/* One whole weighted pair charge of a fused load row: LCA per pair, pair
+ * node deltas, zero-skip CSR path scatter into the per-edge column, fused
+ * edge + bus apply, and LoadState.apply_edge_loads' congestion rule (a
+ * full rescan only when the row is clean and no column entry is
+ * negative, else the row turns stale).  Every node id is range-checked
+ * before anything is written.  Returns -1 with out = {cost, congestion,
+ * stale}, where cost is sum_i w[i] * dist(u[i], v[i]); the index of the
+ * first pair holding an id outside [0, n_nodes); or -2 when the scratch
+ * allocation fails.  col (n_edges entries) receives the charged column;
+ * NULL means private scratch. */
+int64_t repro_charge_pairs(const int32_t *up, int64_t levels, int64_t n_nodes,
+                           const int64_t *depth, const int32_t *rp_edges,
+                           const int64_t *rp_indptr, const int32_t *edge_u,
+                           const int32_t *edge_v, const uint8_t *is_bus,
+                           const double *denom, int64_t n_edges,
+                           double *loads, double *out, const int64_t *u,
+                           const int64_t *v, const double *w, int64_t m,
+                           double congestion, int32_t stale, double *col)
+{
+    int64_t i;
+    double cost = 0.0;
+    double *delta, *vec = col;
+    for (i = 0; i < m; i++)
+        if (u[i] < 0 || u[i] >= n_nodes || v[i] < 0 || v[i] >= n_nodes)
+            return i;
+    delta = calloc((size_t)n_nodes + 1, sizeof(double));
+    if (vec == NULL)
+        vec = calloc((size_t)n_edges + 1, sizeof(double));
+    else
+        memset(vec, 0, (size_t)n_edges * sizeof(double));
+    if (delta == NULL || vec == NULL) {
+        free(delta);
+        if (col == NULL)
+            free(vec);
+        return -2;
+    }
+    for (i = 0; i < m; i++) {
+        int64_t a = repro_lca_one(up, levels, n_nodes, depth, u[i], v[i]);
+        delta[u[i]] += w[i];
+        delta[v[i]] += w[i];
+        delta[a] -= 2.0 * w[i];
+        cost += w[i] * (double)(depth[u[i]] + depth[v[i]] - 2 * depth[a]);
+    }
+    repro_scatter_paths(vec, rp_edges, rp_indptr, delta, n_nodes);
+    if (repro_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, 1.0)) {
+        stale = 1;
+    } else if (!stale) {
+        double value = repro_rescan_one(loads, denom, n_edges + n_nodes);
+        if (value > congestion)
+            congestion = value;
+    }
+    free(delta);
+    if (col == NULL)
+        free(vec);
+    out[0] = cost;
+    out[1] = congestion;
+    out[2] = (double)stale;
+    return -1;
+}
 """
 
 
@@ -533,108 +752,196 @@ def _load_cc_library() -> Optional[ctypes.CDLL]:
     return ctypes.CDLL(str(lib_path))
 
 
+_VP = ctypes.c_void_p
+_C64 = ctypes.c_int64
+_C32 = ctypes.c_int32
+_CD = ctypes.c_double
+
+#: ``name -> (restype, argtypes)`` of every exported C function.  Pointers
+#: are plain addresses, so ctypes checks no array here: :func:`_address`
+#: does, in each wrapper below, and a tier-1 test pins this table to the
+#: prototypes of :data:`_C_SOURCE` position by position.
+_C_SIGNATURES: Dict[str, Tuple[object, Tuple[object, ...]]] = {
+    "repro_lca": (None, (_VP, _C64, _C64, _VP, _VP, _VP, _C64, _VP)),
+    "repro_scatter_paths": (None, (_VP, _VP, _VP, _VP, _C64)),
+    "repro_scatter_paths_cols": (None, (_VP, _VP, _VP, _VP, _C64, _C64)),
+    "repro_pair_scatter": (None, (_VP, _VP, _VP, _VP, _VP, _C64)),
+    "repro_pair_scatter_lanes": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64)),
+    "repro_bus_fold": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64)),
+    "repro_bus_fold_cols": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64, _C64)),
+    "repro_apply_column": (_C32, (_VP, _VP, _VP, _VP, _VP, _C64, _CD)),
+    "repro_apply_columns_lanes": (
+        None,
+        (_VP, _C64, _VP, _C64, _VP, _VP, _VP, _VP, _C64, _VP),
+    ),
+    "repro_rescan": (_CD, (_VP, _VP, _C64)),
+    "repro_rescan_rows": (None, (_VP, _C64, _VP, _C64, _VP, _VP)),
+    "repro_charge_pairs": (
+        _C64,
+        (_VP, _C64, _C64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _C64, _VP, _VP,
+         _VP, _VP, _VP, _C64, _CD, _C32, _VP),
+    ),
+}
+
+
 def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
-    ndp = np.ctypeslib.ndpointer
-    f64 = ndp(dtype=np.float64, flags="C_CONTIGUOUS")
-    i64 = ndp(dtype=np.int64, flags="C_CONTIGUOUS")
-    i32 = ndp(dtype=np.int32, flags="C_CONTIGUOUS")
-    u8 = ndp(dtype=np.uint8, flags="C_CONTIGUOUS")
-    c64 = ctypes.c_int64
+    for name, (restype, argtypes) in _C_SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = list(argtypes)
+    a = _address
 
-    lib.repro_lca.argtypes = [i32, c64, c64, i64, i64, i64, c64, i64]
-    lib.repro_lca.restype = None
-    lib.repro_scatter_paths.argtypes = [f64, i32, i64, f64, c64]
-    lib.repro_scatter_paths.restype = None
-    lib.repro_scatter_paths_cols.argtypes = [f64, i32, i64, f64, c64, c64]
-    lib.repro_scatter_paths_cols.restype = None
-    lib.repro_pair_scatter.argtypes = [f64, i64, i64, i64, f64, c64]
-    lib.repro_pair_scatter.restype = None
-    lib.repro_pair_scatter_lanes.argtypes = [f64, i64, i64, i64, f64, c64, c64]
-    lib.repro_pair_scatter_lanes.restype = None
-    lib.repro_bus_fold.argtypes = [f64, i32, i32, u8, f64, c64, c64]
-    lib.repro_bus_fold.restype = None
-    lib.repro_bus_fold_cols.argtypes = [f64, i32, i32, u8, f64, c64, c64, c64]
-    lib.repro_bus_fold_cols.restype = None
-    lib.repro_apply_column.argtypes = [f64, f64, i32, i32, u8, c64, ctypes.c_double]
-    lib.repro_apply_column.restype = ctypes.c_int32
-    lib.repro_apply_columns_lanes.argtypes = [
-        f64, c64, i64, c64, f64, i32, i32, u8, c64, u8,
-    ]
-    lib.repro_apply_columns_lanes.restype = None
-    lib.repro_rescan.argtypes = [f64, f64, c64]
-    lib.repro_rescan.restype = ctypes.c_double
-    lib.repro_rescan_rows.argtypes = [f64, c64, i64, c64, f64, f64]
-    lib.repro_rescan_rows.restype = None
-
+    # Index *values* are not checked here (callers pass substrate ids);
+    # only the fused charge range-checks its node ids, in C.
     def cc_lca(up, depth, u, v):
-        out = np.empty(u.size, dtype=np.int64)
-        if u.size:
-            lib.repro_lca(up, up.shape[0], up.shape[1], depth, u, v, u.size, out)
+        m = u.size
+        levels, n = up.shape
+        out = np.empty(m, dtype=np.int64)
+        args = (
+            a(up, _I32, levels * n, "up"),
+            levels,
+            n,
+            a(depth, _I64, n, "depth"),
+            a(u, _I64, m, "u"),
+            a(v, _I64, m, "v"),
+            m,
+            a(out, _I64, m, "out"),
+        )
+        if m:
+            lib.repro_lca(*args)
         return out
 
     def cc_scatter_paths(out, rp_edges, rp_nodes, rp_indptr, delta):
+        indptr = a(rp_indptr, _I64, 1, "rp_indptr")
         n_nodes = rp_indptr.size - 1
+        ncols = int(np.prod(out.shape[1:]))
+        # a tree over n_nodes nodes has n_nodes - 1 edges: rp_edges' range
+        args = (
+            a(out, _F64, max(n_nodes - 1, 0) * ncols, "out"),
+            a(rp_edges, _I32, int(rp_indptr[n_nodes]), "rp_edges"),
+            indptr,
+            a(delta, _F64, n_nodes * ncols, "delta"),
+            n_nodes,
+        )
         if out.ndim == 1:
-            lib.repro_scatter_paths(out, rp_edges, rp_indptr, delta, n_nodes)
+            lib.repro_scatter_paths(*args)
         else:
-            ncols = int(np.prod(out.shape[1:]))
-            lib.repro_scatter_paths_cols(
-                out, rp_edges, rp_indptr, delta, n_nodes, ncols
-            )
+            lib.repro_scatter_paths_cols(*args, ncols)
 
     def cc_pair_scatter(delta, u, v, anc, w):
-        lib.repro_pair_scatter(delta, u, v, anc, w, u.size)
+        m = u.size
+        lib.repro_pair_scatter(
+            a(delta, _F64, 0, "delta"),
+            a(u, _I64, m, "u"),
+            a(v, _I64, m, "v"),
+            a(anc, _I64, m, "anc"),
+            a(w, _F64, m, "w"),
+            m,
+        )
 
     def cc_pair_scatter_lanes(delta, u, targets, anc, w):
+        m, lanes = u.size, targets.shape[1]
         lib.repro_pair_scatter_lanes(
-            delta, u, targets, anc, w, u.size, targets.shape[1]
+            a(delta, _F64, 0, "delta"),
+            a(u, _I64, m, "u"),
+            a(targets, _I64, m * lanes, "targets"),
+            a(anc, _I64, m * lanes, "anc"),
+            a(w, _F64, m, "w"),
+            m,
+            lanes,
         )
 
     def cc_bus_fold(out, edge_u, edge_v, is_bus, vec):
-        mask = is_bus.view(np.uint8)
+        n_edges, n_nodes = edge_u.size, is_bus.size
+        ncols = int(np.prod(out.shape[1:]))
+        args = (
+            a(out, _F64, n_nodes * ncols, "out"),
+            a(edge_u, _I32, n_edges, "edge_u"),
+            a(edge_v, _I32, n_edges, "edge_v"),
+            a(is_bus, _BOOL, n_nodes, "is_bus"),
+            a(vec, _F64, n_edges * ncols, "vec"),
+            n_edges,
+            n_nodes,
+        )
         if out.ndim == 1:
-            lib.repro_bus_fold(
-                out, edge_u, edge_v, mask, vec, edge_u.size, out.shape[0]
-            )
+            lib.repro_bus_fold(*args)
         else:
-            ncols = int(np.prod(out.shape[1:]))
-            lib.repro_bus_fold_cols(
-                out, edge_u, edge_v, mask, vec, edge_u.size, out.shape[0], ncols
-            )
+            lib.repro_bus_fold_cols(*args, ncols)
 
     def cc_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, sign):
         return bool(
             lib.repro_apply_column(
-                loads, vec, edge_u, edge_v, is_bus.view(np.uint8), n_edges, sign
+                a(loads, _F64, n_edges + is_bus.size, "loads"),
+                a(vec, _F64, n_edges, "vec"),
+                a(edge_u, _I32, n_edges, "edge_u"),
+                a(edge_v, _I32, n_edges, "edge_v"),
+                a(is_bus, _BOOL, 0, "is_bus"),
+                n_edges,
+                sign,
             )
         )
 
     def cc_apply_columns_lanes(loads, lanes, cols, edge_u, edge_v, is_bus, n_edges):
-        neg = np.zeros(lanes.size, dtype=np.uint8)
+        n_lanes, row_len = lanes.size, loads.shape[1]
+        if row_len < n_edges + is_bus.size:
+            raise TypeError(
+                f"kernel argument loads: rows of {row_len} entries, expected at "
+                f"least {n_edges + is_bus.size}"
+            )
+        neg = np.zeros(n_lanes, dtype=np.bool_)
         lib.repro_apply_columns_lanes(
-            loads,
-            loads.shape[1],
-            lanes,
-            lanes.size,
-            cols,
-            edge_u,
-            edge_v,
-            is_bus.view(np.uint8),
+            a(loads, _F64, 0, "loads"),
+            row_len,
+            a(lanes, _I64, n_lanes, "lanes"),
+            n_lanes,
+            a(cols, _F64, n_edges * n_lanes, "cols"),
+            a(edge_u, _I32, n_edges, "edge_u"),
+            a(edge_v, _I32, n_edges, "edge_v"),
+            a(is_bus, _BOOL, 0, "is_bus"),
             n_edges,
-            neg,
+            a(neg, _BOOL, n_lanes, "neg"),
         )
-        return neg.view(bool)
+        return neg
 
     def cc_rescan(loads, denom):
-        return float(lib.repro_rescan(loads, denom, loads.size))
+        n = loads.size
+        return float(
+            lib.repro_rescan(a(loads, _F64, n, "loads"), a(denom, _F64, n, "denom"), n)
+        )
 
     def cc_rescan_rows(loads, rows, denom):
-        out = np.empty(rows.size, dtype=np.float64)
-        if rows.size:
-            lib.repro_rescan_rows(
-                loads, loads.shape[1], rows, rows.size, denom, out
-            )
+        n_rows, row_len = rows.size, loads.shape[1]
+        out = np.empty(n_rows, dtype=np.float64)
+        args = (
+            a(loads, _F64, 0, "loads"),
+            row_len,
+            a(rows, _I64, n_rows, "rows"),
+            n_rows,
+            a(denom, _F64, row_len, "denom"),
+            a(out, _F64, n_rows, "out"),
+        )
+        if n_rows:
+            lib.repro_rescan_rows(*args)
         return out
+
+    def cc_charge_pairs(sub, u, v, w, congestion, stale, col):
+        m = u.size
+        status = lib.repro_charge_pairs(
+            *sub.c_args,
+            a(u, _I64, m, "u"),
+            a(v, _I64, m, "v"),
+            a(w, _F64, m, "w"),
+            m,
+            congestion,
+            stale,
+            None if col is None else a(col, _F64, sub.n_edges, "col"),
+        )
+        if status == -1:
+            cost, congestion, stale = sub.out.tolist()
+            return cost, congestion, bool(stale)
+        if status == -2:
+            raise MemoryError("cc charge_pairs could not allocate its scratch")
+        raise _bad_pair_error(u, v, status, sub.n_nodes)
 
     return {
         "lca": cc_lca,
@@ -646,6 +953,7 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
         "apply_columns_lanes": cc_apply_columns_lanes,
         "rescan": cc_rescan,
         "rescan_rows": cc_rescan_rows,
+        "charge_pairs": cc_charge_pairs,
     }
 
 
@@ -875,3 +1183,28 @@ def rescan(loads: np.ndarray, denom: np.ndarray) -> float:
 def rescan_rows(loads: np.ndarray, rows: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Per-row fused rescan over selected lane rows of a stacked array."""
     return _op("rescan_rows")(loads, rows, denom)
+
+
+def charge_pairs(
+    sub: PairSubstrate,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    congestion: float,
+    stale: bool,
+    col: Optional[np.ndarray] = None,
+) -> Tuple[float, float, bool]:
+    """One whole weighted pair charge of a load row, in one call.
+
+    Charges ``w[i]`` on every edge and bus of the tree path ``u[i] ->
+    v[i]`` into ``sub.loads`` (int64 ``u``, ``v``, float64 ``w``, one
+    size) and returns ``(cost, congestion, stale)``: the cost
+    ``Σ w[i]·dist(u[i], v[i])`` and the row's running-max tracker after
+    the charge, under the rule of ``LoadState.apply_edge_loads`` (a full
+    rescan only when the row is clean and no entry of the charged column
+    is negative; otherwise the row turns stale).  ``col``, when given,
+    receives the charged per-edge column.  A node id outside the network
+    raises :class:`~repro.errors.InvalidNodeError` before anything is
+    written, under every backend.
+    """
+    return _op("charge_pairs")(sub, u, v, w, congestion, stale, col)

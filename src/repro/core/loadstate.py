@@ -105,6 +105,7 @@ class _SubstrateGeometry:
         "_inc_edges",
         "_path_cache",
         "_steiner_cache",
+        "_pair_subs",
         "_topology_epoch",
     )
 
@@ -129,6 +130,7 @@ class _SubstrateGeometry:
 
         self._path_cache: dict = {}
         self._steiner_cache: dict = {}
+        self._pair_subs: dict = {}
         self._topology_epoch = 0
 
     def _build_denominators(self, network) -> np.ndarray:
@@ -252,13 +254,42 @@ class _SubstrateGeometry:
             return 0
         return int(self._path_entry(src, dst)[0].size)
 
-    def pair_costs(self, u, v) -> np.ndarray:
-        """Path lengths of the pairs ``u[i] -> v[i]`` (vectorized)."""
-        return self.pm.distances(u, v)
-
     def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
         """Nearest candidate per node (ties to the smallest id), vectorized."""
         return self.pm.nearest_in_set(np.asarray(nodes, dtype=np.int64), candidates)
+
+    def _pair_substrate(self, lane: int = 0) -> kernels.PairSubstrate:
+        """The fused pair-charge substrate of one load row (lane ``lane``
+        of a stacked state), checked and cached until the next repair."""
+        sub = self._pair_subs.get(lane)
+        if sub is None:
+            pm = self.pm
+            loads = self._loads if self._loads.ndim == 1 else self._loads[lane]
+            sub = kernels.PairSubstrate(
+                pm._up,
+                pm._depth,
+                pm._rp_edges,
+                pm._rp_nodes,
+                pm._rp_indptr,
+                self._edge_u,
+                self._edge_v,
+                self._node_is_bus,
+                self._denom,
+                loads,
+            )
+            self._pair_subs[lane] = sub
+        return sub
+
+
+def _pair_arrays(u, v, w) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``u, v, w`` of a batched pair charge as contiguous 1-D int64, int64
+    and float64 arrays of one size."""
+    u = np.ascontiguousarray(u, dtype=np.int64)
+    v = np.ascontiguousarray(v, dtype=np.int64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if u.ndim != 1 or not u.shape == v.shape == w.shape:
+        raise AlgorithmError("pair charge arrays u, v and w must be 1-D and of one size")
+    return u, v, w
 
 
 class LoadState(_SubstrateGeometry):
@@ -445,18 +476,26 @@ class LoadState(_SubstrateGeometry):
             sign,
         )
 
-    def apply_pairs(self, u, v, w) -> None:
+    def apply_pairs(self, u, v, w) -> float:
         """Charge weighted request pairs ``u[i] -> v[i]`` in one batch.
 
         Equivalent to ``apply_path`` per pair (exactly, for integer-valued
-        weights) but evaluated through the path-incidence operator.
+        weights) and to ``apply_edge_loads`` of their per-edge column, in
+        one fused kernel call (:func:`repro.core.kernels.charge_pairs`).
+        Negative weights mark the congestion stale.  Returns the charged
+        cost ``Σ w[i]·dist(u[i], v[i])``.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+        u, v, w = _pair_arrays(u, v, w)
         if u.size == 0:
-            return
-        self.apply_edge_loads(self.pm.pair_edge_loads(u, v, w))
+            return 0.0
+        col = np.empty(self.n_edges, dtype=np.float64) if self._snapshots else None
+        cost, self._congestion, self._stale = kernels.charge_pairs(
+            self._pair_substrate(), u, v, w,
+            self._congestion, self._stale, col,
+        )
+        if col is not None:
+            self._journal.append(("vector", col, None))
+        return cost
 
     # ------------------------------------------------------------------ #
     # tentative evaluation
@@ -660,6 +699,7 @@ class LoadState(_SubstrateGeometry):
             self._path_cache.clear()
             self._steiner_cache.clear()
 
+        self._pair_subs.clear()
         self.network = network
         self.rooted = new_rooted
         self.pm = new_pm
@@ -931,6 +971,7 @@ class StackedLoadState(_SubstrateGeometry):
             self._path_cache.clear()
             self._steiner_cache.clear()
 
+        self._pair_subs.clear()
         self.network = network
         self.rooted = new_rooted
         self.pm = new_pm
@@ -1034,23 +1075,25 @@ class LaneState:
             raise AlgorithmError("edge-load vector has the wrong shape")
         self.parent.apply_edge_loads_lanes([self.lane_index], vec[:, None])
 
-    def apply_pairs(self, u, v, w) -> None:
-        """Charge weighted request pairs ``u[i] -> v[i]`` in one batch."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        w = np.asarray(w, dtype=np.float64)
+    def apply_pairs(self, u, v, w) -> float:
+        """Charge weighted request pairs ``u[i] -> v[i]`` in one batch
+        (:meth:`LoadState.apply_pairs` on the lane row); returns the cost."""
+        u, v, w = _pair_arrays(u, v, w)
         if u.size == 0:
-            return
-        self.apply_edge_loads(self.parent.pm.pair_edge_loads(u, v, w))
+            return 0.0
+        parent, k = self.parent, self.lane_index
+        cost, congestion, stale = kernels.charge_pairs(
+            parent._pair_substrate(k), u, v, w,
+            float(parent._congestion[k]), bool(parent._stale[k]),
+        )
+        parent._congestion[k] = congestion
+        parent._stale[k] = stale
+        return cost
 
     # -- structural helpers --------------------------------------------- #
     def path_length(self, src: int, dst: int) -> int:
         """Number of edges on the path ``src -> dst`` (shared cache)."""
         return self.parent.path_length(src, dst)
-
-    def pair_costs(self, u, v) -> np.ndarray:
-        """Path lengths of the pairs ``u[i] -> v[i]`` (vectorized)."""
-        return self.parent.pair_costs(u, v)
 
     def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
         """Nearest candidate per node (ties to the smallest id), vectorized."""

@@ -163,16 +163,13 @@ class OnlineCostAccount:
 
         Produces exactly the loads and cost units of the equivalent
         ``charge_path`` loop (``w`` must be integer-valued request counts,
-        enforced like the scalar ``amount`` arguments), evaluated through
-        one path-incidence scatter.
+        enforced like the scalar ``amount`` arguments), evaluated and
+        costed by one fused kernel call (``LoadState.apply_pairs``).
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
         w = _integer_weights(w)
-        if u.size == 0:
+        if w.size == 0:
             return
-        self.state.apply_pairs(u, v, w)
-        self._book(int(round(float(self.state.pair_costs(u, v) @ w))), management)
+        self._book(int(round(self.state.apply_pairs(u, v, w))), management)
 
     @property
     def bus_loads(self) -> np.ndarray:

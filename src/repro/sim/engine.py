@@ -48,6 +48,39 @@ __all__ = [
 ]
 
 
+def _check_refs(
+    refs: np.ndarray,
+    n_refs: int,
+    current_of_ref: Optional[np.ndarray],
+    node_kinds: np.ndarray,
+) -> None:
+    """Reject events whose reference id is out of range or resolves to a bus.
+
+    ``current_of_ref`` maps reference ids to current nodes (``None``: every
+    id is its own node).  An id outside ``[0, n_refs)`` or one whose
+    current node is a bus raises :class:`~repro.errors.WorkloadError`:
+    either would index out of bounds inside the serving kernels.  Departed
+    references (mapped to -1) pass, since the remap drops their events.
+    """
+    if not refs.size:
+        return
+    lo, hi = int(refs.min()), int(refs.max())
+    if lo < 0 or hi >= n_refs:
+        bad = lo if lo < 0 else hi
+        raise WorkloadError(
+            f"event references processor id {bad}, but the replay "
+            f"universe has {n_refs} reference ids"
+        )
+    nodes = refs if current_of_ref is None else current_of_ref[refs]
+    # a departed ref's -1 reads the last node's kind and is masked out
+    bus = (node_kinds[nodes] != NodeKind.PROCESSOR) & (nodes >= 0)
+    if bus.any():
+        raise WorkloadError(
+            f"event references id {int(refs[bus].min())}, which is a "
+            "bus node, not a processor"
+        )
+
+
 def _remap_span(
     sequence: RequestSequence,
     start: int,
@@ -206,13 +239,20 @@ class SimulationEngine:
         id per attach in trace order), requests from departed or
         not-yet-arrived processors are dropped, and every mutation
         scheduled at time ``t`` is applied before the event at position
-        ``t``.
+        ``t``.  An event whose processor id is out of range or resolves to
+        a bus raises :class:`~repro.errors.WorkloadError` before any event
+        is served (under a trace, before its span is served).
         """
         strategy = self.strategy
         n_objects = getattr(strategy, "n_objects", None)
         if n_objects is not None and sequence.n_objects > n_objects:
             raise WorkloadError(
                 "sequence references more objects than the strategy was built for"
+            )
+        if trace is None:
+            network = strategy.network
+            _check_refs(
+                sequence.as_arrays()[0], network.n_nodes, None, network.node_kinds
             )
         self.n_events = len(sequence)
         self.served = 0
@@ -277,6 +317,12 @@ class SimulationEngine:
         """Serve one span under the reference-id mapping (see
         :func:`_remap_span`; the kept chunk goes through the same chunk
         fast path)."""
+        _check_refs(
+            sequence.as_arrays()[0][start:stop],
+            n_refs,
+            current_of_ref,
+            self.strategy.network.node_kinds,
+        )
         sub, sub_start, sub_stop, served, dropped = _remap_span(
             sequence, start, stop, current_of_ref, n_refs
         )
@@ -376,6 +422,10 @@ class SimulationEngine:
                     "built for"
                 )
 
+        if trace is None:
+            _check_refs(
+                sequence.as_arrays()[0], base_net.n_nodes, None, base_net.node_kinds
+            )
         # validate freshness over the whole fleet BEFORE rebinding any
         # account: a rejected fleet must leave every strategy untouched
         for strategy in strategies:
@@ -440,6 +490,12 @@ class SimulationEngine:
                     sub, sub_start, sub_stop = sequence, start, stop
                     served, dropped = stop - start, 0
                 else:
+                    _check_refs(
+                        sequence.as_arrays()[0][start:stop],
+                        tracker.n_refs,
+                        tracker.current_of_ref,
+                        strategies[0].network.node_kinds,
+                    )
                     sub, sub_start, sub_stop, served, dropped = _remap_span(
                         sequence, start, stop,
                         tracker.current_of_ref, tracker.n_refs,
@@ -588,27 +644,12 @@ class EngineStream:
             raise WorkloadError(
                 "sequence references more objects than the strategy was built for"
             )
-        if len(batch):
-            procs = batch.as_arrays()[0]
-            lo, hi = int(procs.min()), int(procs.max())
-            if lo < 0 or hi >= self.n_refs:
-                bad = lo if lo < 0 else hi
-                raise WorkloadError(
-                    f"event references processor id {bad}, but the replay "
-                    f"universe has {self.n_refs} reference ids"
-                )
-            # a stream is untrusted input: an in-range ref whose current
-            # node is a bus would index out of bounds inside the serving
-            # kernels, so reject it here (departed refs are fine -- the
-            # remap drops their events; their -1 reads the last node's kind
-            # and is masked out)
-            nodes = procs if self._current_of_ref is None else self._current_of_ref[procs]
-            bus = (self._network.node_kinds[nodes] != NodeKind.PROCESSOR) & (nodes >= 0)
-            if bus.any():
-                raise WorkloadError(
-                    f"event references id {int(procs[bus].min())}, which is a "
-                    "bus node, not a processor"
-                )
+        _check_refs(
+            batch.as_arrays()[0],
+            self.n_refs,
+            self._current_of_ref,
+            self._network.node_kinds,
+        )
         self._validated = batch
         return batch
 

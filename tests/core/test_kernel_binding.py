@@ -1,0 +1,236 @@
+"""The raw-pointer cc bindings: checked arguments and pinned prototypes.
+
+The cc ops are bound with plain addresses (``ctypes.c_void_p``), which
+ctypes passes without looking at them.  So:
+
+* every array argument goes through ``kernels._address``, which must
+  reject a wrong dtype, a non-contiguous array and a too-short array
+  before any C code runs, leaving every input untouched;
+* the fused pair charge range-checks its node ids and raises the same
+  exception under both backends, with the loads untouched;
+* the bound ``argtypes``/``restype`` of every exported C function match
+  its prototype in ``kernels._C_SOURCE`` position by position, since
+  ctypes no longer notices a pointer swapped with a scalar;
+* the C source compiles cleanly under ``-Wall -Wextra -Werror``.
+"""
+
+import ctypes
+import re
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro.core import kernels
+from repro.core.loadstate import LoadState
+from repro.errors import InvalidNodeError
+from repro.network.builders import balanced_tree
+
+HAVE_CC = "cc" in kernels.available_backends()
+needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+
+
+# --------------------------------------------------------------------- #
+# argument checks
+# --------------------------------------------------------------------- #
+def _inputs():
+    """Valid arguments of every kernel op on one small substrate."""
+    net = balanced_tree(2, 2, 2)
+    state = LoadState(net)
+    state.apply_pairs([3, 4, 6], [5, 6, 3], [2.0, 1.0, 3.0])
+    pm = state.pm
+    n, n_edges = net.n_nodes, net.n_edges
+    width = n_edges + n
+    u = np.array([3, 4, 5, 6], dtype=np.int64)
+    v = np.array([6, 5, 4, 3], dtype=np.int64)
+    anc = np.array([0, 1, 1, 0], dtype=np.int64)
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    targets = np.stack([v, u], axis=1)
+    anc2 = np.stack([anc, anc], axis=1)
+    loads2 = np.arange(2 * width, dtype=np.float64).reshape(2, width)
+    mask = pm._bus_mask
+    edge_u, edge_v = pm._edge_u, pm._edge_v
+    return {
+        "lca": (kernels.lca, (pm._up, pm._depth, u.copy(), v.copy())),
+        "scatter_paths": (
+            kernels.scatter_paths,
+            (np.zeros(n_edges), pm._rp_edges, pm._rp_nodes, pm._rp_indptr, np.ones(n)),
+        ),
+        "pair_scatter": (kernels.pair_scatter, (np.zeros(n), u, v, anc, w)),
+        "pair_scatter_lanes": (
+            kernels.pair_scatter_lanes,
+            (np.zeros((n, 2)), u, targets, anc2, w),
+        ),
+        "bus_fold": (
+            kernels.bus_fold,
+            (np.zeros(n), edge_u, edge_v, mask, np.ones(n_edges)),
+        ),
+        "apply_column": (
+            kernels.apply_column,
+            (np.zeros(width), np.ones(n_edges), edge_u, edge_v, mask, n_edges, 1.0),
+        ),
+        "apply_columns_lanes": (
+            kernels.apply_columns_lanes,
+            (
+                loads2,
+                np.array([1], dtype=np.int64),
+                np.ones((n_edges, 1)),
+                edge_u,
+                edge_v,
+                mask,
+                n_edges,
+            ),
+        ),
+        "rescan": (kernels.rescan, (state._loads, state._denom)),
+        "rescan_rows": (
+            kernels.rescan_rows,
+            (loads2, np.array([0, 1], dtype=np.int64), state._denom),
+        ),
+        "charge_pairs": (
+            kernels.charge_pairs,
+            (state._pair_substrate(), u, v, w, 0.0, True, np.zeros(n_edges)),
+        ),
+    }
+
+
+def _strided(a):
+    """The same values in a non-contiguous view."""
+    return np.repeat(a, 2, axis=a.ndim - 1)[..., ::2]
+
+
+def _float32(a):
+    return a.astype(np.float32)
+
+
+def _short(a):
+    return np.ascontiguousarray(a[..., :-1]) if a.ndim == 2 else a[:-1]
+
+
+#: op -> (position of an index array, of the array made non-contiguous, of
+#: the array cut one entry short).  Where an op's output length depends on
+#: index values (pair_scatter*), an array tied to the input size is cut.
+_BAD_ARGS = {
+    "lca": (2, 3, 3),
+    "scatter_paths": (1, 4, 0),
+    "pair_scatter": (3, 1, 4),
+    "pair_scatter_lanes": (2, 3, 3),
+    "bus_fold": (1, 4, 0),
+    "apply_column": (3, 1, 0),
+    "apply_columns_lanes": (1, 2, 0),
+    "rescan": (1, 0, 1),
+    "rescan_rows": (1, 2, 2),
+    "charge_pairs": (1, 3, 6),
+}
+
+
+def _snapshot(args):
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    subs = [a for a in args if isinstance(a, kernels.PairSubstrate)]
+    return [a.tobytes() for a in arrays] + [s.loads.tobytes() for s in subs]
+
+
+def test_every_cc_op_is_covered():
+    assert set(_BAD_ARGS) == set(kernels._NUMPY_OPS) == set(_inputs())
+
+
+@needs_cc
+@pytest.mark.parametrize("op", sorted(_BAD_ARGS))
+@pytest.mark.parametrize(
+    "bad", [(0, _float32), (1, _strided), (2, _short)], ids=["float32", "strided", "short"]
+)
+def test_bad_array_raises_before_the_c_code(op, bad):
+    which, spoil = bad
+    fn, args = _inputs()[op]
+    args = list(args)
+    pos = _BAD_ARGS[op][which]
+    args[pos] = spoil(args[pos])
+    before = _snapshot(args)
+    with kernels.use_backend("cc"):
+        with pytest.raises(TypeError, match="kernel argument"):
+            fn(*args)
+    assert _snapshot(args) == before
+
+
+@pytest.mark.parametrize("op", sorted(_BAD_ARGS))
+def test_valid_arguments_pass(op):
+    for backend in kernels.available_backends():
+        fn, args = _inputs()[op]
+        with kernels.use_backend(backend):
+            fn(*args)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("bad", [-1, 7, 2**40])
+def test_charge_pairs_rejects_a_node_outside_the_network(backend, bad):
+    net = balanced_tree(2, 2, 2)  # nodes 0-6
+    with kernels.use_backend(backend):
+        state = LoadState(net)
+        state.apply_pairs([3, 4], [6, 5], [1, 2])
+        before = (state._loads.tobytes(), state.congestion, state._stale)
+        snap = state.snapshot()
+        with pytest.raises(InvalidNodeError, match="pair 1"):
+            state.apply_pairs([3, bad, 5], [4, 3, 6], [1, 1, 1])
+        with pytest.raises(InvalidNodeError, match="pair 0"):
+            state.apply_pairs([6], [bad], [1])
+        assert len(state._journal) == 0
+        state.commit(snap)
+        assert (state._loads.tobytes(), state.congestion, state._stale) == before
+
+
+# --------------------------------------------------------------------- #
+# prototypes and compiler warnings
+# --------------------------------------------------------------------- #
+_PROTOTYPE = re.compile(r"^(\w+)\s+(repro_\w+)\s*\(([^)]*)\)\s*\{", re.M)
+_C_SCALARS = {
+    "int64_t": ctypes.c_int64,
+    "int32_t": ctypes.c_int32,
+    "double": ctypes.c_double,
+}
+
+
+def _parsed_prototypes():
+    """``name -> (restype, argtypes)`` of every exported (non-static)
+    ``repro_*`` function in the C source."""
+    prototypes = {}
+    for ret, name, params in _PROTOTYPE.findall(kernels._C_SOURCE):
+        argtypes = []
+        for param in params.split(","):
+            words = param.replace("const", " ").split()
+            if "*" in param:
+                argtypes.append(ctypes.c_void_p)
+            else:
+                argtypes.append(_C_SCALARS[words[0]])
+        prototypes[name] = (None if ret == "void" else _C_SCALARS[ret], argtypes)
+    return prototypes
+
+
+def test_parser_sees_every_exported_function():
+    exported = set(re.findall(r"^\w+\s+(repro_\w+)\s*\(", kernels._C_SOURCE, re.M))
+    assert exported and set(_parsed_prototypes()) == exported
+
+
+@needs_cc
+def test_bindings_match_the_c_prototypes():
+    lib = kernels._load_cc_library()
+    kernels._bind_cc_ops(lib)
+    prototypes = _parsed_prototypes()
+    assert set(prototypes) == set(kernels._C_SIGNATURES)
+    for name, (restype, argtypes) in prototypes.items():
+        fn = getattr(lib, name)
+        assert fn.restype is restype, name
+        assert list(fn.argtypes) == argtypes, name
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    compiler = kernels._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "repro_kernels.c"
+    source.write_text(kernels._C_SOURCE)
+    result = subprocess.run(
+        [compiler, "-O3", "-fPIC", "-Wall", "-Wextra", "-Werror", "-c",
+         "-o", str(tmp_path / "repro_kernels.o"), str(source)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

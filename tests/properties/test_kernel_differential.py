@@ -19,7 +19,10 @@ along with the kernels:
   ``_reference_aggregate_chunk`` twin;
 
 and closes with substrate-level end-to-end checks (PathMatrix batch ops
-and LoadState replay under every backend vs the numpy backend).
+and LoadState replay under every backend vs the numpy backend).  The
+fused pair charge is checked on a LoadState (with its journal and
+rollback) and on a LaneState row, against its twin and against the
+unfused composition it replaced.
 
 The seed matrix is extendable via the ``REPRO_KERNEL_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed
@@ -270,6 +273,109 @@ def test_nan_triggers_negative_flag(backend):
                 )
             )
     assert flags == [True, True]
+
+
+def _pair_charge_inputs(seed, sign):
+    """A seeded substrate, a pre-charge column and ``sign``-weighted pairs
+    between arbitrary nodes (buses and repeated endpoints included)."""
+    net, pm, rng = _substrate(seed)
+    m = 40
+    u = rng.integers(0, net.n_nodes, size=m)
+    v = rng.integers(0, net.n_nodes, size=m)
+    w = sign * _int_floats(rng, m)
+    base = _int_floats(rng, net.n_edges)
+    return net, pm, rng, u, v, w, base
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+class TestFusedPairCharge:
+    """``kernels.charge_pairs`` (one C call) equals its numpy twin, bit for
+    bit, on a LoadState and on a LaneState row, with the journal."""
+
+    def test_op_equals_twin(self, backend, seed, sign):
+        net, _, rng, u, v, w, base = _pair_charge_inputs(seed, sign)
+        stale = bool(rng.integers(0, 2))
+        results = {}
+        for name in ("numpy", backend):
+            state = LoadState(net)
+            state.apply_edge_loads(base)
+            sub = state._pair_substrate()
+            col = np.full(net.n_edges, np.nan)  # overwritten by the op
+            with kernels.use_backend(name):
+                out = kernels.charge_pairs(
+                    sub, u, v, w, state.congestion, stale, col
+                )
+            results[name] = (sub.loads.tobytes(), out, col.tobytes())
+        assert results["numpy"] == results[backend]
+
+    def test_loadstate_journal_and_rollback(self, backend, seed, sign):
+        net, _, _, u, v, w, base = _pair_charge_inputs(seed, sign)
+        results = {}
+        for name in ("numpy", backend):
+            with kernels.use_backend(name):
+                state = LoadState(net)
+                state.apply_edge_loads(base)
+                before = (state._loads.tobytes(), state.congestion, state._stale)
+                snap = state.snapshot()
+                cost = state.apply_pairs(u, v, w)
+                kind, column, _ = state._journal[-1]
+                charged = (
+                    state._loads.tobytes(),
+                    state._congestion,
+                    state._stale,
+                    cost,
+                    kind,
+                    column.tobytes(),
+                )
+                state.rollback(snap)
+                rolled = (state._loads.tobytes(), state.congestion, state._stale)
+            assert rolled == before
+            results[name] = (charged, rolled)
+        assert results["numpy"] == results[backend]
+
+    def test_lane_row(self, backend, seed, sign):
+        net, _, rng, u, v, w, base = _pair_charge_inputs(seed, sign)
+        columns = _int_floats(rng, net.n_edges, 3)
+        results = {}
+        for name in ("numpy", backend):
+            with kernels.use_backend(name):
+                stacked = StackedLoadState(net, 3)
+                stacked.apply_edge_loads_lanes(np.arange(3), columns)
+                cost = stacked.lane(1).apply_pairs(u, v, w)
+                solo = LoadState(net)
+                solo.apply_edge_loads(columns[:, 1])
+                solo_cost = solo.apply_pairs(u, v, w)
+            assert stacked._loads[1].tobytes() == solo._loads.tobytes()
+            assert (cost, stacked._congestion[1], stacked._stale[1]) == (
+                solo_cost, solo._congestion, solo._stale
+            )
+            results[name] = (
+                stacked._loads.tobytes(),
+                stacked._congestion.tobytes(),
+                stacked._stale.tobytes(),
+                cost,
+            )
+        assert results["numpy"] == results[backend]
+
+    def test_equals_unfused_composition(self, backend, seed, sign):
+        """The fused charge equals the path-matrix column applied through
+        ``apply_edge_loads`` plus the ``distances`` cost it replaced."""
+        net, pm, _, u, v, w, base = _pair_charge_inputs(seed, sign)
+        with kernels.use_backend(backend):
+            fused = LoadState(net)
+            fused.apply_edge_loads(base)
+            cost = fused.apply_pairs(u, v, w)
+            unfused = LoadState(net)
+            unfused.apply_edge_loads(base)
+            unfused.apply_edge_loads(pm.pair_edge_loads(u, v, w))
+            expected_cost = float(pm.distances(u, v) @ w)
+        assert fused._loads.tobytes() == unfused._loads.tobytes()
+        assert (fused._congestion, fused._stale) == (
+            unfused._congestion, unfused._stale
+        )
+        assert cost == expected_cost
 
 
 class TestAggregationParity:

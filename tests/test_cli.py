@@ -2,6 +2,8 @@
 
 import io
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,33 @@ class TestExperimentSweep:
         assert code == 2
         assert "holds only the ci suite" in text
         assert not (tmp_path / "lab").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--small", "--seed", "3"], ["--large"]], ids=["plain", "seed3", "large"]
+    )
+    def test_tournament_writes_only_ci_entries_into_the_committed_registry(
+        self, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(["tournament", *argv])
+        assert code == 2
+        assert "tournament: lab/registry holds only the ci suite" in text
+        assert not (tmp_path / "lab").exists()
+
+    def test_tournament_ci_entries_still_run_on_the_committed_registry(
+        self, tmp_path, monkeypatch
+    ):
+        committed = Path(__file__).resolve().parents[1] / "lab" / "registry"
+        shutil.copytree(committed, tmp_path / "lab" / "registry")
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(["tournament", "--small", "--seed", "0"])
+        assert code == 0
+        assert "tournament: 10 entries, 10 already stored, 0 executed" in text
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(tmp_path / "lab" / "registry") == files(committed)
 
 
 class TestExperimentCommand:

@@ -26,6 +26,11 @@ in one C call.  Its numpy twin is the composition of the ``lca``,
 ``pair_scatter``, ``scatter_paths``, ``apply_column`` and ``rescan``
 twins that ``LoadState.apply_pairs`` made before it existed.
 
+One op is not a load op: :func:`adaptive_scan` runs phase 1 of the
+batched adaptive replay (``EdgeCounterManager.serve_chunk``) for every
+object of a chunk in one C call.  Its numpy twin is the per-object Python
+counter scan the manager ran before (:func:`_replay_positions`).
+
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
 (``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
 numpy).  With no C compiler on PATH, ``auto`` falls back to numpy
@@ -62,13 +67,14 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from bisect import insort
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import AlgorithmError, CapacityError, InvalidNodeError
+from repro.errors import AlgorithmError, CapacityError, InvalidNodeError, WorkloadError
 
 __all__ = [
     "INDEX_DTYPE",
@@ -90,6 +96,7 @@ __all__ = [
     "rescan_rows",
     "PairSubstrate",
     "charge_pairs",
+    "adaptive_scan",
 ]
 
 #: Narrowest safe index dtype of the substrate's CSR / lifting tables.
@@ -99,6 +106,7 @@ INDEX_DTYPE = np.int32
 BACKENDS = ("cc", "numpy")
 
 _INT32_MAX = np.iinfo(np.int32).max
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def ensure_index_capacity(n_nodes: int, n_edges: int, path_entries: int) -> None:
@@ -276,6 +284,218 @@ def _reference_charge_pairs(sub, u, v, w, congestion, stale, col):
     return cost, congestion, stale
 
 
+def _first_scan_error(holder_mask, n_holders, procs, objs, order):
+    """The error of the first bad entry of an adaptive scan's CSR, or
+    ``None``: the checks the C op makes, entry by entry, before it writes
+    anything (so both backends raise the same error)."""
+    n_objects, n_nodes = holder_mask.shape
+    m = order.size
+    procs_l, objs_l = procs.tolist(), objs.tolist()
+    prev = None
+    for t, i in enumerate(order.tolist()):
+        if not 0 <= i < m:
+            return WorkloadError(
+                f"adaptive scan: order[{t}] = {i} is not a position of the "
+                f"{m}-event chunk; nothing was scanned"
+            )
+        obj, proc = objs_l[i], procs_l[i]
+        if not 0 <= obj < n_objects:
+            return WorkloadError(
+                f"adaptive scan: event {i} requests object {obj} outside the "
+                f"{n_objects} objects; nothing was scanned"
+            )
+        if not 0 <= proc < n_nodes:
+            return InvalidNodeError(
+                f"adaptive scan: event {i} comes from node {proc} outside the "
+                f"network's {n_nodes} nodes; nothing was scanned"
+            )
+        if prev is not None and (obj, i) <= prev:
+            return WorkloadError(
+                f"adaptive scan: order[{t}] = {i} breaks the stable object "
+                "order (order must be a stable argsort of the chunk "
+                "objects); nothing was scanned"
+            )
+        if (prev is None or obj != prev[0]) and n_holders[obj] \
+                and not holder_mask[obj].any():
+            return WorkloadError(
+                f"adaptive scan: object {obj} counts {int(n_holders[obj])} "
+                "holders but its holder mask row is empty; nothing was scanned"
+            )
+        prev = (obj, i)
+    return None
+
+
+def _nearest_holder(up, depth, p: int, holders: List[int]) -> int:
+    """Nearest holder of ``p``, ties to the smallest id (``holders`` is
+    ascending): the rule of ``RootedTree.nearest_in_set``."""
+    hs = np.asarray(holders, dtype=np.int64)
+    anc = _reference_lca(up, depth, np.full(hs.size, p, dtype=np.int64), hs.copy())
+    return holders[int(np.argmin(depth[hs] - 2 * depth[anc]))]
+
+
+def _replay_positions(obj, lo, hi, order, procs, writes, holder_mask,
+                      read_credit, unread_writes, n_holders, nearest,
+                      thresholds, runs, mgmt_direct, mgmt_rep) -> bool:
+    """Phase 1 of the batched replay for one object: advance its counters
+    over its chunk positions ``order[lo:hi]``, applying every adaptation
+    decision; returns whether its holder set changed.
+
+    Adaptation is a pure function of the per-object counters -- never
+    of the accumulated loads -- so one object's whole decision cascade
+    can run ahead of any charging.  The scan appends one record per
+    maximal static run to ``runs`` (``(obj, holders, a, b, writes)``
+    with ``holders`` the ascending holder tuple in force over the
+    positions ``order[a:b]``, the terminal adaptation event included: its
+    own service traffic is charged against the pre-transition holders,
+    exactly as the scalar ``serve`` charges before it adapts) and one
+    record per copy movement to ``mgmt_direct`` (migrations -- ``(source
+    holder, target)``) or ``mgmt_rep`` (replications -- ``(holders,
+    target)``, the source being the nearest pre-crossing copy, resolved
+    against the bulk-built tables in phase 2).  Counters are mirrored
+    into plain lists for the scan (NumPy scalar indexing would dominate
+    an all-Python loop) and written back once.
+    """
+    if n_holders[obj]:
+        holders = np.flatnonzero(holder_mask[obj]).tolist()
+        changed = False
+    else:
+        # first touch: the object materialises on its first requester;
+        # that event never adapts (sole holder, zero-length charges)
+        holders = [procs[order[lo]]]
+        changed = True
+    hset = set(holders)
+    credit = read_credit[obj].tolist()
+    unread = unread_writes[obj].tolist()
+    replicate_at, migrate_at, patience = thresholds
+    memo: Dict[int, int] = {}  # non-holder writer -> nearest, per run
+    run_start = lo
+    wcount = 0
+    for t in range(lo, hi):
+        i = order[t]
+        p = procs[i]
+        if writes[i]:
+            wcount += 1
+            if p in hset:
+                wh = p
+            elif len(holders) == 1:
+                wh = holders[0]
+            else:
+                wh = memo.get(p)
+                if wh is None:
+                    wh = nearest(p, holders)
+                    memo[p] = wh
+            if len(holders) > 1:
+                # age replicas exactly like the scalar path: the stale
+                # test reads pre-update counters, then every non-writer
+                # replica ages (drops re-zero the stale ones)
+                stale = [h for h in holders
+                         if h != wh and unread[h] + 1 >= patience]
+                for h in holders:
+                    unread[h] = 0 if h == wh else unread[h] + 1
+                if stale:
+                    runs.append((obj, tuple(holders), run_start,
+                                 t + 1, wcount))
+                    for h in stale:
+                        holders.remove(h)
+                        hset.discard(h)
+                        unread[h] = 0
+                    if len(holders) == 1 and p not in hset:
+                        c = credit[p] + 1
+                        if c >= migrate_at:
+                            old = holders[0]
+                            mgmt_direct.append((old, p))
+                            unread[old] = 0
+                            holders = [p]
+                            hset = {p}
+                            unread[p] = 0
+                            credit[p] = 0
+                        else:
+                            credit[p] = c
+                    run_start = t + 1
+                    wcount = 0
+                    memo.clear()
+                    changed = True
+            else:
+                unread[wh] = 0
+                if p not in hset:
+                    c = credit[p] + 1
+                    if c >= migrate_at:
+                        # the lonely copy follows the persistent writer
+                        runs.append((obj, (wh,), run_start,
+                                     t + 1, wcount))
+                        mgmt_direct.append((wh, p))
+                        holders = [p]
+                        hset = {p}
+                        unread[p] = 0
+                        credit[p] = 0
+                        run_start = t + 1
+                        wcount = 0
+                        memo.clear()
+                        changed = True
+                    else:
+                        credit[p] = c
+        else:
+            if p in hset:
+                unread[p] = 0
+            else:
+                c = credit[p] + 1
+                if c >= replicate_at:
+                    pre = tuple(holders)
+                    runs.append((obj, pre, run_start, t + 1, wcount))
+                    mgmt_rep.append((pre, p))
+                    insort(holders, p)
+                    hset.add(p)
+                    unread[p] = 0
+                    credit[p] = 0
+                    run_start = t + 1
+                    wcount = 0
+                    memo.clear()
+                    changed = True
+                else:
+                    credit[p] = c
+    if hi > run_start:
+        runs.append((obj, tuple(holders), run_start, hi, wcount))
+    read_credit[obj] = credit
+    unread_writes[obj] = unread
+    if changed:
+        row = holder_mask[obj]
+        row[:] = False
+        row[holders] = True
+        n_holders[obj] = len(holders)
+    return changed
+
+
+def _reference_adaptive_scan(holder_mask, read_credit, unread_writes,
+                             n_holders, up, depth, procs, writes, objs,
+                             order, replicate_at, migrate_at, patience):
+    error = _first_scan_error(holder_mask, n_holders, procs, objs, order)
+    if error is not None:
+        raise error
+    runs: List[tuple] = []
+    mgmt_direct: List[tuple] = []
+    mgmt_rep: List[tuple] = []
+    changed: List[int] = []
+    if not order.size:
+        return runs, mgmt_direct, mgmt_rep, changed
+    sorted_objs = objs[order]
+    bounds = np.flatnonzero(sorted_objs[1:] != sorted_objs[:-1]) + 1
+    bounds = [0, *bounds.tolist(), order.size]
+    order_l, procs_l, writes_l = order.tolist(), procs.tolist(), writes.tolist()
+    thresholds = (replicate_at, migrate_at, patience)
+
+    def nearest(p, holders):
+        return _nearest_holder(up, depth, p, holders)
+
+    for lo, hi in zip(bounds, bounds[1:]):
+        obj = int(sorted_objs[lo])
+        if _replay_positions(obj, lo, hi, order_l, procs_l, writes_l,
+                             holder_mask, read_credit, unread_writes,
+                             n_holders, nearest, thresholds, runs,
+                             mgmt_direct, mgmt_rep):
+            changed.append(obj)
+    return runs, mgmt_direct, mgmt_rep, changed
+
+
 _NUMPY_OPS: Dict[str, Callable] = {
     "lca": _reference_lca,
     "scatter_paths": _reference_scatter_paths,
@@ -287,6 +507,7 @@ _NUMPY_OPS: Dict[str, Callable] = {
     "rescan": _reference_rescan,
     "rescan_rows": _reference_rescan_rows,
     "charge_pairs": _reference_charge_pairs,
+    "adaptive_scan": _reference_adaptive_scan,
 }
 
 
@@ -707,6 +928,327 @@ int64_t repro_charge_pairs(const int32_t *up, int64_t levels, int64_t n_nodes,
     out[2] = (double)stale;
     return -1;
 }
+
+void repro_free(void *block)
+{
+    free(block);
+}
+
+/* ------------------------------------------------------------------ */
+/* Phase 1 of the batched adaptive replay: the per-object counter scan. */
+/* ------------------------------------------------------------------ */
+
+/* A growable int64 record buffer: the scan's output has no fixed cap. */
+typedef struct {
+    int64_t *data;
+    int64_t len, cap;
+} repro_buf;
+
+/* The scan's output buffers, in the order of its result block. */
+enum { SCAN_RUNS, SCAN_DIRECT, SCAN_REP, SCAN_CHANGED, SCAN_POOL, SCAN_BUFS };
+
+static int repro_buf_reserve(repro_buf *b, int64_t extra)
+{
+    int64_t cap = b->cap;
+    int64_t *data;
+    if (b->len + extra <= cap)
+        return 0;
+    while (cap < b->len + extra)
+        cap = cap ? 2 * cap : 256;
+    data = realloc(b->data, (size_t)cap * sizeof(int64_t));
+    if (data == NULL)
+        return -1;
+    b->data = data;
+    b->cap = cap;
+    return 0;
+}
+
+static int repro_buf_push2(repro_buf *b, int64_t x, int64_t y)
+{
+    if (repro_buf_reserve(b, 2))
+        return -1;
+    b->data[b->len++] = x;
+    b->data[b->len++] = y;
+    return 0;
+}
+
+/* One run record (obj, lo, hi, writes, pool start, pool end) plus its
+ * ascending holder ids appended to the pool. */
+static int repro_emit_run(repro_buf *out, int64_t obj, int64_t lo,
+                          int64_t hi, int64_t wcount, const int64_t *hold,
+                          int64_t nh)
+{
+    repro_buf *runs = &out[SCAN_RUNS], *pool = &out[SCAN_POOL];
+    int64_t *r;
+    if (repro_buf_reserve(runs, 6) || repro_buf_reserve(pool, nh))
+        return -1;
+    r = runs->data + runs->len;
+    r[0] = obj;
+    r[1] = lo;
+    r[2] = hi;
+    r[3] = wcount;
+    r[4] = pool->len;
+    r[5] = pool->len + nh;
+    memcpy(pool->data + pool->len, hold, (size_t)nh * sizeof(int64_t));
+    runs->len += 6;
+    pool->len += nh;
+    return 0;
+}
+
+/* Whether a mask row holds no holder (a word at a time). */
+static int repro_row_empty(const uint8_t *row, int64_t n)
+{
+    uint64_t any = 0, word;
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        memcpy(&word, row + j, sizeof word);
+        any |= word;
+    }
+    for (; j < n; j++)
+        any |= row[j];
+    return any == 0;
+}
+
+/* Holder ids of one mask row, ascending, into out; returns their count. */
+static int64_t repro_row_holders(const uint8_t *row, int64_t n, int64_t *out)
+{
+    int64_t j = 0, b, k = 0;
+    for (; j + 8 <= n; j += 8) {
+        uint64_t word;
+        memcpy(&word, row + j, sizeof word);
+        if (word)
+            for (b = j; b < j + 8; b++)
+                if (row[b])
+                    out[k++] = b;
+    }
+    for (; j < n; j++)
+        if (row[j])
+            out[k++] = j;
+    return k;
+}
+
+/* Nearest of the nh ascending holders to p, ties to the smallest id: the
+ * rule of RootedTree.nearest_in_set, over the lifting table. */
+static int64_t repro_nearest_holder(const int32_t *up, int64_t levels,
+                                    int64_t n, const int64_t *depth,
+                                    int64_t p, const int64_t *hold, int64_t nh)
+{
+    int64_t j, best = hold[0], best_dist = -1;
+    for (j = 0; j < nh; j++) {
+        int64_t a = repro_lca_one(up, levels, n, depth, p, hold[j]);
+        int64_t d = depth[hold[j]] - 2 * depth[a];
+        if (j == 0 || d < best_dist) {
+            best = hold[j];
+            best_dist = d;
+        }
+    }
+    return best;
+}
+
+/* The counter scan of every object of a chunk, in place on the
+ * AdaptiveState arrays (n_objects x n_nodes, row-major), transition by
+ * transition the numpy twin _replay_positions.  Object obj's chunk
+ * positions are order[lo:hi], a stable argsort of objs.  Every order
+ * entry, object id, processor id and first-touch row is checked before
+ * anything is written: a failing entry returns its index t >= 0 with the
+ * state untouched.  Returns -1 on success, with result = {address of a
+ * malloc'd block the caller frees with repro_free, its length}; the block
+ * is {n_runs, n_direct, n_rep, n_changed, runs (6 each: obj, lo, hi,
+ * writes, holder start, holder end), migrations (2 each: source,
+ * target), replications (2 each: run index, target), changed objects,
+ * holder pool}, holder bounds indexing the pool.  Returns -2 when the
+ * scratch allocation fails before any write, -3 when an output
+ * allocation fails mid-scan (the counters are then partly advanced). */
+int64_t repro_adaptive_scan(uint8_t *holder_mask, int64_t *read_credit,
+                            int64_t *unread_writes, int64_t *n_holders,
+                            int64_t n_objects, int64_t n_nodes,
+                            const int32_t *up, int64_t levels,
+                            const int64_t *depth, const int64_t *procs,
+                            const uint8_t *writes, const int64_t *objs,
+                            const int64_t *order, int64_t m,
+                            int64_t replicate_at, int64_t migrate_at,
+                            int64_t patience, int64_t *result)
+{
+    repro_buf out[SCAN_BUFS];
+    int64_t t, lo, hi, j, total, *hold, *block, *w;
+    int64_t status = -1;
+    for (t = 0; t < m; t++) {
+        int64_t i = order[t], o, prev = t ? order[t - 1] : 0;
+        if (i < 0 || i >= m)
+            return t;
+        o = objs[i];
+        if (o < 0 || o >= n_objects || procs[i] < 0 || procs[i] >= n_nodes)
+            return t;
+        if (t && (o < objs[prev] || (o == objs[prev] && i <= prev)))
+            return t;
+        if ((!t || o != objs[prev]) && n_holders[o]
+                && repro_row_empty(holder_mask + o * n_nodes, n_nodes))
+            return t;
+    }
+    hold = malloc((size_t)n_nodes * sizeof(int64_t));
+    if (hold == NULL)
+        return -2;
+    memset(out, 0, sizeof out);
+    for (lo = 0; lo < m; lo = hi) {
+        int64_t obj = objs[order[lo]];
+        uint8_t *mask = holder_mask + obj * n_nodes;
+        int64_t *credit = read_credit + obj * n_nodes;
+        int64_t *unread = unread_writes + obj * n_nodes;
+        int64_t nh, c, k, wh, run_start = lo, wcount = 0;
+        int moved = 0;
+        for (hi = lo + 1; hi < m && objs[order[hi]] == obj; hi++)
+            ;
+        if (n_holders[obj]) {
+            nh = repro_row_holders(mask, n_nodes, hold);
+        } else {
+            /* first touch: the object materialises on its first
+             * requester; that event never adapts */
+            memset(mask, 0, (size_t)n_nodes);
+            hold[0] = procs[order[lo]];
+            mask[hold[0]] = 1;
+            nh = 1;
+            moved = 1;
+        }
+        for (t = lo; t < hi; t++) {
+            int64_t i = order[t], p = procs[i];
+            if (!writes[i]) {
+                if (mask[p]) {
+                    unread[p] = 0;
+                    continue;
+                }
+                c = credit[p] + 1;
+                if (c < replicate_at) {
+                    credit[p] = c;
+                    continue;
+                }
+                /* replicate: the run ends with this read, served by the
+                 * pre-crossing holders */
+                if (repro_emit_run(out, obj, run_start, t + 1, wcount, hold, nh)
+                        || repro_buf_push2(&out[SCAN_REP],
+                                           out[SCAN_RUNS].len / 6 - 1, p))
+                    goto oom;
+                for (j = nh; j > 0 && hold[j - 1] > p; j--)
+                    hold[j] = hold[j - 1];
+                hold[j] = p;
+                nh++;
+                mask[p] = 1;
+                unread[p] = 0;
+                credit[p] = 0;
+                run_start = t + 1;
+                wcount = 0;
+                moved = 1;
+                continue;
+            }
+            wcount++;
+            if (mask[p])
+                wh = p;
+            else if (nh == 1)
+                wh = hold[0];
+            else
+                wh = repro_nearest_holder(up, levels, n_nodes, depth, p, hold, nh);
+            if (nh == 1) {
+                unread[wh] = 0;
+                if (mask[p])
+                    continue;
+                c = credit[p] + 1;
+                if (c < migrate_at) {
+                    credit[p] = c;
+                    continue;
+                }
+                /* the lonely copy follows the persistent writer */
+                if (repro_emit_run(out, obj, run_start, t + 1, wcount, hold, 1)
+                        || repro_buf_push2(&out[SCAN_DIRECT], wh, p))
+                    goto oom;
+                mask[wh] = 0;
+                hold[0] = p;
+                mask[p] = 1;
+                unread[p] = 0;
+                credit[p] = 0;
+                run_start = t + 1;
+                wcount = 0;
+                moved = 1;
+                continue;
+            }
+            /* age every non-writer replica; the stale test on the
+             * pre-update count, count + 1 >= patience, is then a test on
+             * the aged count */
+            k = 0;
+            for (j = 0; j < nh; j++) {
+                if (hold[j] == wh)
+                    unread[hold[j]] = 0;
+                else if (++unread[hold[j]] >= patience)
+                    k++;
+            }
+            if (!k)
+                continue;
+            if (repro_emit_run(out, obj, run_start, t + 1, wcount, hold, nh))
+                goto oom;
+            for (j = k = 0; j < nh; j++) {
+                int64_t h = hold[j];
+                if (h != wh && unread[h] >= patience) {
+                    mask[h] = 0;
+                    unread[h] = 0;
+                } else {
+                    hold[k++] = h;
+                }
+            }
+            nh = k;
+            if (nh == 1 && !mask[p]) {
+                c = credit[p] + 1;
+                if (c >= migrate_at) {
+                    if (repro_buf_push2(&out[SCAN_DIRECT], hold[0], p))
+                        goto oom;
+                    unread[hold[0]] = 0;
+                    mask[hold[0]] = 0;
+                    hold[0] = p;
+                    mask[p] = 1;
+                    unread[p] = 0;
+                    credit[p] = 0;
+                } else {
+                    credit[p] = c;
+                }
+            }
+            run_start = t + 1;
+            wcount = 0;
+            moved = 1;
+        }
+        if (hi > run_start
+                && repro_emit_run(out, obj, run_start, hi, wcount, hold, nh))
+            goto oom;
+        if (moved) {
+            n_holders[obj] = nh;
+            if (repro_buf_reserve(&out[SCAN_CHANGED], 1))
+                goto oom;
+            out[SCAN_CHANGED].data[out[SCAN_CHANGED].len++] = obj;
+        }
+    }
+    total = 4;
+    for (j = 0; j < SCAN_BUFS; j++)
+        total += out[j].len;
+    block = malloc((size_t)total * sizeof(int64_t));
+    if (block == NULL)
+        goto oom;
+    block[0] = out[SCAN_RUNS].len / 6;
+    block[1] = out[SCAN_DIRECT].len / 2;
+    block[2] = out[SCAN_REP].len / 2;
+    block[3] = out[SCAN_CHANGED].len;
+    w = block + 4;
+    for (j = 0; j < SCAN_BUFS; j++) {
+        if (out[j].len)
+            memcpy(w, out[j].data, (size_t)out[j].len * sizeof(int64_t));
+        w += out[j].len;
+    }
+    result[0] = (int64_t)(intptr_t)block;
+    result[1] = total;
+    goto done;
+oom:
+    status = -3;
+done:
+    free(hold);
+    for (j = 0; j < SCAN_BUFS; j++)
+        free(out[j].data);
+    return status;
+}
 """
 
 
@@ -781,7 +1323,44 @@ _C_SIGNATURES: Dict[str, Tuple[object, Tuple[object, ...]]] = {
         (_VP, _C64, _C64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _C64, _VP, _VP,
          _VP, _VP, _VP, _C64, _CD, _C32, _VP),
     ),
+    "repro_free": (None, (_VP,)),
+    "repro_adaptive_scan": (
+        _C64,
+        (_VP, _VP, _VP, _VP, _C64, _C64, _VP, _C64, _VP, _VP, _VP, _VP, _VP,
+         _C64, _C64, _C64, _C64, _VP),
+    ),
 }
+
+
+def _count_arg(value) -> int:
+    """An adaptation threshold as a C int64, clamped, never wrapped.
+
+    The counters count events, so a threshold beyond int64 can never trip
+    and one below 1 trips exactly like 1 (a counter is at least 1 once
+    incremented): clamping keeps the twin's semantics.
+    """
+    return min(max(int(value), 1), _INT64_MAX)
+
+
+def _scan_records(flat):
+    """The records of one ``repro_adaptive_scan`` result block (as a list):
+    the shape :func:`_replay_positions` appends, replication sources
+    sharing their crossing run's holder tuple."""
+    n_runs, n_direct, n_rep, n_changed = flat[:4]
+    a = 4 + 6 * n_runs
+    b = a + 2 * n_direct
+    c = b + 2 * n_rep
+    pool = c + n_changed
+    it = iter(flat[4:a])
+    runs = [
+        (obj, tuple(flat[pool + s:pool + e]), lo, hi, wc)
+        for obj, lo, hi, wc, s, e in zip(it, it, it, it, it, it)
+    ]
+    it = iter(flat[a:b])
+    mgmt_direct = list(zip(it, it))
+    it = iter(flat[b:c])
+    mgmt_rep = [(runs[j][1], p) for j, p in zip(it, it)]
+    return runs, mgmt_direct, mgmt_rep, flat[c:c + n_changed]
 
 
 def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
@@ -943,6 +1522,54 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
             raise MemoryError("cc charge_pairs could not allocate its scratch")
         raise _bad_pair_error(u, v, status, sub.n_nodes)
 
+    def cc_adaptive_scan(holder_mask, read_credit, unread_writes, n_holders,
+                         up, depth, procs, writes, objs, order,
+                         replicate_at, migrate_at, patience):
+        n_objects, n_nodes = holder_mask.shape
+        levels = up.shape[0]
+        cells, m = n_objects * n_nodes, order.size
+        if up.shape[-1] != n_nodes:
+            raise TypeError(
+                f"kernel argument up: a lifting table over {up.shape[-1]} "
+                f"nodes, expected {n_nodes} (the holder mask's columns)"
+            )
+        result = (_C64 * 2)()
+        status = lib.repro_adaptive_scan(
+            a(holder_mask, _BOOL, cells, "holder_mask"),
+            a(read_credit, _I64, cells, "read_credit"),
+            a(unread_writes, _I64, cells, "unread_writes"),
+            a(n_holders, _I64, n_objects, "n_holders"),
+            n_objects,
+            n_nodes,
+            a(up, _I32, levels * n_nodes, "up"),
+            levels,
+            a(depth, _I64, n_nodes, "depth"),
+            a(procs, _I64, m, "procs"),
+            a(writes, _BOOL, m, "writes"),
+            a(objs, _I64, m, "objs"),
+            a(order, _I64, m, "order"),
+            m,
+            _count_arg(replicate_at),
+            _count_arg(migrate_at),
+            _count_arg(patience),
+            result,
+        )
+        if status >= 0:  # entry ``status`` failed a check; nothing written
+            raise _first_scan_error(holder_mask, n_holders, procs, objs, order)
+        if status == -2:
+            raise MemoryError("cc adaptive_scan could not allocate its scratch")
+        if status == -3:
+            raise MemoryError(
+                "cc adaptive_scan ran out of memory for its records; the "
+                "chunk's counters are partly advanced"
+            )
+        block, total = result
+        try:
+            flat = memoryview(ctypes.string_at(block, 8 * total)).cast("q")
+        finally:
+            lib.repro_free(block)
+        return _scan_records(flat.tolist())
+
     return {
         "lca": cc_lca,
         "scatter_paths": cc_scatter_paths,
@@ -954,6 +1581,7 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
         "rescan": cc_rescan,
         "rescan_rows": cc_rescan_rows,
         "charge_pairs": cc_charge_pairs,
+        "adaptive_scan": cc_adaptive_scan,
     }
 
 
@@ -1208,3 +1836,42 @@ def charge_pairs(
     written, under every backend.
     """
     return _op("charge_pairs")(sub, u, v, w, congestion, stale, col)
+
+
+def adaptive_scan(
+    holder_mask: np.ndarray,
+    read_credit: np.ndarray,
+    unread_writes: np.ndarray,
+    n_holders: np.ndarray,
+    up: np.ndarray,
+    depth: np.ndarray,
+    procs: np.ndarray,
+    writes: np.ndarray,
+    objs: np.ndarray,
+    order: np.ndarray,
+    replicate_at: int,
+    migrate_at: int,
+    patience: int,
+) -> Tuple[List[tuple], List[tuple], List[tuple], List[int]]:
+    """Phase 1 of the batched adaptive replay, every object of a chunk.
+
+    Advances the counters of an ``AdaptiveState`` (``holder_mask``,
+    ``read_credit``, ``unread_writes``: ``(n_objects, n_nodes)``;
+    ``n_holders``) in place over the chunk events ``procs``/``writes``/
+    ``objs`` (int64, bool, int64), visiting each object's positions in
+    the CSR ``order``, a stable argsort of ``objs``.  A non-holder
+    writer's nearest holder comes from the lifting table ``up`` and
+    ``depth`` (ties to the smallest id).  Returns ``(runs, mgmt_direct,
+    mgmt_rep, changed)``: the run and copy-movement records of
+    :func:`_replay_positions`, with run bounds indexing ``order``, and
+    the objects whose holder set changed, in CSR order.
+
+    Every CSR entry, object id, processor id and first-touch row is
+    checked before any counter is written (:class:`WorkloadError`, or
+    :class:`InvalidNodeError` for a processor outside the network), and
+    thresholds beyond int64 never trip.
+    """
+    return _op("adaptive_scan")(
+        holder_mask, read_credit, unread_writes, n_holders, up, depth,
+        procs, writes, objs, order, replicate_at, migrate_at, patience,
+    )

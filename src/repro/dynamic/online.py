@@ -36,7 +36,6 @@ This module provides:
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -83,6 +82,27 @@ def _integer_amount(amount) -> int:
             f"(ARCHITECTURE.md invariant 2), got {amount!r}"
         )
     return int(value)
+
+
+def _count_parameter(name: str, value) -> int:
+    """Validate one adaptive strategy parameter: an integer of at least 1.
+
+    ``object_size``, ``invalidation_patience``, ``migration_factor`` and
+    the rent-or-buy thresholds count requests, so an ``int`` or numpy
+    integer is taken as is and an integer-valued float is normalised the
+    way :func:`_integer_amount` normalises charges.  A ``bool``, a
+    fractional or non-finite float, a string or anything else raises
+    :class:`~repro.errors.WorkloadError` naming the parameter instead of
+    being truncated.
+    """
+    count = None
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        count = int(value)
+    elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+        count = int(value)
+    if count is None or count < 1:
+        raise WorkloadError(f"{name} must be an integer of at least 1, got {value!r}")
+    return count
 
 
 def _integer_weights(w: np.ndarray) -> np.ndarray:
@@ -721,12 +741,10 @@ class EdgeCounterManager(OnlineStrategy):
         account: Optional[OnlineCostAccount] = None,
     ) -> None:
         super().__init__(network, n_objects, account=account)
-        if object_size < 1:
-            raise WorkloadError("object_size must be at least 1")
-        if invalidation_patience < 1:
-            raise WorkloadError("invalidation_patience must be at least 1")
-        self.object_size = int(object_size)
-        self.invalidation_patience = int(invalidation_patience)
+        self.object_size = _count_parameter("object_size", object_size)
+        self.invalidation_patience = _count_parameter(
+            "invalidation_patience", invalidation_patience
+        )
         # adaptation thresholds: the base strategy uses the copy cost for
         # both (rent-or-buy -- buy once you have paid the copy's worth in
         # remote requests).  Subclasses tune them independently; the
@@ -895,140 +913,24 @@ class EdgeCounterManager(OnlineStrategy):
     # (keeps memory_bytes() bounded by the universe sizes, never the stream).
     _MAX_HOLDER_TABLES = 1024
 
-    def _replay_positions(self, obj: int, pos: List[int], procs: List[int],
-                          writes: List[bool], runs: List[tuple],
-                          mgmt_direct: List[tuple],
-                          mgmt_rep: List[tuple]) -> None:
-        """Phase 1 of the batched replay: advance one object\'s counters
-        over its chunk positions, applying every adaptation decision.
-
-        Adaptation is a pure function of the per-object counters -- never
-        of the accumulated loads -- so one object\'s whole decision cascade
-        can run ahead of any charging.  The scan appends one record per
-        maximal static run to ``runs`` (``(obj, holders, lo, hi, writes)``
-        with ``holders`` the ascending holder tuple in force over
-        ``pos[lo:hi]``, the terminal adaptation event included: its own
-        service traffic is charged against the pre-transition holders,
-        exactly as the scalar :meth:`serve` charges before it adapts) and
-        one record per copy movement to ``mgmt_direct`` (migrations --
-        source holder known) or ``mgmt_rep`` (replications -- source is
-        the nearest pre-crossing copy, resolved against the bulk-built
-        tables in phase 2).  Counters are mirrored into plain lists for
-        the scan (NumPy scalar indexing would dominate an all-Python loop)
-        and written back once.
-        """
+    def _scan(self, chunk) -> Tuple[List[tuple], List[tuple], List[tuple]]:
+        """Phase 1 of the batched replay: one :func:`kernels.adaptive_scan`
+        call advances every chunk object's counters, applying every
+        adaptation decision, and returns the run and copy-movement records
+        phase 2 charges.  Adaptation is a pure function of the per-object
+        counters -- never of the accumulated loads -- so each object's
+        whole decision cascade runs ahead of any charging."""
         adaptive = self._adaptive
-        if adaptive.n_holders[obj]:
-            holders = list(self._holders_of(obj))
-            changed = False
-        else:
-            # first touch: the object materialises on its first requester;
-            # that event never adapts (sole holder, zero-length charges)
-            holders = [procs[pos[0]]]
-            changed = True
-        hset = set(holders)
-        credit = adaptive.read_credit[obj].tolist()
-        unread = adaptive.unread_writes[obj].tolist()
-        replicate_at = self._replicate_threshold
-        migrate_at = self._migrate_threshold
-        patience = self.invalidation_patience
-        nearest_in_set = self.rooted.nearest_in_set
-        memo: Dict[int, int] = {}  # non-holder writer -> nearest, per run
-        run_start = 0
-        wcount = 0
-        for t, i in enumerate(pos):
-            p = procs[i]
-            if writes[i]:
-                wcount += 1
-                if p in hset:
-                    wh = p
-                elif len(holders) == 1:
-                    wh = holders[0]
-                else:
-                    wh = memo.get(p)
-                    if wh is None:
-                        wh = int(nearest_in_set(p, holders))
-                        memo[p] = wh
-                if len(holders) > 1:
-                    # age replicas exactly like the scalar path: the stale
-                    # test reads pre-update counters, then every non-writer
-                    # replica ages (drops re-zero the stale ones)
-                    stale = [h for h in holders
-                             if h != wh and unread[h] + 1 >= patience]
-                    for h in holders:
-                        unread[h] = 0 if h == wh else unread[h] + 1
-                    if stale:
-                        runs.append((obj, tuple(holders), run_start,
-                                     t + 1, wcount))
-                        for h in stale:
-                            holders.remove(h)
-                            hset.discard(h)
-                            unread[h] = 0
-                        if len(holders) == 1 and p not in hset:
-                            c = credit[p] + 1
-                            if c >= migrate_at:
-                                old = holders[0]
-                                mgmt_direct.append((old, p))
-                                unread[old] = 0
-                                holders = [p]
-                                hset = {p}
-                                unread[p] = 0
-                                credit[p] = 0
-                            else:
-                                credit[p] = c
-                        run_start = t + 1
-                        wcount = 0
-                        memo.clear()
-                        changed = True
-                else:
-                    unread[wh] = 0
-                    if p not in hset:
-                        c = credit[p] + 1
-                        if c >= migrate_at:
-                            # the lonely copy follows the persistent writer
-                            runs.append((obj, (wh,), run_start,
-                                         t + 1, wcount))
-                            mgmt_direct.append((wh, p))
-                            holders = [p]
-                            hset = {p}
-                            unread[p] = 0
-                            credit[p] = 0
-                            run_start = t + 1
-                            wcount = 0
-                            memo.clear()
-                            changed = True
-                        else:
-                            credit[p] = c
-            else:
-                if p in hset:
-                    unread[p] = 0
-                else:
-                    c = credit[p] + 1
-                    if c >= replicate_at:
-                        pre = tuple(holders)
-                        runs.append((obj, pre, run_start, t + 1, wcount))
-                        mgmt_rep.append((pre, p))
-                        insort(holders, p)
-                        hset.add(p)
-                        unread[p] = 0
-                        credit[p] = 0
-                        run_start = t + 1
-                        wcount = 0
-                        memo.clear()
-                        changed = True
-                    else:
-                        credit[p] = c
-        if len(pos) > run_start:
-            runs.append((obj, tuple(holders), run_start, len(pos), wcount))
-        adaptive.read_credit[obj] = credit
-        adaptive.unread_writes[obj] = unread
-        if changed:
-            row = adaptive.holder_mask[obj]
-            row[:] = False
-            row[holders] = True
-            adaptive.n_holders[obj] = len(holders)
+        pm = self.rooted.path_matrix()
+        runs, mgmt_direct, mgmt_rep, changed = kernels.adaptive_scan(
+            adaptive.holder_mask, adaptive.read_credit,
+            adaptive.unread_writes, adaptive.n_holders, pm._up, pm._depth,
+            *chunk, self._replicate_threshold, self._migrate_threshold,
+            self.invalidation_patience,
+        )
+        for obj in changed:
             self._holders_changed(obj)
-            self._holders_cache[obj] = holders
+        return runs, mgmt_direct, mgmt_rep
 
     def _table_requests_for_runs(self, runs: List[tuple]) -> List[tuple]:
         """Bulk-build requests for the multi-holder run holder sets that
@@ -1045,8 +947,8 @@ class EdgeCounterManager(OnlineStrategy):
                 requests.append((tables, holders, holders))
         return requests
 
-    def _apply_deferred(self, chunk_procs: np.ndarray, pos_arrays,
-                        runs: List[tuple], mgmt_direct: List[tuple],
+    def _apply_deferred(self, sorted_procs: np.ndarray, runs: List[tuple],
+                        mgmt_direct: List[tuple],
                         mgmt_rep: List[tuple]) -> None:
         """Phase 2 of the batched replay: resolve targets and charge.
 
@@ -1067,8 +969,8 @@ class EdgeCounterManager(OnlineStrategy):
         v_parts: List[np.ndarray] = []
         steiner_col = None
         booked = 0
-        for obj, holders, lo, hi, wc in runs:
-            ep = chunk_procs[pos_arrays[obj][lo:hi]]
+        for _obj, holders, lo, hi, wc in runs:
+            ep = sorted_procs[lo:hi]
             u_parts.append(ep)
             if len(holders) == 1:
                 v_parts.append(np.full(ep.size, holders[0], dtype=np.int64))
@@ -1105,18 +1007,17 @@ class EdgeCounterManager(OnlineStrategy):
                 management=True,
             )
 
-    def _decode_chunk(self, sequence: RequestSequence, start: int, stop: int):
-        """Chunk decode shared by the sequential and fleet paths: plain
-        event-column lists for the Python scan plus per-object position
-        lists (insertion order preserves the event order per object)."""
+    @staticmethod
+    def _decode_chunk(sequence: RequestSequence, start: int, stop: int):
+        """Chunk decode shared by the sequential and fleet paths: the
+        chunk's event columns ``(procs, writes, objs)`` plus its
+        per-object CSR ``order``, a stable argsort of the objects, so
+        ``order[lo:hi]`` lists one object's positions in event order."""
         procs_all, objs_all, writes_all = sequence.as_arrays()
-        chunk_procs = np.asarray(procs_all[start:stop], dtype=np.int64)
-        procs = chunk_procs.tolist()
-        writes = writes_all[start:stop].tolist()
-        positions: Dict[int, List[int]] = {}
-        for i, obj in enumerate(objs_all[start:stop].tolist()):
-            positions.setdefault(obj, []).append(i)
-        return chunk_procs, procs, writes, positions
+        procs = np.ascontiguousarray(procs_all[start:stop], dtype=np.int64)
+        objs = np.ascontiguousarray(objs_all[start:stop], dtype=np.int64)
+        writes = np.ascontiguousarray(writes_all[start:stop], dtype=bool)
+        return procs, writes, objs, np.argsort(objs, kind="stable")
 
     def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
         """Vectorized batch replay of one chunk (exact event-loop parity).
@@ -1125,16 +1026,16 @@ class EdgeCounterManager(OnlineStrategy):
         only advance on requests to exactly that pair and an object\'s
         holder set only changes at its own adaptation events -- so each
         object\'s replicate/invalidate/migrate cascade is computed by one
-        pure-Python counter scan (:meth:`_replay_positions`), decoupled
-        from the charge frontier.  The recorded maximal static runs are
-        then charged in bulk (:meth:`_apply_deferred`): one blocked
-        distance pass builds every missing nearest table, one aggregated
-        pair scatter carries the service traffic, one Steiner column the
-        write broadcasts, and one management scatter the copy movements.
-        Integer charges commute exactly, so loads, cost units, holder
-        sets and end-of-chunk congestion are bit-for-bit those of
-        event-by-event serving; the differential suites pin this under
-        churn and across chunk grids.
+        counter scan over its positions (:meth:`_scan`, one kernel call
+        for the whole chunk), decoupled from the charge frontier.  The
+        recorded maximal static runs are then charged in bulk
+        (:meth:`_apply_deferred`): one blocked distance pass builds every
+        missing nearest table, one aggregated pair scatter carries the
+        service traffic, one Steiner column the write broadcasts, and one
+        management scatter the copy movements.  Integer charges commute
+        exactly, so loads, cost units, holder sets and end-of-chunk
+        congestion are bit-for-bit those of event-by-event serving; the
+        differential suites pin this under churn and across chunk grids.
         """
         n = stop - start
         if n <= 0:
@@ -1145,27 +1046,16 @@ class EdgeCounterManager(OnlineStrategy):
             for event in sequence[start:stop]:
                 self.serve(event)
             return
-        chunk_procs, procs, writes, positions = self._decode_chunk(
-            sequence, start, stop
-        )
-        runs: List[tuple] = []
-        mgmt_direct: List[tuple] = []
-        mgmt_rep: List[tuple] = []
-        for obj, pos in positions.items():
-            self._replay_positions(obj, pos, procs, writes, runs,
-                                   mgmt_direct, mgmt_rep)
+        chunk = self._decode_chunk(sequence, start, stop)
+        runs, mgmt_direct, mgmt_rep = self._scan(chunk)
         if len(self._tables_by_holders) > self._MAX_HOLDER_TABLES:
             self._tables_by_holders.clear()
         _bulk_nearest_tables(
             self.rooted.path_matrix(), self._procs, self.network.n_nodes,
             self._table_requests_for_runs(runs),
         )
-        pos_arrays = {
-            obj: np.asarray(pos, dtype=np.int64)
-            for obj, pos in positions.items()
-        }
-        self._apply_deferred(chunk_procs, pos_arrays, runs,
-                             mgmt_direct, mgmt_rep)
+        procs, _writes, _objs, order = chunk
+        self._apply_deferred(procs[order], runs, mgmt_direct, mgmt_rep)
 
     # ------------------------------------------------------------------ #
     # fleet group hook: K adaptive lanes share decode and table builds
@@ -1177,12 +1067,12 @@ class EdgeCounterManager(OnlineStrategy):
         """Serve one chunk for a whole fleet of adaptive managers at once.
 
         K lanes (different ``object_size`` / ``invalidation_patience`` /
-        threshold tunings) share one chunk decode, one per-object position
-        index, and one blocked distance pass for every nearest table any
+        threshold tunings) share one chunk decode with its per-object
+        CSR, and one blocked distance pass for every nearest table any
         lane is missing -- lanes whose holder sets agree share the very
         table object, lanes that diverge get their own.  Each lane then
-        runs its own counter scan and applies its own deferred charges
-        (through its lane of the shared
+        runs its own counter scan (one kernel call per lane) and applies
+        its own deferred charges (through its lane of the shared
         :class:`~repro.core.loadstate.StackedLoadState` when stacked, with
         the Steiner scatter entries shared substrate-wide), because the
         run grids of differently-tuned lanes genuinely diverge.  Every
@@ -1205,33 +1095,23 @@ class EdgeCounterManager(OnlineStrategy):
                 manager.serve(event)
             return
         lead = managers[0]
-        chunk_procs, procs, writes, positions = lead._decode_chunk(
-            sequence, start, stop
-        )
+        chunk = cls._decode_chunk(sequence, start, stop)
         per_lane: List[tuple] = []
         requests: List[tuple] = []
         for manager in managers:
-            runs: List[tuple] = []
-            mgmt_direct: List[tuple] = []
-            mgmt_rep: List[tuple] = []
-            for obj, pos in positions.items():
-                manager._replay_positions(obj, pos, procs, writes, runs,
-                                          mgmt_direct, mgmt_rep)
-            per_lane.append((runs, mgmt_direct, mgmt_rep))
+            records = manager._scan(chunk)
+            per_lane.append(records)
             if len(manager._tables_by_holders) > cls._MAX_HOLDER_TABLES:
                 manager._tables_by_holders.clear()
-            requests.extend(manager._table_requests_for_runs(runs))
+            requests.extend(manager._table_requests_for_runs(records[0]))
         _bulk_nearest_tables(
             lead.rooted.path_matrix(), lead._procs, lead.network.n_nodes,
             requests,
         )
-        pos_arrays = {
-            obj: np.asarray(pos, dtype=np.int64)
-            for obj, pos in positions.items()
-        }
-        for manager, (runs, mgmt_direct, mgmt_rep) in zip(managers, per_lane):
-            manager._apply_deferred(chunk_procs, pos_arrays, runs,
-                                    mgmt_direct, mgmt_rep)
+        procs, _writes, _objs, order = chunk
+        sorted_procs = procs[order]
+        for manager, records in zip(managers, per_lane):
+            manager._apply_deferred(sorted_procs, *records)
 
 
 class HysteresisCounterManager(EdgeCounterManager):
@@ -1262,9 +1142,7 @@ class HysteresisCounterManager(EdgeCounterManager):
             invalidation_patience=invalidation_patience,
             initial_placement=initial_placement, account=account,
         )
-        if migration_factor < 1:
-            raise WorkloadError("migration_factor must be at least 1")
-        self.migration_factor = int(migration_factor)
+        self.migration_factor = _count_parameter("migration_factor", migration_factor)
         self._migrate_threshold = self.object_size * self.migration_factor
 
 
@@ -1299,13 +1177,12 @@ class RentOrBuyManager(EdgeCounterManager):
         )
         replicate_at = (
             self.object_size if replicate_threshold is None
-            else int(replicate_threshold)
+            else _count_parameter("replicate_threshold", replicate_threshold)
         )
         migrate_at = (
-            replicate_at if migrate_threshold is None else int(migrate_threshold)
+            replicate_at if migrate_threshold is None
+            else _count_parameter("migrate_threshold", migrate_threshold)
         )
-        if replicate_at < 1 or migrate_at < 1:
-            raise WorkloadError("adaptation thresholds must be at least 1")
         self.replicate_threshold = replicate_at
         self.migrate_threshold = migrate_at
         self._replicate_threshold = replicate_at

@@ -42,7 +42,10 @@ limit with a structured ``{"type": "error", "code": "overloaded",
 :meth:`PlacementServer.request_drain`) stops accepting new sessions and
 lets active ones finish; an optional ``watchdog`` deadline bounds each
 engine pass so a stalled engine task turns into a structured error
-instead of a silent hang.
+instead of a silent hang.  A stop (``max_sessions`` reached or
+:meth:`PlacementServer.request_stop`) closes the connections of sessions
+still open, which end like lost connections: ``aborted`` journal
+footer, resumable token.
 """
 
 from __future__ import annotations
@@ -143,7 +146,10 @@ class PlacementServer:
         self._counter = 0
         self._active = 0
         self._draining = False
+        self._stopping = False
         self._done: Optional[asyncio.Event] = None
+        #: connection handler task -> its writer, while the handler runs
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------ #
     def _done_event(self) -> asyncio.Event:
@@ -203,6 +209,8 @@ class PlacementServer:
         """One connection, one session (asyncio.start_server callback)."""
         state: Dict[str, object] = {"session": None}
         accepted = False
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             fault = faults.fault_point("server.accept")
             if fault is not None:
@@ -278,8 +286,9 @@ class PlacementServer:
         except ConnectionError:
             session = state["session"]
             if session is not None:
-                session.abort("connection lost")
+                session.abort("server stopped" if self._stopping else "connection lost")
         finally:
+            self._connections.pop(task, None)
             if accepted:
                 self._active -= 1
                 if self._draining and self._active == 0:
@@ -464,7 +473,10 @@ class PlacementServer:
                 if replies:
                     await writer.drain()
             if eof and not state["batcher"].finished:
-                state["session"].abort("client disconnected before end")
+                state["session"].abort(
+                    "server stopped" if self._stopping
+                    else "client disconnected before end"
+                )
             if state["batcher"].finished:
                 self._count_completed()
         finally:
@@ -473,6 +485,24 @@ class PlacementServer:
                 await reader_task
             except asyncio.CancelledError:
                 pass
+
+    async def _end_open_sessions(self) -> None:
+        """End every session whose client is still connected at stop.
+
+        Each ends the way a lost connection ends: its connection is
+        closed, its handler reads EOF and writes the ``aborted`` footer
+        (``heal_journal`` drops it, so the token resumes), then returns.
+        Waiting for the handlers leaves the loop teardown no handler task
+        to cancel (Python 3.11 and 3.12 log a cancelled one as an
+        unhandled exception) and no open connection (which
+        ``Server.wait_closed`` waits for from 3.12.1 on).
+        """
+        self._stopping = True
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
 
     # ------------------------------------------------------------------ #
     async def serve(
@@ -502,6 +532,8 @@ class PlacementServer:
         try:
             async with server:
                 await self.wait_done()
+                server.close()  # accept nothing while the open sessions end
+                await self._end_open_sessions()
         finally:
             if sigterm_installed:
                 loop.remove_signal_handler(signal.SIGTERM)

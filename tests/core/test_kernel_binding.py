@@ -8,6 +8,10 @@ ctypes passes without looking at them.  So:
   before any C code runs, leaving every input untouched;
 * the fused pair charge range-checks its node ids and raises the same
   exception under both backends, with the loads untouched;
+* the adaptive counter scan checks every CSR entry, object id,
+  processor id and first-touch row before it writes a counter, raising
+  the same exception under both backends, and under cc the batched
+  replay runs the compiled scan, never its Python twin;
 * the bound ``argtypes``/``restype`` of every exported C function match
   its prototype in ``kernels._C_SOURCE`` position by position, since
   ctypes no longer notices a pointer swapped with a scalar;
@@ -23,8 +27,13 @@ import pytest
 
 from repro.core import kernels
 from repro.core.loadstate import LoadState
-from repro.errors import InvalidNodeError
+from repro.dynamic.adaptive_state import AdaptiveState
+from repro.dynamic.online import EdgeCounterManager
+from repro.dynamic.sequence import sequence_from_pattern
+from repro.errors import InvalidNodeError, WorkloadError
 from repro.network.builders import balanced_tree
+from repro.sim.engine import SimulationEngine
+from repro.workload.generators import zipf_pattern
 
 HAVE_CC = "cc" in kernels.available_backends()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -50,6 +59,15 @@ def _inputs():
     loads2 = np.arange(2 * width, dtype=np.float64).reshape(2, width)
     mask = pm._bus_mask
     edge_u, edge_v = pm._edge_u, pm._edge_v
+    adaptive = AdaptiveState(3, n)
+    adaptive.materialise(0, 3)
+    chunk_objs = np.array([0, 1, 0, 0, 2], dtype=np.int64)
+    chunk = (
+        np.array([4, 3, 5, 4, 6], dtype=np.int64),
+        np.array([False, True, False, True, False]),
+        chunk_objs,
+        np.argsort(chunk_objs, kind="stable"),
+    )
     return {
         "lca": (kernels.lca, (pm._up, pm._depth, u.copy(), v.copy())),
         "scatter_paths": (
@@ -90,6 +108,21 @@ def _inputs():
             kernels.charge_pairs,
             (state._pair_substrate(), u, v, w, 0.0, True, np.zeros(n_edges)),
         ),
+        "adaptive_scan": (
+            kernels.adaptive_scan,
+            (
+                adaptive.holder_mask,
+                adaptive.read_credit,
+                adaptive.unread_writes,
+                adaptive.n_holders,
+                pm._up,
+                pm._depth,
+                *chunk,
+                2,
+                2,
+                2,
+            ),
+        ),
     }
 
 
@@ -120,6 +153,7 @@ _BAD_ARGS = {
     "rescan": (1, 0, 1),
     "rescan_rows": (1, 2, 2),
     "charge_pairs": (1, 3, 6),
+    "adaptive_scan": (9, 0, 1),
 }
 
 
@@ -175,6 +209,79 @@ def test_charge_pairs_rejects_a_node_outside_the_network(backend, bad):
         assert len(state._journal) == 0
         state.commit(snap)
         assert (state._loads.tobytes(), state.congestion, state._stale) == before
+
+
+def _scan_args(**spoil):
+    """Valid adaptive-scan arguments (``_inputs``), with chunk columns or
+    state arrays replaced by keyword."""
+    names = ("holder_mask", "read_credit", "unread_writes", "n_holders", "up",
+             "depth", "procs", "writes", "objs", "order")
+    args = list(_inputs()["adaptive_scan"][1])
+    for name, value in spoil.items():
+        args[names.index(name)] = np.asarray(value, dtype=args[names.index(name)].dtype)
+    return args
+
+
+#: a bad CSR entry -> (error, the index of the entry the message names)
+_BAD_SCAN_ENTRIES = {
+    "order-range": (dict(order=[0, 2, 3, 1, 5]), WorkloadError, "order\\[4\\] = 5"),
+    "unstable": (dict(order=[2, 0, 3, 1, 4]), WorkloadError, "order\\[1\\] = 0"),
+    "object": (dict(objs=[0, 1, 0, 0, 3]), WorkloadError, "object 3"),
+    "processor": (dict(procs=[4, 3, 5, 4, 7]), InvalidNodeError, "node 7"),
+    "empty-row": (dict(n_holders=[1, 0, 2]), WorkloadError, "object 2 counts 2"),
+}
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("case", sorted(_BAD_SCAN_ENTRIES))
+def test_adaptive_scan_checks_every_entry_before_writing(backend, case):
+    spoil, error, match = _BAD_SCAN_ENTRIES[case]
+    args = _scan_args(**spoil)
+    before = _snapshot(args)
+    with kernels.use_backend(backend):
+        with pytest.raises(error, match=match):
+            kernels.adaptive_scan(*args)
+    assert _snapshot(args) == before
+
+
+def _adaptive_run():
+    net = balanced_tree(2, 3, 2)
+    seq = sequence_from_pattern(
+        net, zipf_pattern(net, 6, requests_per_processor=12, seed=3), seed=4
+    )
+    return SimulationEngine(
+        EdgeCounterManager(net, seq.n_objects, object_size=2), chunk_size=16
+    ).run(seq)
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("the other backend's counter scan ran")
+
+
+@needs_cc
+def test_cc_batched_replay_never_runs_the_python_scan(monkeypatch):
+    with kernels.use_backend("numpy"):
+        reference = _adaptive_run()
+    monkeypatch.setattr(kernels, "_replay_positions", _raise)
+    with kernels.use_backend("cc"):
+        result = _adaptive_run()
+    assert result.served == reference.served > 0
+    assert np.array_equal(result.account.edge_loads, reference.account.edge_loads)
+
+
+@needs_cc
+def test_numpy_batched_replay_never_calls_the_compiled_scan(monkeypatch):
+    monkeypatch.setitem(kernels._backend("cc")[0], "adaptive_scan", _raise)
+    scanned = []
+    twin = kernels._replay_positions
+    monkeypatch.setattr(
+        kernels,
+        "_replay_positions",
+        lambda *args: scanned.append(args[0]) or twin(*args),
+    )
+    with kernels.use_backend("numpy"):
+        result = _adaptive_run()
+    assert scanned and result.served > 0
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,13 @@ import pytest
 from repro.core.congestion import compute_loads
 from repro.core.extended_nibble import extended_nibble
 from repro.core.placement import Placement
-from repro.dynamic.online import EdgeCounterManager, OnlineCostAccount, StaticPlacementManager
+from repro.dynamic.online import (
+    EdgeCounterManager,
+    HysteresisCounterManager,
+    OnlineCostAccount,
+    RentOrBuyManager,
+    StaticPlacementManager,
+)
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.errors import PlacementError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus, star_of_buses
@@ -144,6 +150,33 @@ class TestEdgeCounterManager:
             EdgeCounterManager(
                 net, 2, initial_placement=Placement.single_holder([net.processors[0]])
             )
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", 0])
+    @pytest.mark.parametrize(
+        "strategy, parameter",
+        [
+            (EdgeCounterManager, "object_size"),
+            (EdgeCounterManager, "invalidation_patience"),
+            (HysteresisCounterManager, "migration_factor"),
+            (RentOrBuyManager, "replicate_threshold"),
+            (RentOrBuyManager, "migrate_threshold"),
+        ],
+    )
+    def test_count_parameters_are_never_truncated(self, strategy, parameter, bad):
+        net = single_bus(3)
+        with pytest.raises(WorkloadError, match=parameter):
+            strategy(net, 1, **{parameter: bad})
+        for good in (3, np.int64(3), 3.0):
+            manager = strategy(net, 1, **{parameter: good})
+            value = getattr(manager, parameter)
+            assert value == 3 and type(value) is int
+
+    def test_thresholds_follow_the_validated_parameters(self):
+        net = single_bus(3)
+        hysteresis = HysteresisCounterManager(net, 1, object_size=2.0, migration_factor=3)
+        assert hysteresis._migrate_threshold == 6
+        rent = RentOrBuyManager(net, 1, replicate_threshold=np.int32(2))
+        assert (rent._replicate_threshold, rent._migrate_threshold) == (2, 2)
 
     def test_initial_placement_respected(self):
         net = single_bus(3)

@@ -22,7 +22,10 @@ and closes with substrate-level end-to-end checks (PathMatrix batch ops
 and LoadState replay under every backend vs the numpy backend).  The
 fused pair charge is checked on a LoadState (with its journal and
 rollback) and on a LaneState row, against its twin and against the
-unfused composition it replaced.
+unfused composition it replaced.  The adaptive counter scan is checked
+call by call inside real adaptive replays: every call runs the twin on a
+copy of the state and must return the same records and changed objects
+and leave the same counters, holder masks and holder counts.
 
 The seed matrix is extendable via the ``REPRO_KERNEL_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed
@@ -36,10 +39,13 @@ import pytest
 
 from repro.core import kernels
 from repro.core.loadstate import LoadState, StackedLoadState
-from repro.dynamic.online import StaticPlacementManager
-from repro.dynamic.sequence import RequestSequence, sequence_from_pattern
+from repro.dynamic.online import EdgeCounterManager, RentOrBuyManager, StaticPlacementManager
+from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.network.builders import balanced_tree, random_tree
-from repro.workload.generators import random_sparse_pattern
+from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
+from repro.sim.engine import SimulationEngine
+from repro.workload.generators import random_sparse_pattern, zipf_pattern
+from tests.properties.test_fleet_parity import _adaptive_only_factories, _crossing_sequence
 
 DEFAULT_SEEDS = (0, 1, 2, 3)
 
@@ -490,3 +496,182 @@ class TestSubstrateEndToEnd:
                 outputs[name] = (stacked._loads.copy(), stacked.congestions)
         assert np.array_equal(outputs["numpy"][0], outputs[backend][0])
         assert np.array_equal(outputs["numpy"][1], outputs[backend][1])
+
+
+# --------------------------------------------------------------------- #
+# the adaptive counter scan (phase 1 of the batched adaptive replay)
+# --------------------------------------------------------------------- #
+def _twin_checked_scans(monkeypatch, backend):
+    """Route every ``kernels.adaptive_scan`` call through both backends.
+
+    The numpy twin runs on copies of the state arrays, ``backend`` on the
+    live ones; records, changed objects and the final counters, holder
+    masks and holder counts must be equal.  Returns the list of the
+    calls' records, so a test can check that the op ran at all.
+    """
+    op = kernels.adaptive_scan
+    calls = []
+
+    def checked(*args):
+        state = args[:4]
+        copies = [a.copy() for a in state]
+        with kernels.use_backend("numpy"):
+            expected = op(*copies, *args[4:])
+        with kernels.use_backend(backend):
+            got = op(*args)
+        assert got == expected
+        for live, copy in zip(state, copies):
+            assert live.dtype == copy.dtype and live.tobytes() == copy.tobytes()
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(kernels, "adaptive_scan", checked)
+    return calls
+
+
+def _scan_once(backend, manager, events, monkeypatch):
+    """Serve ``events`` as one chunk through ``manager``, twin-checked;
+    returns the scan's ``(runs, mgmt_direct, mgmt_rep, changed)``."""
+    calls = _twin_checked_scans(monkeypatch, backend)
+    seq = RequestSequence(events, manager.n_objects)
+    manager.serve_chunk(seq, 0, len(seq))
+    (records,) = calls
+    return records
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+class TestAdaptiveScan:
+    """``kernels.adaptive_scan`` (one C call per chunk) equals its numpy
+    twin, the Python counter scan, call by call."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk_size", [2, 7, 32, None])
+    def test_seed_matrix(self, backend, seed, chunk_size, monkeypatch):
+        net = balanced_tree(2, 3, 2)
+        pattern = zipf_pattern(net, 12, requests_per_processor=10, seed=seed)
+        seq = sequence_from_pattern(net, pattern, seed=seed + 1)
+        calls = _twin_checked_scans(monkeypatch, backend)
+        factories = _adaptive_only_factories(net, seq.n_objects)
+        for factory in factories:
+            SimulationEngine(factory(), chunk_size=chunk_size).run(seq)
+        SimulationEngine.run_fleet(
+            [factory() for factory in factories], seq, chunk_size=chunk_size
+        )
+        assert calls and any(runs for runs, *_ in calls)
+
+    @pytest.mark.parametrize("chunk_size", tuple(range(1, 14)))
+    def test_crossing_sequence(self, backend, chunk_size, monkeypatch):
+        net = balanced_tree(2, 2, 2)
+        seq = _crossing_sequence(net)
+        calls = _twin_checked_scans(monkeypatch, backend)
+        for factory in _adaptive_only_factories(net, seq.n_objects):
+            SimulationEngine(factory(), chunk_size=chunk_size).run(seq)
+        assert bool(calls) == (chunk_size > 1)
+
+    def test_after_grow_and_detach_rehome(self, backend, monkeypatch):
+        net = balanced_tree(2, 2, 2)
+        manager = EdgeCounterManager(net, 2, object_size=2)
+        procs = list(net.processors)
+        lone = procs[-1]
+        _scan_once(backend, manager, [RequestEvent(lone, 0, "read"),
+                                      RequestEvent(procs[0], 1, "write"),
+                                      RequestEvent(procs[1], 1, "read")],
+                   monkeypatch)
+        outcome = apply_mutation(manager.network, AttachLeaf(bus=net.buses[-1]))
+        manager.apply_mutation(outcome)
+        fresh = outcome.network.n_nodes - 1
+        assert manager._adaptive.n_nodes == outcome.network.n_nodes
+        runs, direct, rep, changed = _scan_once(
+            backend, manager,
+            [RequestEvent(fresh, 1, "read"), RequestEvent(fresh, 1, "read"),
+             RequestEvent(fresh, 0, "write"), RequestEvent(fresh, 0, "write")],
+            monkeypatch,
+        )
+        assert rep and direct and changed == [0, 1]
+        # object 0 now lives on the fresh leaf alone: detaching it strands
+        # the copy, which the repair re-homes onto the nearest survivor
+        outcome = apply_mutation(manager.network, DetachLeaf(processor=fresh))
+        manager.apply_mutation(outcome)
+        (home,) = manager.holders(0)
+        runs, *_ = _scan_once(
+            backend, manager,
+            [RequestEvent(procs[0], 0, "write"), RequestEvent(home, 0, "read"),
+             RequestEvent(procs[1], 1, "write")],
+            monkeypatch,
+        )
+        assert runs[0][:2] == (0, (home,))
+
+    def test_equidistant_writer_picks_the_smallest_holder(self, backend, monkeypatch):
+        net = balanced_tree(2, 2, 2)
+        rooted = net.rooted()
+        procs = sorted(net.processors)
+        writer, a, b = next(
+            (w, a, b) for w in procs for a in procs for b in procs
+            if len({w, a, b}) == 3 and a < b
+            and rooted.distance(w, a) == rooted.distance(w, b)
+        )
+        manager = EdgeCounterManager(net, 1, object_size=4, invalidation_patience=2)
+        adaptive = manager._adaptive
+        adaptive.materialise(0, a)
+        adaptive.add_holder(0, b)
+        runs, direct, rep, changed = _scan_once(
+            backend, manager,
+            [RequestEvent(writer, 0, "write"), RequestEvent(writer, 0, "write")],
+            monkeypatch,
+        )
+        # the tie goes to a, so b ages out on the second write
+        assert runs[0] == (0, (a, b), 0, 2, 2) and changed == [0]
+        assert manager.holders(0) == {a}
+
+    def test_mid_chunk_first_touch(self, backend, monkeypatch):
+        net = balanced_tree(2, 2, 2)
+        p, q, r = net.processors[:3]
+        manager = EdgeCounterManager(net, 3, object_size=2)
+        runs, direct, rep, changed = _scan_once(
+            backend, manager,
+            [RequestEvent(p, 0, "read"), RequestEvent(q, 0, "read"),
+             RequestEvent(q, 0, "read"), RequestEvent(r, 2, "write"),
+             RequestEvent(p, 2, "read"), RequestEvent(p, 2, "read")],
+            monkeypatch,
+        )
+        assert changed == [0, 2]
+        assert manager.holders(0) == {p, q} and manager.holders(2) == {p, r}
+        assert manager.holders(1) == set()
+
+    def test_threshold_beyond_int64_never_trips(self, backend, monkeypatch):
+        net = balanced_tree(2, 2, 2)
+        manager = RentOrBuyManager(
+            net, 1, replicate_threshold=2**70, migrate_threshold=2**70
+        )
+        procs = net.processors
+        events = [RequestEvent(procs[0], 0, "read")] + [
+            RequestEvent(procs[1 + k % 3], 0, "write" if k % 2 else "read")
+            for k in range(60)
+        ]
+        runs, direct, rep, changed = _scan_once(backend, manager, events, monkeypatch)
+        assert runs == [(0, (procs[0],), 0, 61, 30)]
+        assert direct == rep == [] and changed == [0]
+        assert manager._adaptive.read_credit[0, procs[1:4]].sum() == 60
+
+    def test_worst_case_chunk_has_no_output_cap(self, backend, monkeypatch):
+        """Every read replicates and every write invalidates: the records
+        grow quadratically with the chunk and must neither truncate nor
+        fail."""
+        net = balanced_tree(3, 3, 4)
+        procs = list(net.processors)
+        manager = RentOrBuyManager(
+            net, 1, invalidation_patience=1, replicate_threshold=1,
+            migrate_threshold=1,
+        )
+        events = []
+        for k in range(8):
+            events += [RequestEvent(p, 0, "read") for p in procs]
+            events.append(RequestEvent(procs[k], 0, "write"))
+        runs, direct, rep, changed = _scan_once(backend, manager, events, monkeypatch)
+        n_reads = 8 * len(procs)
+        # every read by a non-holder replicates and every write leaves one
+        # copy, each ending a run (the chunk ends on a write)
+        assert len(rep) == 8 * (len(procs) - 1)
+        assert len(runs) == len(rep) + 8
+        assert sum(len(holders) for _o, holders, *_ in runs) > n_reads * 8
+        assert manager.holders(0) == {procs[7]}

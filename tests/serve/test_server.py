@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,10 @@ from repro.errors import SimulationError
 from repro.serve import PlacementServer, ServerThread, replay_recording
 from repro.serve.loadgen import loadgen, workload_from_spec
 from repro.serve.recorder import load_recording
+from repro.serve.wire import encode_message
 from repro.sim.scenario import scenario_spec
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +138,45 @@ class TestServerEdges:
         assert recording.aborted is not None
         assert len(recording.events) == 1
 
+    def test_stop_with_an_open_session_aborts_it_resumably(self, tmp_path):
+        # a child process, so the check sees exactly what reaches stderr
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, __file__, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "Traceback" not in child.stderr, child.stderr
+        assert "Exception in callback" not in child.stderr, child.stderr
+        token = json.loads(child.stdout)["token"]
+        journal = tmp_path / f"{token}.jsonl"
+        assert json.loads(journal.read_text().splitlines()[-1]) == {
+            "aborted": "server stopped"
+        }
+
+        async def resume(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            await reader.readline()  # session hello
+            writer.write(encode_message({"type": "resume", "token": token}))
+            writer.write(encode_message({"type": "end", "id": 3}))
+            await writer.drain()
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10))
+                for _ in range(2)
+            ]
+            writer.close()
+            return replies
+
+        server = PlacementServer(scenario_spec("zipf", seed=0, small=True),
+                                 record_dir=tmp_path)
+        with ServerThread(server) as (host, port):
+            resumed, end = asyncio.run(resume(host, port))
+        assert resumed["type"] == "resumed" and resumed["position"] == 10
+        assert end["type"] == "end" and end["summary"]["n_events"] == 10
+
     def test_loadgen_surfaces_server_errors(self, spec):
         events = [type(e)(processor=10_000, obj=e.obj, kind=e.kind)
                   for e in workload_from_spec(spec)[0][:1]]
@@ -181,3 +227,33 @@ class TestServerEdges:
         items = [json.loads(line) for line in path.read_text().splitlines()]
         assert "aborted" in items[-1]
         assert sum("events" in item for item in items) == 1
+
+
+def _stop_with_an_open_session(record_dir):
+    """Open a journaled session, serve and flush 10 events, then stop the
+    server while the client is still connected; prints the token."""
+    spec = scenario_spec("zipf", seed=0, small=True)
+    events = workload_from_spec(spec)[0][:10]
+    rows = [[e.processor, e.obj, "w" if e.is_write else "r"] for e in events]
+    thread = ServerThread(PlacementServer(spec, record_dir=record_dir))
+    host, port = thread.start()
+
+    async def drive():
+        reader, writer = await asyncio.open_connection(host, port)
+        hello = json.loads(await reader.readline())
+        writer.write(encode_message({"type": "requests", "id": 1, "events": rows}))
+        writer.write(encode_message({"type": "flush", "id": 2}))
+        await writer.drain()
+        ack = json.loads(await reader.readline())
+        assert ack["position"] == 10, ack
+        return hello["token"], writer
+
+    loop = asyncio.new_event_loop()
+    token, _writer = loop.run_until_complete(drive())
+    thread.stop()
+    assert not thread._thread.is_alive(), "stop() timed out"
+    print(json.dumps({"token": token}))
+
+
+if __name__ == "__main__":
+    _stop_with_an_open_session(Path(sys.argv[1]))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.sim.scenario import (
     SCENARIO_FAMILIES,
     ScenarioSpec,
@@ -137,6 +137,18 @@ class TestBuildAndRun:
         assert record["strategy"] == "first-touch"
         # never adapting means no management traffic at all
         assert record["management_load"] == 0
+
+
+    def test_fractional_strategy_parameter_is_rejected(self):
+        spec = scenario_spec("zipf", seed=0, small=True)
+        spec = ScenarioSpec.from_dict(
+            {
+                **spec.to_dict(),
+                "strategies": [{"kind": "edge-counter", "args": {"object_size": 2.5}}],
+            }
+        )
+        with pytest.raises(WorkloadError, match="object_size"):
+            run_scenario(spec)
 
 
 class TestFleetAndParallel:

@@ -22,8 +22,8 @@ on every run (the differential suite in
 The **adaptive-fleet** group does the same for 8 differently-tuned
 :class:`~repro.dynamic.online.EdgeCounterManager` lanes: the batched
 group path (shared chunk decode and nearest-table build, per-lane
-two-phase counter replay) against the pre-batching scalar event loop,
-gated at **3x** on the largest scenario and recorded into
+two-phase counter replay) against the pre-batching scalar event loop
+(``tests/scalar_oracle.py``), gated at **3x** on the largest scenario and recorded into
 ``BENCH_history.json`` as ``pr9-adaptive-fleet``.
 """
 
@@ -46,6 +46,7 @@ from repro.dynamic.sequence import sequence_from_pattern
 from repro.network.builders import balanced_tree
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import zipf_pattern
+from tests.scalar_oracle import serve_events
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -236,8 +237,7 @@ def adaptive_managers(name):
 def lane_by_lane_replay(managers, seq):
     """The pre-batching path: the scalar event loop, one lane at a time."""
     for manager in managers:
-        for event in seq.events:
-            manager.serve(event)
+        serve_events(manager, seq.events)
     return managers
 
 

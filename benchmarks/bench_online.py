@@ -7,13 +7,15 @@ engine; this benchmark measures the three replay modes against each other
 on the streaming read pattern (congestion sampled after every event):
 
 * **event/reference** -- the retained pre-refactor scalar account
-  (``_ReferenceOnlineCostAccount``): Python loops per path, full edge/bus
+  (``ReferenceOnlineCostAccount``): Python loops per path, full edge/bus
   rescans per congestion read;
 * **event/incremental** -- the same event loop on the incremental engine
-  (O(path) scatter per charge, lazily-repaired running max per read);
+  (one fused pair charge per request, lazily-repaired running max per
+  read);
 * **batch** -- whole-sequence chunks through the path-incidence operator
   (exact for the non-adapting static reference).
 
+Both event modes run the scalar serve loop of ``tests/scalar_oracle.py``.
 All three modes produce bit-for-bit identical loads; the property tests in
 ``tests/properties/test_loadstate_properties.py`` assert that, and the
 assertions here double-check it on the benchmark scenarios.  The speedup
@@ -32,11 +34,12 @@ import pytest
 
 from repro.core.extended_nibble import extended_nibble
 from repro.dynamic.evaluate import empirical_competitive_ratio, evaluate_strategies
-from repro.dynamic.online import StaticPlacementManager, _ReferenceOnlineCostAccount
+from repro.dynamic.online import StaticPlacementManager
 from repro.dynamic.sequence import phase_change_sequence, sequence_from_pattern
 from repro.network.builders import balanced_tree
 from repro.workload.generators import uniform_pattern, zipf_pattern
 from repro.workload.traces import producer_consumer_trace
+from tests.scalar_oracle import ReferenceOnlineCostAccount, serve
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -66,7 +69,7 @@ def stream_replay(net, placement, seq, account=None):
     """Event-by-event replay sampling the congestion after every event."""
     manager = StaticPlacementManager(net, placement, account=account)
     for event in seq:
-        manager.serve(event)
+        serve(manager, event)
         _ = manager.account.congestion
     return manager.account
 
@@ -88,7 +91,7 @@ def test_replay_event_reference_small(benchmark):
     account = benchmark.pedantic(
         stream_replay,
         args=(net, placement, seq),
-        kwargs={"account": _ReferenceOnlineCostAccount(net)},
+        kwargs={"account": ReferenceOnlineCostAccount(net)},
         rounds=3,
         iterations=1,
     )
@@ -102,7 +105,7 @@ def test_replay_event_incremental_small(benchmark):
         stream_replay, args=(net, placement, seq), rounds=3, iterations=1
     )
     reference = stream_replay(
-        net, placement, seq, account=_ReferenceOnlineCostAccount(net)
+        net, placement, seq, account=ReferenceOnlineCostAccount(net)
     )
     assert np.array_equal(account.edge_loads, reference.edge_loads)
     assert account.congestion == reference.congestion
@@ -161,7 +164,7 @@ def test_incremental_speedup_over_event_loop():
     for _ in range(repeats):
         t0 = time.perf_counter()
         reference = stream_replay(
-            net, placement, seq, account=_ReferenceOnlineCostAccount(net)
+            net, placement, seq, account=ReferenceOnlineCostAccount(net)
         )
         t1 = time.perf_counter()
         incremental = stream_replay(net, placement, seq)

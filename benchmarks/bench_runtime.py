@@ -19,10 +19,11 @@ from repro.analysis.scaling import (
     sweep_objects,
 )
 from repro.core.baselines import random_placement
-from repro.core.congestion import _reference_compute_loads, compute_loads
+from repro.core.congestion import compute_loads
 from repro.core.extended_nibble import extended_nibble
 from repro.network.builders import balanced_tree, path_of_buses, single_bus
 from repro.workload.generators import uniform_pattern
+from tests.scalar_oracle import reference_compute_loads
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
@@ -72,14 +73,14 @@ def test_e6_vectorized_congestion_speedup(benchmark):
     net.rooted().path_matrix()  # warm the cached incidence structure
 
     vec = benchmark(compute_loads, net, pattern, placement, validate=False)
-    ref = _reference_compute_loads(net, pattern, placement, validate=False)
+    ref = reference_compute_loads(net, pattern, placement, validate=False)
     assert np.array_equal(vec.edge_loads, ref.edge_loads)
 
     reps = 3 if QUICK else 7
     ref_times = []
     for _ in range(reps):
         start = time.perf_counter()
-        _reference_compute_loads(net, pattern, placement, validate=False)
+        reference_compute_loads(net, pattern, placement, validate=False)
         ref_times.append(time.perf_counter() - start)
     ref_median = float(np.median(ref_times))
     vec_median = float(benchmark.stats.stats.median)

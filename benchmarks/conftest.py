@@ -12,14 +12,6 @@ reproduces the rows recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 import random
-import sys
-from pathlib import Path
-
-# Bare-checkout bootstrap (kept in sync with tests/conftest.py): make
-# ``import repro`` work without an installed package or PYTHONPATH=src.
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
 
 import numpy as np
 import pytest

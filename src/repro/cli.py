@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
@@ -1041,11 +1042,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
-    """CLI entry point; returns the process exit code."""
-    stream = stream if stream is not None else sys.stdout
+    """CLI entry point; returns the process exit code.
+
+    Writing to the real stdout, a reader that closes the pipe early
+    (``repro simulate --list | head -1``) ends the command with exit code
+    1 and no traceback, as CPython's documented SIGPIPE recipe does.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, stream)
+    if stream is not None:
+        return args.func(args, stream)
+    try:
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,9 +31,8 @@ membership vector of ``P_x`` (an edge is in the Steiner tree iff the
 terminal count strictly below it is neither zero nor ``|P_x|``).  Batches of
 placements are extra columns of ``δ``, so evaluating many candidates costs
 one sparse scatter instead of nested Python loops.  The original scalar
-implementations are kept as :func:`_reference_compute_loads` /
-:func:`_reference_object_edge_loads`; the property tests assert exact
-agreement between the two code paths.
+implementations are kept in ``tests/scalar_oracle.py``; the property
+tests assert exact agreement between the two code paths.
 """
 
 from __future__ import annotations
@@ -122,17 +121,6 @@ class LoadProfile:
     def bus_load(self, bus: int) -> float:
         """Load of bus ``bus``."""
         return float(self.bus_loads[bus])
-
-
-def _bus_loads_from_edges(
-    network: HierarchicalBusNetwork, edge_loads: np.ndarray
-) -> np.ndarray:
-    """Derive bus loads: half the sum of incident edge loads, per bus."""
-    bus_loads = np.zeros(network.n_nodes, dtype=np.float64)
-    for bus in network.buses:
-        incident = network.incident_edge_ids(bus)
-        bus_loads[bus] = edge_loads[list(incident)].sum() / 2.0
-    return bus_loads
 
 
 # --------------------------------------------------------------------------- #
@@ -227,70 +215,6 @@ def _steiner_sets_and_weights(
             sets.append(holders)
             weights.append(kappa)
     return sets, weights
-
-
-# --------------------------------------------------------------------------- #
-# reference (scalar) implementations
-# --------------------------------------------------------------------------- #
-def _reference_object_edge_loads(
-    network: HierarchicalBusNetwork,
-    pattern: AccessPattern,
-    placement: Placement,
-    obj: int,
-    assignment: Optional[RequestAssignment] = None,
-    rooted: Optional[RootedTree] = None,
-) -> np.ndarray:
-    """Scalar per-object edge loads (pre-vectorization implementation).
-
-    Kept verbatim as the ground truth for the property tests; the public
-    :func:`object_edge_loads` must agree with it exactly.
-    """
-    if rooted is None:
-        rooted = network.rooted()
-    if assignment is None:
-        assignment = RequestAssignment.nearest_copy(network, pattern, placement)
-    loads = np.zeros(network.n_edges, dtype=np.float64)
-    holders = placement.holders(obj)
-    # request -> reference copy traffic
-    for proc in pattern.requesters(obj):
-        for share in assignment.shares(proc, obj):
-            count = share.total
-            if count == 0:
-                continue
-            for eid in rooted.path_edge_ids(proc, share.holder):
-                loads[eid] += count
-    # write broadcast over the Steiner tree of the holder set
-    kappa = pattern.write_contention(obj)
-    if kappa > 0 and len(holders) > 1:
-        for eid in rooted.steiner_edge_ids(holders):
-            loads[eid] += kappa
-    return loads
-
-
-def _reference_compute_loads(
-    network: HierarchicalBusNetwork,
-    pattern: AccessPattern,
-    placement: Placement,
-    assignment: Optional[RequestAssignment] = None,
-    validate: bool = True,
-) -> LoadProfile:
-    """Scalar whole-placement evaluation (pre-vectorization implementation)."""
-    if validate:
-        placement.validate_for(network, pattern)
-        pattern.validate_for(network)
-    if assignment is None:
-        assignment = RequestAssignment.nearest_copy(network, pattern, placement)
-    elif validate:
-        assignment.validate_for(network, pattern, placement)
-
-    rooted = network.rooted()
-    edge_loads = np.zeros(network.n_edges, dtype=np.float64)
-    for obj in range(pattern.n_objects):
-        edge_loads += _reference_object_edge_loads(
-            network, pattern, placement, obj, assignment=assignment, rooted=rooted
-        )
-    bus_loads = _bus_loads_from_edges(network, edge_loads)
-    return LoadProfile(network=network, edge_loads=edge_loads, bus_loads=bus_loads)
 
 
 # --------------------------------------------------------------------------- #

@@ -143,9 +143,8 @@ def aggregate_pairs(procs: np.ndarray, objs: np.ndarray):
     comparison.  The speedup here is algorithmic, so this operation is
     deliberately **not** backend-dispatched: chunk aggregation behaves
     identically under every ``REPRO_BACKEND``.  The pre-encoding
-    implementation is retained as
-    ``StaticPlacementManager._reference_aggregate_chunk`` and pinned by a
-    differential test.
+    implementation is retained in ``tests/scalar_oracle.py`` and pinned by
+    a differential test.
     """
     procs = np.asarray(procs, dtype=np.int64)
     objs = np.asarray(objs, dtype=np.int64)
@@ -335,10 +334,10 @@ def _nearest_holder(up, depth, p: int, holders: List[int]) -> int:
 
 def _replay_positions(obj, lo, hi, order, procs, writes, holder_mask,
                       read_credit, unread_writes, n_holders, nearest,
-                      thresholds, runs, mgmt_direct, mgmt_rep) -> bool:
+                      thresholds, runs, mgmt_direct, mgmt_rep) -> None:
     """Phase 1 of the batched replay for one object: advance its counters
     over its chunk positions ``order[lo:hi]``, applying every adaptation
-    decision; returns whether its holder set changed.
+    decision.
 
     Adaptation is a pure function of the per-object counters -- never
     of the accumulated loads -- so one object's whole decision cascade
@@ -462,7 +461,6 @@ def _replay_positions(obj, lo, hi, order, procs, writes, holder_mask,
         row[:] = False
         row[holders] = True
         n_holders[obj] = len(holders)
-    return changed
 
 
 def _reference_adaptive_scan(holder_mask, read_credit, unread_writes,
@@ -474,9 +472,8 @@ def _reference_adaptive_scan(holder_mask, read_credit, unread_writes,
     runs: List[tuple] = []
     mgmt_direct: List[tuple] = []
     mgmt_rep: List[tuple] = []
-    changed: List[int] = []
     if not order.size:
-        return runs, mgmt_direct, mgmt_rep, changed
+        return runs, mgmt_direct, mgmt_rep
     sorted_objs = objs[order]
     bounds = np.flatnonzero(sorted_objs[1:] != sorted_objs[:-1]) + 1
     bounds = [0, *bounds.tolist(), order.size]
@@ -487,13 +484,11 @@ def _reference_adaptive_scan(holder_mask, read_credit, unread_writes,
         return _nearest_holder(up, depth, p, holders)
 
     for lo, hi in zip(bounds, bounds[1:]):
-        obj = int(sorted_objs[lo])
-        if _replay_positions(obj, lo, hi, order_l, procs_l, writes_l,
-                             holder_mask, read_credit, unread_writes,
-                             n_holders, nearest, thresholds, runs,
-                             mgmt_direct, mgmt_rep):
-            changed.append(obj)
-    return runs, mgmt_direct, mgmt_rep, changed
+        _replay_positions(int(sorted_objs[lo]), lo, hi, order_l, procs_l,
+                          writes_l, holder_mask, read_credit, unread_writes,
+                          n_holders, nearest, thresholds, runs, mgmt_direct,
+                          mgmt_rep)
+    return runs, mgmt_direct, mgmt_rep
 
 
 _NUMPY_OPS: Dict[str, Callable] = {
@@ -945,7 +940,7 @@ typedef struct {
 } repro_buf;
 
 /* The scan's output buffers, in the order of its result block. */
-enum { SCAN_RUNS, SCAN_DIRECT, SCAN_REP, SCAN_CHANGED, SCAN_POOL, SCAN_BUFS };
+enum { SCAN_RUNS, SCAN_DIRECT, SCAN_REP, SCAN_POOL, SCAN_BUFS };
 
 static int repro_buf_reserve(repro_buf *b, int64_t extra)
 {
@@ -1053,12 +1048,12 @@ static int64_t repro_nearest_holder(const int32_t *up, int64_t levels,
  * anything is written: a failing entry returns its index t >= 0 with the
  * state untouched.  Returns -1 on success, with result = {address of a
  * malloc'd block the caller frees with repro_free, its length}; the block
- * is {n_runs, n_direct, n_rep, n_changed, runs (6 each: obj, lo, hi,
- * writes, holder start, holder end), migrations (2 each: source,
- * target), replications (2 each: run index, target), changed objects,
- * holder pool}, holder bounds indexing the pool.  Returns -2 when the
- * scratch allocation fails before any write, -3 when an output
- * allocation fails mid-scan (the counters are then partly advanced). */
+ * is {n_runs, n_direct, n_rep, runs (6 each: obj, lo, hi, writes,
+ * holder start, holder end), migrations (2 each: source, target),
+ * replications (2 each: run index, target), holder pool}, holder bounds
+ * indexing the pool.  Returns -2 when the scratch allocation fails before
+ * any write, -3 when an output allocation fails mid-scan (the counters
+ * are then partly advanced). */
 int64_t repro_adaptive_scan(uint8_t *holder_mask, int64_t *read_credit,
                             int64_t *unread_writes, int64_t *n_holders,
                             int64_t n_objects, int64_t n_nodes,
@@ -1215,14 +1210,10 @@ int64_t repro_adaptive_scan(uint8_t *holder_mask, int64_t *read_credit,
         if (hi > run_start
                 && repro_emit_run(out, obj, run_start, hi, wcount, hold, nh))
             goto oom;
-        if (moved) {
+        if (moved)
             n_holders[obj] = nh;
-            if (repro_buf_reserve(&out[SCAN_CHANGED], 1))
-                goto oom;
-            out[SCAN_CHANGED].data[out[SCAN_CHANGED].len++] = obj;
-        }
     }
-    total = 4;
+    total = 3;
     for (j = 0; j < SCAN_BUFS; j++)
         total += out[j].len;
     block = malloc((size_t)total * sizeof(int64_t));
@@ -1231,8 +1222,7 @@ int64_t repro_adaptive_scan(uint8_t *holder_mask, int64_t *read_credit,
     block[0] = out[SCAN_RUNS].len / 6;
     block[1] = out[SCAN_DIRECT].len / 2;
     block[2] = out[SCAN_REP].len / 2;
-    block[3] = out[SCAN_CHANGED].len;
-    w = block + 4;
+    w = block + 3;
     for (j = 0; j < SCAN_BUFS; j++) {
         if (out[j].len)
             memcpy(w, out[j].data, (size_t)out[j].len * sizeof(int64_t));
@@ -1346,21 +1336,20 @@ def _scan_records(flat):
     """The records of one ``repro_adaptive_scan`` result block (as a list):
     the shape :func:`_replay_positions` appends, replication sources
     sharing their crossing run's holder tuple."""
-    n_runs, n_direct, n_rep, n_changed = flat[:4]
-    a = 4 + 6 * n_runs
+    n_runs, n_direct, n_rep = flat[:3]
+    a = 3 + 6 * n_runs
     b = a + 2 * n_direct
-    c = b + 2 * n_rep
-    pool = c + n_changed
-    it = iter(flat[4:a])
+    pool = b + 2 * n_rep
+    it = iter(flat[3:a])
     runs = [
         (obj, tuple(flat[pool + s:pool + e]), lo, hi, wc)
         for obj, lo, hi, wc, s, e in zip(it, it, it, it, it, it)
     ]
     it = iter(flat[a:b])
     mgmt_direct = list(zip(it, it))
-    it = iter(flat[b:c])
+    it = iter(flat[b:pool])
     mgmt_rep = [(runs[j][1], p) for j, p in zip(it, it)]
-    return runs, mgmt_direct, mgmt_rep, flat[c:c + n_changed]
+    return runs, mgmt_direct, mgmt_rep
 
 
 def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
@@ -1852,7 +1841,7 @@ def adaptive_scan(
     replicate_at: int,
     migrate_at: int,
     patience: int,
-) -> Tuple[List[tuple], List[tuple], List[tuple], List[int]]:
+) -> Tuple[List[tuple], List[tuple], List[tuple]]:
     """Phase 1 of the batched adaptive replay, every object of a chunk.
 
     Advances the counters of an ``AdaptiveState`` (``holder_mask``,
@@ -1862,9 +1851,8 @@ def adaptive_scan(
     the CSR ``order``, a stable argsort of ``objs``.  A non-holder
     writer's nearest holder comes from the lifting table ``up`` and
     ``depth`` (ties to the smallest id).  Returns ``(runs, mgmt_direct,
-    mgmt_rep, changed)``: the run and copy-movement records of
-    :func:`_replay_positions`, with run bounds indexing ``order``, and
-    the objects whose holder set changed, in CSR order.
+    mgmt_rep)``: the run and copy-movement records of
+    :func:`_replay_positions`, with run bounds indexing ``order``.
 
     Every CSR entry, object id, processor id and first-touch row is
     checked before any counter is written (:class:`WorkloadError`, or

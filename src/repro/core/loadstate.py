@@ -13,13 +13,13 @@ quadratic in practice.
 
 :class:`LoadState` is the shared substrate for that access shape:
 
-* **O(path) delta application.**  ``apply_path`` / ``apply_steiner`` /
-  ``apply_edges`` scatter a delta onto the touched entries only.  Edge and
-  bus loads live in one fused array (bus loads doubled, i.e. the plain
-  incident-edge sum), so a cached path entry updates and re-checks both
-  with a single fancy-indexed gather/scatter.  Whole per-edge vectors
-  (candidate placements, batched request chunks) go through
-  ``apply_edge_loads`` / ``apply_pairs``.
+* **O(touched) delta application.**  ``apply_steiner`` / ``apply_edges``
+  scatter a delta onto the touched entries only.  Edge and bus loads live
+  in one fused array (bus loads doubled, i.e. the plain incident-edge
+  sum), so a cached Steiner entry updates and re-checks both with a
+  single fancy-indexed gather/scatter.  Request paths (batched request
+  chunks) go through ``apply_pairs`` and whole per-edge vectors
+  (candidate placements) through ``apply_edge_loads``.
 * **Lazily-repaired running max.**  The congestion (max relative load over
   edges and buses) is kept incrementally: a non-negative delta can only
   raise relative loads, so the running max is repaired from the touched
@@ -43,8 +43,8 @@ and one shared scatter-entry cache, so batched charges amortise the
 index computations across all lanes and a topology repair debits/credits
 every lane in a single array surgery.  :meth:`StackedLoadState.lane`
 returns a :class:`LaneState` view exposing the per-lane slice of the
-replay API (``apply_path`` / ``apply_steiner`` / ``apply_pairs`` /
-``congestion`` / ``repair``), bit-for-bit equal to a standalone
+replay API (``apply_steiner`` / ``apply_pairs`` / ``congestion`` /
+``repair``), bit-for-bit equal to a standalone
 :class:`LoadState` fed the same charges -- the exactness argument above
 is order-free, so lane rows and standalone arrays agree bitwise.
 """
@@ -85,8 +85,8 @@ class _SubstrateGeometry:
 
     Shared by :class:`LoadState` (one lane, 1-D fused array) and
     :class:`StackedLoadState` (K lanes, 2-D fused array): both keep the
-    same endpoint/denominator/incidence arrays and the same per-path /
-    per-terminal-set scatter-entry caches, so the two substrate shapes
+    same endpoint/denominator/incidence arrays and the same
+    per-terminal-set scatter-entry cache, so the two substrate shapes
     cannot diverge in how they address the fused load rows.
     """
 
@@ -103,7 +103,6 @@ class _SubstrateGeometry:
         "_bus_nodes",
         "_inc_indptr",
         "_inc_edges",
-        "_path_cache",
         "_steiner_cache",
         "_pair_subs",
         "_topology_epoch",
@@ -128,7 +127,6 @@ class _SubstrateGeometry:
         self._denom = self._build_denominators(network)
         self._inc_indptr, self._inc_edges = self._build_incident_csr()
 
-        self._path_cache: dict = {}
         self._steiner_cache: dict = {}
         self._pair_subs: dict = {}
         self._topology_epoch = 0
@@ -206,13 +204,13 @@ class _SubstrateGeometry:
     # scatter entries (shared by all lanes of a substrate)
     # ------------------------------------------------------------------ #
     def _make_entry(self, edge_ids: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Precompute the scatter entry of a fixed edge set (path / Steiner).
+        """Precompute the scatter entry of a fixed edge set (a Steiner tree).
 
-        The edge ids of a tree path or Steiner tree are distinct, so the
-        fused indices (edges, then touched bus rows) can use plain fancy
-        indexing instead of ``np.add.at``; the entry carries the per-index
-        increments (1 per edge, the endpoint multiplicity per bus -- a bus
-        interior to a path is touched by two of its edges) and the gathered
+        The edge ids of a Steiner tree are distinct, so the fused indices
+        (edges, then touched bus rows) can use plain fancy indexing instead
+        of ``np.add.at``; the entry carries the per-index increments (1 per
+        edge, the endpoint multiplicity per bus -- a bus interior to the
+        tree is touched by several of its edges) and the gathered
         denominators for the one-gather running-max repair.
         """
         nodes = np.concatenate([self._edge_u[edge_ids], self._edge_v[edge_ids]])
@@ -221,15 +219,6 @@ class _SubstrateGeometry:
         fused = np.concatenate([edge_ids, self.n_edges + bus_nodes])
         inc = np.concatenate([np.ones(edge_ids.size), mult.astype(np.float64)])
         return (edge_ids, fused, inc, self._denom[fused])
-
-    def _path_entry(self, src: int, dst: int) -> Tuple[np.ndarray, ...]:
-        key = (src, dst) if src < dst else (dst, src)
-        entry = self._path_cache.get(key)
-        if entry is None:
-            ids = np.asarray(self.rooted.path_edge_ids(src, dst), dtype=np.int64)
-            entry = self._make_entry(ids)
-            self._path_cache[key] = entry
-        return entry
 
     def _steiner_entry(self, key: frozenset) -> Tuple[np.ndarray, ...]:
         entry = self._steiner_cache.get(key)
@@ -241,19 +230,13 @@ class _SubstrateGeometry:
 
     def _refresh_cached_denoms(self) -> None:
         """Re-gather the denominators cached inside every scatter entry."""
-        for cache in (self._path_cache, self._steiner_cache):
-            for key, (ids, fused, inc, _denom) in list(cache.items()):
-                cache[key] = (ids, fused, inc, self._denom[fused])
+        cache = self._steiner_cache
+        for key, (ids, fused, inc, _denom) in list(cache.items()):
+            cache[key] = (ids, fused, inc, self._denom[fused])
 
     # ------------------------------------------------------------------ #
     # structural helpers shared with the strategies
     # ------------------------------------------------------------------ #
-    def path_length(self, src: int, dst: int) -> int:
-        """Number of edges on the path ``src -> dst`` (cached)."""
-        if src == dst:
-            return 0
-        return int(self._path_entry(src, dst)[0].size)
-
     def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
         """Nearest candidate per node (ties to the smallest id), vectorized."""
         return self.pm.nearest_in_set(np.asarray(nodes, dtype=np.int64), candidates)
@@ -389,20 +372,6 @@ class LoadState(_SubstrateGeometry):
         if self._snapshots:
             self._journal.append(("entry", entry, amount))
 
-    def apply_path(self, src: int, dst: int, amount: float = 1.0) -> int:
-        """Charge ``amount`` on every edge of the tree path ``src -> dst``.
-
-        Returns the path length in edges.  Scatter entries are cached per
-        endpoint pair, so replaying a hot request path costs one O(path)
-        fancy-indexed update with no tree walk.
-        """
-        if src == dst:
-            return 0
-        entry = self._path_entry(src, dst)
-        if amount != 0:
-            self._apply_entry(entry, amount)
-        return int(entry[0].size)
-
     def apply_steiner(self, terminals: Iterable[int], amount: float = 1.0) -> int:
         """Charge ``amount`` on every edge of the Steiner tree of ``terminals``.
 
@@ -479,9 +448,9 @@ class LoadState(_SubstrateGeometry):
     def apply_pairs(self, u, v, w) -> float:
         """Charge weighted request pairs ``u[i] -> v[i]`` in one batch.
 
-        Equivalent to ``apply_path`` per pair (exactly, for integer-valued
-        weights) and to ``apply_edge_loads`` of their per-edge column, in
-        one fused kernel call (:func:`repro.core.kernels.charge_pairs`).
+        Equivalent to ``apply_edge_loads`` of their per-edge column
+        (exactly, for integer-valued weights), in one fused kernel call
+        (:func:`repro.core.kernels.charge_pairs`).
         Negative weights mark the congestion stale.  Returns the charged
         cost ``Σ w[i]·dist(u[i], v[i])``.
         """
@@ -620,8 +589,8 @@ class LoadState(_SubstrateGeometry):
         open snapshots raises :class:`~repro.errors.MutationError` (the
         journalled tentative deltas would otherwise silently become
         permanent), and any later :meth:`rollback` / :meth:`commit` of a
-        snapshot taken before a repair raises it too.  Path/Steiner
-        scatter caches are cleared on structural mutations (they recharge
+        snapshot taken before a repair raises it too.  The Steiner
+        scatter cache is cleared on structural mutations (it recharges
         lazily).
         """
         from repro.network.mutation import MutationOutcome
@@ -696,7 +665,6 @@ class LoadState(_SubstrateGeometry):
             self._denom = self._build_denominators(network)
             self._inc_indptr, self._inc_edges = self._build_incident_csr()
 
-            self._path_cache.clear()
             self._steiner_cache.clear()
 
         self._pair_subs.clear()
@@ -728,8 +696,8 @@ class StackedLoadState(_SubstrateGeometry):
     one fused load array of shape ``(K, n_edges + n_nodes)`` instead, with
 
     * **shared geometry** -- one :class:`~repro.core.pathmatrix.PathMatrix`,
-      one denominator array and one path/Steiner scatter-entry cache for
-      all lanes;
+      one denominator array and one Steiner scatter-entry cache for all
+      lanes;
     * **lane-broadcast batch charges** -- :meth:`apply_edge_loads_lanes`
       adds one per-edge column per lane in a single batched scatter (the
       bus fold and the per-lane running-max repair are vectorized over the
@@ -968,7 +936,6 @@ class StackedLoadState(_SubstrateGeometry):
             self._denom = self._build_denominators(network)
             self._inc_indptr, self._inc_edges = self._build_incident_csr()
 
-            self._path_cache.clear()
             self._steiner_cache.clear()
 
         self._pair_subs.clear()
@@ -1051,15 +1018,6 @@ class LaneState:
         return self.parent.verify_bus_loads(self.lane_index)
 
     # -- delta application ---------------------------------------------- #
-    def apply_path(self, src: int, dst: int, amount: float = 1.0) -> int:
-        """Charge ``amount`` on every edge of the tree path ``src -> dst``."""
-        if src == dst:
-            return 0
-        entry = self.parent._path_entry(src, dst)
-        if amount != 0:
-            self.parent._apply_entry_lane(self.lane_index, entry, amount)
-        return int(entry[0].size)
-
     def apply_steiner(self, terminals: Iterable[int], amount: float = 1.0) -> int:
         """Charge ``amount`` on every edge of the Steiner tree of ``terminals``."""
         key = frozenset(int(t) for t in terminals)
@@ -1091,10 +1049,6 @@ class LaneState:
         return cost
 
     # -- structural helpers --------------------------------------------- #
-    def path_length(self, src: int, dst: int) -> int:
-        """Number of edges on the path ``src -> dst`` (shared cache)."""
-        return self.parent.path_length(src, dst)
-
     def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
         """Nearest candidate per node (ties to the smallest id), vectorized."""
         return self.parent.nearest_in_set(nodes, candidates)

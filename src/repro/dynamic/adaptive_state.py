@@ -24,16 +24,19 @@ universe sizes, never of the stream length -- and :meth:`memory_bytes`
 makes that auditable, matching the substrate-wide audit hooks of
 ``repro.core``.
 
-**Exact-semantics contract.**  Every transition mirrors the historical
-dict/set behaviour bit for bit (the differential suites pin this):
+**Exact-semantics contract.**  The counter scan of
+:func:`repro.core.kernels.adaptive_scan` advances these arrays; every
+transition mirrors the historical dict/set behaviour bit for bit (the
+differential suites pin this against the scalar transitions kept in
+``tests/scalar_oracle.py``):
 
-* a processor *becoming* a holder has both its counters reset
-  (:meth:`add_holder`, :meth:`set_sole_holder`);
-* a processor *losing* its replica has its unread-write counter purged
-  (:meth:`drop_holder`) -- its read credit survives, exactly as the dict
+* a processor *becoming* a holder (replication, migration) has both its
+  counters reset;
+* a processor *losing* its replica (invalidation) has its unread-write
+  counter purged -- its read credit survives, exactly as the dict
   implementation kept ``read_credit`` entries across invalidations;
-* migration (:meth:`set_sole_holder`) wholesale-resets the unread-write
-  row, matching the historical ``unread_writes = {proc: 0}``.
+* migration wholesale-resets the unread-write row, matching the
+  historical ``unread_writes = {proc: 0}``.
 
 Those reset rules double as the hygiene invariant the soak tests pin:
 ``unread_writes`` is zero everywhere outside the holder mask, so the
@@ -105,40 +108,6 @@ class AdaptiveState:
             + self.unread_writes.nbytes
             + self.n_holders.nbytes
         )
-
-    # ------------------------------------------------------------------ #
-    # transitions (each mirrors one dict/set transition bit for bit)
-    # ------------------------------------------------------------------ #
-    def materialise(self, obj: int, proc: int) -> None:
-        """First touch: the object appears on its first requester."""
-        self.holder_mask[obj, proc] = True
-        self.n_holders[obj] = 1
-
-    def add_holder(self, obj: int, proc: int) -> None:
-        """Replication: ``proc`` earns a replica; both counters reset."""
-        self.holder_mask[obj, proc] = True
-        self.n_holders[obj] += 1
-        self.read_credit[obj, proc] = 0
-        self.unread_writes[obj, proc] = 0
-
-    def drop_holder(self, obj: int, proc: int) -> None:
-        """Invalidation: the stale replica is dropped, its unread-write
-        counter purged (read credit survives, as historically)."""
-        self.holder_mask[obj, proc] = False
-        self.n_holders[obj] -= 1
-        self.unread_writes[obj, proc] = 0
-
-    def set_sole_holder(self, obj: int, proc: int) -> None:
-        """Migration: the copy moves to ``proc``, which becomes the only
-        holder; the unread-write row is wholesale reset."""
-        row = self.holder_mask[obj]
-        current = np.flatnonzero(row)
-        self.unread_writes[obj, current] = 0
-        row[current] = False
-        row[proc] = True
-        self.unread_writes[obj, proc] = 0
-        self.read_credit[obj, proc] = 0
-        self.n_holders[obj] = 1
 
     # ------------------------------------------------------------------ #
     # topology churn

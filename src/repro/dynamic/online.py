@@ -15,15 +15,11 @@ This module provides:
   :class:`~repro.core.loadstate.LoadState` engine: every charge is an
   O(path) scatter and ``bus_loads`` / ``congestion`` are maintained
   incrementally instead of being recomputed from scratch on every read.
-  The pre-refactor scalar implementation is retained bit-for-bit as
-  :class:`_ReferenceOnlineCostAccount` for the parity property tests and
-  the replay benchmarks.
 * :class:`StaticPlacementManager` -- serves the whole sequence from a fixed
   placement (no adaptation); used as the hindsight-static reference when the
   placement comes from the extended-nibble on the aggregate frequencies.
-  Because it never adapts, it also supports *batch replay*: whole sequence
-  chunks collapse into one path-incidence scatter with exactly the same
-  resulting loads as event-by-event replay.
+  Because it never adapts, a chunk of events collapses into one
+  path-incidence scatter.
 * :class:`EdgeCounterManager` -- an adaptive strategy in the spirit of the
   dynamic strategies of [MMVW97]: per-object read counters trigger
   replication towards frequent readers once they have paid the equivalent of
@@ -32,10 +28,16 @@ This module provides:
   competitive-ratio claim for this exact variant; the evaluation harness
   (:mod:`repro.dynamic.evaluate`) measures its empirical ratio against the
   hindsight-static reference.
+
+Every strategy serves every span, one event or many, through
+``serve_chunk``, with exactly the loads of serving its events one at a
+time as the dynamic model defines.  That scalar serve loop lives in
+``tests/scalar_oracle.py``, the reference of the differential suites.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from repro.core import kernels
 from repro.core.loadstate import LoadState
 from repro.core.placement import Placement
 from repro.dynamic.adaptive_state import AdaptiveState
-from repro.dynamic.sequence import RequestEvent, RequestSequence
+from repro.dynamic.sequence import RequestSequence
 from repro.errors import PlacementError, WorkloadError
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
@@ -68,10 +70,9 @@ def _integer_amount(amount) -> int:
     the cost-account API boundary instead of by convention: integer-valued
     floats are accepted and normalised, fractional amounts are rejected.
 
-    A genuinely-integer amount (the event-loop hot path charges plain
-    Python ints on every request) short-circuits without the float
+    A genuinely-integer amount short-circuits without the float
     round-trip; the ``float``/``is_integer`` check only runs for float
-    inputs, so per-event validation costs one ``isinstance``.
+    inputs.
     """
     if isinstance(amount, (int, np.integer)):
         return int(amount)
@@ -157,16 +158,6 @@ class OnlineCostAccount:
         else:
             self.service_units += cost
 
-    def charge_path(self, rooted: RootedTree, src: int, dst: int, amount: int = 1,
-                    management: bool = False) -> None:
-        """Charge ``amount`` (an integer request count) on every edge of the
-        path ``src -> dst``."""
-        amount = _integer_amount(amount)
-        if amount <= 0 or src == dst:
-            return
-        length = self.state.apply_path(src, dst, amount)
-        self._book(amount * length, management)
-
     def charge_steiner(self, rooted: RootedTree, terminals: Sequence[int],
                        amount: int = 1, management: bool = False) -> None:
         """Charge ``amount`` (an integer request count) on every edge of the
@@ -181,10 +172,9 @@ class OnlineCostAccount:
     def charge_pairs(self, u, v, w, management: bool = False) -> None:
         """Charge weighted request pairs ``u[i] -> v[i]`` in one batch.
 
-        Produces exactly the loads and cost units of the equivalent
-        ``charge_path`` loop (``w`` must be integer-valued request counts,
-        enforced like the scalar ``amount`` arguments), evaluated and
-        costed by one fused kernel call (``LoadState.apply_pairs``).
+        Charges ``w[i]`` (integer-valued request counts, enforced like the
+        scalar ``amount`` arguments) on every edge of each path, evaluated
+        and costed by one fused kernel call (``LoadState.apply_pairs``).
         """
         w = _integer_weights(w)
         if w.size == 0:
@@ -205,90 +195,6 @@ class OnlineCostAccount:
     def total_load(self) -> float:
         """Total communication load over all edges."""
         return self.state.total_load
-
-
-class _ReferenceOnlineCostAccount:
-    """Pre-refactor scalar cost account, retained verbatim as the reference.
-
-    Charges walk edge ids in Python loops (including the original double
-    ``path_edge_ids`` evaluation) and ``bus_loads`` / ``congestion`` are
-    recomputed from scratch -- incident lists included -- on every read:
-    exactly the behaviour the incremental engine replaced.  The property
-    tests assert bit-for-bit agreement between this class and
-    :class:`OnlineCostAccount`; the replay benchmark measures the speedup
-    against it.
-    """
-
-    __slots__ = ("network", "edge_loads", "service_units", "management_units")
-
-    def __init__(self, network: HierarchicalBusNetwork) -> None:
-        self.network = network
-        self.edge_loads = np.zeros(network.n_edges, dtype=np.float64)
-        self.service_units = 0.0
-        self.management_units = 0.0
-
-    def charge_path(self, rooted: RootedTree, src: int, dst: int, amount: float = 1.0,
-                    management: bool = False) -> None:
-        """Charge ``amount`` on every edge of the path ``src -> dst``."""
-        if amount <= 0 or src == dst:
-            return
-        for eid in rooted.path_edge_ids(src, dst):
-            self.edge_loads[eid] += amount
-        cost = amount * len(rooted.path_edge_ids(src, dst))
-        if management:
-            self.management_units += cost
-        else:
-            self.service_units += cost
-
-    def charge_steiner(self, rooted: RootedTree, terminals: Sequence[int],
-                       amount: float = 1.0, management: bool = False) -> None:
-        """Charge ``amount`` on every edge of the Steiner tree of ``terminals``."""
-        terminals = list(terminals)
-        if amount <= 0 or len(terminals) < 2:
-            return
-        edges = rooted.steiner_edge_ids(terminals)
-        for eid in edges:
-            self.edge_loads[eid] += amount
-        cost = amount * len(edges)
-        if management:
-            self.management_units += cost
-        else:
-            self.service_units += cost
-
-    def charge_pairs(self, u, v, w, management: bool = False) -> None:
-        """Scalar equivalent of :meth:`OnlineCostAccount.charge_pairs`."""
-        rooted = self.network.rooted()
-        for src, dst, amount in zip(u, v, w):
-            self.charge_path(rooted, int(src), int(dst), float(amount),
-                             management=management)
-
-    @property
-    def bus_loads(self) -> np.ndarray:
-        """Per-node bus loads recomputed from the edge loads."""
-        loads = np.zeros(self.network.n_nodes, dtype=np.float64)
-        for bus in self.network.buses:
-            incident = list(self.network.incident_edge_ids(bus))
-            loads[bus] = self.edge_loads[incident].sum() / 2.0
-        return loads
-
-    @property
-    def congestion(self) -> float:
-        """Maximum relative load over edges and buses (full rescan)."""
-        value = 0.0
-        if self.edge_loads.size:
-            value = float(
-                (self.edge_loads / np.asarray(self.network.edge_bandwidths)).max()
-            )
-        bus_bw = np.asarray(self.network.bus_bandwidths)
-        bus_loads = self.bus_loads
-        for bus in self.network.buses:
-            value = max(value, bus_loads[bus] / bus_bw[bus])
-        return value
-
-    @property
-    def total_load(self) -> float:
-        """Total communication load over all edges."""
-        return float(self.edge_loads.sum())
 
 
 def _rehome_target(outcome) -> int:
@@ -358,10 +264,6 @@ class OnlineStrategy:
         self.n_objects = int(n_objects)
         self.account = account if account is not None else OnlineCostAccount(network)
 
-    def serve(self, event: RequestEvent) -> None:
-        """Serve one request, charging its cost to :attr:`account`."""
-        raise NotImplementedError
-
     def apply_mutation(self, outcome) -> None:
         """Carry the strategy and its cost account over a topology mutation.
 
@@ -381,16 +283,14 @@ class OnlineStrategy:
     def _repair_strategy_state(self, outcome) -> None:
         """Hook for subclasses: remap holder ids after a mutation."""
 
+    # Abstract without ABCMeta: construction stays possible, and
+    # validate_strategy names a subclass that leaves it out.  The stub stays
+    # on the class because perfbench's tracer wraps it by name.
+    @abstractmethod
     def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
-        """Serve the events ``sequence[start:stop]``.
-
-        The default implementation replays event by event, which is exact
-        for every strategy.  Strategies that do not adapt mid-chunk (the
-        static reference) override this with a vectorized batch charge that
-        produces bit-for-bit identical loads.
-        """
-        for event in sequence[start:stop]:
-            self.serve(event)
+        """Serve the events ``sequence[start:stop]``, one event or many,
+        with exactly the loads of serving them one at a time."""
+        raise NotImplementedError
 
     def run(
         self, sequence: RequestSequence, chunk_size: Optional[int] = None
@@ -401,19 +301,12 @@ class OnlineStrategy:
         (:class:`repro.sim.engine.SimulationEngine`): the sequence becomes
         a churn-free timeline served through :meth:`serve_chunk`.
         ``chunk_size`` bounds the span length of the batch replay grid;
-        strategies whose decisions cannot change mid-chunk turn each span
-        into one vectorized scatter, while the default :meth:`serve_chunk`
-        falls back to the event loop, so adaptive strategies remain exact
-        under any chunk size.
+        the result is the same under any chunk size.
         """
         from repro.sim.engine import SimulationEngine
 
         SimulationEngine(self, chunk_size=chunk_size).run(sequence)
         return self.account
-
-    def holders(self, obj: int) -> Set[int]:
-        """Current holder set of an object (for inspection and tests)."""
-        raise NotImplementedError
 
 
 class StaticPlacementManager(OnlineStrategy):
@@ -494,9 +387,6 @@ class StaticPlacementManager(OnlineStrategy):
             self.rooted.path_matrix(), self._procs, self.network.n_nodes, requests
         )
 
-    def _nearest(self, proc: int, obj: int) -> int:
-        return int(self._nearest_table(obj)[proc])
-
     def _steiner_edge_ids_for(self, obj: int, entry_source) -> np.ndarray:
         """Edge ids of one object's write-broadcast Steiner tree (cached).
 
@@ -518,14 +408,6 @@ class StaticPlacementManager(OnlineStrategy):
             self._steiner_ids_cache[obj] = edge_ids
         return edge_ids
 
-    def serve(self, event: RequestEvent) -> None:
-        target = self._nearest(event.processor, event.obj)
-        self.account.charge_path(self.rooted, event.processor, target)
-        if event.is_write:
-            self.account.charge_steiner(
-                self.rooted, sorted(self._placement.holders(event.obj))
-            )
-
     @staticmethod
     def _aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
         """Shared chunk aggregation of the sequential and fleet paths.
@@ -540,10 +422,9 @@ class StaticPlacementManager(OnlineStrategy):
 
         The unique-pair pass runs through
         :func:`repro.core.kernels.aggregate_pairs` (one int64-key sort
-        instead of numpy's void-dtype column comparison); the historical
-        implementation is retained verbatim as
-        :meth:`_reference_aggregate_chunk` and the differential tests pin
-        the two to identical output.
+        instead of numpy's void-dtype column comparison); the differential
+        tests pin it to the historical ``np.unique(..., axis=1)``
+        aggregation kept in ``tests/scalar_oracle.py``.
         """
         procs, objs, writes = sequence.as_arrays()
         procs = procs[start:stop]
@@ -564,33 +445,6 @@ class StaticPlacementManager(OnlineStrategy):
         ]
         written, write_counts = np.unique(objs[writes], return_counts=True)
         return uprocs, counts, by_object, written, write_counts
-
-    @staticmethod
-    def _reference_aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
-        """Pre-kernel chunk aggregation, retained verbatim as the reference.
-
-        Uses ``np.unique(..., axis=1)`` over the stacked pair rows; the
-        differential tests assert that :meth:`_aggregate_chunk` produces
-        identical pairs, counts, per-object groups and write counts.
-        """
-        procs, objs, writes = sequence.as_arrays()
-        procs = procs[start:stop]
-        objs = objs[start:stop]
-        writes = writes[start:stop]
-        if procs.size == 0:
-            return None
-        pairs, counts = np.unique(
-            np.stack([procs, objs]), axis=1, return_counts=True
-        )
-        order = np.argsort(pairs[1], kind="stable")
-        uniq_objs, starts = np.unique(pairs[1][order], return_index=True)
-        bounds = np.append(starts[1:], order.size)
-        by_object = [
-            (int(obj), order[lo:hi])
-            for obj, lo, hi in zip(uniq_objs, starts, bounds)
-        ]
-        written, write_counts = np.unique(objs[writes], return_counts=True)
-        return pairs[0], counts, by_object, written, write_counts
 
     def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
         """Vectorized batch replay of one chunk (exact event-loop parity).
@@ -642,21 +496,11 @@ class StaticPlacementManager(OnlineStrategy):
 
         All charged quantities are integer request counts, so every lane's
         loads and cost units are bit-for-bit those of calling the member's
-        :meth:`serve_chunk` on its own.  Falls back to exactly that when
-        the managers' accounts do not sit on lanes of one stacked state.
+        :meth:`serve_chunk` on its own.  The managers' accounts must sit on
+        lanes of one stacked state, as
+        :meth:`~repro.sim.engine.SimulationEngine.run_fleet` arranges.
         """
-        from repro.core.loadstate import LaneState
-
-        states = [getattr(m.account, "state", None) for m in managers]
-        stacked = (
-            all(isinstance(s, LaneState) for s in states)
-            and len({id(s.parent) for s in states}) == 1
-        )
-        if not stacked:
-            for manager in managers:
-                manager.serve_chunk(sequence, start, stop)
-            return
-
+        states = [m.account.state for m in managers]
         aggregated = cls._aggregate_chunk(sequence, start, stop)
         if aggregated is None:
             return
@@ -752,10 +596,6 @@ class EdgeCounterManager(OnlineStrategy):
         self._replicate_threshold = self.object_size
         self._migrate_threshold = self.object_size
         self._adaptive = AdaptiveState(self.n_objects, network.n_nodes)
-        # holder-derived caches, invalidated per object on any holder
-        # transition and wholesale on structural repair
-        self._holders_cache: Dict[int, List[int]] = {}
-        self._nearest_cache: Dict[int, np.ndarray] = {}
         # nearest tables keyed by holder-set *content*: thrash cycles
         # revisit the same holder sets, so tables survive transitions and
         # are shared across lanes with agreeing holder sets
@@ -777,55 +617,20 @@ class EdgeCounterManager(OnlineStrategy):
 
     def memory_bytes(self) -> int:
         """Bytes held by the strategy state: the flat counter substrate
-        plus the nearest-table caches (per object and per holder set; the
-        content-keyed cache is capped at ``_MAX_HOLDER_TABLES`` entries).
+        plus the content-keyed nearest tables (capped at
+        ``_MAX_HOLDER_TABLES`` entries).
 
         Bounded by the universe sizes alone -- never growing with the
         stream length; the soak-shaped tests pin that.
         """
-        arrays = {id(t): t for t in self._nearest_cache.values()}
-        arrays.update((id(t), t) for t in self._tables_by_holders.values())
         return self._adaptive.memory_bytes() + sum(
-            a.nbytes for a in arrays.values()
+            t.nbytes for t in self._tables_by_holders.values()
         )
-
-    def _holders_changed(self, obj: int) -> None:
-        """Invalidate the holder-derived caches of one object."""
-        self._holders_cache.pop(obj, None)
-        self._nearest_cache.pop(obj, None)
-
-    def _holders_of(self, obj: int) -> List[int]:
-        """Current holder ids of one object, ascending (= sorted), cached."""
-        holders = self._holders_cache.get(obj)
-        if holders is None:
-            holders = self._adaptive.holders_list(obj)
-            self._holders_cache[obj] = holders
-        return holders
-
-    def _nearest_for(self, proc: int, obj: int) -> int:
-        """Nearest copy of ``obj`` from ``proc`` (ties to the smallest id).
-
-        Uses the cached per-object table when present; otherwise resolves
-        directly (a sole holder needs no lookup at all).  Both resolutions
-        tie-break identically, so the scalar and batched paths agree.
-        """
-        table = self._nearest_cache.get(obj)
-        if table is None:
-            holders = self._holders_of(obj)
-            if len(holders) == 1:
-                return holders[0]
-            table = self._tables_by_holders.get(tuple(holders))
-            if table is None:
-                return int(self.rooted.nearest_in_set(proc, holders))
-            self._nearest_cache[obj] = table
-        return int(table[proc])
 
     def _repair_strategy_state(self, outcome) -> None:
         if not outcome.structural:
             return  # bandwidth mutations keep node ids and holders intact
-        self._holders_cache.clear()
-        self._nearest_cache.clear()  # tables are sized to the old node count
-        self._tables_by_holders.clear()
+        self._tables_by_holders.clear()  # tables are sized to the old node count
         self._procs = np.asarray(outcome.network.processors, dtype=np.int64)
         if outcome.removed_node is None:
             # attach/split keep existing node ids stable; new ids append,
@@ -839,71 +644,6 @@ class EdgeCounterManager(OnlineStrategy):
             home = _rehome_target(outcome)
             for obj in orphans.tolist():
                 self._adaptive.rehome(obj, home)
-
-    # ------------------------------------------------------------------ #
-    def serve(self, event: RequestEvent) -> None:
-        adaptive = self._adaptive
-        obj = event.obj
-        proc = event.processor
-        if not adaptive.n_holders[obj]:
-            # first touch: the object materialises on the first requester
-            adaptive.materialise(obj, proc)
-            self._holders_changed(obj)
-        nearest = self._nearest_for(proc, obj)
-        mask = adaptive.holder_mask[obj]
-
-        if event.is_read:
-            self.account.charge_path(self.rooted, proc, nearest)
-            if not mask[proc]:
-                credit = int(adaptive.read_credit[obj, proc]) + 1
-                if credit >= self._replicate_threshold:
-                    # replicate: ship the object from the nearest copy
-                    self.account.charge_path(
-                        self.rooted, nearest, proc, amount=self.object_size,
-                        management=True,
-                    )
-                    adaptive.add_holder(obj, proc)
-                    self._holders_changed(obj)
-                else:
-                    adaptive.read_credit[obj, proc] = credit
-            else:
-                adaptive.unread_writes[obj, proc] = 0
-            return
-
-        # write request: update the reference copy and broadcast to replicas
-        holders = self._holders_of(obj)
-        self.account.charge_path(self.rooted, proc, nearest)
-        self.account.charge_steiner(self.rooted, holders)
-        # age replicas; drop the ones nobody read for a while (no traffic)
-        writer_holder = proc if mask[proc] else nearest
-        n_before = len(holders)
-        unread = adaptive.unread_writes[obj]
-        stale: List[int] = []
-        for holder in holders:
-            if holder == writer_holder:
-                unread[holder] = 0
-                continue
-            count = int(unread[holder]) + 1
-            unread[holder] = count
-            if count >= self.invalidation_patience and n_before > 1:
-                stale.append(holder)
-        for holder in stale:
-            if adaptive.n_holders[obj] > 1:
-                adaptive.drop_holder(obj, holder)
-        if stale:
-            self._holders_changed(obj)
-        # migration: a lonely copy follows a persistent remote writer
-        if adaptive.n_holders[obj] == 1 and not adaptive.holder_mask[obj, proc]:
-            credit = int(adaptive.read_credit[obj, proc]) + 1
-            if credit >= self._migrate_threshold:
-                old = self._holders_of(obj)[0]
-                self.account.charge_path(
-                    self.rooted, old, proc, amount=self.object_size, management=True
-                )
-                adaptive.set_sole_holder(obj, proc)
-                self._holders_changed(obj)
-            else:
-                adaptive.read_credit[obj, proc] = credit
 
     # ------------------------------------------------------------------ #
     # vectorized chunk replay: per-object scans with deferred batch charges
@@ -922,15 +662,12 @@ class EdgeCounterManager(OnlineStrategy):
         whole decision cascade runs ahead of any charging."""
         adaptive = self._adaptive
         pm = self.rooted.path_matrix()
-        runs, mgmt_direct, mgmt_rep, changed = kernels.adaptive_scan(
+        return kernels.adaptive_scan(
             adaptive.holder_mask, adaptive.read_credit,
             adaptive.unread_writes, adaptive.n_holders, pm._up, pm._depth,
             *chunk, self._replicate_threshold, self._migrate_threshold,
             self.invalidation_patience,
         )
-        for obj in changed:
-            self._holders_changed(obj)
-        return runs, mgmt_direct, mgmt_rep
 
     def _table_requests_for_runs(self, runs: List[tuple]) -> List[tuple]:
         """Bulk-build requests for the multi-holder run holder sets that
@@ -1037,14 +774,7 @@ class EdgeCounterManager(OnlineStrategy):
         congestion are bit-for-bit those of event-by-event serving; the
         differential suites pin this under churn and across chunk grids.
         """
-        n = stop - start
-        if n <= 0:
-            return
-        if n == 1 or getattr(self.account, "state", None) is None:
-            # Single events and reference accounts (no LoadState to
-            # scatter into) go through the scalar path.
-            for event in sequence[start:stop]:
-                self.serve(event)
+        if stop <= start:
             return
         chunk = self._decode_chunk(sequence, start, stop)
         runs, mgmt_direct, mgmt_rep = self._scan(chunk)
@@ -1073,26 +803,16 @@ class EdgeCounterManager(OnlineStrategy):
         table object, lanes that diverge get their own.  Each lane then
         runs its own counter scan (one kernel call per lane) and applies
         its own deferred charges (through its lane of the shared
-        :class:`~repro.core.loadstate.StackedLoadState` when stacked, with
-        the Steiner scatter entries shared substrate-wide), because the
-        run grids of differently-tuned lanes genuinely diverge.  Every
-        lane\'s loads, cost units and holder sets are bit-for-bit those of
-        K sequential scalar runs (ARCHITECTURE.md invariants 6/7);
-        ``test_fleet_parity.py`` pins it.
+        :class:`~repro.core.loadstate.StackedLoadState`, with the Steiner
+        scatter entries shared substrate-wide), because the run grids of
+        differently-tuned lanes genuinely diverge.  Every lane\'s loads,
+        cost units and holder sets are bit-for-bit those of K sequential
+        runs (ARCHITECTURE.md invariants 6/7); ``test_fleet_parity.py``
+        pins it.  The managers must share one network object and sit on
+        lanes of one stacked state, as
+        :meth:`~repro.sim.engine.SimulationEngine.run_fleet` arranges.
         """
-        if len({id(m.rooted) for m in managers}) != 1 or any(
-            getattr(m.account, "state", None) is None for m in managers
-        ):
-            for manager in managers:
-                manager.serve_chunk(sequence, start, stop)
-            return
-        n = stop - start
-        if n <= 0:
-            return
-        if n == 1:
-            event = sequence[start]
-            for manager in managers:
-                manager.serve(event)
+        if stop <= start:
             return
         lead = managers[0]
         chunk = cls._decode_chunk(sequence, start, stop)

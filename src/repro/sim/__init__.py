@@ -12,8 +12,9 @@ collapsed the cost bookkeeping onto one substrate:
   churn trace into a single ordered timeline of serve spans and mutation
   points;
 * :mod:`repro.sim.protocol` is the formal :class:`PlacementStrategy`
-  protocol (``serve`` / ``serve_chunk`` / ``apply_mutation`` /
-  ``holders``) every strategy is driven through;
+  protocol (``serve_chunk`` / ``apply_mutation`` / ``holders``) every
+  strategy is driven through -- ``serve_chunk`` serves every span, one
+  event or many;
 * :mod:`repro.sim.engine` is the :class:`SimulationEngine` that drives a
   strategy through a timeline, staying on the vectorized chunk fast path
   between interleaved mutations, with reference-id remapping and

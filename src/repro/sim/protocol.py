@@ -3,7 +3,9 @@
 Any object exposing this surface can be replayed by the
 :class:`~repro.sim.engine.SimulationEngine` -- the online strategies of
 :mod:`repro.dynamic.online` implement it, and future scheduling/sharding
-strategies plug in here without touching the kernel.
+strategies plug in here without touching the kernel.  ``serve_chunk`` is
+the one way events reach a strategy: the engine hands it every serve
+span, one event or many.
 
 **Fleet capability.**  A strategy *class* may additionally expose a
 ``serve_chunk_fleet(members, sequence, start, stop)`` classmethod: given
@@ -12,11 +14,10 @@ shared :class:`~repro.core.loadstate.StackedLoadState`, it serves the
 chunk for all of them in one batched pass (shared aggregation and
 edge-batch gathers, per-lane placement decisions).  It must produce
 bit-for-bit the loads and cost units of calling each member's
-``serve_chunk`` separately; strategies without the hook are simply served
-one by one by the fleet engine, so custom strategies stay exact without
-opting in.  Both the static managers and the adaptive counter family of
-:mod:`repro.dynamic.online` implement the hook.  :func:`fleet_groups` is
-the partitioning rule the engine uses.
+``serve_chunk`` separately; the fleet engine calls ``serve_chunk`` on the
+lane of a strategy without the hook.  Both the static managers and the
+adaptive counter family of :mod:`repro.dynamic.online` implement the
+hook.  :func:`fleet_groups` is the partitioning rule the engine uses.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.errors import SimulationError
 
 __all__ = ["PlacementStrategy", "validate_strategy", "fleet_groups"]
 
-_REQUIRED_METHODS = ("serve", "serve_chunk", "apply_mutation", "holders")
+_REQUIRED_METHODS = ("serve_chunk", "apply_mutation", "holders")
 _REQUIRED_ATTRS = ("network", "account")
 
 
@@ -49,15 +50,12 @@ class PlacementStrategy(Protocol):
     network: object
     account: object
 
-    def serve(self, event) -> None:
-        """Serve one request event, charging its cost to ``account``."""
-
     def serve_chunk(self, sequence, start: int, stop: int) -> None:
-        """Serve ``sequence[start:stop]``.
+        """Serve ``sequence[start:stop]``, one event or many.
 
         Must produce bit-for-bit the loads of serving the same events one
-        by one through :meth:`serve`; strategies that cannot vectorize
-        fall back to the event loop.
+        at a time, as the dynamic model defines (the scalar oracle of the
+        test suite).
         """
 
     def apply_mutation(self, outcome) -> None:
@@ -67,15 +65,27 @@ class PlacementStrategy(Protocol):
         """Current holder set of an object (inspection / tests)."""
 
 
+def _implemented(method) -> bool:
+    """A callable that is not an abstract stub."""
+    return callable(method) and not getattr(method, "__isabstractmethod__", False)
+
+
 def validate_strategy(strategy) -> None:
     """Raise :class:`~repro.errors.SimulationError` unless ``strategy``
-    structurally implements :class:`PlacementStrategy`."""
+    structurally implements :class:`PlacementStrategy`.
+
+    A method marked abstract counts as missing, and so does an account
+    without a ``state``: nothing could serve such a strategy, so it is
+    refused before any event is served.
+    """
     missing = [
         name
         for name in _REQUIRED_METHODS
-        if not callable(getattr(strategy, name, None))
+        if not _implemented(getattr(strategy, name, None))
     ]
     missing += [name for name in _REQUIRED_ATTRS if not hasattr(strategy, name)]
+    if hasattr(strategy, "account") and getattr(strategy.account, "state", None) is None:
+        missing.append("account.state")
     if missing:
         raise SimulationError(
             f"{type(strategy).__name__} does not implement the "

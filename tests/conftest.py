@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
-from pathlib import Path
-
-# Bare-checkout bootstrap (kept in sync with benchmarks/conftest.py): make
-# ``import repro`` work without an installed package or PYTHONPATH=src.
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
 
 import numpy as np
 import pytest

@@ -34,6 +34,7 @@ from repro.errors import InvalidNodeError, WorkloadError
 from repro.network.builders import balanced_tree
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import zipf_pattern
+from tests.scalar_oracle import materialise
 
 HAVE_CC = "cc" in kernels.available_backends()
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -60,7 +61,7 @@ def _inputs():
     mask = pm._bus_mask
     edge_u, edge_v = pm._edge_u, pm._edge_v
     adaptive = AdaptiveState(3, n)
-    adaptive.materialise(0, 3)
+    materialise(adaptive, 0, 3)
     chunk_objs = np.array([0, 1, 0, 0, 2], dtype=np.int64)
     chunk = (
         np.array([4, 3, 5, 4, 6], dtype=np.int64),

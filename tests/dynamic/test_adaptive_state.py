@@ -2,10 +2,10 @@
 
 Pins the two contracts :mod:`repro.dynamic.adaptive_state` makes:
 exact dict-semantics transitions (the differential suites cover those
-end to end; here the unit surface) and the hygiene/memory story -- the
-counter footprint is a function of the universe sizes, never of the
-stream length, and ``unread_writes`` never accumulates entries outside
-the holder mask.
+end to end; here the oracle's transitions) and the hygiene/memory
+story -- the counter footprint is a function of the universe sizes,
+never of the stream length, and ``unread_writes`` never accumulates
+entries outside the holder mask.
 """
 
 import numpy as np
@@ -21,23 +21,24 @@ from repro.dynamic.sequence import sequence_from_pattern
 from repro.errors import WorkloadError
 from repro.network.builders import balanced_tree
 from repro.workload.generators import zipf_pattern
+from tests.scalar_oracle import add_holder, drop_holder, materialise, serve_events, set_sole_holder
 
 
 class TestTransitions:
     def test_materialise_and_holder_queries(self):
         state = AdaptiveState(3, 5)
         assert not state.touched(0)
-        state.materialise(0, 4)
+        materialise(state, 0, 4)
         assert state.touched(0)
         assert state.holders_list(0) == [4]
         assert state.holders_set(0) == {4}
 
     def test_add_holder_resets_both_counters(self):
         state = AdaptiveState(2, 4)
-        state.materialise(0, 1)
+        materialise(state, 0, 1)
         state.read_credit[0, 3] = 7
         state.unread_writes[0, 3] = 2
-        state.add_holder(0, 3)
+        add_holder(state, 0, 3)
         assert state.holders_list(0) == [1, 3]
         assert state.read_credit[0, 3] == 0
         assert state.unread_writes[0, 3] == 0
@@ -46,22 +47,22 @@ class TestTransitions:
         # the dict implementation kept read_credit entries across
         # invalidations; the arrays must mirror that bit for bit
         state = AdaptiveState(1, 4)
-        state.materialise(0, 0)
-        state.add_holder(0, 2)
+        materialise(state, 0, 0)
+        add_holder(state, 0, 2)
         state.read_credit[0, 2] = 5
         state.unread_writes[0, 2] = 1
-        state.drop_holder(0, 2)
+        drop_holder(state, 0, 2)
         assert state.holders_list(0) == [0]
         assert state.read_credit[0, 2] == 5
         assert state.unread_writes[0, 2] == 0
 
     def test_set_sole_holder_wipes_unread_row(self):
         state = AdaptiveState(1, 5)
-        state.materialise(0, 0)
-        state.add_holder(0, 2)
+        materialise(state, 0, 0)
+        add_holder(state, 0, 2)
         state.unread_writes[0, 0] = 3
         state.read_credit[0, 4] = 9
-        state.set_sole_holder(0, 4)
+        set_sole_holder(state, 0, 4)
         assert state.holders_list(0) == [4]
         assert not state.unread_writes[0].any()
         assert state.read_credit[0, 4] == 0
@@ -76,7 +77,7 @@ class TestTransitions:
 class TestChurnReshaping:
     def test_grow_appends_zero_columns(self):
         state = AdaptiveState(2, 3)
-        state.materialise(0, 2)
+        materialise(state, 0, 2)
         state.read_credit[0, 1] = 4
         state.grow(5)
         assert state.n_nodes == 5
@@ -91,8 +92,8 @@ class TestChurnReshaping:
 
     def test_remap_detach_gathers_and_reports_orphans(self):
         state = AdaptiveState(3, 4)
-        state.materialise(0, 3)  # loses its only copy with node 3
-        state.materialise(1, 1)  # survives, renumbered
+        materialise(state, 0, 3)  # loses its only copy with node 3
+        materialise(state, 1, 1)  # survives, renumbered
         state.read_credit[1, 2] = 6
         node_map = np.array([0, 1, 2, -1])
         orphans = state.remap_detach(node_map, 3)
@@ -134,14 +135,12 @@ class TestHygieneSoak:
         net = balanced_tree(2, 3, 2)
         n_objects = 12
         manager = factory(net, n_objects)
-        for event in self._stream(net, n_objects, 8, seed=3).events:
-            manager.serve(event)
+        manager.run(self._stream(net, n_objects, 8, seed=3), chunk_size=1)
         short_bytes = manager.memory_bytes()
         assert short_bytes > 0
 
         longer = factory(net, n_objects)
-        for event in self._stream(net, n_objects, 32, seed=3).events:
-            longer.serve(event)
+        longer.run(self._stream(net, n_objects, 32, seed=3), chunk_size=1)
         cap = longer._MAX_HOLDER_TABLES * net.n_nodes * np.int64().nbytes
         assert longer.memory_bytes() <= short_bytes + cap
 
@@ -152,8 +151,7 @@ class TestHygieneSoak:
         manager = EdgeCounterManager(
             net, 16, object_size=2, invalidation_patience=1
         )
-        for event in self._stream(net, 16, 24, seed=7).events:
-            manager.serve(event)
+        manager.run(self._stream(net, 16, 24, seed=7), chunk_size=1)
         adaptive = manager._adaptive
         assert not adaptive.unread_writes[~adaptive.holder_mask].any()
         assert np.array_equal(
@@ -191,8 +189,7 @@ class TestHygieneSoak:
         reference = EdgeCounterManager(
             net, 16, object_size=2, invalidation_patience=1
         )
-        for event in sequence.events:
-            reference.serve(event)
+        serve_events(reference, sequence)
         for obj in range(16):
             assert manager.holders(obj) == reference.holders(obj)
         assert manager.account.congestion == reference.account.congestion

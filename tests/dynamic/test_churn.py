@@ -72,8 +72,11 @@ class TestChurnReplay:
         strategy = EdgeCounterManager(net, seq.n_objects)
         # materialise every object on one leaf, then detach that leaf
         victim = net.processors[0]
-        for obj in range(seq.n_objects):
-            strategy.serve(RequestEvent(victim, obj, "read"))
+        touches = RequestSequence(
+            [RequestEvent(victim, obj, "read") for obj in range(seq.n_objects)],
+            seq.n_objects,
+        )
+        strategy.serve_chunk(touches, 0, len(touches))
         trace = ChurnTrace([(0, DetachLeaf(victim))])
         result = SimulationEngine(strategy).run(seq, trace)
         final_net = result.network

@@ -25,7 +25,7 @@ class TestCostAccount:
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[-1]
-        account.charge_path(rooted, p, q, amount=2.0)
+        account.charge_pairs([p], [q], [2.0])
         assert account.total_load == 2.0 * rooted.distance(p, q)
         account.charge_steiner(rooted, [p, q], amount=1.0, management=True)
         assert account.management_units > 0
@@ -35,9 +35,13 @@ class TestCostAccount:
         net = single_bus(3)
         rooted = net.rooted()
         account = OnlineCostAccount(net)
-        account.charge_path(rooted, net.processors[0], net.processors[1], amount=0)
-        account.charge_path(rooted, net.processors[0], net.processors[0], amount=5)
+        p, q = net.processors[0], net.processors[1]
+        account.charge_steiner(rooted, [p, q], amount=0)
+        account.charge_steiner(rooted, [p, p], amount=5)
+        account.charge_pairs([p], [q], [0])
+        account.charge_pairs([p], [p], [5])
         assert account.total_load == 0.0
+        assert account.service_units == 0
 
     def test_fractional_amounts_rejected_at_api_boundary(self):
         # the integer-valued-loads invariant (ARCHITECTURE.md invariant 2)
@@ -47,7 +51,7 @@ class TestCostAccount:
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
         with pytest.raises(WorkloadError, match="integer-valued"):
-            account.charge_path(rooted, p, q, amount=0.5)
+            account.charge_steiner(rooted, [p, q], amount=0.5)
         with pytest.raises(WorkloadError, match="integer-valued"):
             account.charge_steiner(rooted, [p, q], amount=1.5)
         with pytest.raises(WorkloadError, match="integer-valued"):
@@ -59,7 +63,7 @@ class TestCostAccount:
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        account.charge_path(rooted, p, q, amount=3.0)
+        account.charge_steiner(rooted, [p, q], amount=3.0)
         account.charge_pairs([p], [q], np.array([2.0]))
         assert isinstance(account.service_units, int)
         assert account.service_units == 5 * rooted.distance(p, q)
@@ -95,12 +99,19 @@ class TestStaticPlacementManager:
         assert manager.holders(0) == {net.processors[0]}
 
 
+def _serve(manager, proc, kind, times=1):
+    """Serve ``times`` one-event spans ``(proc, object 0, kind)``."""
+    seq = RequestSequence([RequestEvent(proc, 0, kind)], manager.n_objects)
+    for _ in range(times):
+        manager.serve_chunk(seq, 0, 1)
+
+
 class TestEdgeCounterManager:
     def test_first_touch_places_object_locally(self):
         net = single_bus(3)
         manager = EdgeCounterManager(net, 1, object_size=3)
         p = net.processors[0]
-        manager.serve(RequestEvent(p, 0, "read"))
+        _serve(manager, p, "read")
         assert manager.holders(0) == {p}
         # a local read costs nothing
         assert manager.account.total_load == 0.0
@@ -109,25 +120,22 @@ class TestEdgeCounterManager:
         net = single_bus(3)
         p_owner, p_reader, _ = net.processors
         manager = EdgeCounterManager(net, 1, object_size=3)
-        manager.serve(RequestEvent(p_owner, 0, "write"))
-        for _ in range(3):
-            manager.serve(RequestEvent(p_reader, 0, "read"))
+        _serve(manager, p_owner, "write")
+        _serve(manager, p_reader, "read", times=3)
         assert p_reader in manager.holders(0)
         # afterwards, reads from the replica are free
         before = manager.account.total_load
-        manager.serve(RequestEvent(p_reader, 0, "read"))
+        _serve(manager, p_reader, "read")
         assert manager.account.total_load == before
 
     def test_writes_invalidate_unused_replicas(self):
         net = single_bus(3)
         p_owner, p_reader, _ = net.processors
         manager = EdgeCounterManager(net, 1, object_size=2, invalidation_patience=2)
-        manager.serve(RequestEvent(p_owner, 0, "write"))
-        for _ in range(2):
-            manager.serve(RequestEvent(p_reader, 0, "read"))
+        _serve(manager, p_owner, "write")
+        _serve(manager, p_reader, "read", times=2)
         assert p_reader in manager.holders(0)
-        for _ in range(3):
-            manager.serve(RequestEvent(p_owner, 0, "write"))
+        _serve(manager, p_owner, "write", times=3)
         assert p_reader not in manager.holders(0)
         assert len(manager.holders(0)) >= 1
 
@@ -135,9 +143,8 @@ class TestEdgeCounterManager:
         net = single_bus(3)
         p_owner, p_writer, _ = net.processors
         manager = EdgeCounterManager(net, 1, object_size=2)
-        manager.serve(RequestEvent(p_owner, 0, "read"))
-        for _ in range(4):
-            manager.serve(RequestEvent(p_writer, 0, "write"))
+        _serve(manager, p_owner, "read")
+        _serve(manager, p_writer, "write", times=4)
         assert manager.holders(0) == {p_writer}
 
     def test_invalid_parameters(self):
@@ -193,17 +200,18 @@ class TestEdgeCounterManager:
 
 
 class TestIntegerValidationHoist:
-    """The invariant-2 checks run once per batch, not per event, and the
-    scalar path short-circuits genuine ints -- without loosening anything."""
+    """The invariant-2 checks run once per batch, not per event, and scalar
+    amounts short-circuit genuine ints -- without loosening anything."""
 
     def test_numpy_integer_amounts_accepted(self):
         net = single_bus(3)
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        account.charge_path(rooted, p, q, amount=np.int64(2))
+        account.charge_steiner(rooted, [p, q], amount=np.int64(2))
+        account.charge_pairs([p], [q], np.array([3], dtype=np.int64))
         assert isinstance(account.service_units, int)
-        assert account.service_units == 2 * rooted.distance(p, q)
+        assert account.service_units == 5 * rooted.distance(p, q)
 
     def test_integer_dtype_batches_skip_the_modulo_scan(self):
         from repro.dynamic.online import _integer_weights

@@ -173,7 +173,7 @@ def charge_random_paths(state, ground, rooted, procs, rng, n):
     """Charge n random request paths into state and the ground-truth vector."""
     for _ in range(n):
         u, v = (int(x) for x in rng.choice(procs, size=2))
-        state.apply_path(u, v)
+        state.apply_pairs([u], [v], [1])
         for eid in rooted.path_edge_ids(u, v):
             ground[eid] += 1
 
@@ -348,9 +348,9 @@ class TestRollbackAcrossMutationGuard:
         net = random_tree(3, 8, seed=0)
         state = LoadState(net)
         procs = list(net.processors)
-        state.apply_path(procs[0], procs[1])
+        state.apply_pairs([procs[0]], [procs[1]], [1])
         snap = state.snapshot()
-        state.apply_path(procs[1], procs[2])  # tentative delta
+        state.apply_pairs([procs[1]], [procs[2]], [1])  # tentative delta
         outcome = apply_mutation(net, AttachLeaf(int(net.buses[0])))
         return state, snap, outcome
 
@@ -417,6 +417,6 @@ class TestRollbackAcrossMutationGuard:
         procs = list(state.network.processors)
         before = state._loads.copy()
         fresh = state.snapshot()
-        state.apply_path(procs[0], procs[-1])
+        state.apply_pairs([procs[0]], [procs[-1]], [1])
         state.rollback(fresh)
         assert np.array_equal(state._loads, before)

@@ -17,8 +17,8 @@ reference plus baseline placements, batched through
 (:class:`EdgeCounterManager` and its hysteresis / rent-or-buy tournament
 subclasses), which batches through its *own* ``serve_chunk_fleet`` group
 hook -- shared chunk decode and nearest-table build, per-lane counter
-cascades.  Both group-served paths plus the lane-by-lane fallback are
-therefore covered, including first-touch objects appearing mid-chunk and
+cascades.  Both group-served paths are therefore covered, including
+first-touch objects appearing mid-chunk and
 threshold crossings landing exactly on chunk boundaries (the crafted
 boundary tests sweep every chunk alignment of an adaptation cascade).
 
@@ -358,8 +358,8 @@ def test_stacked_repair_is_idempotent_for_outcome_sequences():
     reference = LoadState(net)
     procs = net.processors
     for lane in stacked.lanes:
-        lane.apply_path(procs[0], procs[-1], 2)
-    reference.apply_path(procs[0], procs[-1], 2)
+        lane.apply_pairs([procs[0]], [procs[-1]], [2])
+    reference.apply_pairs([procs[0]], [procs[-1]], [2])
 
     outcomes = []
     current = net

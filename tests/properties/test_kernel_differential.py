@@ -16,16 +16,16 @@ along with the kernels:
 * :func:`repro.core.kernels.aggregate_pairs` against the historical
   ``np.unique(np.stack(...), axis=1)`` aggregation;
 * ``StaticPlacementManager._aggregate_chunk`` against its retained
-  ``_reference_aggregate_chunk`` twin;
+  ``reference_aggregate_chunk`` twin (:mod:`tests.scalar_oracle`);
 
 and closes with substrate-level end-to-end checks (PathMatrix batch ops
 and LoadState replay under every backend vs the numpy backend).  The
 fused pair charge is checked on a LoadState (with its journal and
 rollback) and on a LaneState row, against its twin and against the
 unfused composition it replaced.  The adaptive counter scan is checked
-call by call inside real adaptive replays: every call runs the twin on a
-copy of the state and must return the same records and changed objects
-and leave the same counters, holder masks and holder counts.
+call by call inside real adaptive replays, one-event chunks included:
+every call runs the twin on a copy of the state and must return the same
+records and leave the same counters, holder masks and holder counts.
 
 The seed matrix is extendable via the ``REPRO_KERNEL_SEEDS`` environment
 variable (comma-separated integers), which CI uses to pin a fixed
@@ -46,6 +46,7 @@ from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import random_sparse_pattern, zipf_pattern
 from tests.properties.test_fleet_parity import _adaptive_only_factories, _crossing_sequence
+from tests.scalar_oracle import add_holder, materialise, reference_aggregate_chunk
 
 DEFAULT_SEEDS = (0, 1, 2, 3)
 
@@ -415,7 +416,7 @@ class TestAggregationParity:
         start = int(rng.integers(0, len(seq)))
         stop = int(rng.integers(start, len(seq) + 1))
         got = StaticPlacementManager._aggregate_chunk(seq, start, stop)
-        ref = StaticPlacementManager._reference_aggregate_chunk(seq, start, stop)
+        ref = reference_aggregate_chunk(seq, start, stop)
         if ref is None:
             assert got is None
             return
@@ -433,7 +434,7 @@ class TestAggregationParity:
     def test_aggregate_chunk_empty(self):
         seq = RequestSequence([], 3)
         assert StaticPlacementManager._aggregate_chunk(seq, 0, 0) is None
-        assert StaticPlacementManager._reference_aggregate_chunk(seq, 0, 0) is None
+        assert reference_aggregate_chunk(seq, 0, 0) is None
 
 
 @pytest.mark.parametrize("backend", COMPILED)
@@ -505,8 +506,8 @@ def _twin_checked_scans(monkeypatch, backend):
     """Route every ``kernels.adaptive_scan`` call through both backends.
 
     The numpy twin runs on copies of the state arrays, ``backend`` on the
-    live ones; records, changed objects and the final counters, holder
-    masks and holder counts must be equal.  Returns the list of the
+    live ones; records and the final counters, holder masks and holder
+    counts must be equal.  Returns the list of the
     calls' records, so a test can check that the op ran at all.
     """
     op = kernels.adaptive_scan
@@ -531,12 +532,16 @@ def _twin_checked_scans(monkeypatch, backend):
 
 def _scan_once(backend, manager, events, monkeypatch):
     """Serve ``events`` as one chunk through ``manager``, twin-checked;
-    returns the scan's ``(runs, mgmt_direct, mgmt_rep, changed)``."""
+    returns the scan's ``(runs, mgmt_direct, mgmt_rep)`` and the objects
+    whose holder set changed, ascending."""
     calls = _twin_checked_scans(monkeypatch, backend)
     seq = RequestSequence(events, manager.n_objects)
+    objects = range(manager.n_objects)
+    before = [manager.holders(obj) for obj in objects]
     manager.serve_chunk(seq, 0, len(seq))
     (records,) = calls
-    return records
+    changed = [obj for obj in objects if manager.holders(obj) != before[obj]]
+    return (*records, changed)
 
 
 @pytest.mark.parametrize("backend", COMPILED)
@@ -545,7 +550,7 @@ class TestAdaptiveScan:
     twin, the Python counter scan, call by call."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("chunk_size", [2, 7, 32, None])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 32, None])
     def test_seed_matrix(self, backend, seed, chunk_size, monkeypatch):
         net = balanced_tree(2, 3, 2)
         pattern = zipf_pattern(net, 12, requests_per_processor=10, seed=seed)
@@ -566,7 +571,7 @@ class TestAdaptiveScan:
         calls = _twin_checked_scans(monkeypatch, backend)
         for factory in _adaptive_only_factories(net, seq.n_objects):
             SimulationEngine(factory(), chunk_size=chunk_size).run(seq)
-        assert bool(calls) == (chunk_size > 1)
+        assert calls
 
     def test_after_grow_and_detach_rehome(self, backend, monkeypatch):
         net = balanced_tree(2, 2, 2)
@@ -612,8 +617,8 @@ class TestAdaptiveScan:
         )
         manager = EdgeCounterManager(net, 1, object_size=4, invalidation_patience=2)
         adaptive = manager._adaptive
-        adaptive.materialise(0, a)
-        adaptive.add_holder(0, b)
+        materialise(adaptive, 0, a)
+        add_holder(adaptive, 0, b)
         runs, direct, rep, changed = _scan_once(
             backend, manager,
             [RequestEvent(writer, 0, "write"), RequestEvent(writer, 0, "write")],

@@ -3,7 +3,8 @@
 The incremental :class:`repro.core.loadstate.LoadState` (and the
 :class:`repro.dynamic.online.OnlineCostAccount` facade on top of it) must
 agree *exactly* -- same float values, not just approximately -- with the
-retained scalar replay (``_ReferenceOnlineCostAccount``) and with the
+retained scalar replay (``ReferenceOnlineCostAccount`` and the scalar serve
+loop of :mod:`tests.scalar_oracle`) and with the
 static batch evaluator (:func:`repro.core.congestion.compute_loads`) on
 randomized networks, request sequences and interleaved
 migrate/replicate/invalidate traffic.  All charged quantities are
@@ -20,10 +21,10 @@ from repro.dynamic.online import (
     EdgeCounterManager,
     OnlineCostAccount,
     StaticPlacementManager,
-    _ReferenceOnlineCostAccount,
 )
 from repro.dynamic.sequence import sequence_from_pattern
 from tests.conftest import instances, networks
+from tests.scalar_oracle import ReferenceOnlineCostAccount, charge_path, serve_events
 
 SETTINGS = dict(
     max_examples=25,
@@ -49,7 +50,7 @@ class TestChargeParity:
         """Random charge streams hit both accounts identically."""
         rooted = net.rooted()
         incremental = OnlineCostAccount(net)
-        reference = _ReferenceOnlineCostAccount(net)
+        reference = ReferenceOnlineCostAccount(net)
         n_ops = data.draw(st.integers(min_value=0, max_value=25))
         for _ in range(n_ops):
             kind = data.draw(st.sampled_from(["path", "steiner"]))
@@ -58,8 +59,8 @@ class TestChargeParity:
             if kind == "path":
                 src = data.draw(st.integers(0, net.n_nodes - 1))
                 dst = data.draw(st.integers(0, net.n_nodes - 1))
-                incremental.charge_path(rooted, src, dst, amount, management)
-                reference.charge_path(rooted, src, dst, amount, management)
+                charge_path(incremental, rooted, src, dst, amount, management)
+                charge_path(reference, rooted, src, dst, amount, management)
             else:
                 k = data.draw(st.integers(1, min(4, net.n_nodes)))
                 terminals = data.draw(
@@ -88,10 +89,10 @@ class TestChargeParity:
             net,
             pattern.n_objects,
             object_size=2,
-            account=_ReferenceOnlineCostAccount(net),
+            account=ReferenceOnlineCostAccount(net),
         )
         incremental.run(seq)
-        reference.run(seq)
+        serve_events(reference, seq)
         # decisions depend only on the event stream, so the holder sets and
         # the cost accounts must both agree exactly
         for obj in range(pattern.n_objects):
@@ -110,9 +111,12 @@ class TestStaticReplayParity:
 
         event = StaticPlacementManager(net, placement).run(seq)
         batch = StaticPlacementManager(net, placement).run(seq, chunk_size=chunk)
-        reference = StaticPlacementManager(
-            net, placement, account=_ReferenceOnlineCostAccount(net)
-        ).run(seq)
+        reference = serve_events(
+            StaticPlacementManager(
+                net, placement, account=ReferenceOnlineCostAccount(net)
+            ),
+            seq,
+        )
 
         assert np.array_equal(event.edge_loads, batch.edge_loads)
         assert event.congestion == batch.congestion
@@ -138,7 +142,7 @@ class TestSnapshotRollback:
         # pre-charge some baseline traffic
         for _ in range(5):
             u, v = rng.integers(0, net.n_nodes, size=2)
-            state.apply_path(int(u), int(v), float(rng.integers(1, 5)))
+            state.apply_pairs([u], [v], [float(rng.integers(1, 5))])
         before_loads = state.edge_loads.copy()
         before_bus = state.bus_loads.copy()
         before_congestion = state.congestion
@@ -151,7 +155,7 @@ class TestSnapshotRollback:
             if kind == "path":
                 u = data.draw(st.integers(0, net.n_nodes - 1))
                 v = data.draw(st.integers(0, net.n_nodes - 1))
-                state.apply_path(u, v, amount)
+                state.apply_pairs([u], [v], [amount])
             elif kind == "steiner":
                 k = data.draw(st.integers(2, min(4, max(2, net.n_nodes))))
                 terms = [
@@ -179,23 +183,23 @@ class TestSnapshotRollback:
     def test_nested_snapshots_and_commit(self, net):
         state = LoadState(net)
         procs = list(net.processors)
-        state.apply_path(procs[0], procs[-1], 3.0)
+        state.apply_pairs([procs[0]], [procs[-1]], [3.0])
         base = state.edge_loads.copy()
 
         outer = state.snapshot()
-        state.apply_path(procs[0], procs[-1], 2.0)
+        state.apply_pairs([procs[0]], [procs[-1]], [2.0])
         mid = state.edge_loads.copy()
         inner = state.snapshot()
-        state.apply_path(procs[-1], procs[0], 5.0)
+        state.apply_pairs([procs[-1]], [procs[0]], [5.0])
         state.rollback(inner)
         assert np.array_equal(state.edge_loads, mid)
         state.rollback(outer)
         assert np.array_equal(state.edge_loads, base)
 
         committed = state.snapshot()
-        state.apply_path(procs[0], procs[-1], 1.0)
+        state.apply_pairs([procs[0]], [procs[-1]], [1.0])
         state.commit(committed)
-        assert state.total_load == base.sum() + state.path_length(
+        assert state.total_load == base.sum() + net.rooted().distance(
             procs[0], procs[-1]
         )
 

@@ -3,9 +3,9 @@
 The vectorized kernels in :mod:`repro.core.pathmatrix` and the rewritten
 hot paths of :mod:`repro.core.congestion` must agree *exactly* (same float
 values, not just approximately) with the retained scalar reference
-implementations (``_reference_compute_loads`` /
-``_reference_object_edge_loads``) on randomized networks, placements and
-split request assignments.
+implementations (``reference_compute_loads`` /
+``reference_object_edge_loads`` of :mod:`tests.scalar_oracle`) on
+randomized networks, placements and split request assignments.
 """
 
 import numpy as np
@@ -15,16 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.baselines import full_replication_placement, random_placement
 from repro.errors import ReproError
 from repro.network.builders import balanced_tree
-from repro.core.congestion import (
-    _reference_compute_loads,
-    _reference_object_edge_loads,
-    batch_congestions,
-    compute_loads,
-    object_edge_loads,
-)
+from repro.core.congestion import batch_congestions, compute_loads, object_edge_loads
 from repro.core.extended_nibble import extended_nibble
 from repro.core.placement import Placement, RequestAssignment, Share
 from tests.conftest import instances, networks
+from tests.scalar_oracle import reference_compute_loads, reference_object_edge_loads
 
 SETTINGS = dict(
     max_examples=30,
@@ -107,7 +102,7 @@ class TestCongestionParity:
         net, pat = inst
         placement = random_placement(net, pat, seed=seed)
         vec = compute_loads(net, pat, placement)
-        ref = _reference_compute_loads(net, pat, placement)
+        ref = reference_compute_loads(net, pat, placement)
         assert np.array_equal(vec.edge_loads, ref.edge_loads)
         assert np.array_equal(vec.bus_loads, ref.bus_loads)
         assert vec.congestion == ref.congestion
@@ -118,7 +113,7 @@ class TestCongestionParity:
         net, pat = inst
         placement = random_redundant_placement(net, pat, seed)
         vec = compute_loads(net, pat, placement)
-        ref = _reference_compute_loads(net, pat, placement)
+        ref = reference_compute_loads(net, pat, placement)
         assert np.array_equal(vec.edge_loads, ref.edge_loads)
         assert np.array_equal(vec.bus_loads, ref.bus_loads)
 
@@ -128,7 +123,7 @@ class TestCongestionParity:
         net, pat = inst
         placement = full_replication_placement(net, pat)
         vec = compute_loads(net, pat, placement)
-        ref = _reference_compute_loads(net, pat, placement)
+        ref = reference_compute_loads(net, pat, placement)
         assert np.array_equal(vec.edge_loads, ref.edge_loads)
         assert np.array_equal(vec.bus_loads, ref.bus_loads)
 
@@ -139,7 +134,7 @@ class TestCongestionParity:
         placement = random_redundant_placement(net, pat, seed)
         assignment = split_assignment(net, pat, placement, seed + 1)
         vec = compute_loads(net, pat, placement, assignment=assignment)
-        ref = _reference_compute_loads(net, pat, placement, assignment=assignment)
+        ref = reference_compute_loads(net, pat, placement, assignment=assignment)
         assert np.array_equal(vec.edge_loads, ref.edge_loads)
         assert np.array_equal(vec.bus_loads, ref.bus_loads)
 
@@ -149,7 +144,7 @@ class TestCongestionParity:
         net, pat = inst
         result = extended_nibble(net, pat)
         vec = compute_loads(net, pat, result.placement, assignment=result.assignment)
-        ref = _reference_compute_loads(
+        ref = reference_compute_loads(
             net, pat, result.placement, assignment=result.assignment
         )
         assert np.array_equal(vec.edge_loads, ref.edge_loads)
@@ -165,7 +160,7 @@ class TestCongestionParity:
             for obj in range(pat.n_objects)
         ]
         reference = [
-            _reference_object_edge_loads(net, pat, placement, obj)
+            reference_object_edge_loads(net, pat, placement, obj)
             for obj in range(pat.n_objects)
         ]
         for vec, ref in zip(per_object, reference):
@@ -186,7 +181,7 @@ class TestBatchParity:
         ]
         batch = batch_congestions(net, pat, placements)
         sequential = [
-            _reference_compute_loads(net, pat, p, validate=False).congestion
+            reference_compute_loads(net, pat, p, validate=False).congestion
             for p in placements
         ]
         assert batch.tolist() == sequential
@@ -202,10 +197,10 @@ class TestBatchParity:
             [result.placement, result.placement],
             assignments=[result.assignment, None],
         )
-        with_assignment = _reference_compute_loads(
+        with_assignment = reference_compute_loads(
             net, pat, result.placement, assignment=result.assignment
         ).congestion
-        nearest = _reference_compute_loads(net, pat, result.placement).congestion
+        nearest = reference_compute_loads(net, pat, result.placement).congestion
         assert batch[0] == with_assignment
         assert batch[1] == nearest
 

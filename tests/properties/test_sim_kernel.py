@@ -9,7 +9,8 @@ sinks=(TrajectorySink(k),)).run(seq, trace)``).  This module keeps the
 pre-refactor implementations **verbatim** (as ``_reference_*`` functions,
 per ARCHITECTURE.md invariant 1) and asserts bit-for-bit agreement on
 seeded scenarios: loads, cost units, congestion values, served/dropped
-counts, trajectories and per-round congestion.
+counts, trajectories and per-round congestion.  The per-event ``serve``
+they called is the scalar oracle of :mod:`tests.scalar_oracle`.
 """
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.sinks import TrajectorySink
 from repro.workload.churn import mutation_storm, rolling_maintenance_detach
 from repro.workload.generators import uniform_pattern, zipf_pattern
+from tests.scalar_oracle import serve
 
 
 # --------------------------------------------------------------------------- #
@@ -41,7 +43,7 @@ def _reference_run(strategy, sequence, chunk_size=None):
     """``OnlineStrategy.run`` as it was before the kernel refactor."""
     if chunk_size is None:
         for event in sequence:
-            strategy.serve(event)
+            serve(strategy, event)
     else:
         for start in range(0, len(sequence), chunk_size):
             strategy.serve_chunk(sequence, start, min(start + chunk_size, len(sequence)))
@@ -52,7 +54,7 @@ def _reference_congestion_trajectory(strategy, sequence, sample_every=1):
     """``congestion_trajectory`` as it was before the kernel refactor."""
     samples = []
     for i, event in enumerate(sequence):
-        strategy.serve(event)
+        serve(strategy, event)
         if (i + 1) % sample_every == 0 or i + 1 == len(sequence):
             samples.append(strategy.account.congestion)
     return np.asarray(samples, dtype=np.float64)
@@ -97,9 +99,9 @@ def _reference_replay_with_churn(strategy, sequence, trace, sample_every=None):
             dropped += 1
         else:
             if proc == event.processor:
-                strategy.serve(event)
+                serve(strategy, event)
             else:
-                strategy.serve(RequestEvent(proc, event.obj, event.kind))
+                serve(strategy, RequestEvent(proc, event.obj, event.kind))
             served += 1
         if sample_every is not None and (
             (i + 1) % sample_every == 0 or i + 1 == len(sequence)
@@ -227,13 +229,15 @@ class TestRunParity:
         )
         _assert_accounts_equal(kernel, reference)
 
+    # the adaptive chunk path against the scalar event loop at every
+    # chunk size, one-event chunks included
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("chunk_size", [None, 5, 1024])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 5, 1024])
     def test_edge_counter(self, seed, chunk_size):
         net, _pattern, seq, _placement = _instance(seed)
         kernel = EdgeCounterManager(net, seq.n_objects).run(seq, chunk_size=chunk_size)
         reference = _reference_run(
-            EdgeCounterManager(net, seq.n_objects), seq, chunk_size=chunk_size
+            EdgeCounterManager(net, seq.n_objects), seq, chunk_size=None
         )
         _assert_accounts_equal(kernel, reference)
 
@@ -241,7 +245,7 @@ class TestRunParity:
     # the adaptive family, including the tournament subclasses: chunked
     # kernel replay vs the scalar event loop, plus identical holder sets
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("chunk_size", [3, 64])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
     @pytest.mark.parametrize(
         "make",
         [

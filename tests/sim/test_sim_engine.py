@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.extended_nibble import extended_nibble
-from repro.dynamic.online import EdgeCounterManager, StaticPlacementManager
+from repro.dynamic.online import EdgeCounterManager, OnlineStrategy, StaticPlacementManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.errors import SimulationError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus
 from repro.network.mutation import AttachLeaf, ChurnTrace, DetachLeaf
-from repro.sim.engine import RoundReplayDriver, SimulationEngine
+from repro.sim.engine import EngineStream, RoundReplayDriver, SimulationEngine
 from repro.sim.protocol import validate_strategy
 from repro.sim.sinks import (
     CostBreakdownSink,
@@ -19,6 +19,7 @@ from repro.sim.sinks import (
 )
 from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
 from repro.workload.generators import uniform_pattern
+from tests.scalar_oracle import ReferenceOnlineCostAccount
 
 
 @pytest.fixture
@@ -140,6 +141,50 @@ class TestProtocol:
     def test_engine_rejects_non_strategy(self):
         with pytest.raises(SimulationError):
             SimulationEngine(object())
+
+    @pytest.mark.parametrize("member", ["account.state", "serve_chunk"])
+    @pytest.mark.parametrize("entry", ["run", "run_fleet", "stream"])
+    def test_unservable_strategy_is_refused_before_serving(
+        self, instance, member, entry
+    ):
+        """No entry point takes a strategy nothing could serve: one whose
+        account has no load state, or one without ``serve_chunk``."""
+        net, seq, _placement = instance
+        if member == "account.state":
+            strategy = EdgeCounterManager(
+                net, seq.n_objects, account=ReferenceOnlineCostAccount(net)
+            )
+        else:
+            strategy = _HoldersOnly(net, seq.n_objects)
+        account = strategy.account
+        counters = [a.copy() for a in _counter_arrays(strategy)]
+        with pytest.raises(SimulationError, match=f"missing {member}$"):
+            if entry == "run":
+                SimulationEngine(strategy).run(seq)
+            elif entry == "run_fleet":
+                SimulationEngine.run_fleet([strategy], seq)
+            else:
+                EngineStream(strategy)
+        assert strategy.account is account
+        assert not account.edge_loads.any()
+        assert account.service_units == account.management_units == 0
+        for before, after in zip(counters, _counter_arrays(strategy)):
+            assert np.array_equal(before, after)
+
+
+class _HoldersOnly(OnlineStrategy):
+    """An online strategy that implements ``holders`` and no serving."""
+
+    def holders(self, obj):
+        return set()
+
+
+def _counter_arrays(strategy):
+    adaptive = getattr(strategy, "_adaptive", None)
+    if adaptive is None:
+        return []
+    return [adaptive.holder_mask, adaptive.read_credit, adaptive.unread_writes,
+            adaptive.n_holders]
 
 
 class TestEngine:

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,6 +291,30 @@ class TestSimulateCommand:
         for name in ("zipf", "storm", "adversarial-storm",
                      "flash-crowd-recovery", "fleet-sweep"):
             assert name in text
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_list_into_a_closed_pipe_exits_without_a_traceback(self, unbuffered):
+        # `repro simulate --list | head -1`: the reader is gone before the
+        # CLI writes (the deterministic form of head exiting early), with
+        # stdout unbuffered (fails inside print) and buffered (fails at
+        # the final flush)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "simulate", "--list"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert b"Traceback" not in child.stderr
+        assert b"BrokenPipeError" not in child.stderr
 
     @pytest.mark.parametrize(
         "scenario", ["adversarial-storm", "flash-crowd-recovery", "fleet-sweep"]

@@ -182,7 +182,7 @@ def test_repair_speedup_over_rebuild():
 
     assert np.array_equal(repaired._loads, rebuilt._loads)
     assert repaired.congestion == rebuilt.congestion
-    assert np.array_equal(repaired._denom, rebuilt._denom)
+    assert np.array_equal(repaired.stack._denom, rebuilt.stack._denom)
     speedup = rebuild_time / max(repair_time, 1e-12)
     print(
         f"\nE10 churn [large]: {len(outcomes)} mutations, "

@@ -94,7 +94,7 @@ def build_managers(name):
     for manager in managers:
         manager._nearest_tables_bulk(range(seq.n_objects))
         for obj in range(seq.n_objects):
-            manager._steiner_edge_ids_for(obj, manager.account.state)
+            manager._steiner_edge_ids_for(obj, manager.account.state.stack)
     return managers
 
 

@@ -77,7 +77,7 @@ def stream_replay(net, placement, seq, account=None):
 def batch_replay(net, placement, seq):
     """Whole-sequence batch replay through the path-incidence operator."""
     manager = StaticPlacementManager(net, placement)
-    manager.run_batch(seq)
+    manager.run(seq)
     _ = manager.account.congestion
     return manager.account
 

@@ -6,9 +6,9 @@ plumbing: timeline merging, sink notification and protocol dispatch may
 not add meaningful cost over calling the vectorized chunk fast path
 directly.  This benchmark measures both sides on the replay scenarios of
 ``bench_online.py`` and gates the ratio: on the largest trace the
-engine-mediated batch replay (``run_batch``, now a kernel adapter) must
-stay within **10%** of a direct ``serve_chunk`` call over the whole
-sequence.
+engine-mediated batch replay (``run(seq)``, whose churn-free timeline is
+one serve span) must stay within **10%** of a direct ``serve_chunk`` call
+over the whole sequence.
 
 It also measures the declarative scenario registry end-to-end (spec ->
 build -> engine with sinks), the path ``repro simulate`` and E11 take.
@@ -60,9 +60,9 @@ def direct_batch(net, placement, seq):
 
 
 def engine_batch(net, placement, seq):
-    """The same replay through the kernel (run_batch is an engine adapter)."""
+    """The same replay through the kernel (one span through the engine)."""
     manager = StaticPlacementManager(net, placement)
-    manager.run_batch(seq)
+    manager.run(seq)
     _ = manager.account.congestion
     return manager.account
 

@@ -14,10 +14,10 @@ workflows without writing Python:
 * ``repro simulate`` -- run a scenario from the declarative registry (or a
   ``ScenarioSpec`` JSON file) through the unified simulation kernel and
   write a JSON result artifact; ``--list`` shows the registered scenario
-  families, ``--fleet`` replays all strategies in one stacked pass over
-  the timeline and ``--parallel N`` fans sweep/strategy jobs over a
-  persistent worker pool -- both produce byte-identical artifacts to the
-  serial default;
+  families.  Each sweep entry's strategies replay in one stacked pass
+  over its timeline, and ``--parallel N`` fans the sweep entries over a
+  persistent worker pool, with artifacts byte-identical to the serial
+  default;
 * ``repro serve`` -- the streaming placement service (docs/SERVING.md):
   request/churn events in over a socket, placement acks and live sink
   metrics out, every session optionally recorded for offline replay;
@@ -36,8 +36,8 @@ workflows without writing Python:
   fails on drift) and ``gc`` reclaims runs no longer keyed by the suite;
 * ``repro tournament`` -- race the pinned strategy set
   (:data:`repro.lab.tournament.TOURNAMENT_STRATEGIES`) across every
-  scenario family through the lab registry (resumable, ``--fleet`` /
-  ``--parallel`` byte-identical to serial) and print the leaderboard.
+  scenario family through the lab registry (resumable, ``--parallel``
+  byte-identical to serial) and print the leaderboard.
 
 Every subcommand is a thin wrapper around the library API, so the CLI is
 also a usage example.
@@ -275,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace, stream) -> int:
     else:
         print("simulate: pass --scenario, --spec or --list", file=stream)
         return 2
-    records = run_scenario(spec, fleet=args.fleet, parallel=args.parallel)
+    records = run_scenario(spec, parallel=args.parallel)
     print(
         f"scenario {spec.name}: {len(records)} strategy runs",
         file=stream,
@@ -475,7 +475,6 @@ def _cmd_lab_run_missing(args: argparse.Namespace, stream) -> int:
         registry,
         entries,
         parallel=args.parallel,
-        fleet=args.fleet,
         progress=lambda line: print(f"ran {line}", file=stream),
     )
     print(
@@ -501,7 +500,6 @@ def _cmd_tournament(args: argparse.Namespace, stream) -> int:
         registry,
         entries,
         parallel=args.parallel,
-        fleet=args.fleet,
         progress=lambda line: print(f"ran {line}", file=stream),
     )
     print(
@@ -690,16 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "fan sweep/strategy jobs over a persistent worker pool; "
+            "fan the sweep entries over a persistent worker pool; "
             "artifacts are byte-identical to a serial run"
-        ),
-    )
-    simulate.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay all strategies of a scenario in one stacked pass over "
-            "the timeline (bit-for-bit equal to the sequential default)"
         ),
     )
     simulate.add_argument("--output", "-o", default=None)
@@ -929,14 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="fan missing entries over the persistent worker pool",
     )
-    lab_run.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay scenario entries through the stacked fleet engine "
-            "(pure accelerator: artifacts are bit-for-bit unchanged)"
-        ),
-    )
     lab_run.set_defaults(func=_cmd_lab_run_missing)
 
     lab_status = lab_sub.add_parser(
@@ -1027,14 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="fan missing entries over the persistent worker pool",
-    )
-    tournament.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "replay each entry's strategies through the stacked fleet "
-            "engine (pure accelerator: artifacts are bit-for-bit unchanged)"
-        ),
     )
     tournament.set_defaults(func=_cmd_tournament)
 

@@ -9,7 +9,7 @@ from repro.core.congestion import (
     object_edge_loads,
     total_communication_load,
 )
-from repro.core.loadstate import LaneState, LoadSnapshot, LoadState, StackedLoadState
+from repro.core.loadstate import LoadSnapshot, LoadState, StackedLoadState
 from repro.core.nibble import (
     NibbleResult,
     center_of_gravity,
@@ -61,7 +61,6 @@ __all__ = [
     "LoadState",
     "LoadSnapshot",
     "StackedLoadState",
-    "LaneState",
     "NibbleResult",
     "center_of_gravity",
     "gravity_candidates",

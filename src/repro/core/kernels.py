@@ -553,9 +553,9 @@ class PairSubstrate:
 
     Built for one load row: ``up`` is the ``(levels, n)`` lifting table,
     ``loads`` the fused ``n_edges + n`` row that the charges go into and
-    ``denom`` its relative-load denominators.  A load substrate keeps one
-    per row until its topology changes
-    (``_SubstrateGeometry._pair_substrate``), so the dtype, contiguity and
+    ``denom`` its relative-load denominators.  A load stack keeps one per
+    row until its topology changes
+    (``StackedLoadState._pair_substrate``), so the dtype, contiguity and
     length checks of these arrays (:class:`TypeError`, like every cc
     argument check) and their address lookups run once per topology
     epoch, not once per charge.  The numpy twin reads the arrays; the cc

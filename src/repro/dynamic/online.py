@@ -387,15 +387,14 @@ class StaticPlacementManager(OnlineStrategy):
             self.rooted.path_matrix(), self._procs, self.network.n_nodes, requests
         )
 
-    def _steiner_edge_ids_for(self, obj: int, entry_source) -> np.ndarray:
+    def _steiner_edge_ids_for(self, obj: int, stack) -> np.ndarray:
         """Edge ids of one object's write-broadcast Steiner tree (cached).
 
-        ``entry_source`` is any substrate exposing ``_steiner_entry`` (the
-        manager's own state, or the shared stacked state in fleet mode);
-        the ids only depend on the topology and the holder set, so the
-        per-object cache survives substrate swaps and bandwidth mutations
-        and is cleared with the other holder-derived caches on structural
-        repair.
+        ``stack`` is the :class:`~repro.core.loadstate.StackedLoadState`
+        owning the manager's lane; the ids only depend on the topology and
+        the holder set, so the per-object cache survives bandwidth
+        mutations and is cleared with the other holder-derived caches on
+        structural repair.
         """
         edge_ids = self._steiner_ids_cache.get(obj)
         if edge_ids is None:
@@ -404,7 +403,7 @@ class StaticPlacementManager(OnlineStrategy):
                 edge_ids = np.empty(0, dtype=np.int64)
             else:
                 key = frozenset(int(t) for t in terminals)
-                edge_ids = entry_source._steiner_entry(key)[0]
+                edge_ids = stack._steiner_entry(key)[0]
             self._steiner_ids_cache[obj] = edge_ids
         return edge_ids
 
@@ -473,10 +472,6 @@ class StaticPlacementManager(OnlineStrategy):
                 amount=int(count),
             )
 
-    def run_batch(self, sequence: RequestSequence) -> OnlineCostAccount:
-        """Replay the whole sequence as one batch (see :meth:`serve_chunk`)."""
-        return self.run(sequence, chunk_size=max(1, len(sequence)))
-
     @classmethod
     def serve_chunk_fleet(
         cls, managers: Sequence["StaticPlacementManager"], sequence, start, stop
@@ -511,17 +506,17 @@ class StaticPlacementManager(OnlineStrategy):
             for obj, rows in by_object:
                 targets[rows, k] = manager._nearest_table(obj)[u[rows]]
 
-        parent = states[0].parent
+        stack = states[0].stack
         lanes = [s.lane_index for s in states]
         w = counts.astype(np.float64)
         # one batched LCA pass feeds both the distance booking and the
         # pair scatters (same depth arithmetic as pm.distances)
-        pm = parent.pm
+        pm = stack.pm
         anc = pm.lca(u[:, None], targets)
         depth = pm.depths
         dists = depth[u][:, None] + depth[targets] - 2 * depth[anc]
         columns = pm.pair_edge_loads_lanes(u, targets, w, anc)
-        parent.apply_edge_loads_lanes(lanes, columns)
+        stack.apply_edge_loads_lanes(lanes, columns)
         for k, manager in enumerate(managers):
             manager.account._book(int(round(float(dists[:, k] @ w))), False)
 
@@ -531,17 +526,17 @@ class StaticPlacementManager(OnlineStrategy):
         # (the only observation point) equals the per-charge running max of
         # the sequential path bit-for-bit.
         if written.size:
-            steiner_cols = np.zeros((parent.n_edges, len(managers)))
+            steiner_cols = np.zeros((stack.n_edges, len(managers)))
             for k, manager in enumerate(managers):
                 column = steiner_cols[:, k]
                 booked = 0
                 for obj, count in zip(written, write_counts):
-                    edge_ids = manager._steiner_edge_ids_for(int(obj), parent)
+                    edge_ids = manager._steiner_edge_ids_for(int(obj), stack)
                     if edge_ids.size:
                         column[edge_ids] += count
                         booked += int(count) * int(edge_ids.size)
                 manager.account._book(booked, False)
-            parent.apply_edge_loads_lanes(lanes, steiner_cols)
+            stack.apply_edge_loads_lanes(lanes, steiner_cols)
 
 
 class EdgeCounterManager(OnlineStrategy):
@@ -700,7 +695,7 @@ class EdgeCounterManager(OnlineStrategy):
         """
         tables = self._tables_by_holders
         state = self.account.state
-        entry_source = getattr(state, "parent", state)
+        stack = state.stack
         n_nodes = np.int64(self.network.n_nodes)
         u_parts: List[np.ndarray] = []
         v_parts: List[np.ndarray] = []
@@ -714,10 +709,10 @@ class EdgeCounterManager(OnlineStrategy):
             else:
                 v_parts.append(tables[holders][ep])
                 if wc:
-                    ids = entry_source._steiner_entry(frozenset(holders))[0]
+                    ids = stack._steiner_entry(frozenset(holders))[0]
                     if ids.size:
                         if steiner_col is None:
-                            steiner_col = np.zeros(entry_source.n_edges)
+                            steiner_col = np.zeros(stack.n_edges)
                         steiner_col[ids] += wc
                         booked += wc * int(ids.size)
         if u_parts:

@@ -648,14 +648,14 @@ class RunMissingResult:
         return len(self.executed)
 
 
-def _execute_entry(job_json: str, fleet: bool = False) -> List[Dict[str, object]]:
+def _execute_entry(job_json: str) -> List[Dict[str, object]]:
     """Run one entry and return its records (module-level: pickles to workers)."""
     entry = LabEntry.from_job_json(job_json)
     if entry.kind in ("scenario", "tournament"):
         from repro.sim.scenario import ScenarioSpec, run_scenario
 
         spec = ScenarioSpec.from_dict(entry.document)
-        return run_scenario(spec, fleet=fleet)
+        return run_scenario(spec)
     if entry.kind == "experiment":
         from repro.analysis.experiments import run_experiment
 
@@ -675,7 +675,7 @@ def _execute_entry(job_json: str, fleet: bool = False) -> List[Dict[str, object]
     raise LabError(f"unknown lab entry kind {entry.kind!r}")
 
 
-def _attempt_entry(job_json: str, fleet: bool = False):
+def _attempt_entry(job_json: str):
     """``(records, None)``, or ``(None, message)`` for a run that failed.
 
     A failed run comes back as a value, not an exception, so it neither
@@ -683,7 +683,7 @@ def _attempt_entry(job_json: str, fleet: bool = False):
     that have not started yet (module-level: pickles to workers).
     """
     try:
-        return _execute_entry(job_json, fleet), None
+        return _execute_entry(job_json), None
     except LabError as exc:
         return None, str(exc)
 
@@ -692,7 +692,6 @@ def run_missing(
     registry: LabRegistry,
     entries: Sequence[LabEntry],
     parallel: int = 1,
-    fleet: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunMissingResult:
     """Execute exactly the suite entries the registry does not hold yet.
@@ -701,9 +700,7 @@ def run_missing(
     updated), so interrupting the sweep at any point loses only the jobs
     in flight: the next ``run_missing`` with the same suite executes the
     remainder and the final registry is byte-identical to an
-    uninterrupted sweep.  ``fleet`` replays scenario entries through the
-    stacked fleet engine -- a pure accelerator, records (and therefore
-    artifacts) are bit-for-bit unchanged.
+    uninterrupted sweep.
 
     A run that fails (its job raises :class:`LabError`) is not registered
     and does not stop the sweep: every other missing entry still runs and
@@ -729,11 +726,11 @@ def run_missing(
 
     if parallel == 1 or len(missing) <= 1:
         for index, entry in enumerate(missing):
-            settle(index, _attempt_entry(entry.to_job_json(), fleet))
+            settle(index, _attempt_entry(entry.to_job_json()))
     else:
         from repro.parallel import iter_jobs
 
-        jobs = [(entry.to_job_json(), fleet) for entry in missing]
+        jobs = [(entry.to_job_json(),) for entry in missing]
         for index, outcome in iter_jobs(min(parallel, len(jobs)), _attempt_entry, jobs):
             settle(index, outcome)
     if failures:

@@ -9,13 +9,14 @@ eager low-threshold tuning, migration hysteresis, and a hand-tuned
 rent-or-buy threshold split).  Because the spec document embeds the
 strategy set, tournament runs are content-addressed in the lab registry
 exactly like scenario runs: resumable via ``run-missing``, byte-identical
-across serial / ``--parallel`` / ``--fleet`` execution, and consumed by
-the generated RESULTS.md leaderboard without hand transcription.
+across serial and ``--parallel`` execution, and consumed by the generated
+RESULTS.md leaderboard without hand transcription.
 
-The fleet engine makes this shape cheap: all six lanes of one tournament
-entry replay in a single timeline pass over a shared
+The scenario runner replays every entry through the fleet engine, which
+makes this shape cheap: all lanes of one tournament entry replay in a
+single timeline pass over a shared
 :class:`~repro.core.loadstate.StackedLoadState`, with the adaptive lanes
-sharing one chunk decode and nearest-table build through
+of one class sharing one chunk decode and nearest-table build through
 ``EdgeCounterManager.serve_chunk_fleet``.
 """
 

@@ -8,7 +8,11 @@ strategies); at mutation points it applies the mutation functionally,
 repairs the strategy in place and keeps the reference-id mapping of the
 churn model up to date (requests from departed or not-yet-arrived
 processors are counted as dropped).  Metrics flow through the pluggable
-sinks of :mod:`repro.sim.sinks`.
+sinks of :mod:`repro.sim.sinks`.  :meth:`SimulationEngine.run_fleet`
+replays K strategies over one timeline on lanes of one stacked load
+state; it walks the same loop as :meth:`SimulationEngine.run`, and a
+fleet of one *is* that run.  :class:`EngineStream` is the incremental
+counterpart a serving front end feeds batch by batch.
 
 :class:`RoundReplayDriver` is the round-mode counterpart used by the
 store-and-forward request replay: it charges per-round delivery batches
@@ -38,7 +42,7 @@ from repro.network.mutation import (
 from repro.network.node import NodeKind
 from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import MetricsSink
-from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
+from repro.sim.timeline import MutationPoint, merge_timeline
 
 __all__ = [
     "SimulationEngine",
@@ -124,10 +128,7 @@ class _ReferenceTracker:
 
     Events address processors by *reference id*: original node ids plus
     one fresh id per attach in trace order.  Departed (or not-yet-arrived)
-    references map to ``-1`` and their requests drop.  One implementation
-    serves both :meth:`SimulationEngine.run` and
-    :meth:`SimulationEngine.run_fleet`, so the two paths cannot drift in
-    churn reference semantics (invariant 7 depends on that).
+    references map to ``-1`` and their requests drop.
     """
 
     __slots__ = ("current_of_ref", "n_refs", "_next_attach")
@@ -145,6 +146,47 @@ class _ReferenceTracker:
         if isinstance(mutation, AttachLeaf):
             self.current_of_ref[self._next_attach] = int(outcome.new_node)
             self._next_attach += 1
+
+
+def _check_chunk_size(chunk_size) -> Optional[int]:
+    """The ``chunk_size`` rule of every engine entry: ``None``, or an
+    ``int`` or numpy integer of at least 1 (a ``bool`` is refused).
+
+    The value can come from outside the program -- a recorded journal's
+    header carries it -- so anything else raises
+    :class:`~repro.errors.WorkloadError` here rather than a ``TypeError``
+    deep in the timeline merge, or a ``True`` replaying as chunk size 1.
+    """
+    if chunk_size is None:
+        return None
+    if (
+        isinstance(chunk_size, (int, np.integer))
+        and not isinstance(chunk_size, bool)
+        and chunk_size >= 1
+    ):
+        return int(chunk_size)
+    raise WorkloadError(
+        f"chunk_size must be an integer of at least 1, got {chunk_size!r}"
+    )
+
+
+def _check_sequence(strategies, sequence: RequestSequence, trace) -> None:
+    """Refuse a sequence the strategies cannot serve, before any event is.
+
+    Every strategy must know all of the sequence's objects.  Without a
+    trace every processor id is checked against the network up front
+    (:func:`_check_refs`); under a trace each span is checked as it is
+    resolved, against the reference universe of that moment.
+    """
+    for strategy in strategies:
+        n_objects = getattr(strategy, "n_objects", None)
+        if n_objects is not None and sequence.n_objects > n_objects:
+            raise WorkloadError(
+                "sequence references more objects than the strategy was built for"
+            )
+    if trace is None:
+        network = strategies[0].network
+        _check_refs(sequence.as_arrays()[0], network.n_nodes, None, network.node_kinds)
 
 
 def _sink_boundaries(sink_sets, n_events: int) -> set:
@@ -203,7 +245,8 @@ class SimulationEngine:
         replay between them stays batched.
     chunk_size:
         Optional upper bound on serve-span length (the batch replay
-        grid).  ``None`` serves each uninterrupted span as one chunk.
+        grid): an ``int`` or numpy integer of at least 1.  ``None`` serves
+        each uninterrupted span as one chunk.
     """
 
     def __init__(
@@ -213,11 +256,9 @@ class SimulationEngine:
         chunk_size: Optional[int] = None,
     ) -> None:
         validate_strategy(strategy)
-        if chunk_size is not None and chunk_size < 1:
-            raise WorkloadError("chunk_size must be a positive integer")
         self.strategy = strategy
         self.sinks: Tuple[MetricsSink, ...] = tuple(sinks)
-        self.chunk_size = chunk_size
+        self.chunk_size = _check_chunk_size(chunk_size)
         self.n_events = 0
         self.served = 0
         self.dropped = 0
@@ -243,213 +284,25 @@ class SimulationEngine:
         a bus raises :class:`~repro.errors.WorkloadError` before any event
         is served (under a trace, before its span is served).
         """
-        strategy = self.strategy
-        n_objects = getattr(strategy, "n_objects", None)
-        if n_objects is not None and sequence.n_objects > n_objects:
-            raise WorkloadError(
-                "sequence references more objects than the strategy was built for"
-            )
-        if trace is None:
-            network = strategy.network
-            _check_refs(
-                sequence.as_arrays()[0], network.n_nodes, None, network.node_kinds
-            )
-        self.n_events = len(sequence)
-        self.served = 0
-        self.dropped = 0
-        self.outcomes = []
+        _check_sequence([self.strategy], sequence, trace)
+        return self._replay([self], sequence, trace)[0]
 
-        boundaries = _sink_boundaries([self.sinks], self.n_events)
-        items = merge_timeline(self.n_events, trace, self.chunk_size, boundaries)
-
-        tracker = None
-        if trace is not None:
-            tracker = _ReferenceTracker(strategy.network.n_nodes, trace)
-
-        for sink in self.sinks:
-            sink.on_begin(self)
-        for item in items:
-            if isinstance(item, MutationPoint):
-                outcome = apply_mutation(strategy.network, item.mutation)
-                strategy.apply_mutation(outcome)
-                self.outcomes.append(outcome)
-                if tracker is not None:
-                    tracker.apply_outcome(item.mutation, outcome)
-                for sink in self.sinks:
-                    sink.on_mutation(self, outcome)
-            else:  # ServeSpan
-                start, stop = item.start, item.stop
-                if tracker is None:
-                    strategy.serve_chunk(sequence, start, stop)
-                    served, dropped = stop - start, 0
-                else:
-                    served, dropped = self._serve_remapped(
-                        sequence, start, stop,
-                        tracker.current_of_ref, tracker.n_refs,
-                    )
-                self.served += served
-                self.dropped += dropped
-                for sink in self.sinks:
-                    sink.on_span(self, start, stop, served, dropped)
-                    sink.on_boundary(self, stop)
-        for sink in self.sinks:
-            sink.on_end(self)
-
-        return SimulationResult(
-            strategy=strategy,
-            account=strategy.account,
-            network=strategy.network,
-            n_events=self.n_events,
-            served=self.served,
-            dropped=self.dropped,
-            outcomes=self.outcomes,
-            sinks=self.sinks,
-        )
-
-    def _serve_remapped(
-        self,
+    @staticmethod
+    def _replay(
+        engines: Sequence["SimulationEngine"],
         sequence: RequestSequence,
-        start: int,
-        stop: int,
-        current_of_ref: np.ndarray,
-        n_refs: int,
-    ) -> Tuple[int, int]:
-        """Serve one span under the reference-id mapping (see
-        :func:`_remap_span`; the kept chunk goes through the same chunk
-        fast path)."""
-        _check_refs(
-            sequence.as_arrays()[0][start:stop],
-            n_refs,
-            current_of_ref,
-            self.strategy.network.node_kinds,
-        )
-        sub, sub_start, sub_stop, served, dropped = _remap_span(
-            sequence, start, stop, current_of_ref, n_refs
-        )
-        if sub is not None and sub_stop > sub_start:
-            self.strategy.serve_chunk(sub, sub_start, sub_stop)
-        return served, dropped
-
-    # ------------------------------------------------------------------ #
-    # fleet replay: all strategies in one stacked pass over the timeline
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def run_fleet(
-        cls,
-        strategies: Sequence[object],
-        sequence: RequestSequence,
-        trace: Optional[ChurnTrace] = None,
-        sinks: Optional[Sequence[Sequence[MetricsSink]]] = None,
-        chunk_size: Optional[int] = None,
+        trace: Optional[ChurnTrace],
     ) -> List[SimulationResult]:
-        """Replay one timeline under every strategy at once, stacked.
+        """The one timeline loop behind :meth:`run` and :meth:`run_fleet`.
 
-        The comparative experiment shape of the paper -- the same
-        request/churn timeline under a whole strategy family -- pays K
-        full passes when run strategy by strategy.  ``run_fleet`` decodes
-        the timeline **once**, rebinds every strategy's (fresh) cost
-        account onto one lane of a shared
-        :class:`~repro.core.loadstate.StackedLoadState`, and serves each
-        span for all K strategies against the stacked substrate:
-
-        * strategies whose class implements the ``serve_chunk_fleet``
-          group hook (see :func:`~repro.sim.protocol.fleet_groups`) share
-          per-chunk work across their lanes: static lanes share the chunk
-          aggregation, batched LCA/distance pass and one lane-broadcast
-          edge scatter; adaptive counter lanes
-          (:class:`~repro.dynamic.online.EdgeCounterManager` and its
-          tournament subclasses) share the chunk decode, the per-object
-          position index and one bulk nearest-table build, each lane
-          replaying its own counter cascade exactly;
-        * every other strategy is served through its own ``serve_chunk``
-          against its lane, so custom strategies remain exact;
-        * churn mutations are applied once, the stacked substrate is
-          repaired once for all lanes, and the reference-id remapping of
-          each span is resolved once.
-
-        Per-lane metrics flow through per-strategy sink sets (``sinks[k]``
-        observes lane ``k`` through its own engine view).  Serve spans
-        break at the union of all lanes' sink intervals; with equal sink
-        configurations per lane -- the scenario-registry shape -- that is
-        exactly the sequential span structure.
-
-        The results are **bit-for-bit** those of K sequential
-        :meth:`run` calls over fresh strategies (loads, congestion,
-        trajectories, drops, cost breakdowns); all charges are integer
-        request counts, so lane arithmetic is exact in any order.
-        ``tests/properties/test_fleet_parity.py`` pins this.
-
-        Parameters
-        ----------
-        strategies:
-            Distinct, freshly-built strategies sharing one network object
-            and unused cost accounts (their states are rebound to fleet
-            lanes, which do not support snapshots).
-        sequence / trace / chunk_size:
-            As in :meth:`run`.
-        sinks:
-            Optional per-strategy sink sets (``len(sinks) == K``).
-
-        Returns
-        -------
-        list of SimulationResult, in strategy order.
+        Walks the timeline once for every engine: each mutation is applied
+        once and every strategy is carried over it, the reference-id
+        remapping of each span is resolved once, and each span is served
+        group by group (:func:`~repro.sim.protocol.fleet_groups`).  The
+        engines share one chunk size; their sinks observe them one by one.
         """
-        from repro.core.loadstate import LoadState, StackedLoadState
-
-        strategies = list(strategies)
-        if not strategies:
-            raise SimulationError("run_fleet needs at least one strategy")
-        if len(set(map(id, strategies))) != len(strategies):
-            raise SimulationError("fleet strategies must be distinct instances")
-        if sinks is None:
-            sinks = [()] * len(strategies)
-        sinks = [tuple(lane_sinks) for lane_sinks in sinks]
-        if len(sinks) != len(strategies):
-            raise SimulationError("run_fleet needs one sink set per strategy")
-
-        base_net = strategies[0].network
-        for strategy in strategies:
-            validate_strategy(strategy)
-            if strategy.network is not base_net:
-                raise SimulationError(
-                    "fleet strategies must share one network object (build "
-                    "them against the same HierarchicalBusNetwork instance)"
-                )
-            n_objects = getattr(strategy, "n_objects", None)
-            if n_objects is not None and sequence.n_objects > n_objects:
-                raise WorkloadError(
-                    "sequence references more objects than the strategy was "
-                    "built for"
-                )
-
-        if trace is None:
-            _check_refs(
-                sequence.as_arrays()[0], base_net.n_nodes, None, base_net.node_kinds
-            )
-        # validate freshness over the whole fleet BEFORE rebinding any
-        # account: a rejected fleet must leave every strategy untouched
-        for strategy in strategies:
-            account = strategy.account
-            state = getattr(account, "state", None)
-            fresh = (
-                isinstance(state, LoadState)
-                and not np.any(state._loads)
-                and not account.service_units
-                and not account.management_units
-            )
-            if not fresh:
-                raise SimulationError(
-                    "fleet strategies must be freshly built: their cost "
-                    "accounts are rebound onto lanes of one stacked substrate"
-                )
-        stacked = StackedLoadState(base_net, len(strategies))
-        for k, strategy in enumerate(strategies):
-            strategy.account.state = stacked.lane(k)
-
-        engines = [
-            cls(strategy, sinks=sinks[k], chunk_size=chunk_size)
-            for k, strategy in enumerate(strategies)
-        ]
+        strategies = [engine.strategy for engine in engines]
+        lead = strategies[0]
         n_events = len(sequence)
         for engine in engines:
             engine.n_events = n_events
@@ -457,14 +310,12 @@ class SimulationEngine:
             engine.dropped = 0
             engine.outcomes = []
 
-        boundaries = _sink_boundaries(
-            [engine.sinks for engine in engines], n_events
-        )
-        items = merge_timeline(n_events, trace, chunk_size, boundaries)
+        boundaries = _sink_boundaries([engine.sinks for engine in engines], n_events)
+        items = merge_timeline(n_events, trace, engines[0].chunk_size, boundaries)
 
         tracker = None
         if trace is not None:
-            tracker = _ReferenceTracker(base_net.n_nodes, trace)
+            tracker = _ReferenceTracker(lead.network.n_nodes, trace)
 
         groups = fleet_groups(strategies)
 
@@ -473,12 +324,12 @@ class SimulationEngine:
                 sink.on_begin(engine)
         for item in items:
             if isinstance(item, MutationPoint):
-                outcome = apply_mutation(strategies[0].network, item.mutation)
-                for k, strategy in enumerate(strategies):
-                    # the lane repair is idempotent per outcome, so the
-                    # stacked substrate is repaired exactly once
-                    strategy.apply_mutation(outcome)
-                    engines[k].outcomes.append(outcome)
+                outcome = apply_mutation(lead.network, item.mutation)
+                for engine in engines:
+                    # the stacked repair is idempotent per outcome, so a
+                    # shared substrate is repaired exactly once
+                    engine.strategy.apply_mutation(outcome)
+                    engine.outcomes.append(outcome)
                 if tracker is not None:
                     tracker.apply_outcome(item.mutation, outcome)
                 for engine in engines:
@@ -494,7 +345,7 @@ class SimulationEngine:
                         sequence.as_arrays()[0][start:stop],
                         tracker.n_refs,
                         tracker.current_of_ref,
-                        strategies[0].network.node_kinds,
+                        lead.network.node_kinds,
                     )
                     sub, sub_start, sub_stop, served, dropped = _remap_span(
                         sequence, start, stop,
@@ -531,6 +382,133 @@ class SimulationEngine:
             )
             for engine in engines
         ]
+
+    # ------------------------------------------------------------------ #
+    # fleet replay: all strategies in one stacked pass over the timeline
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def run_fleet(
+        cls,
+        strategies: Sequence[object],
+        sequence: RequestSequence,
+        trace: Optional[ChurnTrace] = None,
+        sinks: Optional[Sequence[Sequence[MetricsSink]]] = None,
+        chunk_size: Optional[int] = None,
+    ) -> List[SimulationResult]:
+        """Replay one timeline under every strategy at once, stacked.
+
+        The comparative experiment shape of the paper -- the same
+        request/churn timeline under a whole strategy family -- pays K
+        full passes when run strategy by strategy.  ``run_fleet`` decodes
+        the timeline **once**, rebinds every strategy's (fresh) cost
+        account onto one lane of a shared
+        :class:`~repro.core.loadstate.StackedLoadState`, and serves each
+        span for all K strategies against the stacked substrate:
+
+        * strategies of one class that implements the
+          ``serve_chunk_fleet`` group hook (see
+          :func:`~repro.sim.protocol.fleet_groups`) share per-chunk work
+          across their lanes: static lanes share the chunk aggregation,
+          batched LCA/distance pass and one lane-broadcast edge scatter;
+          adaptive counter lanes
+          (:class:`~repro.dynamic.online.EdgeCounterManager` and its
+          tournament subclasses) share the chunk decode, the per-object
+          position index and one bulk nearest-table build, each lane
+          replaying its own counter cascade exactly;
+        * a lone member of such a class, and every strategy without the
+          hook, is served through its own ``serve_chunk`` against its
+          lane, so custom strategies remain exact;
+        * churn mutations are applied once, the stacked substrate is
+          repaired once for all lanes, and the reference-id remapping of
+          each span is resolved once.
+
+        A fleet of one is :meth:`run` on the strategy's own one-lane
+        state.  Every check -- the protocol, ``chunk_size``, one sink set
+        per strategy, distinct strategies, accounts and states on one
+        network object, freshness and the sequence itself -- runs before
+        any account is rebound, so a refused fleet leaves every strategy
+        untouched.
+
+        Per-lane metrics flow through per-strategy sink sets (``sinks[k]``
+        observes lane ``k`` through its own engine view).  Serve spans
+        break at the union of all lanes' sink intervals; with equal sink
+        configurations per lane -- the scenario-registry shape -- that is
+        exactly the sequential span structure.
+
+        The results are **bit-for-bit** those of K sequential
+        :meth:`run` calls over fresh strategies (loads, congestion,
+        trajectories, drops, cost breakdowns); all charges are integer
+        request counts, so lane arithmetic is exact in any order.
+        ``tests/properties/test_fleet_parity.py`` pins this.
+
+        Parameters
+        ----------
+        strategies:
+            Distinct, freshly-built strategies sharing one network object,
+            each with its own unused cost account (their states are
+            rebound to fleet lanes, which do not support snapshots).
+        sequence / trace / chunk_size:
+            As in :meth:`run`.
+        sinks:
+            Optional per-strategy sink sets (``len(sinks) == K``).
+
+        Returns
+        -------
+        list of SimulationResult, in strategy order.
+        """
+        from repro.core.loadstate import LoadState, StackedLoadState
+
+        strategies = list(strategies)
+        if not strategies:
+            raise SimulationError("run_fleet needs at least one strategy")
+        if sinks is None:
+            sinks = [()] * len(strategies)
+        sinks = [tuple(lane_sinks) for lane_sinks in sinks]
+        if len(sinks) != len(strategies):
+            raise SimulationError("run_fleet needs one sink set per strategy")
+        engines = [
+            cls(strategy, sinks=lane_sinks, chunk_size=chunk_size)
+            for strategy, lane_sinks in zip(strategies, sinks)
+        ]
+        for owners in (
+            strategies,
+            [strategy.account for strategy in strategies],
+            [strategy.account.state for strategy in strategies],
+        ):
+            if len(set(map(id, owners))) != len(strategies):
+                raise SimulationError(
+                    "fleet strategies must be distinct instances with their "
+                    "own cost accounts and load states"
+                )
+        base_net = strategies[0].network
+        for strategy in strategies:
+            if strategy.network is not base_net:
+                raise SimulationError(
+                    "fleet strategies must share one network object (build "
+                    "them against the same HierarchicalBusNetwork instance)"
+                )
+            account = strategy.account
+            state = account.state
+            fresh = (
+                isinstance(state, LoadState)
+                and state.stack.n_lanes == 1
+                and not np.any(state._loads)
+                and not account.service_units
+                and not account.management_units
+            )
+            if not fresh:
+                raise SimulationError(
+                    "fleet strategies must be freshly built: their cost "
+                    "accounts are rebound onto lanes of one stacked substrate"
+                )
+        if len(engines) == 1:
+            return [engines[0].run(sequence, trace)]
+        _check_sequence(strategies, sequence, trace)
+
+        stack = StackedLoadState(base_net, len(strategies))
+        for strategy, lane in zip(strategies, stack.lanes):
+            strategy.account.state = lane
+        return cls._replay(engines, sequence, trace)
 
 
 class EngineStream:
@@ -577,11 +555,9 @@ class EngineStream:
         chunk_size: Optional[int] = None,
     ) -> None:
         validate_strategy(strategy)
-        if chunk_size is not None and chunk_size < 1:
-            raise WorkloadError("chunk_size must be a positive integer")
         self.strategy = strategy
         self.sinks: Tuple[MetricsSink, ...] = tuple(sinks)
-        self.chunk_size = chunk_size
+        self.chunk_size = _check_chunk_size(chunk_size)
         self.position = 0
         self.n_events = -1  # unknown until finish()
         self.served = 0

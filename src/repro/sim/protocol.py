@@ -9,15 +9,16 @@ span, one event or many.
 
 **Fleet capability.**  A strategy *class* may additionally expose a
 ``serve_chunk_fleet(members, sequence, start, stop)`` classmethod: given
-several instances of that class whose cost accounts sit on lanes of one
-shared :class:`~repro.core.loadstate.StackedLoadState`, it serves the
+two or more instances of that class whose cost accounts sit on lanes of
+one shared :class:`~repro.core.loadstate.StackedLoadState`, it serves the
 chunk for all of them in one batched pass (shared aggregation and
 edge-batch gathers, per-lane placement decisions).  It must produce
 bit-for-bit the loads and cost units of calling each member's
-``serve_chunk`` separately; the fleet engine calls ``serve_chunk`` on the
-lane of a strategy without the hook.  Both the static managers and the
-adaptive counter family of :mod:`repro.dynamic.online` implement the
-hook.  :func:`fleet_groups` is the partitioning rule the engine uses.
+``serve_chunk`` separately; the engine calls ``serve_chunk`` on a lone
+member of such a class and on every strategy without the hook.  Both the
+static managers and the adaptive counter family of
+:mod:`repro.dynamic.online` implement the hook.  :func:`fleet_groups` is
+the partitioning rule the engine uses.
 """
 
 from __future__ import annotations
@@ -98,24 +99,23 @@ def fleet_groups(
 ) -> List[Tuple[Optional[type], List[object]]]:
     """Partition a strategy fleet into batched groups and singletons.
 
-    Strategies whose class defines the ``serve_chunk_fleet`` hook are
-    grouped by exact class (one batched call per class and serve span);
-    every other strategy forms a ``(None, [strategy])`` entry served
-    through its own ``serve_chunk``.  Group order follows first
-    appearance, members keep fleet order -- the partition is deterministic
-    so fleet replays are reproducible.
+    Two or more strategies of one exact class that defines the
+    ``serve_chunk_fleet`` hook form one group (one batched call per class
+    and serve span); a lone member of such a class, and every strategy
+    without the hook, forms a ``(None, [strategy])`` entry served through
+    its own ``serve_chunk``.  Group order follows first appearance,
+    members keep fleet order -- the partition is deterministic so fleet
+    replays are reproducible.
     """
     groups: List[Tuple[Optional[type], List[object]]] = []
     index: dict = {}
     for strategy in strategies:
-        hook = getattr(type(strategy), "serve_chunk_fleet", None)
-        if callable(hook):
-            key = type(strategy)
-            if key in index:
-                groups[index[key]][1].append(strategy)
-            else:
-                index[key] = len(groups)
-                groups.append((key, [strategy]))
-        else:
+        key = type(strategy)
+        if not callable(getattr(key, "serve_chunk_fleet", None)):
             groups.append((None, [strategy]))
-    return groups
+        elif key in index:
+            groups[index[key]][1].append(strategy)
+        else:
+            index[key] = len(groups)
+            groups.append((key, [strategy]))
+    return [(key if len(members) > 1 else None, members) for key, members in groups]

@@ -643,87 +643,51 @@ def _strategy_record(
     return record
 
 
-def _run_entry(
-    built: BuiltScenario, fleet: bool, strategy_index: Optional[int] = None
-) -> List[Dict[str, object]]:
-    """Replay one built sub-scenario (all strategies, or one by index)."""
+def _run_entry(built: BuiltScenario) -> List[Dict[str, object]]:
+    """Replay every strategy of one built sub-scenario in one stacked pass
+    (:meth:`~repro.sim.engine.SimulationEngine.run_fleet`; a single
+    strategy replays through its own ``run``)."""
     from repro.sim.engine import SimulationEngine
 
     strategies = built.strategies
-    if strategy_index is not None:
-        strategies = [strategies[strategy_index]]
-    if fleet and len(strategies) > 1:
-        instances = [factory() for _, factory in strategies]
-        sink_sets = [built.make_sinks() for _ in strategies]
-        results = SimulationEngine.run_fleet(
-            instances, built.sequence, built.trace, sinks=sink_sets
-        )
-        return [
-            _strategy_record(built, sname, result)
-            for (sname, _), result in zip(strategies, results)
-        ]
-    records = []
-    for sname, factory in strategies:
-        engine = SimulationEngine(factory(), sinks=built.make_sinks())
-        result = engine.run(built.sequence, built.trace)
-        records.append(_strategy_record(built, sname, result))
-    return records
+    results = SimulationEngine.run_fleet(
+        [factory() for _, factory in strategies],
+        built.sequence,
+        built.trace,
+        sinks=[built.make_sinks() for _ in strategies],
+    )
+    return [
+        _strategy_record(built, sname, result)
+        for (sname, _), result in zip(strategies, results)
+    ]
 
 
-# Per-worker substrate cache: one materialised sub-scenario per
-# (spec JSON, sweep entry), reused across the strategy jobs the pool
-# hands this worker.  Bounded to keep long-lived workers small.
-_WORKER_BUILT: Dict[Tuple[str, int], BuiltScenario] = {}
-_WORKER_BUILT_MAX = 8
+def _worker_run_job(spec_json: str, entry_index: int) -> List[Dict[str, object]]:
+    """One sweep entry, materialised and replayed in a worker process."""
+    spec = ScenarioSpec.from_json(spec_json)
+    entries: Sequence[Optional[Mapping]] = spec.sweep or (None,)
+    return _run_entry(_materialise_entry(spec, entries[entry_index], entry_index))
 
 
-def _worker_run_job(
-    spec_json: str, entry_index: int, strategy_index: Optional[int], fleet: bool
-) -> List[Dict[str, object]]:
-    """One sweep job, executed in a worker process.
-
-    The worker materialises the sub-scenario's substrate (network,
-    sequence, churn trace) once per ``(spec, entry)`` and keeps it cached,
-    so fanning the strategy jobs of one network size to one worker pays
-    the build exactly once per worker.
-    """
-    key = (spec_json, entry_index)
-    built = _WORKER_BUILT.get(key)
-    if built is None:
-        spec = ScenarioSpec.from_json(spec_json)
-        entries: Sequence[Optional[Mapping]] = spec.sweep or (None,)
-        built = _materialise_entry(spec, entries[entry_index], entry_index)
-        if len(_WORKER_BUILT) >= _WORKER_BUILT_MAX:
-            _WORKER_BUILT.pop(next(iter(_WORKER_BUILT)))
-        _WORKER_BUILT[key] = built
-    return _run_entry(built, fleet, strategy_index)
-
-
-def run_scenario(
-    spec: ScenarioSpec, fleet: bool = False, parallel: int = 1
-) -> List[Dict[str, object]]:
+def run_scenario(spec: ScenarioSpec, parallel: int = 1) -> List[Dict[str, object]]:
     """Replay every strategy of every sub-scenario through the kernel.
 
     Returns one plain-dict record per (sub-scenario, strategy) pair: the
     served/dropped split, mutation count, final congestion and total load,
     the sampled congestion trajectory, the cost breakdown and the
     substrate self-check (incremental bus loads equal a from-scratch
-    recomputation after all repairs).
+    recomputation after all repairs).  Each sub-scenario's strategies
+    replay in one stacked pass over its timeline
+    (:meth:`~repro.sim.engine.SimulationEngine.run_fleet`), bit-for-bit
+    equal to replaying each strategy alone.
 
     Parameters
     ----------
-    fleet:
-        Replay each sub-scenario's strategies through the stacked fleet
-        engine (:meth:`~repro.sim.engine.SimulationEngine.run_fleet`): the
-        timeline is decoded once and all strategies share one substrate.
-        Records are bit-for-bit identical to the sequential default.
     parallel:
-        Fan the sweep jobs out over a persistent process pool
-        (:func:`repro.parallel.persistent_pool`).  Without ``fleet`` each
-        (sweep entry, strategy) pair is one job and workers cache the
-        entry's substrate, so one worker builds each network size once;
-        with ``fleet`` each sweep entry is one job.  Records (and
-        therefore artifacts) are byte-identical for any value.
+        Fan the sweep entries out over a persistent process pool
+        (:func:`repro.parallel.persistent_pool`), one job per entry.
+        Records (and therefore artifacts) are byte-identical for any
+        value.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -731,25 +695,17 @@ def run_scenario(
         return [
             record
             for built in build_scenario(spec)
-            for record in _run_entry(built, fleet)
+            for record in _run_entry(built)
         ]
 
     from repro.parallel import run_jobs
 
     spec_json = spec.to_json()
-    entries: Sequence[Optional[Mapping]] = spec.sweep or (None,)
-    if fleet:
-        jobs = [(index, None) for index in range(len(entries))]
-    else:
-        jobs = [
-            (index, strategy_index)
-            for index in range(len(entries))
-            for strategy_index in range(len(spec.strategies))
-        ]
+    n_entries = len(spec.sweep or (None,))
     results = run_jobs(
-        min(parallel, len(jobs)),
+        min(parallel, n_entries),
         _worker_run_job,
-        [(spec_json, index, strategy_index, fleet) for index, strategy_index in jobs],
+        [(spec_json, index) for index in range(n_entries)],
     )
     return [record for records in results for record in records]
 

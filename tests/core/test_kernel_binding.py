@@ -100,14 +100,14 @@ def _inputs():
                 n_edges,
             ),
         ),
-        "rescan": (kernels.rescan, (state._loads, state._denom)),
+        "rescan": (kernels.rescan, (state._loads, state.stack._denom)),
         "rescan_rows": (
             kernels.rescan_rows,
-            (loads2, np.array([0, 1], dtype=np.int64), state._denom),
+            (loads2, np.array([0, 1], dtype=np.int64), state.stack._denom),
         ),
         "charge_pairs": (
             kernels.charge_pairs,
-            (state._pair_substrate(), u, v, w, 0.0, True, np.zeros(n_edges)),
+            (state.stack._pair_substrate(0), u, v, w, 0.0, True, np.zeros(n_edges)),
         ),
         "adaptive_scan": (
             kernels.adaptive_scan,

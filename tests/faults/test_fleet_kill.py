@@ -75,13 +75,13 @@ class TestFleetSweepSurvivesWorkerKill:
             scenario_entry(scenario_spec("storm", seed=0, small=True), 0),
         ]
         clean = LabRegistry(tmp_path / "clean")
-        run_missing(clean, suite, parallel=2, fleet=True)
+        run_missing(clean, suite, parallel=2)
 
         sentinel = tmp_path / "claimed"
         arm_kill_plan(monkeypatch, sentinel)
         shutdown_pools()  # fresh workers, forked under the armed plan
         chaos = LabRegistry(tmp_path / "chaos")
-        outcome = run_missing(chaos, suite, parallel=2, fleet=True)
+        outcome = run_missing(chaos, suite, parallel=2)
 
         assert sentinel.exists()  # a worker really died mid-sweep
         assert sorted(outcome.executed) == sorted(

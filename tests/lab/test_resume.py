@@ -66,11 +66,11 @@ class TestResume:
         real_execute = registry_mod._execute_entry
         calls = {"n": 0}
 
-        def dying_execute(job_json, fleet=False):
+        def dying_execute(job_json):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise KeyboardInterrupt("sweep killed")
-            return real_execute(job_json, fleet)
+            return real_execute(job_json)
 
         monkeypatch.setattr(registry_mod, "_execute_entry", dying_execute)
         with pytest.raises(KeyboardInterrupt):
@@ -90,15 +90,6 @@ class TestResume:
         run_missing(registry, tiny_suite[:2], parallel=1)
         resumed = run_missing(registry, tiny_suite, parallel=2)
         assert resumed.n_executed == len(tiny_suite) - 2
-        assert registry_bytes(registry) == uninterrupted
-
-    def test_fleet_resume_matches_uninterrupted(
-        self, tmp_path, tiny_suite, uninterrupted
-    ):
-        # --fleet is a pure accelerator: artifacts bit-for-bit unchanged
-        registry = LabRegistry(tmp_path / "reg")
-        run_missing(registry, tiny_suite[:1], parallel=1)
-        run_missing(registry, tiny_suite, parallel=1, fleet=True)
         assert registry_bytes(registry) == uninterrupted
 
     def test_dangling_index_entry_is_healed(

@@ -38,14 +38,6 @@ class TestExecution:
         assert result.already_stored == 1
         assert result.n_executed == 0
 
-    def test_fleet_execution_is_byte_identical(self, stored_tournament, tmp_path):
-        registry, entry = stored_tournament
-        fleet_registry = LabRegistry(tmp_path / "fleet")
-        run_missing(fleet_registry, [entry], fleet=True)
-        a = registry.artifact_path(entry.key).read_text()
-        b = fleet_registry.artifact_path(entry.key).read_text()
-        assert a == b
-
 
 class TestLeaderboard:
     def test_standings_shape_and_baseline_ratio(self, stored_tournament):

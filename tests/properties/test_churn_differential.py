@@ -209,10 +209,10 @@ def assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground):
     rebuilt = LoadState(net, rooted=fresh_rooted)
     rebuilt.apply_edge_loads(ground)
     assert np.array_equal(state._loads, rebuilt._loads)
-    assert np.array_equal(state._denom, rebuilt._denom)
+    assert np.array_equal(state.stack._denom, rebuilt.stack._denom)
     assert state.congestion == rebuilt.congestion
-    assert np.array_equal(state._inc_edges, rebuilt._inc_edges)
-    assert np.array_equal(state._inc_indptr, rebuilt._inc_indptr)
+    assert np.array_equal(state.stack._inc_edges, rebuilt.stack._inc_edges)
+    assert np.array_equal(state.stack._inc_indptr, rebuilt.stack._inc_indptr)
     assert state.verify_bus_loads()
 
 

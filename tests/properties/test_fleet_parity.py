@@ -37,16 +37,17 @@ from repro.core.baselines import (
     owner_placement,
     random_placement,
 )
-from repro.core.loadstate import LaneState
+from repro.core.loadstate import LoadState
 from repro.dynamic.evaluate import first_touch_manager, hindsight_static_manager
 from repro.dynamic.online import (
     EdgeCounterManager,
     HysteresisCounterManager,
+    OnlineCostAccount,
     RentOrBuyManager,
     StaticPlacementManager,
 )
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
-from repro.errors import AlgorithmError, SimulationError
+from repro.errors import AlgorithmError, SimulationError, WorkloadError
 from repro.network.builders import balanced_tree
 from repro.sim.engine import SimulationEngine
 from repro.sim.sinks import CostBreakdownSink, DropAccountingSink, TrajectorySink
@@ -215,8 +216,9 @@ def test_fleet_lanes_share_one_substrate():
     strategies = [factory() for factory in factories]
     SimulationEngine.run_fleet(strategies, seq)
     states = [s.account.state for s in strategies]
-    assert all(isinstance(state, LaneState) for state in states)
-    assert len({id(state.parent) for state in states}) == 1
+    assert all(isinstance(state, LoadState) for state in states)
+    assert len({id(state.stack) for state in states}) == 1
+    assert states[0].stack.n_lanes == len(states)
     assert [state.lane_index for state in states] == list(range(len(states)))
     with pytest.raises(AlgorithmError):
         states[0].snapshot()
@@ -248,6 +250,59 @@ def test_fleet_rejects_duplicate_instances():
     manager = hindsight_static_manager(net, seq)
     with pytest.raises(SimulationError):
         SimulationEngine.run_fleet([manager, manager], seq)
+
+
+def _assert_untouched(strategies, states):
+    """Every strategy still sits on its own fresh one-lane state."""
+    for strategy, state in zip(strategies, states):
+        assert strategy.account.state is state
+        assert isinstance(state, LoadState) and state.stack.n_lanes == 1
+        assert not state.edge_loads.any()
+        assert strategy.account.service_units == 0
+        assert strategy.account.management_units == 0
+
+
+def test_fleet_bad_chunk_size_refused_before_rebinding():
+    """A refused chunk size leaves every account on its own state, so the
+    corrected call then replays the same fleet."""
+    net, _pattern, seq = build_instance(0)
+    n = seq.n_objects
+    strategies = [
+        EdgeCounterManager(net, n),
+        EdgeCounterManager(net, n, object_size=2),
+    ]
+    states = [s.account.state for s in strategies]
+    with pytest.raises(WorkloadError, match="chunk_size"):
+        SimulationEngine.run_fleet(strategies, seq, chunk_size=0)
+    _assert_untouched(strategies, states)
+    fleet = SimulationEngine.run_fleet(strategies, seq, chunk_size=4)
+    sequential = [
+        SimulationEngine(EdgeCounterManager(net, n, **args), chunk_size=4).run(seq)
+        for args in ({}, {"object_size": 2})
+    ]
+    assert_results_equal(sequential, fleet)
+
+
+def test_fleet_shared_account_refused_before_rebinding():
+    """Two strategies charging one account would share one lane; the
+    fleet is refused untouched, and one with separate accounts replays."""
+    net, _pattern, seq = build_instance(0)
+    n = seq.n_objects
+    account = OnlineCostAccount(net)
+    strategies = [
+        EdgeCounterManager(net, n, account=account),
+        EdgeCounterManager(net, n, object_size=2, account=account),
+    ]
+    with pytest.raises(SimulationError, match="own cost accounts"):
+        SimulationEngine.run_fleet(strategies, seq)
+    _assert_untouched(strategies, [account.state] * 2)
+    strategies[1] = EdgeCounterManager(net, n, object_size=2)
+    fleet = SimulationEngine.run_fleet(strategies, seq)
+    sequential = [
+        SimulationEngine(EdgeCounterManager(net, n, **args)).run(seq)
+        for args in ({}, {"object_size": 2})
+    ]
+    assert_results_equal(sequential, fleet)
 
 
 def _adaptive_only_factories(net, n_objects):

@@ -21,8 +21,8 @@ along with the kernels:
 and closes with substrate-level end-to-end checks (PathMatrix batch ops
 and LoadState replay under every backend vs the numpy backend).  The
 fused pair charge is checked on a LoadState (with its journal and
-rollback) and on a LaneState row, against its twin and against the
-unfused composition it replaced.  The adaptive counter scan is checked
+rollback) and on a lane of a multi-lane stack, against its twin and
+against the unfused composition it replaced.  The adaptive counter scan is checked
 call by call inside real adaptive replays, one-event chunks included:
 every call runs the twin on a copy of the state and must return the same
 records and leave the same counters, holder masks and holder counts.
@@ -299,7 +299,8 @@ def _pair_charge_inputs(seed, sign):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 class TestFusedPairCharge:
     """``kernels.charge_pairs`` (one C call) equals its numpy twin, bit for
-    bit, on a LoadState and on a LaneState row, with the journal."""
+    bit, on a LoadState and on a lane of a three-lane stack, with the
+    journal."""
 
     def test_op_equals_twin(self, backend, seed, sign):
         net, _, rng, u, v, w, base = _pair_charge_inputs(seed, sign)
@@ -308,7 +309,7 @@ class TestFusedPairCharge:
         for name in ("numpy", backend):
             state = LoadState(net)
             state.apply_edge_loads(base)
-            sub = state._pair_substrate()
+            sub = state.stack._pair_substrate(0)
             col = np.full(net.n_edges, np.nan)  # overwritten by the op
             with kernels.use_backend(name):
                 out = kernels.charge_pairs(
@@ -354,14 +355,14 @@ class TestFusedPairCharge:
                 solo = LoadState(net)
                 solo.apply_edge_loads(columns[:, 1])
                 solo_cost = solo.apply_pairs(u, v, w)
-            assert stacked._loads[1].tobytes() == solo._loads.tobytes()
-            assert (cost, stacked._congestion[1], stacked._stale[1]) == (
+            lane = stacked.lane(1)
+            assert lane._loads.tobytes() == solo._loads.tobytes()
+            assert (cost, lane._congestion, lane._stale) == (
                 solo_cost, solo._congestion, solo._stale
             )
             results[name] = (
                 stacked._loads.tobytes(),
-                stacked._congestion.tobytes(),
-                stacked._stale.tobytes(),
+                [(lane._congestion, lane._stale) for lane in stacked.lanes],
                 cost,
             )
         assert results["numpy"] == results[backend]

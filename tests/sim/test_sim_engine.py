@@ -10,7 +10,7 @@ from repro.errors import SimulationError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus
 from repro.network.mutation import AttachLeaf, ChurnTrace, DetachLeaf
 from repro.sim.engine import EngineStream, RoundReplayDriver, SimulationEngine
-from repro.sim.protocol import validate_strategy
+from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import (
     CostBreakdownSink,
     DropAccountingSink,
@@ -172,6 +172,29 @@ class TestProtocol:
             assert np.array_equal(before, after)
 
 
+    def test_fleet_groups_serve_a_lone_hooked_member_alone(
+        self, instance, monkeypatch
+    ):
+        """Only two or more members of a hooked class share a group call;
+        a lone member is served through its own ``serve_chunk``."""
+        net, seq, placement = instance
+        statics = [StaticPlacementManager(net, placement) for _ in range(2)]
+        counter = EdgeCounterManager(net, seq.n_objects)
+        groups = fleet_groups([statics[0], counter, statics[1]])
+        assert groups == [(StaticPlacementManager, statics), (None, [counter])]
+
+        def refuse(cls, members, sequence, start, stop):
+            raise AssertionError("a lone member reached serve_chunk_fleet")
+
+        monkeypatch.setattr(
+            EdgeCounterManager, "serve_chunk_fleet", classmethod(refuse)
+        )
+        fleet = SimulationEngine.run_fleet([statics[0], counter, statics[1]], seq)
+        alone = SimulationEngine(EdgeCounterManager(net, seq.n_objects)).run(seq)
+        assert np.array_equal(fleet[1].account.edge_loads, alone.account.edge_loads)
+        assert fleet[1].account.service_units == alone.account.service_units
+
+
 class _HoldersOnly(OnlineStrategy):
     """An online strategy that implements ``holders`` and no serving."""
 
@@ -192,6 +215,29 @@ class TestEngine:
         net, seq, placement = instance
         with pytest.raises(WorkloadError):
             SimulationEngine(StaticPlacementManager(net, placement), chunk_size=0)
+
+    @pytest.mark.parametrize("chunk_size", [2.5, "4", True, 0, -3])
+    @pytest.mark.parametrize("entry", ["engine", "run_fleet", "stream"])
+    def test_chunk_size_must_be_a_positive_integer(self, instance, entry, chunk_size):
+        """One rule at every entry: a journal header may carry any value."""
+        net, seq, placement = instance
+        strategy = StaticPlacementManager(net, placement)
+        with pytest.raises(WorkloadError, match="chunk_size"):
+            if entry == "engine":
+                SimulationEngine(strategy, chunk_size=chunk_size)
+            elif entry == "run_fleet":
+                SimulationEngine.run_fleet([strategy], seq, chunk_size=chunk_size)
+            else:
+                EngineStream(strategy, chunk_size=chunk_size)
+        assert not strategy.account.edge_loads.any()
+
+    def test_numpy_integer_chunk_size_accepted(self, instance):
+        net, seq, placement = instance
+        engine = SimulationEngine(
+            StaticPlacementManager(net, placement), chunk_size=np.int64(3)
+        )
+        assert engine.chunk_size == 3 and type(engine.chunk_size) is int
+        assert engine.run(seq).served == len(seq)
 
     def test_object_universe_checked(self, instance):
         net, _seq, placement = instance

@@ -151,24 +151,49 @@ class TestBuildAndRun:
             run_scenario(spec)
 
 
+def _oracle_specs():
+    """Every registered family and the tournament suite, at ``--small``."""
+    from repro.lab.registry import suite_entries
+
+    specs = [
+        pytest.param(scenario_spec(name, seed=0, small=True), id=name)
+        for name in list_scenarios()
+    ]
+    specs += [
+        pytest.param(ScenarioSpec.from_dict(entry.document), id=entry.name)
+        for entry in suite_entries("tournament", seed=0, small=True)
+    ]
+    return specs
+
+
+def _each_strategy_alone(spec):
+    """The records of every strategy replayed alone through ``run``."""
+    from repro.sim.engine import SimulationEngine
+    from repro.sim.scenario import _strategy_record
+
+    records = []
+    for built in build_scenario(spec):
+        for sname, factory in built.strategies:
+            engine = SimulationEngine(factory(), sinks=built.make_sinks())
+            result = engine.run(built.sequence, built.trace)
+            records.append(_strategy_record(built, sname, result))
+    return records
+
+
 class TestFleetAndParallel:
-    """The stacked fleet engine and the worker-pool sweep path must be
+    """The stacked replay and the worker-pool sweep path must be
     invisible in the records: identical content for any mode."""
 
-    @pytest.mark.parametrize("name", ["zipf", "storm", "fleet-sweep"])
-    def test_fleet_records_equal_serial(self, name):
-        spec = scenario_spec(name, seed=0, small=True)
-        serial = run_scenario(spec)
-        fleet = run_scenario(spec, fleet=True)
-        assert json.dumps(serial) == json.dumps(fleet)
+    @pytest.mark.parametrize("spec", _oracle_specs())
+    def test_stacked_records_equal_each_strategy_alone(self, spec):
+        assert json.dumps(run_scenario(spec)) == json.dumps(
+            _each_strategy_alone(spec)
+        )
 
     def test_parallel_records_equal_serial(self):
         spec = scenario_spec("fleet-sweep", seed=0, small=True)
         serial = run_scenario(spec)
         assert json.dumps(serial) == json.dumps(run_scenario(spec, parallel=2))
-        assert json.dumps(serial) == json.dumps(
-            run_scenario(spec, fleet=True, parallel=2)
-        )
 
     def test_parallel_with_churn_scenario(self):
         spec = scenario_spec("storm", seed=1, small=True)
@@ -179,16 +204,3 @@ class TestFleetAndParallel:
         spec = scenario_spec("zipf", seed=0, small=True)
         with pytest.raises(ValueError):
             run_scenario(spec, parallel=0)
-
-    def test_worker_substrate_cache_is_reused(self):
-        from repro.sim.scenario import _worker_run_job
-
-        spec = scenario_spec("zipf", seed=0, small=True)
-        spec_json = spec.to_json()
-        first = _worker_run_job(spec_json, 0, 0, False)
-        second = _worker_run_job(spec_json, 0, 1, False)
-        from repro.sim import scenario as scenario_module
-
-        assert (spec_json, 0) in scenario_module._WORKER_BUILT
-        serial = run_scenario(spec)
-        assert json.dumps(first + second) == json.dumps(serial)

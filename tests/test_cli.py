@@ -409,21 +409,6 @@ class TestSimulateParallelAndFleet:
         assert code == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_fleet_artifact_byte_identical_to_serial(self, tmp_path):
-        serial, fleet = tmp_path / "serial.json", tmp_path / "fleet.json"
-        code, _ = run_cli(
-            ["simulate", "--scenario", "storm", "--small", "-o", str(serial)]
-        )
-        assert code == 0
-        code, _ = run_cli(
-            [
-                "simulate", "--scenario", "storm", "--small",
-                "--fleet", "-o", str(fleet),
-            ]
-        )
-        assert code == 0
-        assert serial.read_bytes() == fleet.read_bytes()
-
     def test_parallel_rejects_zero(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -65,6 +65,7 @@ from repro.core.bounds import nibble_lower_bound
 from repro.core.congestion import compute_loads
 from repro.core.deletion import copies_to_placement, refine_copies
 from repro.core.extended_nibble import extended_nibble
+from repro.errors import ReproError
 from repro.network.builders import (
     balanced_tree,
     fat_tree,
@@ -1021,6 +1022,9 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     Writing to the real stdout, a reader that closes the pipe early
     (``repro simulate --list | head -1``) ends the command with exit code
     1 and no traceback, as CPython's documented SIGPIPE recipe does.
+    Refused input (any :class:`~repro.errors.ReproError`) ends it with
+    exit code 2 and one ``repro: error:`` line on stderr.  With
+    ``stream`` given, both propagate as exceptions.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1036,6 +1040,9 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except ReproError as exc:
+        print(f"repro: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -353,8 +353,9 @@ def resume_session(path, sync: bool = False):
     trailing line, dropping a graceful ``aborted`` footer), rebuilds the
     session exactly as the server originally built it, and replays the
     journal's events and mutations in recorded order through the live
-    :class:`~repro.sim.engine.EngineStream`.  Because the stream re-cuts
-    every batch at the offline span grid (invariant 10), the rebuilt
+    :class:`~repro.sim.engine.EngineStream`
+    (:meth:`~repro.sim.engine.EngineStream.replay`).  Because the stream
+    re-cuts every batch at one span grid (invariant 10), the rebuilt
     session is in the *identical* state the crashed one was at the
     watermark -- which is what makes "recovered equals uninterrupted"
     (invariant 11) an exact statement rather than a best effort.
@@ -380,16 +381,7 @@ def resume_session(path, sync: bool = False):
         chunk_size=recording.header.get("chunk_size"),
         recorder=None,
     )
-    # Replay events and mutations in their recorded interleaving: a
-    # mutation at time t saw exactly t request events before it.
-    events = recording.events
-    position = 0
-    for time, op in recording.mutations:
-        if time > position:
-            session.feed(events.subsequence(position, time))
-            position = time
-        session.mutate(op)
-    if position < len(events):
-        session.feed(events.subsequence(position, len(events)))
+    # a mutation at time t saw exactly t request events before it
+    session.stream.replay(recording.events, recording.trace())
     session.recorder = StreamRecorder(path, sync=sync, append=True)
-    return session, len(events), len(recording.mutations)
+    return session, len(recording.events), len(recording.mutations)

@@ -8,17 +8,17 @@ chunking, mutation handling and metrics bookkeeping.  ``repro.sim``
 collapses them onto one kernel, the same way the load-state refactor
 collapsed the cost bookkeeping onto one substrate:
 
-* :mod:`repro.sim.timeline` merges a request sequence and an optional
-  churn trace into a single ordered timeline of serve spans and mutation
-  points;
 * :mod:`repro.sim.protocol` is the formal :class:`PlacementStrategy`
   protocol (``serve_chunk`` / ``apply_mutation`` / ``holders``) every
   strategy is driven through -- ``serve_chunk`` serves every span, one
   event or many;
-* :mod:`repro.sim.engine` is the :class:`SimulationEngine` that drives a
-  strategy through a timeline, staying on the vectorized chunk fast path
-  between interleaved mutations, with reference-id remapping and
-  dropped-request accounting when topology churn renumbers processors;
+* :mod:`repro.sim.engine` is the one timeline loop,
+  :class:`EngineStream`: it serves a request stream interleaved with
+  churn mutations, staying on the vectorized chunk fast path between
+  them, with reference-id remapping and dropped-request accounting when
+  topology churn renumbers processors.  A served session feeds it batch
+  by batch; :class:`SimulationEngine` ``run`` / ``run_fleet`` feed it a
+  whole sequence and churn trace;
 * :mod:`repro.sim.sinks` are the pluggable :class:`MetricsSink`\\ s
   (congestion trajectory, per-round stats, drop accounting, cost
   breakdown) the engine emits through;
@@ -52,7 +52,6 @@ from repro.sim.sinks import (
     RoundStatsSink,
     TrajectorySink,
 )
-from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
 
 __all__ = [
     "SimulationEngine",
@@ -66,9 +65,6 @@ __all__ = [
     "RoundStatsSink",
     "DropAccountingSink",
     "CostBreakdownSink",
-    "ServeSpan",
-    "MutationPoint",
-    "merge_timeline",
     "ScenarioSpec",
     "BuiltScenario",
     "SCENARIO_FAMILIES",

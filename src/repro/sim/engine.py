@@ -1,18 +1,22 @@
 """The simulation engine: one loop behind every replay entry point.
 
-:class:`SimulationEngine` drives a :class:`~repro.sim.protocol.PlacementStrategy`
-through the merged timeline of a request sequence and an optional churn
-trace.  Between mutation points it stays on the vectorized chunk fast path
-(:meth:`serve_chunk`, one path-incidence scatter for non-adapting
-strategies); at mutation points it applies the mutation functionally,
-repairs the strategy in place and keeps the reference-id mapping of the
-churn model up to date (requests from departed or not-yet-arrived
-processors are counted as dropped).  Metrics flow through the pluggable
-sinks of :mod:`repro.sim.sinks`.  :meth:`SimulationEngine.run_fleet`
-replays K strategies over one timeline on lanes of one stacked load
-state; it walks the same loop as :meth:`SimulationEngine.run`, and a
-fleet of one *is* that run.  :class:`EngineStream` is the incremental
-counterpart a serving front end feeds batch by batch.
+:class:`EngineStream` is that loop.  It serves request micro-batches and
+churn mutations in arrival order for one or more lanes -- each a
+:class:`SimulationEngine` view of one
+:class:`~repro.sim.protocol.PlacementStrategy` and its sinks.  Between
+mutations it stays on the vectorized chunk fast path (``serve_chunk``,
+one path-incidence scatter for non-adapting strategies); at a mutation
+it applies the mutation functionally once, repairs every lane's strategy
+in place and keeps the reference-id mapping of the churn model up to
+date (requests from departed or not-yet-arrived processors are counted
+as dropped).  Metrics flow through the pluggable sinks of
+:mod:`repro.sim.sinks`.
+
+A serving front end feeds a stream batch by batch.  An offline replay
+feeds it the whole input: :meth:`SimulationEngine.run` opens a stream
+over one lane, :meth:`SimulationEngine.run_fleet` over K lanes of one
+stacked load state (a fleet of one *is* ``run``), and both serve each
+segment between consecutive mutation times, then seal it.
 
 :class:`RoundReplayDriver` is the round-mode counterpart used by the
 store-and-forward request replay: it charges per-round delivery batches
@@ -42,7 +46,6 @@ from repro.network.mutation import (
 from repro.network.node import NodeKind
 from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import MetricsSink
-from repro.sim.timeline import MutationPoint, merge_timeline
 
 __all__ = [
     "SimulationEngine",
@@ -123,31 +126,6 @@ def _remap_span(
     return None, 0, 0, 0, stop - start
 
 
-class _ReferenceTracker:
-    """Reference-id -> current-node mapping of a churn replay.
-
-    Events address processors by *reference id*: original node ids plus
-    one fresh id per attach in trace order.  Departed (or not-yet-arrived)
-    references map to ``-1`` and their requests drop.
-    """
-
-    __slots__ = ("current_of_ref", "n_refs", "_next_attach")
-
-    def __init__(self, base_n: int, trace: ChurnTrace) -> None:
-        self.n_refs = base_n + trace.attach_count()
-        self.current_of_ref = np.full(self.n_refs, -1, dtype=np.int64)
-        self.current_of_ref[:base_n] = np.arange(base_n, dtype=np.int64)
-        self._next_attach = base_n
-
-    def apply_outcome(self, mutation, outcome: MutationOutcome) -> None:
-        """Renumber live references through one applied mutation."""
-        alive = self.current_of_ref >= 0
-        self.current_of_ref[alive] = outcome.node_map[self.current_of_ref[alive]]
-        if isinstance(mutation, AttachLeaf):
-            self.current_of_ref[self._next_attach] = int(outcome.new_node)
-            self._next_attach += 1
-
-
 def _check_chunk_size(chunk_size) -> Optional[int]:
     """The ``chunk_size`` rule of every engine entry: ``None``, or an
     ``int`` or numpy integer of at least 1 (a ``bool`` is refused).
@@ -155,7 +133,7 @@ def _check_chunk_size(chunk_size) -> Optional[int]:
     The value can come from outside the program -- a recorded journal's
     header carries it -- so anything else raises
     :class:`~repro.errors.WorkloadError` here rather than a ``TypeError``
-    deep in the timeline merge, or a ``True`` replaying as chunk size 1.
+    deep in the span grid, or a ``True`` replaying as chunk size 1.
     """
     if chunk_size is None:
         return None
@@ -168,36 +146,6 @@ def _check_chunk_size(chunk_size) -> Optional[int]:
     raise WorkloadError(
         f"chunk_size must be an integer of at least 1, got {chunk_size!r}"
     )
-
-
-def _check_sequence(strategies, sequence: RequestSequence, trace) -> None:
-    """Refuse a sequence the strategies cannot serve, before any event is.
-
-    Every strategy must know all of the sequence's objects.  Without a
-    trace every processor id is checked against the network up front
-    (:func:`_check_refs`); under a trace each span is checked as it is
-    resolved, against the reference universe of that moment.
-    """
-    for strategy in strategies:
-        n_objects = getattr(strategy, "n_objects", None)
-        if n_objects is not None and sequence.n_objects > n_objects:
-            raise WorkloadError(
-                "sequence references more objects than the strategy was built for"
-            )
-    if trace is None:
-        network = strategies[0].network
-        _check_refs(sequence.as_arrays()[0], network.n_nodes, None, network.node_kinds)
-
-
-def _sink_boundaries(sink_sets, n_events: int) -> set:
-    """Span-break positions requested by the sinks' ``interval`` hints."""
-    boundaries = set()
-    for sinks in sink_sets:
-        for sink in sinks:
-            interval = sink.interval
-            if interval:
-                boundaries.update(range(interval, n_events, interval))
-    return boundaries
 
 
 @dataclass
@@ -232,7 +180,13 @@ class SimulationResult:
 
 
 class SimulationEngine:
-    """Drive one strategy through one request/churn timeline.
+    """One lane of the timeline loop: a strategy, its sinks and its totals.
+
+    Every sink hook receives the lane it observes, so ``sim.account``
+    reads that strategy's account and ``sim.n_events`` is the replay
+    length (``-1`` while a served stream is open).  :meth:`run` replays
+    one strategy and :meth:`run_fleet` K of them, each through one
+    :class:`EngineStream` fed the whole recorded input.
 
     Parameters
     ----------
@@ -282,106 +236,12 @@ class SimulationEngine:
         scheduled at time ``t`` is applied before the event at position
         ``t``.  An event whose processor id is out of range or resolves to
         a bus raises :class:`~repro.errors.WorkloadError` before any event
-        is served (under a trace, before its span is served).
+        of its segment (the events between two mutation times; without a
+        trace, the whole sequence) is served.
         """
-        _check_sequence([self.strategy], sequence, trace)
-        return self._replay([self], sequence, trace)[0]
-
-    @staticmethod
-    def _replay(
-        engines: Sequence["SimulationEngine"],
-        sequence: RequestSequence,
-        trace: Optional[ChurnTrace],
-    ) -> List[SimulationResult]:
-        """The one timeline loop behind :meth:`run` and :meth:`run_fleet`.
-
-        Walks the timeline once for every engine: each mutation is applied
-        once and every strategy is carried over it, the reference-id
-        remapping of each span is resolved once, and each span is served
-        group by group (:func:`~repro.sim.protocol.fleet_groups`).  The
-        engines share one chunk size; their sinks observe them one by one.
-        """
-        strategies = [engine.strategy for engine in engines]
-        lead = strategies[0]
-        n_events = len(sequence)
-        for engine in engines:
-            engine.n_events = n_events
-            engine.served = 0
-            engine.dropped = 0
-            engine.outcomes = []
-
-        boundaries = _sink_boundaries([engine.sinks for engine in engines], n_events)
-        items = merge_timeline(n_events, trace, engines[0].chunk_size, boundaries)
-
-        tracker = None
-        if trace is not None:
-            tracker = _ReferenceTracker(lead.network.n_nodes, trace)
-
-        groups = fleet_groups(strategies)
-
-        for engine in engines:
-            for sink in engine.sinks:
-                sink.on_begin(engine)
-        for item in items:
-            if isinstance(item, MutationPoint):
-                outcome = apply_mutation(lead.network, item.mutation)
-                for engine in engines:
-                    # the stacked repair is idempotent per outcome, so a
-                    # shared substrate is repaired exactly once
-                    engine.strategy.apply_mutation(outcome)
-                    engine.outcomes.append(outcome)
-                if tracker is not None:
-                    tracker.apply_outcome(item.mutation, outcome)
-                for engine in engines:
-                    for sink in engine.sinks:
-                        sink.on_mutation(engine, outcome)
-            else:  # ServeSpan
-                start, stop = item.start, item.stop
-                if tracker is None:
-                    sub, sub_start, sub_stop = sequence, start, stop
-                    served, dropped = stop - start, 0
-                else:
-                    _check_refs(
-                        sequence.as_arrays()[0][start:stop],
-                        tracker.n_refs,
-                        tracker.current_of_ref,
-                        lead.network.node_kinds,
-                    )
-                    sub, sub_start, sub_stop, served, dropped = _remap_span(
-                        sequence, start, stop,
-                        tracker.current_of_ref, tracker.n_refs,
-                    )
-                if sub is not None and sub_stop > sub_start:
-                    for group_cls, members in groups:
-                        if group_cls is None:
-                            members[0].serve_chunk(sub, sub_start, sub_stop)
-                        else:
-                            group_cls.serve_chunk_fleet(
-                                members, sub, sub_start, sub_stop
-                            )
-                for engine in engines:
-                    engine.served += served
-                    engine.dropped += dropped
-                    for sink in engine.sinks:
-                        sink.on_span(engine, start, stop, served, dropped)
-                        sink.on_boundary(engine, stop)
-        for engine in engines:
-            for sink in engine.sinks:
-                sink.on_end(engine)
-
-        return [
-            SimulationResult(
-                strategy=engine.strategy,
-                account=engine.strategy.account,
-                network=engine.strategy.network,
-                n_events=engine.n_events,
-                served=engine.served,
-                dropped=engine.dropped,
-                outcomes=engine.outcomes,
-                sinks=engine.sinks,
-            )
-            for engine in engines
-        ]
+        stream = EngineStream._replaying([self], sequence, trace)
+        stream.replay(sequence, trace)
+        return stream.finish()
 
     # ------------------------------------------------------------------ #
     # fleet replay: all strategies in one stacked pass over the timeline
@@ -425,7 +285,7 @@ class SimulationEngine:
         A fleet of one is :meth:`run` on the strategy's own one-lane
         state.  Every check -- the protocol, ``chunk_size``, one sink set
         per strategy, distinct strategies, accounts and states on one
-        network object, freshness and the sequence itself -- runs before
+        network object, freshness and the whole sequence -- runs before
         any account is rebound, so a refused fleet leaves every strategy
         untouched.
 
@@ -503,24 +363,31 @@ class SimulationEngine:
                 )
         if len(engines) == 1:
             return [engines[0].run(sequence, trace)]
-        _check_sequence(strategies, sequence, trace)
+        stream = EngineStream._replaying(engines, sequence, trace)
+        stream.validate(sequence)
 
         stack = StackedLoadState(base_net, len(strategies))
         for strategy, lane in zip(strategies, stack.lanes):
             strategy.account.state = lane
-        return cls._replay(engines, sequence, trace)
+        stream.replay(sequence, trace)
+        return stream._seal()
 
 
 class EngineStream:
-    """Incremental, span-feeding counterpart of :meth:`SimulationEngine.run`.
+    """The one timeline loop: request micro-batches and churn mutations,
+    served in arrival order.
 
-    The offline engine walks a *complete* timeline; a serving front end
-    only ever sees a prefix.  ``EngineStream`` accepts request micro-batches
-    (:meth:`serve`) and churn mutations (:meth:`mutate`) in arrival order
-    and keeps the strategy, its cost account and the attached sinks in
-    exactly the state the offline engine would reach after replaying the
-    same prefix.  :meth:`finish` seals the stream and returns the same
+    A serving front end feeds it batch by batch (:meth:`serve`,
+    :meth:`mutate`); an offline replay, and a session resumed from its
+    journal, feed it a whole recorded input (:meth:`replay`).
+    :meth:`finish` seals the stream and returns the same
     :class:`SimulationResult` shape as :meth:`SimulationEngine.run`.
+    A stream serves one or more *lanes* (:class:`SimulationEngine`
+    views): one for a session or :meth:`SimulationEngine.run`, K for
+    :meth:`SimulationEngine.run_fleet`, whose lanes are served group by
+    group (:func:`~repro.sim.protocol.fleet_groups`).  Each mutation is
+    applied once and each span's reference-id remapping resolved once
+    for all lanes.
 
     **Parity contract (ARCHITECTURE invariant 10).**  For any completed
     stream, the final loads, cost units, congestion, served/dropped totals,
@@ -528,21 +395,25 @@ class EngineStream:
     an offline :meth:`SimulationEngine.run` over the recorded sequence and
     churn trace.  This holds for *any* micro-batch partition of the event
     stream because ``serve_chunk`` is contractually equal to event-by-event
-    serving, and because the stream re-cuts every batch at the offline span
-    grid (sink ``interval`` hints and ``chunk_size`` multiples), so samples
-    land at identical event positions.  Only span-*granular* observations
-    (e.g. the per-span drop list) depend on the partition.
+    serving, and because every batch is re-cut at one span grid (sink
+    ``interval`` hints and ``chunk_size`` multiples, counted from the
+    stream's first event), so samples land at identical event positions.
+    Only span-*granular* observations (e.g. the per-span drop list) depend
+    on the partition.
 
-    Differences from the offline run, by necessity of streaming:
+    A replay and a live stream differ in two ways, both read from the
+    input:
 
-    * ``n_events`` is ``-1`` while the stream is open (the total is
-      unknown); sinks comparing positions against it must tolerate that.
-      :meth:`finish` sets the final count and emits one closing
-      ``on_boundary`` at it, which built-in sinks deduplicate.
-    * The reference universe grows with the stream: events may only
-      address reference ids that already exist (original nodes plus
-      attaches applied *so far*).  An id that the offline engine would
-      resolve against a later attach (and drop) is rejected here with
+    * A replay knows its length, so ``n_events`` is final from the start
+      and the last span's boundary is the final one.  A live stream's
+      ``n_events`` is ``-1`` while it is open (sinks comparing positions
+      against it must tolerate that); :meth:`finish` sets the final count
+      and emits one closing ``on_boundary`` at it, which built-in sinks
+      deduplicate.
+    * A replay reserves one reference id per attach of its trace up
+      front, so an event addressed to a processor before its attach
+      drops, as the churn model says.  A live stream's universe grows
+      with the attaches applied *so far*: such an event is rejected with
       :class:`~repro.errors.WorkloadError` -- failing loud beats silently
       guessing the future.  Batches are validated before any event is
       served, so a rejected batch leaves the account untouched.
@@ -554,42 +425,64 @@ class EngineStream:
         sinks: Sequence[MetricsSink] = (),
         chunk_size: Optional[int] = None,
     ) -> None:
-        validate_strategy(strategy)
-        self.strategy = strategy
-        self.sinks: Tuple[MetricsSink, ...] = tuple(sinks)
-        self.chunk_size = _check_chunk_size(chunk_size)
+        self._open([SimulationEngine(strategy, sinks, chunk_size)])
+
+    @classmethod
+    def _replaying(
+        cls,
+        lanes: Sequence[SimulationEngine],
+        sequence: RequestSequence,
+        trace: Optional[ChurnTrace],
+    ) -> "EngineStream":
+        """A stream over ``lanes`` that knows its whole input: its length,
+        and one reserved reference id per attach of the trace."""
+        stream = cls.__new__(cls)
+        reserved = trace.attach_count() if trace is not None else 0
+        stream._open(lanes, len(sequence), reserved)
+        return stream
+
+    def _open(
+        self, lanes: Sequence[SimulationEngine], n_events: int = -1, reserved: int = 0
+    ) -> None:
+        self.lanes: Tuple[SimulationEngine, ...] = tuple(lanes)
+        self.chunk_size = self.lanes[0].chunk_size
         self.position = 0
-        self.n_events = -1  # unknown until finish()
-        self.served = 0
-        self.dropped = 0
-        self.outcomes: List[MutationOutcome] = []
-        self._base_n = strategy.network.n_nodes
+        for lane in self.lanes:
+            lane.n_events = n_events
+            lane.served = lane.dropped = 0
+            lane.outcomes = []
+        self._live = n_events < 0
+        self._groups = fleet_groups([lane.strategy for lane in self.lanes])
+        self._base_n = self.lanes[0].strategy.network.n_nodes
         # the network after every mutation queued so far
-        self._network = strategy.network
-        # identity until the first mutation; then the growable
-        # reference-id -> current-node mapping (one fresh id per attach),
-        # also after every queued mutation
-        self._current_of_ref: Optional[np.ndarray] = None
+        self._network = self.lanes[0].strategy.network
+        # reference id -> current node after every queued mutation (-1:
+        # departed, or reserved for an attach to come); ``None`` is the
+        # identity, kept until a mutation or a reservation needs the map
+        self._refs: Optional[np.ndarray] = None
+        if reserved:
+            self._refs = np.full(self._base_n + reserved, -1, dtype=np.int64)
+            self._refs[: self._base_n] = np.arange(self._base_n, dtype=np.int64)
+        self._next_ref = self._base_n
         self._pending_outcomes: List[MutationOutcome] = []
         self._validated: Optional[RequestSequence] = None
-        self._intervals = sorted(
-            {sink.interval for sink in self.sinks if sink.interval}
-        )
+        grids = {sink.interval for lane in self.lanes for sink in lane.sinks}
+        grids.add(self.chunk_size)
+        self._grids = sorted(grid for grid in grids if grid)
         self._finished = False
-        for sink in self.sinks:
-            sink.on_begin(self)
+        for lane in self.lanes:
+            for sink in lane.sinks:
+                sink.on_begin(lane)
 
     @property
     def account(self):
-        """The strategy's cost account (live view)."""
-        return self.strategy.account
+        """The first lane's cost account (live view)."""
+        return self.lanes[0].account
 
     @property
     def n_refs(self) -> int:
         """Size of the current reference-id universe."""
-        if self._current_of_ref is None:
-            return self._base_n
-        return len(self._current_of_ref)
+        return self._base_n if self._refs is None else len(self._refs)
 
     def _check_open(self) -> None:
         if self._finished:
@@ -602,40 +495,37 @@ class EngineStream:
         :class:`~repro.dynamic.sequence.RequestEvent` or a prebuilt
         :class:`~repro.dynamic.sequence.RequestSequence`.  The checks run
         against the network and reference universe left by every queued
-        mutation: object range, reference-id range, and that no reference
-        resolves to a bus node.  Returns the batch as a sequence; passing
-        that sequence to the next :meth:`serve` does not check it again.
+        mutation: object range (for every lane's strategy), reference-id
+        range, and that no reference resolves to a bus node.  Returns the
+        batch as a sequence; passing that sequence to the next
+        :meth:`serve` does not check it again.
         """
         self._check_open()
+        strategies = [lane.strategy for lane in self.lanes]
         if isinstance(events, RequestSequence):
             batch = events
         else:
             events = list(events)
-            n_objects = getattr(self.strategy, "n_objects", None)
+            n_objects = getattr(strategies[0], "n_objects", None)
             if n_objects is None:
                 n_objects = 1 + max((ev.obj for ev in events), default=-1)
             batch = RequestSequence(events, n_objects)
-        n_objects = getattr(self.strategy, "n_objects", None)
-        if n_objects is not None and batch.n_objects > n_objects:
-            raise WorkloadError(
-                "sequence references more objects than the strategy was built for"
-            )
+        for strategy in strategies:
+            n_objects = getattr(strategy, "n_objects", None)
+            if n_objects is not None and batch.n_objects > n_objects:
+                raise WorkloadError(
+                    "sequence references more objects than the strategy was built for"
+                )
         _check_refs(
-            batch.as_arrays()[0],
-            self.n_refs,
-            self._current_of_ref,
-            self._network.node_kinds,
+            batch.as_arrays()[0], self.n_refs, self._refs, self._network.node_kinds
         )
         self._validated = batch
         return batch
 
     def _cuts(self, start: int, stop: int) -> List[int]:
-        """Offline span-grid positions falling strictly inside (start, stop)."""
+        """Span-grid positions falling strictly inside (start, stop)."""
         cuts = set()
-        grids = list(self._intervals)
-        if self.chunk_size is not None:
-            grids.append(self.chunk_size)
-        for grid in grids:
+        for grid in self._grids:
             first = (start // grid + 1) * grid
             cuts.update(range(first, stop, grid))
         return sorted(cuts)
@@ -645,42 +535,47 @@ class EngineStream:
 
         ``events`` is anything :meth:`validate` accepts.  The batch is
         validated atomically (unless it is the sequence the last
-        :meth:`validate` returned), re-cut at the offline span grid, and
-        each sub-span goes through the same chunk fast path as the offline
-        engine.  Events from departed reference ids are dropped (counted,
-        not served), exactly as offline.
+        :meth:`validate` returned), re-cut at the span grid, and each
+        sub-span goes through the chunk fast path for every lane.  Events
+        from departed reference ids are dropped (counted, not served).
+        An empty batch is a no-op: queued mutations keep waiting for the
+        next served event.
         """
         self._check_open()
         batch = events if events is self._validated else self.validate(events)
         self._validated = None
-        self._flush_mutations()
         n = len(batch)
         if n == 0:
             return 0, 0
+        self._flush_mutations()
+        refs = self._refs
         start = self.position
         stop = start + n
-        strategy = self.strategy
         batch_served = batch_dropped = 0
         edges = [start, *self._cuts(start, stop), stop]
         for a, b in zip(edges, edges[1:]):
             la, lb = a - start, b - start
-            if self._current_of_ref is None:
-                strategy.serve_chunk(batch, la, lb)
-                served, dropped = b - a, 0
+            if refs is None:
+                sub, sub_start, sub_stop, served, dropped = batch, la, lb, b - a, 0
             else:
                 sub, sub_start, sub_stop, served, dropped = _remap_span(
-                    batch, la, lb, self._current_of_ref, self.n_refs
+                    batch, la, lb, refs, len(refs)
                 )
-                if sub is not None and sub_stop > sub_start:
-                    strategy.serve_chunk(sub, sub_start, sub_stop)
+            if sub is not None:
+                for group_cls, members in self._groups:
+                    if group_cls is None:
+                        members[0].serve_chunk(sub, sub_start, sub_stop)
+                    else:
+                        group_cls.serve_chunk_fleet(members, sub, sub_start, sub_stop)
             self.position = b
-            self.served += served
-            self.dropped += dropped
             batch_served += served
             batch_dropped += dropped
-            for sink in self.sinks:
-                sink.on_span(self, a, b, served, dropped)
-                sink.on_boundary(self, b)
+            for lane in self.lanes:
+                lane.served += served
+                lane.dropped += dropped
+                for sink in lane.sinks:
+                    sink.on_span(lane, a, b, served, dropped)
+                    sink.on_boundary(lane, b)
         return batch_served, batch_dropped
 
     def mutate(self, mutation) -> None:
@@ -690,59 +585,99 @@ class EngineStream:
         by the mutations queued before it, so one that cannot apply raises
         :class:`~repro.errors.MutationError` here and leaves the stream
         untouched.  The reference universe follows it at once (later
-        batches validate against it).
+        batches validate against it): an attach fills the next reserved
+        reference id, or appends one.
 
-        The strategy sees the outcomes *lazily*: the queue is flushed
+        The lanes see the outcomes *lazily*: the queue is flushed
         immediately before the next served event (or, for trailing
-        mutations, after the closing boundary of :meth:`finish`).  This is
-        exactly the offline timeline contract -- a mutation at time ``t``
-        lands before the event at position ``t``, and mutations at or past
-        the final position land after the final serve span, so the forced
-        final trajectory sample precedes them.
+        mutations, at :meth:`finish`, after the final boundary).  This is
+        the timeline contract -- a mutation at time ``t`` lands before
+        the event at position ``t``, and mutations at or past the final
+        position land after the final serve span, so the forced final
+        trajectory sample precedes them.
         """
         self._check_open()
         outcome = apply_mutation(self._network, mutation)
         self._network = outcome.network
         self._validated = None
-        if self._current_of_ref is None:
-            self._current_of_ref = np.arange(self._base_n, dtype=np.int64)
-        alive = self._current_of_ref >= 0
-        self._current_of_ref[alive] = outcome.node_map[self._current_of_ref[alive]]
+        refs = self._refs
+        if refs is None:
+            refs = np.arange(self._base_n, dtype=np.int64)
+        alive = refs >= 0
+        refs[alive] = outcome.node_map[refs[alive]]
         if isinstance(mutation, AttachLeaf):
-            self._current_of_ref = np.append(
-                self._current_of_ref, np.int64(outcome.new_node)
-            )
+            if self._next_ref == len(refs):
+                refs = np.append(refs, np.int64(-1))
+            refs[self._next_ref] = outcome.new_node
+            self._next_ref += 1
+        self._refs = refs
         self._pending_outcomes.append(outcome)
 
     def _flush_mutations(self) -> None:
-        """Carry the strategy over every queued outcome, in arrival order."""
+        """Carry every lane over every queued outcome, in arrival order."""
         pending, self._pending_outcomes = self._pending_outcomes, []
         for outcome in pending:
-            self.strategy.apply_mutation(outcome)
-            self.outcomes.append(outcome)
-            for sink in self.sinks:
-                sink.on_mutation(self, outcome)
+            for lane in self.lanes:
+                # the stacked repair is idempotent per outcome, so a
+                # shared substrate is repaired exactly once
+                lane.strategy.apply_mutation(outcome)
+                lane.outcomes.append(outcome)
+            for lane in self.lanes:
+                for sink in lane.sinks:
+                    sink.on_mutation(lane, outcome)
+
+    def replay(
+        self, sequence: RequestSequence, trace: Optional[ChurnTrace] = None
+    ) -> None:
+        """Feed a recorded input whole, in its recorded interleaving.
+
+        Each segment of ``sequence`` between consecutive mutation times
+        goes through :meth:`serve`, and each mutation of ``trace`` through
+        :meth:`mutate` at its time (counted from the sequence's first
+        event); mutations at or past the end follow the last event.
+        """
+        n = len(sequence)
+        position = 0
+        for timed in trace.events if trace is not None else ():
+            time = min(timed.time, n)
+            if time > position:
+                self.serve(sequence.subsequence(position, time))
+                position = time
+            self.mutate(timed.mutation)
+        if position < n:
+            # served whole, a sequence the caller validated is not checked again
+            self.serve(sequence if position == 0 else sequence.subsequence(position, n))
+
+    def _seal(self) -> List[SimulationResult]:
+        """Seal the stream; returns every lane's result."""
+        self._check_open()
+        self._finished = True
+        for lane in self.lanes:
+            lane.n_events = self.position
+            if self._live:  # the length is known only now
+                for sink in lane.sinks:
+                    sink.on_boundary(lane, self.position)
+        self._flush_mutations()
+        for lane in self.lanes:
+            for sink in lane.sinks:
+                sink.on_end(lane)
+        return [
+            SimulationResult(
+                strategy=lane.strategy,
+                account=lane.strategy.account,
+                network=lane.strategy.network,
+                n_events=lane.n_events,
+                served=lane.served,
+                dropped=lane.dropped,
+                outcomes=lane.outcomes,
+                sinks=lane.sinks,
+            )
+            for lane in self.lanes
+        ]
 
     def finish(self) -> SimulationResult:
         """Seal the stream and return the offline-shaped result."""
-        self._check_open()
-        self._finished = True
-        self.n_events = self.position
-        for sink in self.sinks:
-            sink.on_boundary(self, self.position)
-        self._flush_mutations()
-        for sink in self.sinks:
-            sink.on_end(self)
-        return SimulationResult(
-            strategy=self.strategy,
-            account=self.strategy.account,
-            network=self.strategy.network,
-            n_events=self.n_events,
-            served=self.served,
-            dropped=self.dropped,
-            outcomes=self.outcomes,
-            sinks=self.sinks,
-        )
+        return self._seal()[0]
 
 
 class RoundReplayDriver:

@@ -685,13 +685,14 @@ def run_scenario(spec: ScenarioSpec, parallel: int = 1) -> List[Dict[str, object
     ----------
     parallel:
         Fan the sweep entries out over a persistent process pool
-        (:func:`repro.parallel.persistent_pool`), one job per entry.
-        Records (and therefore artifacts) are byte-identical for any
-        value.
+        (:func:`repro.parallel.persistent_pool`), one job per entry; a
+        spec with one entry runs in process.  Records (and therefore
+        artifacts) are byte-identical for any value.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if parallel == 1:
+    n_entries = len(spec.sweep or (None,))
+    if parallel == 1 or n_entries == 1:
         return [
             record
             for built in build_scenario(spec)
@@ -701,7 +702,6 @@ def run_scenario(spec: ScenarioSpec, parallel: int = 1) -> List[Dict[str, object
     from repro.parallel import run_jobs
 
     spec_json = spec.to_json()
-    n_entries = len(spec.sweep or (None,))
     results = run_jobs(
         min(parallel, n_entries),
         _worker_run_job,

@@ -178,7 +178,7 @@ def reference_decode_events(rows: Sequence) -> List[RequestEvent]:
 
 
 def reference_check_batch(events, strategy_n_objects, network, current_of_ref, n_refs):
-    """The checks of ``EngineStream._as_batch`` on an event list, against
+    """The checks of ``EngineStream.validate`` on an event list, against
     the network and reference map after every queued mutation."""
     events = list(events)
     n_objects = strategy_n_objects
@@ -211,7 +211,8 @@ def reference_check_batch(events, strategy_n_objects, network, current_of_ref, n
 
 
 def reference_track(current_of_ref: Optional[np.ndarray], base_n, mutation, outcome):
-    """The reference-map update ``EngineStream._flush_mutations`` made."""
+    """The reference-map update ``EngineStream.mutate`` makes in a live
+    stream (an attach appends one reference id)."""
     if current_of_ref is None:
         current_of_ref = np.arange(base_n, dtype=np.int64)
     alive = current_of_ref >= 0

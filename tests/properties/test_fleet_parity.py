@@ -305,6 +305,42 @@ def test_fleet_shared_account_refused_before_rebinding():
     assert_results_equal(sequential, fleet)
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "flash-crowd"])
+@pytest.mark.parametrize("defect", ["processor", "objects"])
+def test_fleet_bad_sequence_refused_before_rebinding(defect, traced):
+    """An event past the reference universe, or a sequence over more
+    objects than the strategies know, is refused untouched -- under a
+    trace too, whose attaches the universe reserves -- and the corrected
+    sequence then replays the same fleet."""
+    net, _pattern, seq = build_instance(0)
+    n = seq.n_objects
+    trace = CHURN_GENERATORS["flash-crowd"](net, 7) if traced else None
+    strategies = [
+        EdgeCounterManager(net, n),
+        EdgeCounterManager(net, n, object_size=2),
+    ]
+    states = [s.account.state for s in strategies]
+    procs, objs, writes = seq.as_arrays()
+    if defect == "processor":
+        n_refs = net.n_nodes + (trace.attach_count() if traced else 0)
+        bad = RequestSequence.from_columns(
+            np.append(procs, n_refs), np.append(objs, 0), np.append(writes, False), n
+        )
+        match = f"processor id {n_refs}, but the replay universe has {n_refs}"
+    else:
+        bad = RequestSequence.from_columns(procs, objs, writes, n + 1)
+        match = "more objects than the strategy was built for"
+    with pytest.raises(WorkloadError, match=match):
+        SimulationEngine.run_fleet(strategies, bad, trace)
+    _assert_untouched(strategies, states)
+    fleet = SimulationEngine.run_fleet(strategies, seq, trace)
+    sequential = [
+        SimulationEngine(EdgeCounterManager(net, n, **args)).run(seq, trace)
+        for args in ({}, {"object_size": 2})
+    ]
+    assert_results_equal(sequential, fleet)
+
+
 def _adaptive_only_factories(net, n_objects):
     """An all-adaptive fleet: three counter tunings plus both subclasses."""
     return [

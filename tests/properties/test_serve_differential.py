@@ -1,14 +1,18 @@
 """Invariant 10 differential: served online equals offline replay, bit-for-bit.
 
-The streaming entry point (:class:`repro.sim.engine.EngineStream`) must be
-indistinguishable from the offline :class:`SimulationEngine` walking the
-same workload through ``merge_timeline``: identical served/dropped splits,
-identical cost accounts, identical trajectory samples (as raw float64
-bytes), identical load vectors.  The stream never sees the workload's
-length or partition in advance -- events arrive in ragged micro-batches
-with mutations interleaved at their churn times -- so this pins the
-chunk-regridding, lazy mutation flushing, and the trailing-mutation /
-forced-final-sample ordering.
+Served and replayed workloads go through one loop,
+:class:`repro.sim.engine.EngineStream`: the offline
+:class:`SimulationEngine` feeds it whole segments between mutation times,
+a served session feeds it whatever micro-batches arrive.  Ragged
+micro-batches must equal whole-segment feeding and the verbatim reference
+of ``tests/properties/test_sim_kernel.py``: identical served/dropped
+splits, identical cost accounts, identical trajectory samples (as raw
+float64 bytes), identical load vectors.  The stream never sees the
+workload's length or partition in advance -- events arrive in ragged
+micro-batches with mutations interleaved at their churn times -- so this
+pins the chunk-regridding, lazy mutation flushing, and the
+trailing-mutation / forced-final-sample ordering (an empty batch flushes
+nothing).
 
 The second half closes the loop through the recorder: a served session
 written as a ``repro.stream-recording/v2`` file, replayed offline via
@@ -28,8 +32,13 @@ import pytest
 from repro.dynamic.evaluate import hindsight_static_manager
 from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import READ, WRITE, RequestEvent, RequestSequence
-from repro.network.builders import random_tree
-from repro.network.mutation import AttachLeaf, ChurnTrace, apply_mutation
+from repro.network.builders import balanced_tree, random_tree
+from repro.network.mutation import (
+    AttachLeaf,
+    ChurnTrace,
+    SetEdgeBandwidth,
+    apply_mutation,
+)
 from repro.serve.batcher import ServeSession, result_record
 from repro.serve.recorder import StreamRecorder, load_recording, replay_recording
 from repro.serve.wire import mutation_to_dict
@@ -185,6 +194,34 @@ def test_attach_then_address_new_processor():
     streamed = run_streamed("adaptive", seed, sequence, trace, None)
     assert full_record(streamed) == full_record(offline)
     assert streamed.dropped == offline.dropped
+
+
+def test_empty_batch_does_not_flush_a_trailing_mutation():
+    """An empty batch serves nothing, so a trailing mutation still lands
+    after the forced final sample, as in the offline replay."""
+    network = balanced_tree(2, 2, 2)
+    rng = np.random.default_rng(5)
+    procs = np.asarray(network.processors)
+    sequence = RequestSequence.from_columns(
+        rng.choice(procs, 40), rng.integers(0, 4, 40), rng.random(40) < 0.3, 4
+    )
+    u, v = network.edges[0]
+    trace = ChurnTrace([(40, SetEdgeBandwidth(u, v, 0.25))])
+
+    def stream(empty_batch):
+        stream = EngineStream(
+            EdgeCounterManager(network, 4), sinks=[TrajectorySink(7)]
+        )
+        stream.serve(sequence)
+        stream.mutate(trace.events[0].mutation)
+        if empty_batch:
+            assert stream.serve([]) == (0, 0)
+        return stream.finish()
+
+    offline = SimulationEngine(
+        EdgeCounterManager(network, 4), sinks=[TrajectorySink(7)]
+    ).run(sequence, trace)
+    assert full_record(stream(True)) == full_record(stream(False)) == full_record(offline)
 
 
 @pytest.mark.parametrize("scenario", ["zipf", "storm"])

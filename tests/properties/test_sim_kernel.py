@@ -25,13 +25,17 @@ from repro.dynamic.online import (
     RentOrBuyManager,
     StaticPlacementManager,
 )
-from repro.dynamic.sequence import RequestEvent, sequence_from_pattern
+from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.network.builders import balanced_tree, star_of_buses
-from repro.network.mutation import apply_mutation
+from repro.network.mutation import AttachLeaf, ChurnTrace, apply_mutation
 from repro.core.placement import RequestAssignment
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import EngineStream, SimulationEngine
 from repro.sim.sinks import TrajectorySink
-from repro.workload.churn import mutation_storm, rolling_maintenance_detach
+from repro.workload.churn import (
+    mutation_storm,
+    random_valid_mutation,
+    rolling_maintenance_detach,
+)
 from repro.workload.generators import uniform_pattern, zipf_pattern
 from tests.scalar_oracle import serve
 
@@ -350,6 +354,112 @@ class TestChurnReplayParity:
             assert np.array_equal(sink.sample_times, reference["sample_times"])
             assert kernel.network.n_nodes == reference["network"].n_nodes
             assert kernel.account.state.verify_bus_loads()
+
+
+    GRID = 8
+
+    def _adversarial(self, net, seq, seed):
+        """The serve differential's adversarial trace, and an event sent to
+        a processor before its attach.
+
+        Mutation times are 0, a tie, a chunk-grid multiple, ``n - 1``,
+        ``n`` and past the end, each valid for the evolving network.  The
+        tie holds an attach whose reference id an event names three events
+        before it lands, and again after.  Returns ``(trace, early,
+        ordinary)``: the sequence with that early event, and the same
+        sequence with an ordinary event in its place (a stream rejects it).
+        """
+        n = len(seq) + 2
+        rng = np.random.default_rng(seed + 20)
+        scratch, timed, new_ref = net, [], None
+        for time in (0, 5, 5, 2 * self.GRID, n - 1, n, n + 7):
+            if new_ref is None and time == 5:
+                new_ref = net.n_nodes + sum(isinstance(m, AttachLeaf) for _, m in timed)
+                mutation = AttachLeaf(scratch.buses[0])
+            else:
+                mutation = random_valid_mutation(scratch, rng)
+            scratch = apply_mutation(scratch, mutation).network
+            timed.append((time, mutation))
+        events = list(seq)
+        late = RequestEvent(new_ref, 1, "write")
+
+        def with_event_at_2(event):
+            return RequestSequence(
+                events[:2] + [event] + events[2:9] + [late] + events[9:], seq.n_objects
+            )
+
+        return (
+            ChurnTrace(timed),
+            with_event_at_2(RequestEvent(new_ref, 0, "read")),
+            with_event_at_2(events[2]),
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk_size", [None, GRID])
+    def test_adversarial_trace_at_every_entry(self, seed, chunk_size):
+        """``run``, every lane of ``run_fleet`` and a ragged-batch stream
+        against the verbatim churn replay."""
+        net, _pattern, seq, placement = _instance(seed)
+        trace, early, ordinary = self._adversarial(net, seq, seed)
+        makers = (
+            lambda: StaticPlacementManager(net, placement),
+            lambda: EdgeCounterManager(net, seq.n_objects),
+            lambda: EdgeCounterManager(net, seq.n_objects, object_size=2),
+        )
+
+        def check(result, sink, reference):
+            _assert_accounts_equal(result.account, reference["account"])
+            assert result.served == reference["served"]
+            assert result.dropped == reference["dropped"]
+            assert result.n_mutations == len(reference["outcomes"]) == len(trace)
+            assert np.array_equal(sink.trajectory, reference["trajectory"])
+            assert np.array_equal(sink.sample_times, reference["sample_times"])
+
+        references = [
+            _reference_replay_with_churn(make(), early, trace, sample_every=7)
+            for make in makers
+        ]
+        for make, reference in zip(makers, references):
+            sink = TrajectorySink(7)
+            engine = SimulationEngine(make(), sinks=(sink,), chunk_size=chunk_size)
+            check(engine.run(early, trace), sink, reference)
+
+        sinks = [TrajectorySink(7) for _ in makers]
+        fleet = SimulationEngine.run_fleet(
+            [make() for make in makers],
+            early,
+            trace,
+            sinks=[(sink,) for sink in sinks],
+            chunk_size=chunk_size,
+        )
+        for result, sink, reference in zip(fleet, sinks, references):
+            check(result, sink, reference)
+
+        for make in makers:
+            reference = _reference_replay_with_churn(
+                make(), ordinary, trace, sample_every=7
+            )
+            sink = TrajectorySink(7)
+            stream = EngineStream(make(), sinks=(sink,), chunk_size=chunk_size)
+            check(_feed_ragged(stream, ordinary, trace), sink, reference)
+        assert references[0]["dropped"] > reference["dropped"]  # the early event
+
+
+def _feed_ragged(stream, sequence, trace, sizes=(5, 1, 13, 2, 9)):
+    """Serve ``sequence`` in ragged batches, each mutation at its time."""
+    pending = list(trace.events)
+    position = cursor = 0
+    while position < len(sequence):
+        while pending and pending[0].time <= position:
+            stream.mutate(pending.pop(0).mutation)
+        stop = min(position + sizes[cursor % len(sizes)], len(sequence))
+        if pending:
+            stop = min(stop, pending[0].time)
+        stream.serve(sequence.subsequence(position, stop))
+        position, cursor = stop, cursor + 1
+    for timed in pending:
+        stream.mutate(timed.mutation)
+    return stream.finish()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Unit tests for the simulation kernel (timeline, protocol, engine, sinks)."""
+"""Unit tests for the simulation kernel (span timeline, protocol, engine, sinks)."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,10 @@ from repro.sim.protocol import fleet_groups, validate_strategy
 from repro.sim.sinks import (
     CostBreakdownSink,
     DropAccountingSink,
+    MetricsSink,
     RoundStatsSink,
     TrajectorySink,
 )
-from repro.sim.timeline import MutationPoint, ServeSpan, merge_timeline
 from repro.workload.generators import uniform_pattern
 from tests.scalar_oracle import ReferenceOnlineCostAccount
 
@@ -31,101 +31,121 @@ def instance():
     return net, seq, placement
 
 
-class TestMergeTimeline:
-    def test_plain_sequence_is_one_span(self):
-        items = merge_timeline(10)
-        assert items == [ServeSpan(0, 10)]
+class SpanLog(MetricsSink):
+    """Record the ``(start, stop)`` of every span and each mutation, in order."""
 
-    def test_chunk_grid(self):
-        items = merge_timeline(10, chunk_size=4)
-        assert items == [ServeSpan(0, 4), ServeSpan(4, 8), ServeSpan(8, 10)]
+    def __init__(self, interval=None):
+        self.interval = interval
+        self.log = []
 
-    def test_mutations_split_spans_and_come_first(self):
+    def on_span(self, sim, start, stop, served, dropped):
+        self.log.append((start, stop))
+
+    def on_mutation(self, sim, outcome):
+        self.log.append("mutation")
+
+    @property
+    def spans(self):
+        return [item for item in self.log if item != "mutation"]
+
+
+def _span_log(instance, trace=None, chunk_size=None, interval=None):
+    net, seq, placement = instance
+    log = SpanLog(interval)
+    result = SimulationEngine(
+        StaticPlacementManager(net, placement), sinks=(log,), chunk_size=chunk_size
+    ).run(seq, trace)
+    return log, result
+
+
+class TestSpanTimeline:
+    """The spans and mutations one replay shows its sinks: the timeline."""
+
+    def test_plain_sequence_is_one_span(self, instance):
+        log, _ = _span_log(instance)
+        assert log.log == [(0, 40)]
+
+    def test_chunk_grid(self, instance):
+        log, _ = _span_log(instance, chunk_size=16)
+        assert log.log == [(0, 16), (16, 32), (32, 40)]
+
+    def test_sink_interval_splits_spans(self, instance):
+        log, _ = _span_log(instance, interval=15)
+        assert log.log == [(0, 15), (15, 30), (30, 40)]
+
+    def test_mutations_split_spans_and_come_first(self, instance):
         trace = ChurnTrace([(0, AttachLeaf(0)), (5, AttachLeaf(0))])
-        items = merge_timeline(10, trace)
-        assert isinstance(items[0], MutationPoint) and items[0].time == 0
-        assert items[1] == ServeSpan(0, 5)
-        assert isinstance(items[2], MutationPoint) and items[2].time == 5
-        assert items[3] == ServeSpan(5, 10)
+        log, _ = _span_log(instance, trace)
+        assert log.log == ["mutation", (0, 5), "mutation", (5, 40)]
 
-    def test_late_mutations_after_last_span(self):
-        trace = ChurnTrace([(99, AttachLeaf(0))])
-        items = merge_timeline(10, trace)
-        assert items[0] == ServeSpan(0, 10)
-        assert isinstance(items[1], MutationPoint)
-
-    def test_empty_sequence_applies_all_mutations(self):
-        trace = ChurnTrace([(3, AttachLeaf(0)), (7, AttachLeaf(0))])
-        items = merge_timeline(0, trace)
-        assert all(isinstance(i, MutationPoint) for i in items)
-        assert len(items) == 2
-
-    def test_boundaries_split_spans(self):
-        items = merge_timeline(10, boundaries=[3, 30])
-        assert items == [ServeSpan(0, 3), ServeSpan(3, 10)]
-
-
-class TestMergeTimelineEdgeCases:
-    """Degenerate timelines, pinned against the engine's serve behavior."""
+    def test_late_mutations_after_last_span(self, instance):
+        net, seq, placement = instance
+        trace = ChurnTrace([(40, AttachLeaf(0)), (99, AttachLeaf(0))])
+        log, sink = SpanLog(), TrajectorySink(7)
+        SimulationEngine(
+            StaticPlacementManager(net, placement), sinks=(log, sink)
+        ).run(seq, trace)
+        assert log.log[-3:] == [(35, 40), "mutation", "mutation"]
+        assert "mutation" not in log.log[:-2]
+        # the forced final sample precedes the trailing mutations
+        final = StaticPlacementManager(net, placement).run(seq).congestion
+        assert sink.sample_times[-1] == 40 and sink.trajectory[-1] == final
 
     def test_empty_sequence_with_pending_mutations_runs_them_all(self, instance):
         net, _seq, placement = instance
         trace = ChurnTrace([(0, AttachLeaf(0)), (5, AttachLeaf(0))])
-        items = merge_timeline(0, trace)
-        assert all(isinstance(i, MutationPoint) for i in items)
-
-        n_before = net.n_nodes
-        sink = TrajectorySink(10)
+        log, sink = SpanLog(), TrajectorySink(10)
         result = SimulationEngine(
-            StaticPlacementManager(net, placement), sinks=(sink,)
+            StaticPlacementManager(net, placement), sinks=(log, sink)
         ).run(RequestSequence([], 8), trace)
+        assert log.log == ["mutation", "mutation"]
         assert result.n_events == result.served == result.dropped == 0
         assert result.n_mutations == 2
-        assert result.network.n_nodes == n_before + 2
+        assert result.network.n_nodes == net.n_nodes + 2
         assert len(sink.sample_times) == 0  # nothing served, nothing sampled
 
     def test_mutation_at_time_zero_precedes_every_event(self, instance):
         net, seq, placement = instance
         victim = net.processors[0]
         trace = ChurnTrace([(0, DetachLeaf(victim))])
-        items = merge_timeline(len(seq), trace, chunk_size=5)
-        assert isinstance(items[0], MutationPoint) and items[0].time == 0
-        assert items[1].start == 0  # no zero-width span before the mutation
-        assert all(
-            s.stop > s.start for s in items if isinstance(s, ServeSpan)
-        )
-
-        result = SimulationEngine(StaticPlacementManager(net, placement)).run(
-            seq, trace
-        )
+        log, result = _span_log(instance, trace, chunk_size=5)
+        assert log.log[0] == "mutation"
+        assert log.spans == [(start, start + 5) for start in range(0, 40, 5)]
         # the detach lands before event 0: every victim request drops
         assert result.dropped == sum(1 for ev in seq if ev.processor == victim)
 
-    def test_boundary_coinciding_with_chunk_cut_is_not_duplicated(self, instance):
+    def test_sink_interval_equal_to_chunk_grid_is_not_duplicated(self, instance):
         net, seq, placement = instance
-        items = merge_timeline(10, boundaries=[4], chunk_size=4)
-        assert items == [ServeSpan(0, 4), ServeSpan(4, 8), ServeSpan(8, 10)]
-
-        # a sink interval equal to the chunk grid must not double-sample
-        sink = TrajectorySink(4)
+        log, sink = SpanLog(4), TrajectorySink(4)
         SimulationEngine(
-            StaticPlacementManager(net, placement), sinks=(sink,), chunk_size=4
+            StaticPlacementManager(net, placement), sinks=(log, sink), chunk_size=4
         ).run(seq)
-        times = list(sink.sample_times)
-        assert times == sorted(set(times))
-        assert times[-1] == len(seq)
+        assert log.spans == [(start, start + 4) for start in range(0, 40, 4)]
+        assert list(sink.sample_times) == list(range(4, 41, 4))
 
     def test_chunk_size_larger_than_sequence_is_one_span(self, instance):
         net, seq, placement = instance
-        assert merge_timeline(5, chunk_size=100) == [ServeSpan(0, 5)]
-
-        big = SimulationEngine(
-            StaticPlacementManager(net, placement), chunk_size=10 * len(seq)
-        ).run(seq)
+        log, big = _span_log(instance, chunk_size=10 * len(seq))
+        assert log.log == [(0, 40)]
         plain = SimulationEngine(StaticPlacementManager(net, placement)).run(seq)
         assert big.served == plain.served == len(seq)
         assert np.array_equal(big.account.edge_loads, plain.account.edge_loads)
         assert big.account.congestion == plain.account.congestion
+
+    @pytest.mark.parametrize("chunk_size", [None, 4, 7])
+    def test_no_zero_width_span(self, instance, chunk_size):
+        """Ties, grid multiples, the last events and times past the end:
+        the spans still tile the sequence, each at least one event wide."""
+        trace = ChurnTrace(
+            [(t, AttachLeaf(0)) for t in (0, 0, 8, 8, 13, 28, 39, 40, 41, 99)]
+        )
+        log, _ = _span_log(instance, trace, chunk_size=chunk_size, interval=6)
+        spans = log.spans
+        assert all(stop > start for start, stop in spans)
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == 40
+        assert log.log.count("mutation") == 10
+        assert log.log[-3:] == ["mutation"] * 3  # times 40, 41 and 99
 
 
 class TestProtocol:

@@ -1,5 +1,6 @@
 """Tests for the declarative scenario registry (spec, JSON, building, running)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -196,9 +197,23 @@ class TestFleetAndParallel:
         assert json.dumps(serial) == json.dumps(run_scenario(spec, parallel=2))
 
     def test_parallel_with_churn_scenario(self):
-        spec = scenario_spec("storm", seed=1, small=True)
+        spec = dataclasses.replace(
+            scenario_spec("storm", seed=1, small=True),
+            sweep=({"label": "s"}, {"label": "m", "network_args": {"depth": 3}}),
+        )
         serial = run_scenario(spec)
+        assert {record["label"] for record in serial} == {"storm/s", "storm/m"}
         assert json.dumps(serial) == json.dumps(run_scenario(spec, parallel=2))
+
+    def test_one_entry_spec_runs_in_process(self, monkeypatch):
+        import repro.parallel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-entry spec reached the process pool")
+
+        monkeypatch.setattr(repro.parallel, "run_jobs", refuse)
+        spec = scenario_spec("storm", seed=1, small=True)
+        assert json.dumps(run_scenario(spec, parallel=2)) == json.dumps(run_scenario(spec))
 
     def test_parallel_rejects_bad_worker_count(self):
         spec = scenario_spec("zipf", seed=0, small=True)

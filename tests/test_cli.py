@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import WorkloadError
 
 
 def run_cli(args):
@@ -315,6 +316,34 @@ class TestSimulateCommand:
         assert child.returncode == 1
         assert b"Traceback" not in child.stderr
         assert b"BrokenPipeError" not in child.stderr
+
+    def test_refused_input_is_one_error_line_and_exit_2(self, tmp_path):
+        # a journal header the engine refuses: the process prints one line
+        # naming the error, and exits with the CLI's refused-input code,
+        # not --check's mismatch code 1
+        root = Path(__file__).resolve().parents[1]
+        fixture = root / "tests" / "serve" / "data" / "storm-small-v1.jsonl"
+        header, rest = fixture.read_text().split("\n", 1)
+        header = json.loads(header)
+        header["chunk_size"] = 2.5
+        journal = tmp_path / "bad-chunk.jsonl"
+        journal.write_text(json.dumps(header) + "\n" + rest)
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "replay-stream", str(journal), "--check"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stderr.splitlines() == [
+            "repro: error: WorkloadError: chunk_size must be an integer of at "
+            "least 1, got 2.5"
+        ]
+        # in process, the error still propagates
+        with pytest.raises(WorkloadError, match="chunk_size"):
+            main(["replay-stream", str(journal), "--check"], stream=io.StringIO())
 
     @pytest.mark.parametrize(
         "scenario", ["adversarial-storm", "flash-crowd-recovery", "fleet-sweep"]

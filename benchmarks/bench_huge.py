@@ -13,7 +13,9 @@ both claims on a 10^5-processor network:
 * **compiled replay gate** -- the replay inner loop (batched pair-path
   charge, fused load apply, running-max congestion) under the compiled
   backend must beat the numpy reference by at least **5x** on this
-  substrate, with bit-for-bit identical results.
+  substrate, with bit-for-bit identical results;
+* **nearest tables** -- resolving 16 holder sets for every node takes
+  the table itself plus at most 4 MiB, equal under both backends.
 
 Run with ``pytest benchmarks/bench_huge.py --huge``; the tier is skipped
 entirely without the flag (the build takes seconds, not milliseconds).
@@ -24,6 +26,7 @@ CI records the benchmark medians into ``BENCH_history.json`` via
 import os
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +123,46 @@ def test_huge_blocked_distances():
     depth = pm.depths
     anc = pm.lca(u, v)
     assert np.array_equal(dist, depth[u] + depth[v] - 2 * depth[anc])
+
+
+def test_huge_nearest_tables():
+    """Nearest tables of 16 holder sets on 10^5 leaves: the table is the memory.
+
+    Each row gives every node its nearest holder (ties to the smallest id)
+    from two sweeps over the tree, so a call takes the table and O(n)
+    scratch.  The compiled table must equal the numpy twin's, sampled
+    nodes must match the scalar rule, and the traced peak may exceed the
+    table by at most 4 MiB.
+    """
+    compiled = [b for b in kernels.available_backends() if b != "numpy"]
+    if not compiled:
+        pytest.skip("no compiled kernel backend available")
+    net, pm, _ = huge_substrate()
+    rooted = pm.rooted
+    rng = np.random.default_rng(11)
+    procs = np.asarray(net.processors)
+    sets = [np.sort(rng.choice(procs, size=12, replace=False)) for _ in range(16)]
+    with kernels.use_backend(compiled[0]):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            tables = rooted.nearest_tables(sets)
+            build_s = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    with kernels.use_backend("numpy"):
+        assert np.array_equal(rooted.nearest_tables(sets), tables)
+    for cands, row in zip(sets, tables):
+        for v in rng.choice(net.n_nodes, size=64, replace=False).tolist():
+            assert row[v] == rooted.nearest_in_set(v, cands)
+    print(
+        f"\nhuge nearest tables [{compiled[0]}]: {len(sets)} sets on "
+        f"{net.n_nodes} nodes in {build_s * 1e3:.1f}ms, traced peak "
+        f"{peak / 2**20:.1f} MiB for a {tables.nbytes / 2**20:.1f} MiB table"
+    )
+    assert tables.shape == (len(sets), net.n_nodes)
+    assert peak <= tables.nbytes + 4 * 2**20
 
 
 @pytest.mark.benchmark(group="huge-replay")

@@ -153,10 +153,11 @@ def _nearest_pair_arrays(
     """Nearest-copy ``(proc, holder, weight)`` arrays without building shares.
 
     Matches :meth:`RequestAssignment.nearest_copy` (ties towards the
-    smallest holder id) but resolves every (requester, object) pair in one
-    batched LCA/distance evaluation instead of per-share object
-    construction; used by the vectorized evaluators where the assignment
-    itself is not needed.
+    smallest holder id) but reads every (requester, object) pair off the
+    objects' nearest-table rows (:meth:`RootedTree.nearest_tables
+    <repro.network.rooted.RootedTree.nearest_tables>`) instead of
+    constructing shares; used by the vectorized evaluators where the
+    assignment itself is not needed.
     """
     totals = pattern.totals
     if objects is None:
@@ -182,17 +183,20 @@ def _nearest_pair_arrays(
         )
         return proc_idx, holder_of[col_idx], weights
 
-    # Padded candidate matrix: row k holds object k's holders ascending,
-    # padded with its smallest holder (duplicates come later in the row, so
-    # argmin's first-minimum rule still breaks ties to the smallest id).
-    candidates = np.empty((len(holder_sets), max_holders), dtype=np.int64)
-    for k, hs in enumerate(holder_sets):
-        row = sorted(hs)
-        candidates[k, : len(row)] = row
-        candidates[k, len(row) :] = row[0]
-    cand = candidates[col_idx]
-    dist = path_matrix.distances(proc_idx[:, None], cand)
-    nearest = cand[np.arange(proc_idx.size), np.argmin(dist, axis=1)]
+    # One nearest-table row per object, built for as many objects at a
+    # time as fit in the (pairs x holders) distance block this used to
+    # take, and at least one; pairs are gathered batch by batch.
+    rooted = path_matrix.rooted
+    batch = max(1, proc_idx.size * max_holders // path_matrix.n_nodes)
+    order = np.argsort(col_idx, kind="stable")
+    cols = col_idx[order]
+    cuts = np.searchsorted(cols, np.arange(0, len(holder_sets) + batch, batch))
+    nearest = np.empty_like(proc_idx)
+    for first, lo, hi in zip(range(0, len(holder_sets), batch), cuts, cuts[1:]):
+        if lo < hi:
+            tables = rooted.nearest_tables(holder_sets[first:first + batch])
+            rows = order[lo:hi]
+            nearest[rows] = tables[cols[lo:hi] - first, proc_idx[rows]]
     return proc_idx, nearest, weights
 
 

@@ -308,7 +308,7 @@ def _delete(
             raise AlgorithmError(f"object {obj} has an empty holder set")
         slot = np.zeros(hi - lo, dtype=np.int64)
         if hi > lo and len(holder_list) > 1:
-            nearest = rooted.path_matrix().nearest_in_set(procs[lo:hi], holder_list)
+            nearest = rooted.nearest_tables([holder_list])[0][procs[lo:hi]]
             slot = np.searchsorted(holder_list, nearest)
         initial = np.bincount(slot, weights=totals[procs[lo:hi], k], minlength=len(holder_list))
         served = dict(zip(holder_list, initial.astype(np.int64).tolist()))

@@ -26,10 +26,15 @@ in one C call.  Its numpy twin is the composition of the ``lca``,
 ``pair_scatter``, ``scatter_paths``, ``apply_column`` and ``rescan``
 twins that ``LoadState.apply_pairs`` made before it existed.
 
-One op is not a load op: :func:`adaptive_scan` runs phase 1 of the
+Two ops are not load ops.  :func:`adaptive_scan` runs phase 1 of the
 batched adaptive replay (``EdgeCounterManager.serve_chunk``) for every
 object of a chunk in one C call.  Its numpy twin is the per-object Python
 counter scan the manager ran before (:func:`_replay_positions`).
+:func:`nearest_tables` resolves the nearest member of each candidate set
+for every node of a rooted tree, in two sweeps over the tree per set;
+every nearest-copy resolution of the placement pipeline and the
+strategies goes through it (``RootedTree.nearest_tables``).  Its numpy
+twin runs the same sweeps, vectorised per depth level.
 
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
 (``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
@@ -97,6 +102,7 @@ __all__ = [
     "PairSubstrate",
     "charge_pairs",
     "adaptive_scan",
+    "nearest_tables",
 ]
 
 #: Narrowest safe index dtype of the substrate's CSR / lifting tables.
@@ -127,6 +133,18 @@ def ensure_index_capacity(n_nodes: int, n_edges: int, path_entries: int) -> None
                 f"({_INT32_MAX}) of the path-incidence substrate; the "
                 "int32 index tables would overflow (indices are never "
                 "silently wrapped)"
+            )
+
+
+def _check_node_ids(n_nodes: int, *arrays: np.ndarray, what: str = "node id") -> None:
+    """Raise :class:`~repro.errors.InvalidNodeError` naming the first id
+    outside ``[0, n_nodes)`` in ``arrays`` (checked in order), so an index
+    never reaches a C loop or wraps around in a numpy gather."""
+    for ids in arrays:
+        if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
+            bad = int(ids[(ids < 0) | (ids >= n_nodes)][0])
+            raise InvalidNodeError(
+                f"{what} {bad} is outside the network's {n_nodes} nodes"
             )
 
 
@@ -491,6 +509,44 @@ def _reference_adaptive_scan(holder_mask, read_credit, unread_writes,
     return runs, mgmt_direct, mgmt_rep
 
 
+#: Table entries per block of sets in the numpy nearest-table sweeps: bounds
+#: their per-level scratch to a few hundred KiB next to the table itself.
+_NEAREST_BLOCK = 1 << 15
+
+
+def _reference_nearest_tables(parent, order, depth, indptr, members):
+    # the two sweeps of repro_nearest_tables over depth levels instead of
+    # the topological order (a minimum does not depend on the visit order);
+    # nodes sorted by depth, then parent, put the children of one parent
+    # in one reduceat segment of their level
+    n, n_sets = parent.size, indptr.size - 1
+    keys = np.full((n_sets, n), n * n, dtype=np.int64)
+    keys[np.repeat(np.arange(n_sets), np.diff(indptr)), members] = members
+    by_level = np.lexsort((parent, depth))
+    bounds = np.searchsorted(depth[by_level], np.arange(int(depth.max()) + 2))
+    levels = []
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        nodes = by_level[lo:hi]
+        par = parent[nodes]
+        starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+        levels.append((nodes, par, starts, par[starts]))
+    block = max(1, _NEAREST_BLOCK // n)
+    for lo in range(0, n_sets, block):
+        rows = keys[lo:lo + block]
+        for nodes, _par, starts, heads in reversed(levels):  # bottom-up
+            best = np.minimum.reduceat(rows[:, nodes], starts, axis=1)
+            best += n
+            np.minimum(best, rows[:, heads], out=best)
+            rows[:, heads] = best
+        for nodes, par, _starts, _heads in levels:  # top-down
+            via = rows[:, par]
+            via += n
+            np.minimum(via, rows[:, nodes], out=via)
+            rows[:, nodes] = via
+    np.remainder(keys, n, out=keys)
+    return keys
+
+
 _NUMPY_OPS: Dict[str, Callable] = {
     "lca": _reference_lca,
     "scatter_paths": _reference_scatter_paths,
@@ -503,6 +559,7 @@ _NUMPY_OPS: Dict[str, Callable] = {
     "rescan_rows": _reference_rescan_rows,
     "charge_pairs": _reference_charge_pairs,
     "adaptive_scan": _reference_adaptive_scan,
+    "nearest_tables": _reference_nearest_tables,
 }
 
 
@@ -924,6 +981,43 @@ int64_t repro_charge_pairs(const int32_t *up, int64_t levels, int64_t n_nodes,
     return -1;
 }
 
+/* Nearest candidate of every node of a rooted tree, one out row of n
+ * entries per candidate set of the CSR (indptr, members), ties to the
+ * smallest id: the rule of RootedTree.nearest_in_set.  A node's key for a
+ * candidate is dist * n + candidate, so one integer minimum compares the
+ * distance first and the id second.  Sweeping the topological order
+ * backwards, each parent takes its best child one hop further (the best
+ * candidate of its subtree); sweeping it forwards, each node takes its
+ * parent's best one hop further.  Keys start at n * n, above every real
+ * key, and reach at most n * (n + 1): the caller guards that against
+ * int64 overflow, and checks every member against [0, n). */
+void repro_nearest_tables(const int64_t *parent, const int64_t *order,
+                          int64_t n, const int64_t *indptr,
+                          const int64_t *members, int64_t n_sets,
+                          int64_t *out)
+{
+    int64_t s, i, t;
+    for (s = 0; s < n_sets; s++) {
+        int64_t *key = out + s * n;
+        for (i = 0; i < n; i++)
+            key[i] = n * n;
+        for (t = indptr[s]; t < indptr[s + 1]; t++)
+            key[members[t]] = members[t];
+        for (i = n - 1; i >= 0; i--) {
+            int64_t v = order[i], p = parent[v];
+            if (p >= 0 && key[v] + n < key[p])
+                key[p] = key[v] + n;
+        }
+        for (i = 0; i < n; i++) {
+            int64_t v = order[i], p = parent[v];
+            if (p >= 0 && key[p] + n < key[v])
+                key[v] = key[p] + n;
+        }
+        for (i = 0; i < n; i++)
+            key[i] %= n;
+    }
+}
+
 void repro_free(void *block)
 {
     free(block);
@@ -1313,6 +1407,7 @@ _C_SIGNATURES: Dict[str, Tuple[object, Tuple[object, ...]]] = {
         (_VP, _C64, _C64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _C64, _VP, _VP,
          _VP, _VP, _VP, _C64, _CD, _C32, _VP),
     ),
+    "repro_nearest_tables": (None, (_VP, _VP, _C64, _VP, _VP, _C64, _VP)),
     "repro_free": (None, (_VP,)),
     "repro_adaptive_scan": (
         _C64,
@@ -1359,8 +1454,10 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
         fn.argtypes = list(argtypes)
     a = _address
 
-    # Index *values* are not checked here (callers pass substrate ids);
-    # only the fused charge range-checks its node ids, in C.
+    # Only array types and sizes are checked here: the dispatched ops
+    # range-check the node ids of the caller (lca, nearest_tables) before
+    # either backend runs, the fused charge in C; substrate arrays (the
+    # lifting table, parents, orders) are trusted.
     def cc_lca(up, depth, u, v):
         m = u.size
         levels, n = up.shape
@@ -1559,6 +1656,22 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
             lib.repro_free(block)
         return _scan_records(flat.tolist())
 
+    def cc_nearest_tables(parent, order, depth, indptr, members):
+        n, n_sets = parent.size, indptr.size - 1
+        out = np.empty((n_sets, n), dtype=np.int64)
+        args = (
+            a(parent, _I64, n, "parent"),
+            a(order, _I64, n, "order"),
+            n,
+            a(indptr, _I64, n_sets + 1, "indptr"),
+            a(members, _I64, int(indptr[-1]), "members"),
+            n_sets,
+            a(out, _I64, n_sets * n, "out"),
+        )
+        if n_sets:
+            lib.repro_nearest_tables(*args)
+        return out
+
     return {
         "lca": cc_lca,
         "scatter_paths": cc_scatter_paths,
@@ -1571,6 +1684,7 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
         "rescan_rows": cc_rescan_rows,
         "charge_pairs": cc_charge_pairs,
         "adaptive_scan": cc_adaptive_scan,
+        "nearest_tables": cc_nearest_tables,
     }
 
 
@@ -1697,8 +1811,10 @@ def lca(up: np.ndarray, depth: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.n
     ``up`` is the ``(levels, n)`` int32 ancestor table, ``depth`` the int64
     per-node depths; ``u`` and ``v`` must be freshly-allocated contiguous
     int64 arrays of equal size (implementations may clobber them).  Returns
-    a flat int64 ancestor array.
+    a flat int64 ancestor array.  An id outside the table's nodes raises
+    :class:`~repro.errors.InvalidNodeError` naming it, under every backend.
     """
+    _check_node_ids(up.shape[-1], u, v)
     return _op("lca")(up, depth, u, v)
 
 
@@ -1863,3 +1979,44 @@ def adaptive_scan(
         holder_mask, read_credit, unread_writes, n_holders, up, depth,
         procs, writes, objs, order, replicate_at, migrate_at, patience,
     )
+
+
+def nearest_tables(
+    parent: np.ndarray,
+    order: np.ndarray,
+    depth: np.ndarray,
+    indptr: np.ndarray,
+    members: np.ndarray,
+) -> np.ndarray:
+    """Per candidate set, the nearest candidate of every node of a tree.
+
+    The tree is a rooted view's int64 ``parent`` (``-1`` at the root),
+    topological ``order`` (parents first) and ``depth`` arrays; the sets
+    are one int64 CSR, set ``s`` being ``members[indptr[s]:indptr[s+1]]``.
+    Returns the ``(n_sets, n_nodes)`` int64 table whose row ``s`` holds,
+    for every node, its closest member of set ``s``, ties to the smallest
+    id (the rule of ``RootedTree.nearest_in_set``).  The table is all the
+    memory a call takes beyond O(n_nodes) scratch: no distance block is
+    built.
+
+    Before either backend runs, an empty set raises
+    :class:`~repro.errors.InvalidNodeError` with the text of
+    ``nearest_in_set``, a member outside the tree raises it naming the
+    member, and a tree too large for the int64 sweep keys raises
+    :class:`~repro.errors.CapacityError`.
+    """
+    n = parent.size
+    # keys are dist * n + candidate < n * n; a sweep adds n to the n * n
+    # start value at most once: n * (n + 1) must fit in int64
+    if n * (n + 1) > _INT64_MAX:
+        raise CapacityError(
+            f"network node count {n} exceeds the capacity of the int64 "
+            "nearest-table keys (n * (n + 1) must fit in int64; keys are "
+            "never silently wrapped)"
+        )
+    if indptr.size == 0 or indptr[0] != 0:
+        raise ValueError("nearest_tables: the CSR indptr must start at 0")
+    if (indptr[1:] <= indptr[:-1]).any():
+        raise InvalidNodeError("candidate set must not be empty")
+    _check_node_ids(n, members, what="candidate")
+    return _op("nearest_tables")(parent, order, depth, indptr, members)

@@ -77,7 +77,8 @@ class PathMatrix:
 
     # Block size (in pair entries) of the on-demand distance evaluation:
     # bounds the LCA scratch arrays of arbitrarily large distance queries
-    # to a few MiB instead of materialising an O(n^2) all-pairs matrix.
+    # (the weighted-median baseline's) to a few MiB instead of
+    # materialising an O(n^2) all-pairs matrix.
     _DIST_BLOCK = 1 << 20
 
     def __init__(self, rooted) -> None:
@@ -356,11 +357,13 @@ class PathMatrix:
         """Path lengths (edge counts) for broadcastable index arrays.
 
         Evaluated on demand in fixed-size blocks (``_DIST_BLOCK`` pair
-        entries), so arbitrarily large queries -- the nearest-copy table
-        builds gather ``(processors × holders)`` blocks -- never
-        materialise more than a few MiB of LCA scratch space on top of the
-        result itself.  Entries are identical to the unblocked evaluation
-        (same LCA arithmetic), so blocking never changes results.
+        entries), so arbitrarily large queries -- the weighted-median cost
+        of ``median_leaf_placement`` takes a ``(requesters × processors)``
+        block -- never materialise more than a few MiB of LCA scratch space
+        on top of the result itself.  Entries are identical to the
+        unblocked evaluation (same LCA arithmetic), so blocking never
+        changes results.  Nearest copies need no distances:
+        :meth:`nearest_in_set` reads them off a nearest table.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -386,14 +389,14 @@ class PathMatrix:
         """For every node, the closest candidate (ties: smallest id).
 
         ``candidates`` must be non-empty; the result aligns with ``nodes``.
+        One row of :meth:`RootedTree.nearest_tables
+        <repro.network.rooted.RootedTree.nearest_tables>`, gathered at
+        ``nodes``; an id outside the network raises
+        :class:`~repro.errors.InvalidNodeError` naming it.
         """
-        cands = np.asarray(sorted(set(int(c) for c in candidates)), dtype=np.int64)
-        if cands.size == 0:
-            raise InvalidNodeError("candidate set must not be empty")
         nodes = np.asarray(nodes, dtype=np.int64)
-        dist = self.distances(nodes[:, None], cands[None, :])
-        # argmin returns the first (= smallest-id, since cands is sorted) min
-        return cands[np.argmin(dist, axis=1)]
+        kernels._check_node_ids(self.n_nodes, nodes)
+        return self.rooted.nearest_tables([candidates])[0][nodes]
 
     # ------------------------------------------------------------------ #
     # load kernels

@@ -306,16 +306,15 @@ class RequestAssignment:
         node closest to ``P``").
         """
         placement.validate_for(network, pattern)
-        path_matrix = network.rooted().path_matrix()
+        rooted = network.rooted()
         obj_idx, proc_idx = np.nonzero(pattern.totals.T)
         holders = np.empty_like(proc_idx)
         bounds = np.searchsorted(obj_idx, np.arange(pattern.n_objects + 1))
         for obj in range(pattern.n_objects):
             lo, hi = bounds[obj], bounds[obj + 1]
             if lo < hi:
-                holders[lo:hi] = path_matrix.nearest_in_set(
-                    proc_idx[lo:hi], sorted(placement.holders(obj))
-                )
+                table = rooted.nearest_tables([placement.holders(obj)])[0]
+                holders[lo:hi] = table[proc_idx[lo:hi]]
         return cls.from_rows(
             pattern.n_objects,
             proc_idx,

@@ -212,40 +212,27 @@ def _rehome_target(outcome) -> int:
     return int(outcome.node_map[home])
 
 
-def _bulk_nearest_tables(pm, procs: np.ndarray, n_nodes: int, requests) -> None:
-    """Build per-object nearest-copy tables in one blocked distance pass.
+def _bulk_nearest_tables(rooted, requests) -> None:
+    """Build per-object nearest-copy tables in one nearest-table call.
 
     ``requests`` is a list of ``(cache, obj, holders)`` sinks: ``cache``
     is a per-strategy table dict to fill, ``holders`` the object's holder
-    ids as an ascending tuple.  One distance evaluation against the union
-    of all requested holder sets replaces one
-    ``PathMatrix.nearest_in_set`` call per (strategy, object); each table
-    is then a gather + argmin over the shared distance block.  Holder
-    columns stay sorted ascending, so ties resolve to the smallest id
-    exactly like ``nearest_in_set``, and identical holder sets (fleet
-    lanes that agree on an object's placement) share one table object.
-
-    The blocked evaluation runs over (processors × holder union):
-    ``PathMatrix.distances`` bounds its LCA scratch space internally, so
-    this stays sub-quadratic in memory on huge networks -- no all-pairs
-    matrix is ever materialised (the old ≤2048-node ``all_distances()``
-    cache silently degraded past its node cap).
+    ids as an ascending tuple.  One
+    :meth:`~repro.network.rooted.RootedTree.nearest_tables` call over the
+    distinct holder sets fills every sink: each table is one row, which
+    gives every node its nearest holder, ties to the smallest id exactly
+    like ``nearest_in_set``, and identical holder sets (fleet lanes that
+    agree on an object's placement) share one table object.  The rows are
+    all the memory the call takes: no processors × holders distance
+    block is built.
     """
     if not requests:
         return
     by_holders: Dict[tuple, list] = {}
     for cache, obj, holders in requests:
         by_holders.setdefault(holders, []).append((cache, obj))
-    union = sorted({h for holders in by_holders for h in holders})
-    column = {h: j for j, h in enumerate(union)}
-    dist = pm.distances(
-        procs[:, None], np.asarray(union, dtype=np.int64)[None, :]
-    )
-    for holders, sinks in by_holders.items():
-        hs = np.asarray(holders, dtype=np.int64)
-        sub = dist[:, [column[h] for h in holders]]
-        table = np.full(n_nodes, -1, dtype=np.int64)
-        table[procs] = hs[np.argmin(sub, axis=1)]
+    tables = rooted.nearest_tables(list(by_holders))
+    for table, sinks in zip(tables, by_holders.values()):
         for cache, obj in sinks:
             cache[obj] = table
 
@@ -326,12 +313,11 @@ class StaticPlacementManager(OnlineStrategy):
         super().__init__(network, placement.n_objects, account=account)
         placement.validate_for(network, require_leaf_only=True)
         self._placement = placement
-        # nearest-copy table per object, resolved for all processors in one
-        # batched distance evaluation on first touch
+        # nearest-copy table per object, resolved for every node by one
+        # nearest-table call on first touch
         self._nearest_cache: Dict[int, np.ndarray] = {}
         # per-object Steiner edge ids of the holder sets (write broadcasts)
         self._steiner_ids_cache: Dict[int, np.ndarray] = {}
-        self._procs = np.asarray(network.processors, dtype=np.int64)
 
     def holders(self, obj: int) -> Set[int]:
         return set(self._placement.holders(obj))
@@ -341,7 +327,6 @@ class StaticPlacementManager(OnlineStrategy):
             return
         self._nearest_cache.clear()  # tables are sized to the old node count
         self._steiner_ids_cache.clear()  # edge ids renumber under mutations
-        self._procs = np.asarray(outcome.network.processors, dtype=np.int64)
         if outcome.removed_node is None:
             return  # attach/split keep node ids stable
         nm = outcome.node_map
@@ -358,24 +343,16 @@ class StaticPlacementManager(OnlineStrategy):
 
     def _nearest_table(self, obj: int) -> np.ndarray:
         """Per-node nearest-copy table of one object (cached, batch-built)."""
-        table = self._nearest_cache.get(obj)
-        if table is None:
-            table = np.full(self.network.n_nodes, -1, dtype=np.int64)
-            table[self._procs] = self.rooted.path_matrix().nearest_in_set(
-                self._procs, self._placement.holders(obj)
-            )
-            self._nearest_cache[obj] = table
-        return table
+        if obj not in self._nearest_cache:
+            self._nearest_tables_bulk([obj])
+        return self._nearest_cache[obj]
 
     def _nearest_tables_bulk(self, objs) -> None:
-        """Build the nearest-copy tables of many objects in one LCA pass.
+        """Build the missing nearest-copy tables of many objects at once.
 
         Thin wrapper over the shared :func:`_bulk_nearest_tables` builder:
-        one blocked distance evaluation against the union of all missing
-        objects' holder sets replaces one
-        :meth:`PathMatrix.nearest_in_set` call per object.  Holder columns
-        stay sorted ascending, so ties resolve to the smallest id exactly
-        like ``nearest_in_set``.
+        one nearest-table call over the missing objects' holder sets, one
+        row per distinct set, instead of one table build per object.
         """
         requests = [
             (self._nearest_cache, int(obj),
@@ -383,9 +360,7 @@ class StaticPlacementManager(OnlineStrategy):
             for obj in objs
             if int(obj) not in self._nearest_cache
         ]
-        _bulk_nearest_tables(
-            self.rooted.path_matrix(), self._procs, self.network.n_nodes, requests
-        )
+        _bulk_nearest_tables(self.rooted, requests)
 
     def _steiner_edge_ids_for(self, obj: int, stack) -> np.ndarray:
         """Edge ids of one object's write-broadcast Steiner tree (cached).
@@ -459,7 +434,7 @@ class StaticPlacementManager(OnlineStrategy):
             return
         u, counts, by_object, written, write_counts = aggregated
         # resolve each unique pair's reference copy via the per-object
-        # tables (built in one bulk LCA pass, gathered per object)
+        # tables (built by one nearest-table call, gathered per object)
         self._nearest_tables_bulk([obj for obj, _ in by_object])
         targets = np.empty(u.size, dtype=np.int64)
         for obj, rows in by_object:
@@ -595,7 +570,6 @@ class EdgeCounterManager(OnlineStrategy):
         # revisit the same holder sets, so tables survive transitions and
         # are shared across lanes with agreeing holder sets
         self._tables_by_holders: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._procs = np.asarray(network.processors, dtype=np.int64)
         if initial_placement is not None:
             initial_placement.validate_for(network, require_leaf_only=True)
             if initial_placement.n_objects != n_objects:
@@ -626,7 +600,6 @@ class EdgeCounterManager(OnlineStrategy):
         if not outcome.structural:
             return  # bandwidth mutations keep node ids and holders intact
         self._tables_by_holders.clear()  # tables are sized to the old node count
-        self._procs = np.asarray(outcome.network.processors, dtype=np.int64)
         if outcome.removed_node is None:
             # attach/split keep existing node ids stable; new ids append,
             # so the counter arrays widen with zero columns
@@ -761,7 +734,7 @@ class EdgeCounterManager(OnlineStrategy):
         counter scan over its positions (:meth:`_scan`, one kernel call
         for the whole chunk), decoupled from the charge frontier.  The
         recorded maximal static runs are then charged in bulk
-        (:meth:`_apply_deferred`): one blocked distance pass builds every
+        (:meth:`_apply_deferred`): one nearest-table call builds every
         missing nearest table, one aggregated pair scatter carries the
         service traffic, one Steiner column the write broadcasts, and one
         management scatter the copy movements.  Integer charges commute
@@ -775,10 +748,7 @@ class EdgeCounterManager(OnlineStrategy):
         runs, mgmt_direct, mgmt_rep = self._scan(chunk)
         if len(self._tables_by_holders) > self._MAX_HOLDER_TABLES:
             self._tables_by_holders.clear()
-        _bulk_nearest_tables(
-            self.rooted.path_matrix(), self._procs, self.network.n_nodes,
-            self._table_requests_for_runs(runs),
-        )
+        _bulk_nearest_tables(self.rooted, self._table_requests_for_runs(runs))
         procs, _writes, _objs, order = chunk
         self._apply_deferred(procs[order], runs, mgmt_direct, mgmt_rep)
 
@@ -793,7 +763,7 @@ class EdgeCounterManager(OnlineStrategy):
 
         K lanes (different ``object_size`` / ``invalidation_patience`` /
         threshold tunings) share one chunk decode with its per-object
-        CSR, and one blocked distance pass for every nearest table any
+        CSR, and one nearest-table call for every nearest table any
         lane is missing -- lanes whose holder sets agree share the very
         table object, lanes that diverge get their own.  Each lane then
         runs its own counter scan (one kernel call per lane) and applies
@@ -819,10 +789,7 @@ class EdgeCounterManager(OnlineStrategy):
             if len(manager._tables_by_holders) > cls._MAX_HOLDER_TABLES:
                 manager._tables_by_holders.clear()
             requests.extend(manager._table_requests_for_runs(records[0]))
-        _bulk_nearest_tables(
-            lead.rooted.path_matrix(), lead._procs, lead.network.n_nodes,
-            requests,
-        )
+        _bulk_nearest_tables(lead.rooted, requests)
         procs, _writes, _objs, order = chunk
         sorted_procs = procs[order]
         for manager, records in zip(managers, per_lane):

@@ -14,6 +14,7 @@ equivalently ``level(v) = height(T) - depth(v)``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -500,11 +501,34 @@ class RootedTree:
             nodes.add(e.v)
         return sorted(nodes)
 
+    def nearest_tables(self, candidate_sets: Sequence[Iterable[int]]) -> np.ndarray:
+        """Nearest candidate of every node, one table row per candidate set.
+
+        Returns an ``(len(candidate_sets), n_nodes)`` int64 table: row
+        ``s``, column ``v`` is the member of ``candidate_sets[s]`` closest
+        to ``v``, ties to the smallest id -- :meth:`nearest_in_set` for
+        every node at once.  Each row costs two sweeps over this view's
+        topological order (:func:`repro.core.kernels.nearest_tables`) and
+        the table is all the memory a call takes.  An empty set or a
+        candidate outside the network raises
+        :class:`~repro.errors.InvalidNodeError` before any sweep runs.
+        """
+        from repro.core import kernels
+
+        sets = [list(s) for s in candidate_sets]
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(s) for s in sets])
+        members = np.fromiter(chain.from_iterable(sets), np.int64, int(indptr[-1]))
+        return kernels.nearest_tables(
+            self._parent, self._order, self._depth, indptr, members
+        )
+
     def nearest_in_set(self, node: int, candidates: Iterable[int]) -> int:
         """Return the candidate closest to ``node`` (ties: smallest id).
 
         Used to pick the reference copy ``c(P, x)`` as the copy of ``x``
-        stored on the node closest to ``P`` (Section 3.2).
+        stored on the node closest to ``P`` (Section 3.2).  The scalar
+        reference of :meth:`nearest_tables`.
         """
         cands = sorted(set(int(c) for c in candidates))
         if not cands:

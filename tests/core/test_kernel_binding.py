@@ -8,6 +8,10 @@ ctypes passes without looking at them.  So:
   before any C code runs, leaving every input untouched;
 * the fused pair charge range-checks its node ids and raises the same
   exception under both backends, with the loads untouched;
+* the batched LCA and the nearest tables range-check the node ids they
+  are given before either backend runs (a bad id used to crash the
+  interpreter under cc and wrap around under numpy), and the nearest
+  tables refuse an empty set and a tree too large for their int64 keys;
 * the adaptive counter scan checks every CSR entry, object id,
   processor id and first-touch row before it writes a counter, raising
   the same exception under both backends, and under cc the batched
@@ -30,7 +34,7 @@ from repro.core.loadstate import LoadState
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import sequence_from_pattern
-from repro.errors import InvalidNodeError, WorkloadError
+from repro.errors import CapacityError, InvalidNodeError, WorkloadError
 from repro.network.builders import balanced_tree
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import zipf_pattern
@@ -60,6 +64,7 @@ def _inputs():
     loads2 = np.arange(2 * width, dtype=np.float64).reshape(2, width)
     mask = pm._bus_mask
     edge_u, edge_v = pm._edge_u, pm._edge_v
+    rooted = pm.rooted
     adaptive = AdaptiveState(3, n)
     materialise(adaptive, 0, 3)
     chunk_objs = np.array([0, 1, 0, 0, 2], dtype=np.int64)
@@ -124,6 +129,16 @@ def _inputs():
                 2,
             ),
         ),
+        "nearest_tables": (
+            kernels.nearest_tables,
+            (
+                rooted._parent,
+                rooted._order,
+                rooted._depth,
+                np.array([0, 2, 3], dtype=np.int64),
+                np.array([3, 6, 4], dtype=np.int64),
+            ),
+        ),
     }
 
 
@@ -155,6 +170,7 @@ _BAD_ARGS = {
     "rescan_rows": (1, 2, 2),
     "charge_pairs": (1, 3, 6),
     "adaptive_scan": (9, 0, 1),
+    "nearest_tables": (4, 1, 4),
 }
 
 
@@ -210,6 +226,66 @@ def test_charge_pairs_rejects_a_node_outside_the_network(backend, bad):
         assert len(state._journal) == 0
         state.commit(snap)
         assert (state._loads.tobytes(), state.congestion, state._stale) == before
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("bad", [-2, 7, 10**6])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_lca_rejects_a_node_outside_the_network(backend, bad, side):
+    _fn, (up, depth, u, v) = _inputs()["lca"]
+    ids = {"u": u, "v": v}
+    ids[side][2] = bad
+    before = _snapshot((up, depth, u, v))
+    with kernels.use_backend(backend):
+        with pytest.raises(InvalidNodeError, match=f"node id {bad} is outside"):
+            kernels.lca(up, depth, u, v)
+    assert _snapshot((up, depth, u, v)) == before
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_path_matrix_queries_reject_a_node_outside_the_network(backend):
+    pm = balanced_tree(2, 2, 2).rooted().path_matrix()  # nodes 0-6
+    with kernels.use_backend(backend):
+        with pytest.raises(InvalidNodeError, match="node id 1000000 "):
+            pm.distances(np.array([5]), np.array([10**6]))
+        with pytest.raises(InvalidNodeError, match="node id -2 "):
+            pm.distances([5], [-2])
+        with pytest.raises(InvalidNodeError, match="node id 7 "):
+            pm.lca([7, 3], [3, 4])
+        with pytest.raises(InvalidNodeError, match="candidate -1 "):
+            pm.nearest_in_set([5], [-1])
+        with pytest.raises(InvalidNodeError, match="node id -1 "):
+            pm.nearest_in_set([-1], [5])
+        with pytest.raises(InvalidNodeError, match="node id 7 "):
+            pm.nearest_in_set([3, 7], [5])
+        assert pm.distances([5], [6]).tolist() == [2]
+        assert pm.nearest_in_set([3, 6], [4, 5]).tolist() == [4, 5]
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_nearest_tables_check_their_sets_before_either_backend(backend):
+    rooted = balanced_tree(2, 2, 2).rooted()
+    with kernels.use_backend(backend):
+        with pytest.raises(InvalidNodeError) as empty:
+            rooted.nearest_tables([[3], []])
+        with pytest.raises(InvalidNodeError) as scalar:
+            rooted.nearest_in_set(3, [])
+        assert str(empty.value) == str(scalar.value)
+        for bad in (-1, 7):
+            with pytest.raises(InvalidNodeError, match=f"candidate {bad} is outside"):
+                rooted.nearest_tables([[3], [4, bad]])
+        assert rooted.nearest_tables([]).shape == (0, 7)
+
+
+def test_nearest_tables_guard_their_int64_keys():
+    # a zero-stride view has 2**32 entries and holds one: the guard must
+    # refuse it before anything is allocated or swept
+    huge = np.broadcast_to(np.int64(-1), (2**32,))
+    with pytest.raises(CapacityError, match="int64 nearest-table keys"):
+        kernels.nearest_tables(
+            huge, huge, huge, np.array([0, 1], dtype=np.int64),
+            np.array([0], dtype=np.int64),
+        )
 
 
 def _scan_args(**spoil):

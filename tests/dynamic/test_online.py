@@ -1,5 +1,7 @@
 """Tests for the online strategies and their cost accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.dynamic.online import (
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.errors import PlacementError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus, star_of_buses
-from repro.workload.generators import uniform_pattern
+from repro.workload.generators import uniform_pattern, zipf_pattern
 
 
 class TestCostAccount:
@@ -97,6 +99,34 @@ class TestStaticPlacementManager:
         )
         manager.run(seq)
         assert manager.holders(0) == {net.processors[0]}
+
+    def test_nearest_tables_take_the_memory_of_the_tables(self):
+        """The offline-static shape (1024 leaves, 128 Zipf objects, the
+        hindsight placement): building every object's nearest table peaks
+        at the tables themselves, not at a processors x holders block."""
+        net = balanced_tree(4, 4, 16)
+        pattern = zipf_pattern(
+            net, 128, requests_per_processor=48, write_fraction=0.1, seed=7
+        )
+        manager = StaticPlacementManager(net, extended_nibble(net, pattern).placement)
+        tracemalloc.start()
+        try:
+            manager._nearest_tables_bulk(range(pattern.n_objects))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = {id(t): t for t in manager._nearest_cache.values()}
+        table_bytes = sum(t.nbytes for t in tables.values())
+        assert len(manager._nearest_cache) == pattern.n_objects
+        assert table_bytes <= pattern.n_objects * net.n_nodes * 8
+        assert peak < 2 * table_bytes + 2**20, (peak, table_bytes)
+        rooted = net.rooted()
+        for obj in (0, 1, 77):
+            holders = manager._placement.holders(obj)
+            table = manager._nearest_table(obj)
+            assert all(
+                table[p] == rooted.nearest_in_set(p, holders) for p in net.processors[::37]
+            )
 
 
 def _serve(manager, proc, kind, times=1):

@@ -44,6 +44,7 @@ from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_
 from repro.network.builders import balanced_tree, random_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
 from repro.sim.engine import SimulationEngine
+from repro.workload.churn import random_valid_mutation
 from repro.workload.generators import random_sparse_pattern, zipf_pattern
 from tests.properties.test_fleet_parity import _adaptive_only_factories, _crossing_sequence
 from tests.scalar_oracle import add_holder, materialise, reference_aggregate_chunk
@@ -231,6 +232,25 @@ class TestKernelOpsBitwise:
             )
         assert np.array_equal(np.asarray(neg_got), np.asarray(neg_ref))
         assert np.array_equal(got, ref)
+
+    def test_nearest_tables(self, backend, seed):
+        net, _pm, rng = _substrate(seed)
+        views = [net.rooted(int(rng.integers(net.n_nodes)))]
+        rooted = net.rooted()
+        for _ in range(4):  # repaired views keep only a topological order
+            outcome = apply_mutation(net, random_valid_mutation(net, rng))
+            rooted, net = rooted.repaired(outcome), outcome.network
+            views.append(rooted)
+        for view in views:
+            sizes = rng.integers(1, 5, size=6)
+            indptr = np.concatenate([[0], np.cumsum(sizes)])
+            members = rng.integers(0, view.network.n_nodes, size=int(indptr[-1]))
+            args = (view._parent, view._order, view._depth, indptr, members)
+            ref = kernels._reference_nearest_tables(*args)
+            with kernels.use_backend(backend):
+                got = kernels.nearest_tables(*args)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
 
     def test_rescan(self, backend, seed):
         rng = np.random.default_rng(seed)

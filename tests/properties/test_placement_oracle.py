@@ -28,7 +28,7 @@ from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_
 from repro.errors import AlgorithmError, AssignmentError, ReproError
 from repro.network.builders import balanced_tree
 from repro.network.rooted import RootedTree
-from repro.network.tree import HierarchicalBusNetwork
+from repro.network.tree import HierarchicalBusNetwork, NetworkBuilder
 from repro.workload.access import AccessPattern
 from repro.workload.generators import zipf_pattern
 from tests.conftest import instances, networks
@@ -362,7 +362,8 @@ def reference_map_copies_to_leaves(network, copies_per_object, root=None, affect
                         f"no free child edge at node {v} for a copy of object "
                         f"{copy.obj}; Lemma 4.1 excludes this for valid inputs"
                     )
-                at_node[v].remove(copy)
+                # by identity: two empty copies of one object are equal
+                at_node[v] = [c for c in at_node[v] if c is not copy]
                 copy.node = best_child
                 at_node[best_child].append(copy)
                 down_map[best_child] += cost
@@ -467,6 +468,37 @@ def assignment_view(assignment):
     return {key: tuple(shares) for key, shares in assignment.items()}
 
 
+def assert_mapping_matches(network, specs, root):
+    """``map_copies_to_leaves`` equals its reference on hand-placed copies.
+
+    ``specs`` lists ``(obj, kappa, [(node, portions), ...])``.  Both raise
+    the same error, or both return the same fields and leave every copy
+    on the same node; returns the mapping (``None`` when both raise).
+    """
+    def build(record):
+        return [
+            ObjectCopies(obj, kappa, [record(obj, node, list(p)) for node, p in copies])
+            for obj, kappa, copies in specs
+        ]
+
+    new, ref = build(CopyRecord), build(ReferenceCopyRecord)
+    got = outcome(map_copies_to_leaves, network, new, root)
+    want = outcome(reference_map_copies_to_leaves, network, ref, root)
+    assert got == want
+    if got is not None:
+        return None
+    assert copy_view(new) == copy_view(ref)
+    mapping = map_copies_to_leaves(network, build(CopyRecord), root)
+    expected = reference_map_copies_to_leaves(network, build(ReferenceCopyRecord), root)
+    for name, value in expected.items():
+        actual = getattr(mapping, name)
+        if isinstance(value, np.ndarray):
+            assert array_bytes(actual) == array_bytes(value), name
+        else:
+            assert actual == value, name
+    return mapping
+
+
 def assert_pipeline_matches(network, pattern, root=None):
     ref_deleted, ref_mapped, ref_mapping, ref_placement, ref_assignment = (
         reference_pipeline(network, pattern, root=root)
@@ -552,27 +584,25 @@ class TestPipelineOracle:
                 copies.append((node, [t for t in portions if t[1] or t[2]]))
             specs.append((obj, kappa, copies))
         root = data.draw(st.sampled_from([None] + list(net.nodes())))
+        assert_mapping_matches(net, specs, root)
 
-        def build(record):
-            return [
-                ObjectCopies(obj, kappa, [record(obj, node, list(p)) for node, p in copies])
-                for obj, kappa, copies in specs
-            ]
-
-        new, ref = build(CopyRecord), build(ReferenceCopyRecord)
-        got = outcome(map_copies_to_leaves, net, new, root)
-        want = outcome(reference_map_copies_to_leaves, net, ref, root)
-        assert got == want
-        if got is None:
-            assert copy_view(new) == copy_view(ref)
-            mapping = map_copies_to_leaves(net, build(CopyRecord), root)
-            expected = reference_map_copies_to_leaves(net, build(ReferenceCopyRecord), root)
-            for name, value in expected.items():
-                actual = getattr(mapping, name)
-                if isinstance(value, np.ndarray):
-                    assert array_bytes(actual) == array_bytes(value), name
-                else:
-                    assert actual == value, name
+    def test_mapping_moves_equal_empty_copies_by_identity(self):
+        """Two empty copies of one object on one node compare equal.  Here
+        the first moves up and is mapped back down behind the second, so a
+        reference that took moved copies off a node by equality took the
+        second copy's entry and then raised ``ValueError``."""
+        builder = NetworkBuilder()
+        b0, b1 = builder.add_bus(), builder.add_bus()
+        p2, p3 = builder.add_processor(), builder.add_processor()
+        for u, v in ((b0, b1), (b1, p2), (b0, p3)):
+            builder.connect(u, v)
+        specs = [
+            (0, 3, [(p3, [(p3, 4, 4)]), (b1, []), (b1, []),
+                    (b0, [(p2, 4, 0), (p3, 0, 4)])]),
+            (1, 1, [(p3, [(p2, 1, 3), (p3, 0, 4)]), (b1, [(p2, 3, 2), (p3, 2, 4)])]),
+        ]
+        mapping = assert_mapping_matches(builder.build(), specs, root=b0)
+        assert (mapping.moves_up, mapping.moves_down) == (1, 5)
 
     @given(
         portions=st.lists(

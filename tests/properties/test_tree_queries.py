@@ -5,9 +5,11 @@ selections ``gravity_candidates`` / ``nibble_holders_for_object`` are array
 passes over the rooted parent and depth arrays.  This module keeps the
 per-node loops they replaced **verbatim** (as ``reference_*`` functions)
 and asserts exact agreement -- values, dtype and order -- on random
-networks rooted anywhere.  ``test_churn_differential.py`` runs the same
-check on views repaired by every mutation kind, whose node order is only
-topological.
+networks rooted anywhere.  ``RootedTree.nearest_tables`` is checked
+against the scalar ``nearest_in_set`` at every node, buses included, with
+equidistant candidates among the sets.  ``test_churn_differential.py``
+runs the same check on views repaired by every mutation kind, whose node
+order is only topological.
 """
 
 import numpy as np
@@ -132,6 +134,19 @@ def assert_tree_queries_match_reference(network, rooted, rng):
         got = rooted.steiner_edge_ids(terminals)
         assert got == reference_steiner_edge_ids(rooted, terminals)
         assert all(type(e) is int for e in got)
+
+    # nearest tables: every node, buses included, against the scalar rule;
+    # the children of one node are equidistant from it and from everything
+    # outside their subtrees, so they exercise the smallest-id tie rule (the
+    # sets draw nothing from rng: callers go on drawing mutations from it)
+    kids = [rooted.children(v) for v in range(n)]
+    siblings = max(kids, key=len) or (rooted.root,)
+    sets = [(0,), (0, n - 1), range(0, n, 3), range(n), siblings,
+            rooted.children(rooted.root) or (rooted.root,)]
+    tables = rooted.nearest_tables(sets)
+    assert tables.shape == (len(sets), n) and tables.dtype == np.int64
+    for cands, row in zip(sets, tables):
+        assert row.tolist() == [rooted.nearest_in_set(v, cands) for v in range(n)]
 
     weights = rng.integers(0, 6, size=n) * (rng.random(n) < 0.5)
     for w in (weights, np.zeros(n, dtype=np.int64)):

@@ -2,13 +2,13 @@
 
 The kernel refactor routed every replay entry point through
 :class:`repro.sim.engine.SimulationEngine`.  The engine must be pure
-plumbing: timeline merging, sink notification and protocol dispatch may
-not add meaningful cost over calling the vectorized chunk fast path
-directly.  This benchmark measures both sides on the replay scenarios of
-``bench_online.py`` and gates the ratio: on the largest trace the
-engine-mediated batch replay (``run(seq)``, whose churn-free timeline is
-one serve span) must stay within **10%** of a direct ``serve_chunk`` call
-over the whole sequence.
+plumbing: opening the stream, cutting the input at mutation times, sink
+notification and protocol dispatch may not add meaningful cost over
+calling the vectorized chunk fast path directly.  This benchmark
+measures both sides on the replay scenarios of ``bench_online.py`` and
+gates the ratio: on the largest trace the engine-mediated batch replay
+(``run(seq)``, whose churn-free timeline is one serve span) must stay
+within **10%** of a direct ``serve_chunk`` call over the whole sequence.
 
 It also measures the declarative scenario registry end-to-end (spec ->
 build -> engine with sinks), the path ``repro simulate`` and E11 take.
@@ -104,7 +104,7 @@ def test_kernel_overhead_gate():
     On the largest trace the engine-mediated batch replay must stay
     within 10% of the direct serve_chunk call.  Quick mode uses the small
     scenario, where both sides finish in about a millisecond and the
-    engine's fixed setup cost (timeline merge, result assembly) is a
+    engine's fixed setup cost (opening the stream, result assembly) is a
     visible fraction of the total, so it gates a conservative 50%; the
     machine-independent 10% claim is checked on the large trace.  Both
     sides take best-of-N so one scheduler hiccup cannot fail the gate.

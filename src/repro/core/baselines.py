@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.loadstate import LoadState
 from repro.core.placement import Placement
 from repro.errors import PlacementError
 from repro.network.tree import HierarchicalBusNetwork
@@ -102,10 +103,14 @@ def greedy_congestion_placement(
 
     Objects are processed in decreasing total-request order (or the given
     order) and each is placed on the leaf that minimises the maximum
-    relative edge/bus load accumulated so far.
+    relative edge/bus load accumulated so far.  Every candidate leaf of an
+    object is one column of a candidate block (path loads only; a single
+    copy has no Steiner tree), scored in one pass by
+    :meth:`~repro.core.loadstate.LoadState.trial_congestions`; the winner
+    is charged into the same load state.
     """
     procs = _check(network, pattern)
-    pm = network.rooted().path_matrix()
+    state = LoadState(network)
     if object_order is None:
         totals = pattern.total_requests_all()
         object_order = sorted(
@@ -113,39 +118,21 @@ def greedy_congestion_placement(
         )
 
     procs_arr = np.asarray(procs, dtype=np.int64)
-    n_leaves = procs_arr.size
-    edge_bw = np.asarray(network.edge_bandwidths)
-    bus_bw = np.asarray(network.bus_bandwidths)
     all_totals = pattern.totals
-
-    edge_loads = np.zeros(network.n_edges, dtype=np.float64)
     chosen = [procs[0]] * pattern.n_objects
-
-    # For every object, evaluate all candidate leaves in one batched column
-    # computation: the per-leaf load vectors of a single copy (path loads
-    # only; no Steiner tree for a single copy) become columns of one matrix.
     for obj in object_order:
         requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
         if requesters.size == 0:
             chosen[obj] = procs[0]
             continue
-        counts = all_totals[requesters, obj].astype(np.float64)
-        lcas = pm.lca(requesters[:, None], procs_arr[None, :])
-        delta = np.zeros((network.n_nodes, n_leaves), dtype=np.float64)
-        delta[requesters, :] += counts[:, None]
-        np.add.at(delta, (procs_arr, np.arange(n_leaves)), counts.sum())
-        cols = np.broadcast_to(np.arange(n_leaves), lcas.shape)
-        np.add.at(delta, (lcas, cols), np.broadcast_to(-2.0 * counts[:, None], lcas.shape))
-        leaf_loads = pm.edge_loads_from_deltas(delta)
-
-        trials = edge_loads[:, None] + leaf_loads
-        scores = (trials / edge_bw[:, None]).max(axis=0) if trials.size else np.zeros(n_leaves)
-        bus_loads = pm.bus_loads_from_edge_loads(trials)
-        scores = np.maximum(scores, (bus_loads / bus_bw[:, None]).max(axis=0))
+        targets = np.broadcast_to(procs_arr, (requesters.size, procs_arr.size))
+        leaf_loads = state.pm.pair_edge_loads_lanes(
+            requesters, targets, all_totals[requesters, obj]
+        )
         # argmin returns the first minimum, i.e. the smallest leaf id on ties
-        best = int(np.argmin(scores))
+        best = int(np.argmin(state.trial_congestions(leaf_loads)))
         chosen[obj] = int(procs_arr[best])
-        edge_loads += leaf_loads[:, best]
+        state.apply_edge_loads(leaf_loads[:, best])
     return Placement.single_holder(chosen)
 
 

@@ -16,8 +16,11 @@ The cost model of Section 1.1:
 
 :func:`compute_loads` evaluates this model exactly for any placement and
 request assignment and returns a :class:`LoadProfile`; :func:`congestion` is
-the scalar shortcut and :func:`batch_congestions` evaluates a whole batch of
-candidate placements in one pass.
+the scalar shortcut.  Searches over candidate placements build their
+candidate blocks with :meth:`PathMatrix.pair_edge_loads_lanes
+<repro.core.pathmatrix.PathMatrix.pair_edge_loads_lanes>` and score them
+with :meth:`LoadState.trial_congestions
+<repro.core.loadstate.LoadState.trial_congestions>`.
 
 Incidence-matrix formulation
 ----------------------------
@@ -28,9 +31,9 @@ structure of :mod:`repro.core.pathmatrix`: with ``A[e, v] = 1`` iff edge
 ``+w`` at both endpoints and ``-2w`` at their LCA, and the write broadcast
 of holder set ``P_x`` falls out of the same operator applied to the 0/1
 membership vector of ``P_x`` (an edge is in the Steiner tree iff the
-terminal count strictly below it is neither zero nor ``|P_x|``).  Batches of
-placements are extra columns of ``δ``, so evaluating many candidates costs
-one sparse scatter instead of nested Python loops.  The original scalar
+terminal count strictly below it is neither zero nor ``|P_x|``).  Candidate
+blocks are extra columns of ``δ``, so evaluating many candidates costs one
+sparse scatter instead of nested Python loops.  The original scalar
 implementations are kept in ``tests/scalar_oracle.py``; the property
 tests assert exact agreement between the two code paths.
 """
@@ -43,7 +46,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.placement import Placement, RequestAssignment
-from repro.errors import PlacementError
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
@@ -52,7 +54,6 @@ __all__ = [
     "LoadProfile",
     "compute_loads",
     "congestion",
-    "batch_congestions",
     "object_edge_loads",
     "total_communication_load",
 ]
@@ -289,76 +290,6 @@ def compute_loads(
         edge_loads += pm.steiner_edge_loads(sets, weights)
     bus_loads = pm.bus_loads_from_edge_loads(edge_loads)
     return LoadProfile(network=network, edge_loads=edge_loads, bus_loads=bus_loads)
-
-
-def batch_congestions(
-    network: HierarchicalBusNetwork,
-    pattern: AccessPattern,
-    placements: Sequence[Placement],
-    assignments: Optional[Sequence[Optional[RequestAssignment]]] = None,
-    validate: bool = False,
-) -> np.ndarray:
-    """Congestion of a whole batch of candidate placements at once.
-
-    The per-placement node deltas and Steiner loads become columns of one
-    matrix, so the expensive path-incidence scatter and the bus folding run
-    once for the entire batch.  Search-style callers (exact solvers, greedy
-    baselines, tuning sweeps) should prefer this over a loop of
-    :func:`congestion` calls.
-
-    Parameters
-    ----------
-    network, pattern:
-        The instance.
-    placements:
-        Candidate placements to evaluate.
-    assignments:
-        Optional parallel sequence of explicit assignments (``None`` entries
-        fall back to nearest-copy).
-    validate:
-        If true, validate every placement/assignment first (off by default:
-        batch callers typically generate candidates programmatically).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``congestions[k]`` is the congestion of ``placements[k]``.
-    """
-    n_placements = len(placements)
-    if assignments is not None and len(assignments) != n_placements:
-        raise PlacementError("assignments must be parallel to placements")
-    if n_placements == 0:
-        return np.zeros(0, dtype=np.float64)
-
-    rooted = network.rooted()
-    pm = rooted.path_matrix()
-    deltas = np.zeros((network.n_nodes, n_placements), dtype=np.float64)
-    steiner = np.zeros((network.n_edges, n_placements), dtype=np.float64)
-    for k, placement in enumerate(placements):
-        assignment = assignments[k] if assignments is not None else None
-        if validate:
-            placement.validate_for(network, pattern)
-            if assignment is not None:
-                assignment.validate_for(network, pattern, placement)
-        if assignment is None:
-            u, v, w = _nearest_pair_arrays(pattern, placement, pm)
-        else:
-            u, v, w = _assignment_pair_arrays(assignment)
-        deltas[:, k] = pm.pair_deltas(u, v, w)
-        sets, weights = _steiner_sets_and_weights(pattern, placement)
-        if sets:
-            steiner[:, k] = pm.steiner_edge_loads(sets, weights)
-
-    edge_loads = pm.edge_loads_from_deltas(deltas) + steiner
-    bus_loads = pm.bus_loads_from_edge_loads(edge_loads)
-    edge_bw = np.asarray(network.edge_bandwidths)[:, None]
-    bus_bw = np.asarray(network.bus_bandwidths)[:, None]
-    worst = np.zeros(n_placements, dtype=np.float64)
-    if edge_loads.size:
-        worst = np.maximum(worst, (edge_loads / edge_bw).max(axis=0))
-    if bus_loads.size:
-        worst = np.maximum(worst, (bus_loads / bus_bw).max(axis=0))
-    return worst
 
 
 def congestion(

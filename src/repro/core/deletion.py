@@ -500,7 +500,7 @@ def refine_copies(
                     [r + w for (_p, r, w) in portions], dtype=np.float64
                 )
                 targets = (
-                    state.nearest_in_set(procs, remaining)
+                    state.pm.nearest_in_set(procs, remaining)
                     if procs.size
                     else np.empty(0, dtype=np.int64)
                 )

@@ -136,16 +136,34 @@ def ensure_index_capacity(n_nodes: int, n_edges: int, path_entries: int) -> None
             )
 
 
+def _first_outside(n: int, ids: np.ndarray) -> Optional[int]:
+    """The first id of ``ids`` outside ``[0, n)``, or None."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        return int(ids[(ids < 0) | (ids >= n)][0])
+    return None
+
+
 def _check_node_ids(n_nodes: int, *arrays: np.ndarray, what: str = "node id") -> None:
     """Raise :class:`~repro.errors.InvalidNodeError` naming the first id
     outside ``[0, n_nodes)`` in ``arrays`` (checked in order), so an index
     never reaches a C loop or wraps around in a numpy gather."""
     for ids in arrays:
-        if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
-            bad = int(ids[(ids < 0) | (ids >= n_nodes)][0])
+        bad = _first_outside(n_nodes, ids)
+        if bad is not None:
             raise InvalidNodeError(
                 f"{what} {bad} is outside the network's {n_nodes} nodes"
             )
+
+
+def _check_lane_ids(loads: np.ndarray, lanes: np.ndarray) -> None:
+    """Raise :class:`~repro.errors.AlgorithmError` naming the first lane id
+    outside the rows of a stacked ``loads`` array, before either backend
+    reads or writes through it."""
+    bad = _first_outside(loads.shape[0], lanes)
+    if bad is not None:
+        raise AlgorithmError(
+            f"lane id {bad} is outside the load array's {loads.shape[0]} rows"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -1455,9 +1473,10 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
     a = _address
 
     # Only array types and sizes are checked here: the dispatched ops
-    # range-check the node ids of the caller (lca, nearest_tables) before
-    # either backend runs, the fused charge in C; substrate arrays (the
-    # lifting table, parents, orders) are trusted.
+    # range-check the node ids of the caller (lca, nearest_tables) and the
+    # lane ids (apply_columns_lanes, rescan_rows) before either backend
+    # runs, the fused charge in C; substrate arrays (the lifting table,
+    # parents, orders) are trusted.
     def cc_lca(up, depth, u, v):
         m = u.size
         levels, n = up.shape
@@ -1901,8 +1920,15 @@ def apply_columns_lanes(
 ) -> np.ndarray:
     """Fused lane-broadcast apply of ``(n_edges, L)`` columns onto lane rows.
 
-    Returns the per-lane "any negative entry" bool array.
+    Returns the per-lane "any negative entry" bool array.  A lane id
+    outside ``loads``' rows, or a repeated one, raises
+    :class:`~repro.errors.AlgorithmError` under every backend before
+    anything is written.
     """
+    _check_lane_ids(loads, lanes)
+    if np.unique(lanes).size != lanes.size:
+        # numpy's buffered "+=" would charge a repeated lane once, cc twice
+        raise AlgorithmError("lane ids must be distinct")
     return _op("apply_columns_lanes")(
         loads, lanes, cols, edge_u, edge_v, is_bus, n_edges
     )
@@ -1914,7 +1940,12 @@ def rescan(loads: np.ndarray, denom: np.ndarray) -> float:
 
 
 def rescan_rows(loads: np.ndarray, rows: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Per-row fused rescan over selected lane rows of a stacked array."""
+    """Per-row fused rescan over selected lane rows of a stacked array.
+
+    A row id outside ``loads``' rows raises
+    :class:`~repro.errors.AlgorithmError` naming it, under every backend.
+    """
+    _check_lane_ids(loads, rows)
     return _op("rescan_rows")(loads, rows, denom)
 
 

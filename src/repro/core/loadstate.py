@@ -13,13 +13,13 @@ quadratic in practice.
 
 :class:`LoadState` is the shared substrate for that access shape:
 
-* **O(touched) delta application.**  ``apply_steiner`` / ``apply_edges``
-  scatter a delta onto the touched entries only.  Edge and bus loads live
+* **Three kinds of charge.**  Request pairs (batched request chunks) go
+  through ``apply_pairs``, Steiner trees (write broadcasts) through
+  ``apply_steiner`` and whole per-edge columns (candidate placements,
+  delivery rounds) through ``apply_edge_loads``.  Edge and bus loads live
   in one fused array (bus loads doubled, i.e. the plain incident-edge
   sum), so a cached Steiner entry updates and re-checks both with a
-  single fancy-indexed gather/scatter.  Request paths (batched request
-  chunks) go through ``apply_pairs`` and whole per-edge vectors
-  (candidate placements) through ``apply_edge_loads``.
+  single fancy-indexed gather/scatter on the touched entries only.
 * **Lazily-repaired running max.**  The congestion (max relative load over
   edges and buses) is kept incrementally: a non-negative delta can only
   raise relative loads, so the running max is repaired from the touched
@@ -43,7 +43,7 @@ scatter-entry cache, so batched charges amortise the index computations
 across all lanes and a topology repair debits/credits every lane in a
 single array surgery.  A :class:`LoadState` is the view of one lane:
 ``LoadState(network)`` owns a one-lane stack, and
-:meth:`StackedLoadState.lane` hands out the views of a K-lane one.  The
+:attr:`StackedLoadState.lanes` are the views of a K-lane one.  The
 view keeps the lane's running max, staleness flag and journal as plain
 attributes, so the one-lane hot path touches no array element for them.
 The exactness argument above is order-free, so a lane of a K-lane stack
@@ -52,7 +52,7 @@ and a standalone state fed the same charges agree bitwise.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class LoadState:
 
     A load state is the view of one lane of a :class:`StackedLoadState`:
     ``LoadState(network)`` owns a one-lane stack, and
-    :meth:`StackedLoadState.lane` returns the views of a K-lane stack
+    :attr:`StackedLoadState.lanes` are the views of a K-lane stack
     (``stack`` and ``lane_index`` name the row).  The stack owns the load
     rows, the denominators, the scatter caches and the repair; the view
     keeps the lane's running max, its staleness flag and its journal.
@@ -170,14 +170,6 @@ class LoadState:
     def n_nodes(self) -> int:
         return self.stack.n_nodes
 
-    def incident_edge_ids(self, node: int) -> np.ndarray:
-        """Edge ids incident to ``node`` (precomputed CSR slice)."""
-        return self.stack.incident_edge_ids(node)
-
-    def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
-        """Nearest candidate per node (ties to the smallest id), vectorized."""
-        return self.stack.nearest_in_set(nodes, candidates)
-
     def memory_bytes(self) -> int:
         """Bytes held by the substrate arrays (the memory audit hook)."""
         return self.stack.memory_bytes()
@@ -194,10 +186,6 @@ class LoadState:
     def bus_loads(self) -> np.ndarray:
         """Per-node bus loads (zero for processors), derived incrementally."""
         return self._loads[self.stack.n_edges :] * 0.5
-
-    def bus_load(self, bus: int) -> float:
-        """Load of one bus (half the incident-edge load sum)."""
-        return float(self._loads[self.stack.n_edges + bus]) * 0.5
 
     @property
     def total_load(self) -> float:
@@ -218,14 +206,10 @@ class LoadState:
         return kernels.rescan(self._loads, self.stack._denom)
 
     def verify_bus_loads(self) -> bool:
-        """Debug check: incremental bus loads match a CSR recomputation."""
-        stack = self.stack
-        edge_loads = self.edge_loads
-        for bus in stack._bus_nodes:
-            expected = edge_loads[stack.incident_edge_ids(int(bus))].sum()
-            if expected != self._loads[stack.n_edges + bus]:
-                return False
-        return True
+        """Debug check: the incremental bus loads equal a fresh fold of the
+        edge loads, processor entries (which must read 0) included."""
+        fresh = self.pm.bus_loads_from_edge_loads(self.edge_loads)
+        return bool(np.array_equal(fresh, self.bus_loads))
 
     # ------------------------------------------------------------------ #
     # delta application
@@ -254,32 +238,6 @@ class LoadState:
         if entry[0].size and amount != 0:
             self._apply_entry(entry, amount)
         return int(entry[0].size)
-
-    def apply_edges(self, edge_ids, amount: float = 1.0) -> int:
-        """Add ``amount`` to every listed edge (ids may repeat); O(len(ids)).
-
-        Returns the number of edge entries charged.  Bus loads and the
-        congestion tracker are updated from the touched entries alone.
-        """
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        if ids.size == 0 or amount == 0:
-            return 0
-        stack = self.stack
-        np.add.at(self._loads, ids, amount)
-        nodes = np.concatenate([stack._edge_u[ids], stack._edge_v[ids]])
-        buses = nodes[stack._node_is_bus[nodes]] + stack.n_edges
-        np.add.at(self._loads, buses, amount)
-        if not self._stale:
-            if amount >= 0:
-                touched = np.concatenate([ids, buses])
-                value = float((self._loads[touched] / stack._denom[touched]).max())
-                if value > self._congestion:
-                    self._congestion = value
-            else:
-                self._stale = True
-        if self._snapshots:
-            self._journal.append(("edges", (ids, buses), amount))
-        return int(ids.size)
 
     def apply_edge_loads(self, vector: np.ndarray) -> None:
         """Add a whole per-edge load vector (one candidate / batch column).
@@ -347,21 +305,25 @@ class LoadState:
     def trial_congestions(self, columns: np.ndarray) -> np.ndarray:
         """Congestion of (current state + column) for every column, read-only.
 
-        ``columns`` has shape ``(n_edges, k)``; the result has shape ``(k,)``.
-        Used by search layers to score candidate moves in one pass without
-        mutating the state.
+        ``columns`` has shape ``(n_edges, k)`` (or ``(n_edges,)`` for one
+        column); the result has shape ``(k,)``.  Used by search layers to
+        score candidate moves in one pass without mutating the state.  The
+        block's bus rows come from :func:`repro.core.kernels.bus_fold`, the
+        fold behind :meth:`PathMatrix.bus_loads_from_edge_loads
+        <repro.core.pathmatrix.PathMatrix.bus_loads_from_edge_loads>`.
         """
         stack = self.stack
-        cols = np.asarray(columns, dtype=np.float64)
+        n_edges = stack.n_edges
+        cols = np.ascontiguousarray(columns, dtype=np.float64)
         if cols.ndim == 1:
             cols = cols[:, None]
-        n_edges = stack.n_edges
+        if cols.ndim != 2 or cols.shape[0] != n_edges:
+            raise AlgorithmError("edge-load column block has the wrong shape")
         fused = np.zeros((self._loads.size, cols.shape[1]), dtype=np.float64)
         fused[:n_edges] = cols
-        bus2 = fused[n_edges:]
-        np.add.at(bus2, stack._edge_u, cols)
-        np.add.at(bus2, stack._edge_v, cols)
-        bus2[~stack._node_is_bus] = 0.0
+        kernels.bus_fold(
+            fused[n_edges:], stack._edge_u, stack._edge_v, stack._node_is_bus, cols
+        )
         fused += self._loads[:, None]
         return (fused / stack._denom[:, None]).max(axis=0)
 
@@ -412,10 +374,6 @@ class LoadState:
             if kind == "entry":
                 _ids, fused, inc, _denom = payload
                 self._loads[fused] -= inc * amount
-            elif kind == "edges":
-                ids, buses = payload
-                np.add.at(self._loads, ids, -amount)
-                np.add.at(self._loads, buses, -amount)
             else:  # "vector"
                 self._scatter_vector(payload, -1.0)
         self._congestion = snap.congestion
@@ -437,16 +395,6 @@ class LoadState:
             if top is snap:
                 return
         raise AlgorithmError("snapshot does not belong to this LoadState")
-
-    def load_profile(self):
-        """Materialise the current state as a static :class:`LoadProfile`."""
-        from repro.core.congestion import LoadProfile
-
-        return LoadProfile(
-            network=self.network,
-            edge_loads=self.edge_loads.copy(),
-            bus_loads=self.bus_loads,
-        )
 
     # ------------------------------------------------------------------ #
     # topology repair
@@ -529,9 +477,6 @@ class StackedLoadState:
         "_edge_u",
         "_edge_v",
         "_node_is_bus",
-        "_bus_nodes",
-        "_inc_indptr",
-        "_inc_edges",
         "_steiner_cache",
         "_pair_subs",
         "_topology_epoch",
@@ -555,10 +500,8 @@ class StackedLoadState:
         self._edge_u = self.pm._edge_u
         self._edge_v = self.pm._edge_v
         self._node_is_bus = self.pm._bus_mask
-        self._bus_nodes = np.flatnonzero(self.pm._bus_mask)
 
         self._denom = self._build_denominators(network)
-        self._inc_indptr, self._inc_edges = self._build_incident_csr()
 
         self._steiner_cache: dict = {}
         self._pair_subs: dict = {}
@@ -575,12 +518,8 @@ class StackedLoadState:
 
     @property
     def lanes(self) -> Tuple[LoadState, ...]:
-        """All lane views, in lane order."""
+        """All lane views, in lane order (stable across repairs)."""
         return self._lanes
-
-    def lane(self, index: int) -> LoadState:
-        """The view of one lane (stable across repairs)."""
-        return self._lanes[index]
 
     def _build_denominators(self, network) -> np.ndarray:
         """Fused relative-load denominators for the current edge/node arrays.
@@ -594,34 +533,14 @@ class StackedLoadState:
         denom = np.ones(self.n_edges + self.n_nodes, dtype=np.float64)
         denom[: self.n_edges] = np.asarray(network.edge_bandwidths, dtype=np.float64)
         bus_bw2 = 2.0 * np.asarray(network.bus_bandwidths, dtype=np.float64)
-        denom[self.n_edges + self._bus_nodes] = bus_bw2[self._bus_nodes]
+        buses = np.flatnonzero(self._node_is_bus)
+        denom[self.n_edges + buses] = bus_bw2[buses]
         return denom
-
-    def _build_incident_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Incident-edge CSR per node, built from the endpoint arrays.
-
-        ``inc_edges[indptr[v]:indptr[v+1]]`` are the edge ids incident to
-        node ``v``, ascending, with the ``u`` endpoint of an edge listed
-        before its ``v`` endpoint.  Used for per-bus reads and the
-        consistency check; shared by ``__init__`` and :meth:`repair`.
-        """
-        endpoints = np.empty(2 * self.n_edges, dtype=kernels.INDEX_DTYPE)
-        endpoints[0::2] = self._edge_u
-        endpoints[1::2] = self._edge_v
-        eids = np.repeat(np.arange(self.n_edges, dtype=kernels.INDEX_DTYPE), 2)
-        order = np.argsort(endpoints, kind="stable")
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(endpoints, minlength=self.n_nodes))
-        return indptr, eids[order]
-
-    def incident_edge_ids(self, node: int) -> np.ndarray:
-        """Edge ids incident to ``node`` (precomputed CSR slice)."""
-        return self._inc_edges[self._inc_indptr[node] : self._inc_indptr[node + 1]]
 
     def memory_bytes(self) -> int:
         """Bytes held by the substrate arrays (the memory audit hook).
 
-        Counts the fused load array, the denominator / incidence arrays and
+        Counts the fused load array, the denominator and endpoint arrays and
         the shared :class:`~repro.core.pathmatrix.PathMatrix` tables, with
         arrays shared between the two deduplicated by identity.
         """
@@ -634,9 +553,6 @@ class StackedLoadState:
                 self._edge_u,
                 self._edge_v,
                 self._node_is_bus,
-                self._bus_nodes,
-                self._inc_indptr,
-                self._inc_edges,
                 pm._parent,
                 pm._parent_edge,
                 pm._depth,
@@ -685,10 +601,6 @@ class StackedLoadState:
         for key, (ids, fused, inc, _denom) in list(cache.items()):
             cache[key] = (ids, fused, inc, self._denom[fused])
 
-    def nearest_in_set(self, nodes, candidates: Sequence[int]) -> np.ndarray:
-        """Nearest candidate per node (ties to the smallest id), vectorized."""
-        return self.pm.nearest_in_set(np.asarray(nodes, dtype=np.int64), candidates)
-
     def _pair_substrate(self, lane: int) -> kernels.PairSubstrate:
         """The fused pair-charge substrate of one lane row, checked and
         cached until the next repair."""
@@ -719,18 +631,13 @@ class StackedLoadState:
         ``columns`` has shape ``(n_edges, len(lanes))`` (column ``j`` goes
         to lane ``lanes[j]``); the bus fold and the congestion update run
         once over the whole block instead of once per lane.  Lane ids must
-        be distinct.  Produces bit-for-bit the loads and congestion of
-        ``LoadState.apply_edge_loads`` called per lane.
+        be distinct rows of the stack.  Produces bit-for-bit the loads and
+        congestion of ``LoadState.apply_edge_loads`` called per lane.
         """
         lanes = np.ascontiguousarray(lanes, dtype=np.int64)
         cols = np.ascontiguousarray(columns, dtype=np.float64)
-        if cols.ndim == 1:
-            cols = cols[:, None]
         if cols.shape != (self.n_edges, lanes.size):
             raise AlgorithmError("edge-load column block has the wrong shape")
-        if np.unique(lanes).size != lanes.size:
-            # a buffered fancy-index "+=" would drop all but one duplicate
-            raise AlgorithmError("lane ids must be distinct")
         negative = kernels.apply_columns_lanes(
             self._loads,
             lanes,
@@ -755,11 +662,6 @@ class StackedLoadState:
                 view = self._lanes[k]
                 if value > view._congestion:
                     view._congestion = value
-
-    @property
-    def congestions(self) -> np.ndarray:
-        """Per-lane congestion values (stale lanes rescanned first)."""
-        return np.array([lane.congestion for lane in self._lanes], dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # topology repair
@@ -876,10 +778,8 @@ class StackedLoadState:
             self._edge_u = new_pm._edge_u
             self._edge_v = new_pm._edge_v
             self._node_is_bus = new_pm._bus_mask
-            self._bus_nodes = np.flatnonzero(new_pm._bus_mask)
 
             self._denom = self._build_denominators(network)
-            self._inc_indptr, self._inc_edges = self._build_incident_csr()
 
             self._steiner_cache.clear()
 

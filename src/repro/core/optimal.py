@@ -58,28 +58,19 @@ def _per_object_leaf_loads(
 ) -> List[np.ndarray]:
     """``loads[obj][:, leaf_index]`` = per-edge load of placing obj's copy there.
 
-    One ``(n_edges, n_leaves)`` matrix per object, produced by a single
-    batched LCA + path-incidence scatter per object instead of nested loops
-    over leaves × requesters × path edges.
+    One ``(n_edges, n_leaves)`` candidate block per object, one column per
+    leaf (:meth:`PathMatrix.pair_edge_loads_lanes
+    <repro.core.pathmatrix.PathMatrix.pair_edge_loads_lanes>`: one batched
+    LCA + path-incidence scatter per object).
     """
     pm = network.rooted().path_matrix()
     procs_arr = np.asarray(procs, dtype=np.int64)
-    n_leaves = procs_arr.size
     totals = pattern.totals
     out: List[np.ndarray] = []
     for obj in range(pattern.n_objects):
         requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
-        if requesters.size == 0:
-            out.append(np.zeros((network.n_edges, n_leaves), dtype=np.float64))
-            continue
-        counts = totals[requesters, obj].astype(np.float64)
-        lcas = pm.lca(requesters[:, None], procs_arr[None, :])
-        delta = np.zeros((network.n_nodes, n_leaves), dtype=np.float64)
-        delta[requesters, :] += counts[:, None]
-        np.add.at(delta, (procs_arr, np.arange(n_leaves)), counts.sum())
-        cols = np.broadcast_to(np.arange(n_leaves), lcas.shape)
-        np.add.at(delta, (lcas, cols), np.broadcast_to(-2.0 * counts[:, None], lcas.shape))
-        out.append(pm.edge_loads_from_deltas(delta))
+        targets = np.broadcast_to(procs_arr, (requesters.size, procs_arr.size))
+        out.append(pm.pair_edge_loads_lanes(requesters, targets, totals[requesters, obj]))
     return out
 
 

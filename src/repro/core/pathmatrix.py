@@ -54,6 +54,15 @@ _INDEX = kernels.INDEX_DTYPE
 class PathMatrix:
     """Vectorized path/Steiner/distance kernels for one rooted tree.
 
+    It builds and folds every load column of the cost model, for whole
+    placements and for candidate blocks alike: request pairs
+    (:meth:`pair_edge_loads`), one column per lane or candidate leaf
+    (:meth:`pair_edge_loads_lanes`), write broadcasts
+    (:meth:`steiner_edge_loads`), and the fold of edge loads into bus
+    loads (:meth:`bus_loads_from_edge_loads`).
+    :class:`~repro.core.loadstate.LoadState` charges and scores the
+    columns.
+
     Instances are cheap relative to a single scalar congestion evaluation
     (``O(n · height)`` ints) and are cached per rooted view via
     :meth:`repro.network.rooted.RootedTree.path_matrix`.
@@ -419,40 +428,40 @@ class PathMatrix:
             )
         return out
 
-    def pair_deltas(
+    def pair_edge_loads(
         self, u: np.ndarray, v: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
-        """Node-delta vector encoding weighted path traffic ``u[i] -> v[i]``."""
+        """Per-edge loads of weighted request pairs ``u[i] -> v[i]``.
+
+        The pairs become one node-delta vector (``+w`` at both endpoints,
+        ``-2w`` at their LCA) that the incidence operator pushes down the
+        root paths.
+        """
         u = np.ascontiguousarray(u, dtype=np.int64)
         v = np.ascontiguousarray(v, dtype=np.int64)
         w = np.ascontiguousarray(w, dtype=np.float64)
         delta = np.zeros(self.n_nodes, dtype=np.float64)
         if u.size:
-            a = self.lca(u, v)
-            kernels.pair_scatter(delta, u, v, a, w)
-        return delta
+            kernels.pair_scatter(delta, u, v, self.lca(u, v), w)
+        return self.edge_loads_from_deltas(delta)
 
-    def pair_edge_loads(
-        self, u: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        """Per-edge loads of weighted request pairs ``u[i] -> v[i]``."""
-        return self.edge_loads_from_deltas(self.pair_deltas(u, v, w))
-
-    def pair_deltas_lanes(
+    def pair_edge_loads_lanes(
         self,
         u: np.ndarray,
         targets: np.ndarray,
         w: np.ndarray,
         anc: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Per-lane node-delta columns for shared sources, per-lane targets.
+        """Per-lane edge-load columns ``(n_edges, n_lanes)``: a candidate block.
 
-        The fleet replay shape: every lane serves the same weighted request
-        sources ``u`` (with weights ``w``), but lane ``k`` routes pair ``i``
-        to its own target ``targets[i, k]``.  Column ``k`` of the result is
-        exactly ``pair_deltas(u, targets[:, k], w)`` (integer-exact, so
-        bit-for-bit), evaluated with one batched LCA pass and three 2-D
-        scatters instead of K separate calls.  Callers that already hold
+        Every lane serves the same weighted request sources ``u`` (with
+        weights ``w``), but lane ``k`` routes pair ``i`` to its own target
+        ``targets[i, k]``.  Column ``k`` is exactly ``pair_edge_loads(u,
+        targets[:, k], w)`` (integer-exact, so bit-for-bit), evaluated with
+        one batched LCA pass and one 2-D scatter instead of K calls.  The
+        fleet replay passes one lane per strategy; the greedy and exact
+        searches pass one lane per candidate leaf (``targets`` the leaves
+        broadcast over the requesters).  Callers that already hold
         ``lca(u[:, None], targets)`` (the fleet path derives its distance
         booking from the same ancestors) pass it as ``anc`` to avoid a
         second lifting pass.
@@ -462,27 +471,13 @@ class PathMatrix:
         w = np.ascontiguousarray(w, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[0] != u.size:
             raise InvalidNodeError("targets must have shape (len(u), n_lanes)")
-        n_lanes = targets.shape[1]
-        delta = np.zeros((self.n_nodes, n_lanes), dtype=np.float64)
-        if u.size == 0:
-            return delta
-        if anc is None:
-            anc = self.lca(u[:, None], targets)
-        anc = np.ascontiguousarray(anc, dtype=np.int64)
-        kernels.pair_scatter_lanes(delta, u, targets, anc, w)
-        return delta
-
-    def pair_edge_loads_lanes(
-        self,
-        u: np.ndarray,
-        targets: np.ndarray,
-        w: np.ndarray,
-        anc: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-lane edge-load columns ``(n_edges, n_lanes)`` (see above)."""
-        return self.edge_loads_from_deltas(
-            self.pair_deltas_lanes(u, targets, w, anc)
-        )
+        delta = np.zeros((self.n_nodes, targets.shape[1]), dtype=np.float64)
+        if u.size:
+            if anc is None:
+                anc = self.lca(u[:, None], targets)
+            anc = np.ascontiguousarray(anc, dtype=np.int64)
+            kernels.pair_scatter_lanes(delta, u, targets, anc, w)
+        return self.edge_loads_from_deltas(delta)
 
     def steiner_edge_loads(
         self,

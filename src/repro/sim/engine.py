@@ -19,9 +19,9 @@ stacked load state (a fleet of one *is* ``run``), and both serve each
 segment between consecutive mutation times, then seal it.
 
 :class:`RoundReplayDriver` is the round-mode counterpart used by the
-store-and-forward request replay: it charges per-round delivery batches
-into a :class:`~repro.core.loadstate.LoadState` and notifies the same sink
-set once per round.
+store-and-forward request replay: it charges each round's deliveries
+into a :class:`~repro.core.loadstate.LoadState` as one per-edge column
+and notifies the same sink set once per round.
 
 Both produce **bit-for-bit** the results of the legacy loops they
 replaced; ``tests/properties/test_sim_kernel.py`` pins that against
@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.dynamic.sequence import RequestSequence
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import InvalidEdgeError, SimulationError, WorkloadError
 from repro.network.mutation import (
     AttachLeaf,
     ChurnTrace,
@@ -686,7 +686,9 @@ class RoundReplayDriver:
     Used by the store-and-forward request replay: the scheduler decides
     *which* traversals complete each round, the driver owns the substrate
     charging and the per-round sink notifications (cumulative congestion,
-    delivery counts).
+    delivery counts).  A round is the edge ids of its deliveries (ids may
+    repeat), charged as one column ``np.bincount(ids, minlength=n_edges)``
+    through :meth:`~repro.core.loadstate.LoadState.apply_edge_loads`.
     """
 
     def __init__(self, state, sinks: Sequence[MetricsSink] = ()) -> None:
@@ -695,13 +697,25 @@ class RoundReplayDriver:
         self.n_rounds = 0
 
     def run(self, rounds) -> int:
-        """Apply every round batch in order; returns the round count."""
+        """Apply every round batch in order; returns the round count.
+
+        A round holding an edge id outside the network raises
+        :class:`~repro.errors.InvalidEdgeError` naming the round and the
+        id, before that round is charged.
+        """
+        n_edges = self.state.n_edges
         for sink in self.sinks:
             sink.on_begin(self)
         for edge_ids in rounds:
             ids = np.asarray(edge_ids, dtype=np.int64)
-            self.state.apply_edges(ids)
             index = self.n_rounds
+            bad = ids[(ids < 0) | (ids >= n_edges)]
+            if bad.size:
+                raise InvalidEdgeError(
+                    f"round {index} holds edge id {int(bad[0])}, outside the "
+                    f"network's {n_edges} edges; the round was not charged"
+                )
+            self.state.apply_edge_loads(np.bincount(ids, minlength=n_edges))
             self.n_rounds += 1
             for sink in self.sinks:
                 sink.on_round(self, index, ids.size)

@@ -1,5 +1,6 @@
 """Tests for the baseline placement strategies."""
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import (
@@ -10,11 +11,16 @@ from repro.core.baselines import (
     random_placement,
 )
 from repro.core.congestion import compute_loads, total_communication_load
+from repro.core.optimal import _per_object_leaf_loads
 from repro.core.placement import Placement
-from repro.network.builders import balanced_tree, single_bus, star_of_buses
+from repro.network.builders import balanced_tree, random_tree, single_bus, star_of_buses
 from repro.workload.access import AccessPattern
 from repro.workload.adversarial import replication_trap
-from repro.workload.generators import uniform_pattern
+from repro.workload.generators import uniform_pattern, zipf_pattern
+from tests.scalar_oracle import (
+    reference_greedy_congestion_placement,
+    reference_per_object_leaf_loads,
+)
 
 ALL_BASELINES = [
     owner_placement,
@@ -109,6 +115,61 @@ class TestGreedyPlacement:
         # both must be valid; they may differ
         p1.validate_for(net, pat)
         p2.validate_for(net, pat)
+
+
+#: The candidate-search seed matrix: balanced trees, random trees and a
+#: single bus, with bus and trunk bandwidths other than 1.
+SEARCH_NETWORKS = {
+    "balanced": lambda seed: balanced_tree(2, 3, 2, bus_bandwidth=1.5, trunk_bandwidth=3.0),
+    "balanced-wide": lambda seed: balanced_tree(3, 2, 3, bus_bandwidth=2.0),
+    "random": lambda seed: random_tree(
+        5, 11, seed=seed, bus_bandwidth=2.5, trunk_bandwidth=0.5
+    ),
+    "single-bus": lambda seed: single_bus(6, bus_bandwidth=3.0),
+}
+
+
+def _search_instance(kind, seed):
+    net = SEARCH_NETWORKS[kind](seed)
+    if seed % 2:
+        pat = zipf_pattern(net, 12, requests_per_processor=9, write_fraction=0.3, seed=seed)
+    else:
+        pat = uniform_pattern(net, 10, requests_per_processor=5, seed=seed)
+    return net, pat
+
+
+class TestCandidateSearchOracle:
+    """The greedy baseline and the exact search build candidate blocks with
+    ``pair_edge_loads_lanes`` and score them with ``trial_congestions``;
+    both must reproduce their former hand-rolled code exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(SEARCH_NETWORKS))
+    def test_greedy_matches_reference(self, kind, seed):
+        net, pat = _search_instance(kind, seed)
+        assert greedy_congestion_placement(
+            net, pat
+        ) == reference_greedy_congestion_placement(net, pat)
+        order = np.random.default_rng(seed).permutation(pat.n_objects).tolist()
+        assert greedy_congestion_placement(
+            net, pat, object_order=order
+        ) == reference_greedy_congestion_placement(net, pat, object_order=order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(SEARCH_NETWORKS))
+    def test_candidate_blocks_match_reference(self, kind, seed):
+        net, pat = _search_instance(kind, seed)
+        procs = list(net.processors)
+        pm = net.rooted().path_matrix()
+        reference = reference_per_object_leaf_loads(net, pat, procs)
+        blocks = _per_object_leaf_loads(net, pat, procs)
+        assert len(blocks) == len(reference) == pat.n_objects
+        for obj, (block, ref) in enumerate(zip(blocks, reference)):
+            requesters = np.asarray(pat.requesters(obj), dtype=np.int64)
+            targets = np.broadcast_to(procs, (requesters.size, len(procs)))
+            direct = pm.pair_edge_loads_lanes(requesters, targets, pat.totals[requesters, obj])
+            assert block.tobytes() == ref.tobytes() == direct.tobytes()
+            assert block.shape == ref.shape == (net.n_edges, len(procs))
 
 
 class TestRandomAndReplication:

@@ -12,6 +12,10 @@ ctypes passes without looking at them.  So:
   are given before either backend runs (a bad id used to crash the
   interpreter under cc and wrap around under numpy), and the nearest
   tables refuse an empty set and a tree too large for their int64 keys;
+* the lane-broadcast apply and the per-row rescan range-check their lane
+  ids the same way (a bad id used to write outside the load array under
+  cc and charge the wrong lane or raise ``IndexError`` under numpy), and
+  the apply refuses a repeated lane id (cc charged it twice, numpy once);
 * the adaptive counter scan checks every CSR entry, object id,
   processor id and first-touch row before it writes a counter, raising
   the same exception under both backends, and under cc the batched
@@ -30,11 +34,11 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.loadstate import LoadState
+from repro.core.loadstate import LoadState, StackedLoadState
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import sequence_from_pattern
-from repro.errors import CapacityError, InvalidNodeError, WorkloadError
+from repro.errors import AlgorithmError, CapacityError, InvalidNodeError, WorkloadError
 from repro.network.builders import balanced_tree
 from repro.sim.engine import SimulationEngine
 from repro.workload.generators import zipf_pattern
@@ -240,6 +244,45 @@ def test_lca_rejects_a_node_outside_the_network(backend, bad, side):
         with pytest.raises(InvalidNodeError, match=f"node id {bad} is outside"):
             kernels.lca(up, depth, u, v)
     assert _snapshot((up, depth, u, v)) == before
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("bad", [-1, 2, 10**6])
+@pytest.mark.parametrize("op", ["apply_columns_lanes", "rescan_rows"])
+def test_lane_kernels_reject_a_lane_outside_the_loads(backend, bad, op):
+    fn, args = _inputs()[op]
+    args = list(args)
+    args[1] = np.array([0, bad] if op == "rescan_rows" else [bad], dtype=np.int64)
+    before = _snapshot(args)
+    with kernels.use_backend(backend):
+        with pytest.raises(AlgorithmError, match=f"lane id {bad} is outside .* 2 rows"):
+            fn(*args)
+    assert _snapshot(args) == before
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_apply_columns_lanes_rejects_a_repeated_lane(backend):
+    fn, args = _inputs()["apply_columns_lanes"]
+    args = list(args)
+    args[1] = np.array([1, 1], dtype=np.int64)
+    args[2] = np.ones((args[6], 2))
+    before = _snapshot(args)
+    with kernels.use_backend(backend):
+        with pytest.raises(AlgorithmError, match="lane ids must be distinct"):
+            fn(*args)
+    assert _snapshot(args) == before
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_apply_edge_loads_lanes_rejects_a_lane_outside_the_stack(backend, bad):
+    net = balanced_tree(2, 2, 2)
+    with kernels.use_backend(backend):
+        stack = StackedLoadState(net, 2)
+        with pytest.raises(AlgorithmError, match=f"lane id {bad} is outside"):
+            stack.apply_edge_loads_lanes([bad], np.ones((net.n_edges, 1)))
+        assert not stack._loads.any()
+        assert [lane.congestion for lane in stack.lanes] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())

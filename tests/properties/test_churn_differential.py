@@ -12,8 +12,9 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
 * the repaired ``PathMatrix`` matches a fresh construction **bit-for-bit**
   (CSR root-path incidence, binary-lifting table, endpoint arrays);
 * the repaired ``LoadState`` matches a fresh state charged with the
-  surviving edge loads (fused loads, denominators, congestion, incident
-  CSR) and its nearest-copy resolution agrees with the fresh path matrix;
+  surviving edge loads (fused loads, denominators, congestion), its bus
+  block equals a fresh fold of its edge block, and its nearest-copy
+  resolution agrees with the fresh path matrix;
 * the array-pass tree queries (subtree sums, Steiner edges, the nibble
   selections) equal their per-node loop references on the repaired view;
 * snapshot/rollback round-trips still work on the repaired state, while
@@ -211,8 +212,6 @@ def assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground):
     assert np.array_equal(state._loads, rebuilt._loads)
     assert np.array_equal(state.stack._denom, rebuilt.stack._denom)
     assert state.congestion == rebuilt.congestion
-    assert np.array_equal(state.stack._inc_edges, rebuilt.stack._inc_edges)
-    assert np.array_equal(state.stack._inc_indptr, rebuilt.stack._inc_indptr)
     assert state.verify_bus_loads()
 
 
@@ -339,6 +338,44 @@ class TestChurnDifferential:
             assert state.congestion == before_congestion
 
             charge_random_paths(state, ground, rooted, procs, rng, 4)
+
+
+class TestVerifyBusLoads:
+    """``verify_bus_loads`` compares the fused row's bus block with a fresh
+    fold of its edge block, so one wrong bus entry or a non-zero processor
+    entry fails it, on a fresh state and after a structural repair."""
+
+    def _states(self):
+        net = balanced_tree(2, 3, 2, bus_bandwidth=2.0)
+        procs = list(net.processors)
+        fresh = LoadState(net)
+        repaired = LoadState(net)
+        for state in (fresh, repaired):
+            state.apply_pairs(procs[:4], procs[-4:], [1.0, 2.0, 3.0, 1.0])
+            state.apply_steiner(procs[::3], 2.0)
+        moved = next(b for b in net.buses if net.rooted().parent(b) == 0)
+        attach = apply_mutation(net, AttachLeaf(int(net.buses[-1])))
+        split = apply_mutation(attach.network, SplitBus(0, (moved,)))
+        repaired.repair([attach, split])
+        return fresh, repaired
+
+    def test_a_bus_entry_off_by_one_fails(self):
+        for state in self._states():
+            net = state.network
+            for bus in (int(net.buses[0]), int(net.buses[-1])):
+                state._loads[net.n_edges + bus] += 1.0
+                assert not state.verify_bus_loads()
+                state._loads[net.n_edges + bus] -= 1.0
+                assert state.verify_bus_loads()
+
+    def test_a_non_zero_processor_entry_fails(self):
+        for state in self._states():
+            net = state.network
+            proc = int(net.processors[-1])
+            state._loads[net.n_edges + proc] = 1.0
+            assert not state.verify_bus_loads()
+            state._loads[net.n_edges + proc] = 0.0
+            assert state.verify_bus_loads()
 
 
 class TestRollbackAcrossMutationGuard:

@@ -371,11 +371,11 @@ class TestFusedPairCharge:
             with kernels.use_backend(name):
                 stacked = StackedLoadState(net, 3)
                 stacked.apply_edge_loads_lanes(np.arange(3), columns)
-                cost = stacked.lane(1).apply_pairs(u, v, w)
+                cost = stacked.lanes[1].apply_pairs(u, v, w)
                 solo = LoadState(net)
                 solo.apply_edge_loads(columns[:, 1])
                 solo_cost = solo.apply_pairs(u, v, w)
-            lane = stacked.lane(1)
+            lane = stacked.lanes[1]
             assert lane._loads.tobytes() == solo._loads.tobytes()
             assert (cost, lane._congestion, lane._stale) == (
                 solo_cost, solo._congestion, solo._stale
@@ -515,7 +515,10 @@ class TestSubstrateEndToEnd:
                 stacked = StackedLoadState(net, n_lanes)
                 for lanes, cols in zip(lane_sets, columns):
                     stacked.apply_edge_loads_lanes(lanes, cols[:, : lanes.size])
-                outputs[name] = (stacked._loads.copy(), stacked.congestions)
+                outputs[name] = (
+                    stacked._loads.copy(),
+                    [lane.congestion for lane in stacked.lanes],
+                )
         assert np.array_equal(outputs["numpy"][0], outputs[backend][0])
         assert np.array_equal(outputs["numpy"][1], outputs[backend][1])
 

@@ -12,6 +12,7 @@ integer-valued, so bit-for-bit equality is achievable and asserted.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.congestion import compute_loads
@@ -23,6 +24,8 @@ from repro.dynamic.online import (
     StaticPlacementManager,
 )
 from repro.dynamic.sequence import sequence_from_pattern
+from repro.errors import AlgorithmError
+from repro.network.builders import balanced_tree
 from tests.conftest import instances, networks
 from tests.scalar_oracle import ReferenceOnlineCostAccount, charge_path, serve_events
 
@@ -150,7 +153,9 @@ class TestSnapshotRollback:
         snap = state.snapshot()
         n_ops = data.draw(st.integers(min_value=0, max_value=12))
         for _ in range(n_ops):
-            kind = data.draw(st.sampled_from(["path", "steiner", "vector", "edges"]))
+            kind = data.draw(
+                st.sampled_from(["path", "steiner", "vector", "signed column"])
+            )
             amount = float(data.draw(st.integers(min_value=-4, max_value=6)))
             if kind == "path":
                 u = data.draw(st.integers(0, net.n_nodes - 1))
@@ -166,11 +171,13 @@ class TestSnapshotRollback:
                 vec = rng.integers(0, 4, size=net.n_edges).astype(np.float64)
                 state.apply_edge_loads(vec)
             else:
+                # a few edges, ids may repeat, charged by a signed amount
                 ids = rng.integers(0, max(1, net.n_edges), size=3)
                 if net.n_edges:
-                    state.apply_edges(ids, amount)
+                    column = np.bincount(ids, minlength=net.n_edges) * amount
+                    state.apply_edge_loads(column)
             # the incrementally maintained bus loads stay consistent with a
-            # from-scratch CSR recomputation at every step
+            # from-scratch fold of the edge loads at every step
             assert state.verify_bus_loads()
         state.rollback(snap)
 
@@ -219,3 +226,20 @@ class TestSnapshotRollback:
             state.apply_edge_loads(cols[:, k].copy())
             assert scores[k] == state.congestion
             state.rollback(snap)
+
+    def test_trial_congestions_refuse_a_wrong_shape(self):
+        net = balanced_tree(2, 2, 2)
+        state = LoadState(net)
+        for block in (
+            np.ones((net.n_edges + 1, 2)),
+            np.ones((net.n_edges - 1,)),
+            np.ones((net.n_edges, 2, 1)),
+        ):
+            with pytest.raises(AlgorithmError, match="wrong shape"):
+                state.trial_congestions(block)
+        # a strided block is copied, not refused
+        strided = np.arange(4.0 * net.n_edges).reshape(net.n_edges, 4)[:, ::2]
+        assert np.array_equal(
+            state.trial_congestions(strided),
+            state.trial_congestions(np.ascontiguousarray(strided)),
+        )

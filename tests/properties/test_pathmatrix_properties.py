@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.baselines import full_replication_placement, random_placement
 from repro.errors import ReproError
 from repro.network.builders import balanced_tree
-from repro.core.congestion import batch_congestions, compute_loads, object_edge_loads
+from repro.core.congestion import compute_loads, object_edge_loads
 from repro.core.extended_nibble import extended_nibble
 from repro.core.placement import Placement, RequestAssignment, Share
 from tests.conftest import instances, networks
@@ -169,48 +169,6 @@ class TestCongestionParity:
         assert np.allclose(np.sum(per_object, axis=0), total.edge_loads)
 
 
-class TestBatchParity:
-    @given(inst=instances(), seed=st.integers(0, 2**16))
-    @settings(**SETTINGS)
-    def test_batch_matches_sequential(self, inst, seed):
-        net, pat = inst
-        placements = [
-            random_placement(net, pat, seed=seed),
-            random_redundant_placement(net, pat, seed + 1),
-            full_replication_placement(net, pat),
-        ]
-        batch = batch_congestions(net, pat, placements)
-        sequential = [
-            reference_compute_loads(net, pat, p, validate=False).congestion
-            for p in placements
-        ]
-        assert batch.tolist() == sequential
-
-    @given(inst=instances())
-    @settings(**SETTINGS)
-    def test_batch_with_explicit_assignments(self, inst):
-        net, pat = inst
-        result = extended_nibble(net, pat)
-        batch = batch_congestions(
-            net,
-            pat,
-            [result.placement, result.placement],
-            assignments=[result.assignment, None],
-        )
-        with_assignment = reference_compute_loads(
-            net, pat, result.placement, assignment=result.assignment
-        ).congestion
-        nearest = reference_compute_loads(net, pat, result.placement).congestion
-        assert batch[0] == with_assignment
-        assert batch[1] == nearest
-
-    def test_empty_batch(self, small_bus):
-        from repro.workload.generators import uniform_pattern
-
-        pat = uniform_pattern(small_bus, 2, seed=0)
-        assert batch_congestions(small_bus, pat, []).shape == (0,)
-
-
 class TestLaneKernels:
     """The fleet kernels agree with their per-lane scalar counterparts."""
 
@@ -255,8 +213,8 @@ class TestLaneKernels:
             expected = pm.pair_edge_loads(u, targets[:, lane], w)
             assert np.array_equal(stacked[:, lane], expected)
 
-    def test_pair_deltas_lanes_shape_guard(self):
+    def test_pair_edge_loads_lanes_shape_guard(self):
         net = balanced_tree(2, 2, 2)
         pm = net.rooted().path_matrix()
         with pytest.raises(ReproError):
-            pm.pair_deltas_lanes(np.array([0, 1]), np.array([0, 1]), np.ones(2))
+            pm.pair_edge_loads_lanes(np.array([0, 1]), np.array([0, 1]), np.ones(2))

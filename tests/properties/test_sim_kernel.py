@@ -176,11 +176,16 @@ def _reference_round_replay(network, pattern, placement, assignment, batch=1):
             for idx in taken:
                 queue.remove(idx)
         remaining -= len(newly_done)
-        delivered_state.apply_edges(
-            np.fromiter(
-                (traversals[i].edge_id for i in newly_done),
-                dtype=np.int64,
-                count=len(newly_done),
+        # the load state takes no bare edge-id charge any more: the round
+        # goes in as its per-edge column
+        delivered_state.apply_edge_loads(
+            np.bincount(
+                np.fromiter(
+                    (traversals[i].edge_id for i in newly_done),
+                    dtype=np.int64,
+                    count=len(newly_done),
+                ),
+                minlength=network.n_edges,
             )
         )
         round_congestion.append(delivered_state.congestion)

@@ -7,16 +7,20 @@ replaced, as the reference the differential suites and the online and
 adaptive-fleet benchmark gates compare against (ARCHITECTURE.md
 invariant 1): the scalar :func:`serve` with the ``AdaptiveState``
 transitions it makes, the pre-refactor cost account, the static chunk
-aggregation before ``kernels.aggregate_pairs`` and the static cost model
-before the path-incidence operator.
+aggregation before ``kernels.aggregate_pairs``, the static cost model
+before the path-incidence operator, and the greedy baseline's and the
+exact search's hand-rolled candidate blocks and scoring before both went
+through ``PathMatrix.pair_edge_loads_lanes`` and
+``LoadState.trial_congestions``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.baselines import _check
 from repro.core.congestion import LoadProfile
 from repro.core.placement import Placement, RequestAssignment
 from repro.dynamic.adaptive_state import AdaptiveState
@@ -295,3 +299,83 @@ def reference_compute_loads(
     for bus in network.buses:
         bus_loads[bus] = edge_loads[list(network.incident_edge_ids(bus))].sum() / 2.0
     return LoadProfile(network=network, edge_loads=edge_loads, bus_loads=bus_loads)
+
+
+def reference_greedy_congestion_placement(
+    network: HierarchicalBusNetwork,
+    pattern: AccessPattern,
+    object_order: Optional[Sequence[int]] = None,
+) -> Placement:
+    """``greedy_congestion_placement`` before the load state scored its
+    candidates: its own leaf-column scatter, fold and max."""
+    procs = _check(network, pattern)
+    pm = network.rooted().path_matrix()
+    if object_order is None:
+        totals = pattern.total_requests_all()
+        object_order = sorted(
+            range(pattern.n_objects), key=lambda x: (-int(totals[x]), x)
+        )
+
+    procs_arr = np.asarray(procs, dtype=np.int64)
+    n_leaves = procs_arr.size
+    edge_bw = np.asarray(network.edge_bandwidths)
+    bus_bw = np.asarray(network.bus_bandwidths)
+    all_totals = pattern.totals
+
+    edge_loads = np.zeros(network.n_edges, dtype=np.float64)
+    chosen = [procs[0]] * pattern.n_objects
+
+    # For every object, evaluate all candidate leaves in one batched column
+    # computation: the per-leaf load vectors of a single copy (path loads
+    # only; no Steiner tree for a single copy) become columns of one matrix.
+    for obj in object_order:
+        requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
+        if requesters.size == 0:
+            chosen[obj] = procs[0]
+            continue
+        counts = all_totals[requesters, obj].astype(np.float64)
+        lcas = pm.lca(requesters[:, None], procs_arr[None, :])
+        delta = np.zeros((network.n_nodes, n_leaves), dtype=np.float64)
+        delta[requesters, :] += counts[:, None]
+        np.add.at(delta, (procs_arr, np.arange(n_leaves)), counts.sum())
+        cols = np.broadcast_to(np.arange(n_leaves), lcas.shape)
+        np.add.at(delta, (lcas, cols), np.broadcast_to(-2.0 * counts[:, None], lcas.shape))
+        leaf_loads = pm.edge_loads_from_deltas(delta)
+
+        trials = edge_loads[:, None] + leaf_loads
+        scores = (trials / edge_bw[:, None]).max(axis=0) if trials.size else np.zeros(n_leaves)
+        bus_loads = pm.bus_loads_from_edge_loads(trials)
+        scores = np.maximum(scores, (bus_loads / bus_bw[:, None]).max(axis=0))
+        # argmin returns the first minimum, i.e. the smallest leaf id on ties
+        best = int(np.argmin(scores))
+        chosen[obj] = int(procs_arr[best])
+        edge_loads += leaf_loads[:, best]
+    return Placement.single_holder(chosen)
+
+
+def reference_per_object_leaf_loads(
+    network: HierarchicalBusNetwork,
+    pattern: AccessPattern,
+    procs: Sequence[int],
+) -> List[np.ndarray]:
+    """The exact search's ``_per_object_leaf_loads`` with its own 2-D
+    pair-delta scatter: one ``(n_edges, n_leaves)`` block per object."""
+    pm = network.rooted().path_matrix()
+    procs_arr = np.asarray(procs, dtype=np.int64)
+    n_leaves = procs_arr.size
+    totals = pattern.totals
+    out: List[np.ndarray] = []
+    for obj in range(pattern.n_objects):
+        requesters = np.asarray(pattern.requesters(obj), dtype=np.int64)
+        if requesters.size == 0:
+            out.append(np.zeros((network.n_edges, n_leaves), dtype=np.float64))
+            continue
+        counts = totals[requesters, obj].astype(np.float64)
+        lcas = pm.lca(requesters[:, None], procs_arr[None, :])
+        delta = np.zeros((network.n_nodes, n_leaves), dtype=np.float64)
+        delta[requesters, :] += counts[:, None]
+        np.add.at(delta, (procs_arr, np.arange(n_leaves)), counts.sum())
+        cols = np.broadcast_to(np.arange(n_leaves), lcas.shape)
+        np.add.at(delta, (lcas, cols), np.broadcast_to(-2.0 * counts[:, None], lcas.shape))
+        out.append(pm.edge_loads_from_deltas(delta))
+    return out

@@ -6,7 +6,7 @@ import pytest
 from repro.core.extended_nibble import extended_nibble
 from repro.dynamic.online import EdgeCounterManager, OnlineStrategy, StaticPlacementManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import InvalidEdgeError, SimulationError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus
 from repro.network.mutation import AttachLeaf, ChurnTrace, DetachLeaf
 from repro.sim.engine import EngineStream, RoundReplayDriver, SimulationEngine
@@ -363,3 +363,19 @@ class TestRoundReplayDriver:
         # cumulative congestion is non-decreasing
         assert np.all(np.diff(stats.round_congestion) >= 0)
         assert state.edge_loads[0] == 2.0
+
+    @pytest.mark.parametrize("bad", [-1, 4, 5])
+    def test_refuses_an_edge_outside_the_network(self, bad):
+        from repro.core.loadstate import LoadState
+
+        net = single_bus(4)  # edges 0-3
+        state = LoadState(net)
+        stats = RoundStatsSink()
+        driver = RoundReplayDriver(state, sinks=(stats,))
+        with pytest.raises(InvalidEdgeError, match=f"round 1 holds edge id {bad},"):
+            driver.run([np.array([0, 1]), np.array([2, bad])])
+        # round 0 is charged, the refused round 1 is not
+        assert state.edge_loads.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert state.verify_bus_loads()
+        assert state.congestion == 1.0
+        assert stats.n_rounds == 1

@@ -2,11 +2,14 @@
 
 The paper's central experiment shape is comparative -- the same request
 timeline replayed under a whole family of placement strategies.  Run
-strategy by strategy, a K-strategy scenario pays K timeline decodes, K
-chunk aggregations, K LCA passes and K scatters over the *same* network.
+strategy by strategy, a K-strategy scenario pays K timeline decodes and K
+chunk aggregations over the *same* events.
 :meth:`repro.sim.engine.SimulationEngine.run_fleet` stacks the K cost
 accounts as lanes of one :class:`~repro.core.loadstate.StackedLoadState`
-and serves every chunk for all strategies at once.
+and decodes the timeline once; a static fleet then shares each chunk's
+aggregation (unique ``(processor, object)`` pairs with multiplicities) and
+its per-object write counts, and each lane makes its own gather, pair
+charge and Steiner column from its placement's two tables.
 
 This benchmark measures both sides on an 8-placement static fleet (the
 extended-nibble hindsight reference plus the full baseline family) and
@@ -82,19 +85,17 @@ def fleet_scenario(name):
 
 
 def build_managers(name):
-    """Fresh static managers for every placement, caches prewarmed.
+    """Fresh static managers for every placement, tables prebuilt.
 
-    Manager construction and the placement-derived caches (nearest-copy
-    tables, write-broadcast Steiner edge ids) are deliberately outside the
-    timed region: both arms replay with identically warm strategies, so
-    the measured ratio isolates the replay architecture.
+    Manager construction and each placement's two tables (nearest-copy
+    rows and write-broadcast Steiner edge CSR) are deliberately outside
+    the timed region: both arms replay with identically warm strategies,
+    so the measured ratio isolates the replay architecture.
     """
-    net, seq, placements = fleet_scenario(name)
+    net, _, placements = fleet_scenario(name)
     managers = [StaticPlacementManager(net, pl) for pl in placements]
     for manager in managers:
-        manager._nearest_tables_bulk(range(seq.n_objects))
-        for obj in range(seq.n_objects):
-            manager._steiner_edge_ids_for(obj, manager.account.state.stack)
+        manager.tables()
     return managers
 
 

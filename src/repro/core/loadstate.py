@@ -333,10 +333,8 @@ class LoadState:
     def snapshot(self) -> LoadSnapshot:
         """Start journalling deltas; returns a token for rollback/commit.
 
-        Only the lane of a one-lane stack journals.  The lanes of a K-lane
-        stack are fleet lanes, charged through the stack's lane-broadcast
-        scatters (:meth:`StackedLoadState.apply_edge_loads_lanes`), which
-        no lane journal records.
+        Only the lane of a one-lane stack journals: the lanes of a K-lane
+        stack are fleet lanes, which replay and never roll back.
         """
         if self.stack.n_lanes > 1:
             raise AlgorithmError(
@@ -437,17 +435,13 @@ class StackedLoadState:
 
     Replaying the same request/churn timeline under K strategies against K
     separate substrates pays K times for everything that only depends on
-    the *topology*: scatter-entry construction, bus folds and churn
-    repairs.  The stacked state keeps one fused load array of shape
+    the *topology*: scatter-entry construction and churn repairs.  The
+    stacked state keeps one fused load array of shape
     ``(K, n_edges + n_nodes)`` instead, with
 
     * **shared geometry** -- one :class:`~repro.core.pathmatrix.PathMatrix`,
       one denominator array, one Steiner scatter-entry cache and one pair
       substrate per lane row;
-    * **lane-broadcast batch charges** -- :meth:`apply_edge_loads_lanes`
-      adds one per-edge column per lane in a single batched scatter (the
-      bus fold and the per-lane running-max repair are vectorized over the
-      lane axis);
     * **one churn repair** -- :meth:`repair` carries *all* lanes over a
       topology mutation with a single 2-D array surgery (debit/credit per
       lane row), and is idempotent per
@@ -621,47 +615,6 @@ class StackedLoadState:
             )
             self._pair_subs[lane] = sub
         return sub
-
-    # ------------------------------------------------------------------ #
-    # lane-broadcast batch application
-    # ------------------------------------------------------------------ #
-    def apply_edge_loads_lanes(self, lanes, columns: np.ndarray) -> None:
-        """Add one per-edge load column per listed lane, batched.
-
-        ``columns`` has shape ``(n_edges, len(lanes))`` (column ``j`` goes
-        to lane ``lanes[j]``); the bus fold and the congestion update run
-        once over the whole block instead of once per lane.  Lane ids must
-        be distinct rows of the stack.  Produces bit-for-bit the loads and
-        congestion of ``LoadState.apply_edge_loads`` called per lane.
-        """
-        lanes = np.ascontiguousarray(lanes, dtype=np.int64)
-        cols = np.ascontiguousarray(columns, dtype=np.float64)
-        if cols.shape != (self.n_edges, lanes.size):
-            raise AlgorithmError("edge-load column block has the wrong shape")
-        negative = kernels.apply_columns_lanes(
-            self._loads,
-            lanes,
-            cols,
-            self._edge_u,
-            self._edge_v,
-            self._node_is_bus,
-            self.n_edges,
-        )
-        fresh = []
-        for k, any_negative in zip(lanes.tolist(), negative.tolist()):
-            view = self._lanes[k]
-            if any_negative:
-                view._stale = True
-            elif not view._stale:
-                fresh.append(k)
-        if fresh:
-            values = kernels.rescan_rows(
-                self._loads, np.asarray(fresh, dtype=np.int64), self._denom
-            )
-            for k, value in zip(fresh, values.tolist()):
-                view = self._lanes[k]
-                if value > view._congestion:
-                    view._congestion = value
 
     # ------------------------------------------------------------------ #
     # topology repair

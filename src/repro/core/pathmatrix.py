@@ -39,7 +39,7 @@ would overflow that range.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class PathMatrix:
     placements and for candidate blocks alike: request pairs
     (:meth:`pair_edge_loads`), one column per lane or candidate leaf
     (:meth:`pair_edge_loads_lanes`), write broadcasts
-    (:meth:`steiner_edge_loads`), and the fold of edge loads into bus
+    (:meth:`steiner_edge_loads`, over the Steiner edge CSR of
+    :meth:`steiner_edge_csr`), and the fold of edge loads into bus
     loads (:meth:`bus_loads_from_edge_loads`).
     :class:`~repro.core.loadstate.LoadState` charges and scores the
     columns.
@@ -89,6 +90,10 @@ class PathMatrix:
     # (the weighted-median baseline's) to a few MiB instead of
     # materialising an O(n^2) all-pairs matrix.
     _DIST_BLOCK = 1 << 20
+
+    # Indicator entries (nodes x sets) per block of steiner_edge_csr: bounds
+    # its indicator and below-count blocks to a few hundred KiB each.
+    _STEINER_BLOCK = 1 << 15
 
     def __init__(self, rooted) -> None:
         network = rooted.network
@@ -446,11 +451,7 @@ class PathMatrix:
         return self.edge_loads_from_deltas(delta)
 
     def pair_edge_loads_lanes(
-        self,
-        u: np.ndarray,
-        targets: np.ndarray,
-        w: np.ndarray,
-        anc: Optional[np.ndarray] = None,
+        self, u: np.ndarray, targets: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
         """Per-lane edge-load columns ``(n_edges, n_lanes)``: a candidate block.
 
@@ -459,12 +460,8 @@ class PathMatrix:
         ``targets[i, k]``.  Column ``k`` is exactly ``pair_edge_loads(u,
         targets[:, k], w)`` (integer-exact, so bit-for-bit), evaluated with
         one batched LCA pass and one 2-D scatter instead of K calls.  The
-        fleet replay passes one lane per strategy; the greedy and exact
-        searches pass one lane per candidate leaf (``targets`` the leaves
-        broadcast over the requesters).  Callers that already hold
-        ``lca(u[:, None], targets)`` (the fleet path derives its distance
-        booking from the same ancestors) pass it as ``anc`` to avoid a
-        second lifting pass.
+        greedy and exact searches pass one lane per candidate leaf
+        (``targets`` the leaves broadcast over the requesters).
         """
         u = np.ascontiguousarray(u, dtype=np.int64)
         targets = np.ascontiguousarray(targets, dtype=np.int64)
@@ -473,11 +470,45 @@ class PathMatrix:
             raise InvalidNodeError("targets must have shape (len(u), n_lanes)")
         delta = np.zeros((self.n_nodes, targets.shape[1]), dtype=np.float64)
         if u.size:
-            if anc is None:
-                anc = self.lca(u[:, None], targets)
-            anc = np.ascontiguousarray(anc, dtype=np.int64)
+            anc = self.lca(u[:, None], targets)
             kernels.pair_scatter_lanes(delta, u, targets, anc, w)
         return self.edge_loads_from_deltas(delta)
+
+    def steiner_edge_csr(
+        self, terminal_sets: Sequence[Iterable[int]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Edge ids of the Steiner tree of every terminal set, as one CSR.
+
+        Returns ``(indptr, ids)``: the edges of set ``i`` are
+        ``ids[indptr[i]:indptr[i + 1]]``, ascending -- the edges with
+        ``0 < below < |S_i|`` of the set's terminals under them, read off
+        the incidence operator applied to 0/1 indicator columns.  A set of
+        fewer than two terminals has no edges.  The sets of two or more
+        terminals are evaluated ``_STEINER_BLOCK // n_nodes`` at a time, so
+        the scratch stays a few hundred KiB whatever the number of sets.
+        """
+        sets = [np.fromiter({int(t) for t in s}, dtype=np.int64) for s in terminal_sets]
+        sizes = np.fromiter((s.size for s in sets), dtype=np.int64, count=len(sets))
+        counts = np.zeros(len(sets), dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int64)]
+        multi = np.flatnonzero(sizes > 1)
+        block = max(1, self._STEINER_BLOCK // self.n_nodes)
+        for lo in range(0, multi.size, block):
+            cols = multi[lo : lo + block]
+            indicator = np.zeros((self.n_nodes, cols.size), dtype=np.float64)
+            indicator[
+                np.concatenate([sets[i] for i in cols]),
+                np.repeat(np.arange(cols.size), sizes[cols]),
+            ] = 1.0
+            below = self.edge_loads_from_deltas(indicator)
+            inside = (below > 0) & (below < sizes[cols])
+            # transposed, the nonzero entries come out set by set
+            col, edges = np.nonzero(inside.T)
+            counts[cols] = np.bincount(col, minlength=cols.size)
+            parts.append(edges)
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, np.concatenate(parts)
 
     def steiner_edge_loads(
         self,
@@ -488,24 +519,15 @@ class PathMatrix:
 
         For every terminal set ``S_i`` with weight ``w_i`` this adds ``w_i``
         to each edge of the minimal subtree spanning ``S_i`` (sets with fewer
-        than two terminals contribute nothing).  All sets are evaluated in
-        one batched scatter.
+        than two terminals contribute nothing): one ``bincount`` over
+        :meth:`steiner_edge_csr`.
         """
-        sets = [np.asarray(sorted(set(int(t) for t in s)), dtype=np.int64) for s in terminal_sets]
-        keep = [i for i, s in enumerate(sets) if s.size > 1]
-        loads = np.zeros(self.n_edges, dtype=np.float64)
-        if not keep:
-            return loads
-        indicator = np.zeros((self.n_nodes, len(keep)), dtype=np.float64)
-        totals = np.empty(len(keep), dtype=np.float64)
-        wvec = np.empty(len(keep), dtype=np.float64)
-        for col, i in enumerate(keep):
-            indicator[sets[i], col] = 1.0
-            totals[col] = sets[i].size
-            wvec[col] = float(weights[i])
-        below = self.edge_loads_from_deltas(indicator)
-        inside = (below > 0) & (below < totals[None, :])
-        return inside @ wvec
+        indptr, ids = self.steiner_edge_csr(terminal_sets)
+        return np.bincount(
+            ids,
+            weights=np.repeat(np.asarray(weights, dtype=np.float64), np.diff(indptr)),
+            minlength=self.n_edges,
+        )
 
     def bus_loads_from_edge_loads(self, edge_loads: np.ndarray) -> np.ndarray:
         """Fold edge loads into bus loads (half the incident-edge sum).

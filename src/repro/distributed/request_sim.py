@@ -226,54 +226,53 @@ def _schedule_rounds(
     limits); precedence successors are released as their predecessors
     complete.  The consumer (the kernel's round driver) charges each batch
     into the shared load-state substrate.
+
+    A queue stays sorted by message order between rounds, so only the
+    queues that received released successors are sorted again.
     """
     edge_bw = np.asarray(network.edge_bandwidths)
     bus_bw = np.asarray(network.bus_bandwidths)
+    edge_capacity = [int(bw) if bw >= 1 else 1 for bw in edge_bw]
+    bus_base = {b: max(1, int(2 * bus_bw[b])) for b in network.buses}
+
+    def by_order(i: int) -> int:
+        return traversals[i].order
 
     # ready queue per edge, FIFO by message order
-    pending_by_edge: Dict[int, List[int]] = {e: [] for e in range(network.n_edges)}
+    pending_by_edge: List[List[int]] = [[] for _ in range(network.n_edges)]
     blocked_children: Dict[int, List[int]] = {}
-    remaining = 0
+    remaining = len(traversals)
     for idx, tr in enumerate(traversals):
-        remaining += 1
         if tr.predecessor is None:
             pending_by_edge[tr.edge_id].append(idx)
         else:
             blocked_children.setdefault(tr.predecessor, []).append(idx)
-    for queue in pending_by_edge.values():
-        queue.sort(key=lambda i: traversals[i].order)
+    for queue in pending_by_edge:
+        queue.sort(key=by_order)
 
     rounds = 0
     while remaining > 0:
         rounds += 1
         if rounds > max_rounds:
             raise SimulationError("request replay exceeded the round limit")
-        edge_capacity = {
-            e: int(edge_bw[e]) if edge_bw[e] >= 1 else 1 for e in range(network.n_edges)
-        }
-        bus_capacity = {
-            b: max(1, int(2 * bus_bw[b])) for b in network.buses
-        }
+        bus_capacity = dict(bus_base)
         newly_done: List[int] = []
-        for eid in range(network.n_edges):
-            queue = pending_by_edge[eid]
+        for eid, queue in enumerate(pending_by_edge):
             if not queue:
                 continue
-            taken: List[int] = []
-            for idx in queue:
-                if edge_capacity[eid] <= 0:
-                    break
-                tr = traversals[idx]
-                if any(bus_capacity[b] <= 0 for b in tr.bus_endpoints):
-                    continue
-                edge_capacity[eid] -= 1
-                for b in tr.bus_endpoints:
-                    bus_capacity[b] -= 1
-                tr.done = True
-                taken.append(idx)
-                newly_done.append(idx)
-            for idx in taken:
-                queue.remove(idx)
+            # every traversal of an edge has the edge's bus endpoints, so a
+            # round takes a prefix of the queue: as many entries as the edge
+            # and each endpoint bus still have room for
+            buses = traversals[queue[0]].bus_endpoints
+            take = min([len(queue), edge_capacity[eid]] + [bus_capacity[b] for b in buses])
+            if take <= 0:
+                continue
+            for b in buses:
+                bus_capacity[b] -= take
+            for idx in queue[:take]:
+                traversals[idx].done = True
+            newly_done.extend(queue[:take])
+            del queue[:take]
         if not newly_done:
             # No progress is impossible with positive capacities unless there
             # is nothing pending, which contradicts remaining > 0.
@@ -284,12 +283,11 @@ def _schedule_rounds(
             dtype=np.int64,
             count=len(newly_done),
         )
+        released = set()
         for idx in newly_done:
-            for child in blocked_children.get(idx, ()):  # release successors
-                pending_by_edge[traversals[child].edge_id].append(child)
-        for idx in newly_done:
-            if idx in blocked_children:
-                del blocked_children[idx]
-        # keep FIFO order stable
-        for queue in pending_by_edge.values():
-            queue.sort(key=lambda i: traversals[i].order)
+            for child in blocked_children.pop(idx, ()):  # release successors
+                eid = traversals[child].edge_id
+                pending_by_edge[eid].append(child)
+                released.add(eid)
+        for eid in released:
+            pending_by_edge[eid].sort(key=by_order)

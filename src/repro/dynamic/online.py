@@ -18,8 +18,9 @@ This module provides:
 * :class:`StaticPlacementManager` -- serves the whole sequence from a fixed
   placement (no adaptation); used as the hindsight-static reference when the
   placement comes from the extended-nibble on the aggregate frequencies.
-  Because it never adapts, a chunk of events collapses into one
-  path-incidence scatter.
+  Because it never adapts, it holds the placement as a nearest-copy table
+  and a Steiner edge CSR, and a chunk of events collapses into one gather,
+  one pair charge and one Steiner column.
 * :class:`EdgeCounterManager` -- an adaptive strategy in the spirit of the
   dynamic strategies of [MMVW97]: per-object read counters trigger
   replication towards frequent readers once they have paid the equivalent of
@@ -38,7 +39,7 @@ time as the dynamic model defines.  That scalar serve loop lives in
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro.core.placement import Placement
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.sequence import RequestSequence
 from repro.errors import PlacementError, WorkloadError
-from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
 
 __all__ = [
@@ -61,38 +61,14 @@ __all__ = [
 ]
 
 
-def _integer_amount(amount) -> int:
-    """Validate one charge amount against the integer-load invariant.
-
-    The exactness guarantees of the whole substrate (bit-for-bit parity,
-    rollback journals, repair-equals-rebuild; ARCHITECTURE.md invariant 2)
-    rely on charges being integer counts.  This enforces the invariant at
-    the cost-account API boundary instead of by convention: integer-valued
-    floats are accepted and normalised, fractional amounts are rejected.
-
-    A genuinely-integer amount short-circuits without the float
-    round-trip; the ``float``/``is_integer`` check only runs for float
-    inputs.
-    """
-    if isinstance(amount, (int, np.integer)):
-        return int(amount)
-    value = float(amount)
-    if not value.is_integer():
-        raise WorkloadError(
-            "charge amounts must be integer-valued request counts "
-            f"(ARCHITECTURE.md invariant 2), got {amount!r}"
-        )
-    return int(value)
-
-
 def _count_parameter(name: str, value) -> int:
     """Validate one adaptive strategy parameter: an integer of at least 1.
 
     ``object_size``, ``invalidation_patience``, ``migration_factor`` and
     the rent-or-buy thresholds count requests, so an ``int`` or numpy
-    integer is taken as is and an integer-valued float is normalised the
-    way :func:`_integer_amount` normalises charges.  A ``bool``, a
-    fractional or non-finite float, a string or anything else raises
+    integer is taken as is and an integer-valued float is normalised to
+    an ``int``.  A ``bool``, a fractional or non-finite float, a string or
+    anything else raises
     :class:`~repro.errors.WorkloadError` naming the parameter instead of
     being truncated.
     """
@@ -107,14 +83,16 @@ def _count_parameter(name: str, value) -> int:
 
 
 def _integer_weights(w: np.ndarray) -> np.ndarray:
-    """Validate a batch weight vector the same way, once per chunk.
+    """Validate a batch weight vector against the integer-load invariant.
 
-    Whole chunk arrays are validated in one vectorized pass at the batch
-    boundary (never per event inside the chunk loop); integer-dtype
-    arrays -- the shape every chunk aggregation produces -- skip the
-    modulo scan entirely, and only float-dtype input pays for the check.
-    Fractional entries raise :class:`~repro.errors.WorkloadError` exactly
-    as before.
+    The exactness guarantees of the whole substrate (bit-for-bit parity,
+    rollback journals, repair-equals-rebuild; ARCHITECTURE.md invariant 2)
+    rely on charges being integer counts.  Whole chunk arrays are
+    validated in one vectorized pass at the batch boundary (never per
+    event inside the chunk loop); integer-dtype arrays -- the shape every
+    chunk aggregation produces -- skip the modulo scan entirely, and only
+    float-dtype input pays for the check.
+    Fractional entries raise :class:`~repro.errors.WorkloadError`.
     """
     arr = np.asarray(w)
     if arr.dtype.kind in "iub":
@@ -158,23 +136,13 @@ class OnlineCostAccount:
         else:
             self.service_units += cost
 
-    def charge_steiner(self, rooted: RootedTree, terminals: Sequence[int],
-                       amount: int = 1, management: bool = False) -> None:
-        """Charge ``amount`` (an integer request count) on every edge of the
-        Steiner tree of ``terminals``."""
-        amount = _integer_amount(amount)
-        terminals = list(terminals)
-        if amount <= 0 or len(terminals) < 2:
-            return
-        n_edges = self.state.apply_steiner(terminals, amount)
-        self._book(amount * n_edges, management)
-
     def charge_pairs(self, u, v, w, management: bool = False) -> None:
         """Charge weighted request pairs ``u[i] -> v[i]`` in one batch.
 
-        Charges ``w[i]`` (integer-valued request counts, enforced like the
-        scalar ``amount`` arguments) on every edge of each path, evaluated
-        and costed by one fused kernel call (``LoadState.apply_pairs``).
+        Charges ``w[i]`` (integer-valued request counts; a fractional
+        weight raises :class:`~repro.errors.WorkloadError`) on every edge
+        of each path, evaluated and costed by one fused kernel call
+        (``LoadState.apply_pairs``).
         """
         w = _integer_weights(w)
         if w.size == 0:
@@ -213,28 +181,28 @@ def _rehome_target(outcome) -> int:
 
 
 def _bulk_nearest_tables(rooted, requests) -> None:
-    """Build per-object nearest-copy tables in one nearest-table call.
+    """Build content-keyed nearest-copy tables in one nearest-table call.
 
-    ``requests`` is a list of ``(cache, obj, holders)`` sinks: ``cache``
-    is a per-strategy table dict to fill, ``holders`` the object's holder
-    ids as an ascending tuple.  One
+    ``requests`` is a list of ``(cache, holders)`` sinks: ``cache`` is a
+    strategy's table dict to fill, keyed by ``holders``, an ascending
+    tuple of holder ids.  One
     :meth:`~repro.network.rooted.RootedTree.nearest_tables` call over the
     distinct holder sets fills every sink: each table is one row, which
     gives every node its nearest holder, ties to the smallest id exactly
     like ``nearest_in_set``, and identical holder sets (fleet lanes that
-    agree on an object's placement) share one table object.  The rows are
+    agree on an object's holders) share one table object.  The rows are
     all the memory the call takes: no processors × holders distance
     block is built.
     """
     if not requests:
         return
     by_holders: Dict[tuple, list] = {}
-    for cache, obj, holders in requests:
-        by_holders.setdefault(holders, []).append((cache, obj))
+    for cache, holders in requests:
+        by_holders.setdefault(holders, []).append(cache)
     tables = rooted.nearest_tables(list(by_holders))
-    for table, sinks in zip(tables, by_holders.values()):
-        for cache, obj in sinks:
-            cache[obj] = table
+    for table, (holders, caches) in zip(tables, by_holders.items()):
+        for cache in caches:
+            cache[holders] = table
 
 
 class OnlineStrategy:
@@ -296,12 +264,36 @@ class OnlineStrategy:
         return self.account
 
 
+class StaticTables(NamedTuple):
+    """A static placement as two tables over one network topology.
+
+    Holder sets are numbered by first appearance in object order; both
+    tables are indexed by that row number.
+    """
+
+    #: ``(S, n_nodes)`` int64: row ``s``, column ``v`` is the holder of set
+    #: ``s`` nearest to node ``v`` (the reference copy ``c(P, x)``).
+    nearest: np.ndarray
+    #: ``(n_objects,)`` int64: the row of each object's holder set.
+    row_of: np.ndarray
+    #: CSR of the write-broadcast Steiner edge ids of each row: row ``s``'s
+    #: edges are ``steiner_ids[steiner_indptr[s]:steiner_indptr[s + 1]]``.
+    steiner_indptr: np.ndarray
+    steiner_ids: np.ndarray
+
+
 class StaticPlacementManager(OnlineStrategy):
     """Serve every request from a fixed placement (no adaptation).
 
     With the extended-nibble placement computed from the aggregate
     frequencies of the sequence, this is the hindsight-static reference the
     dynamic strategies are compared against.
+
+    A fixed placement depends on the topology alone, so the manager holds
+    it as two tables (:meth:`tables`): the nearest-copy table of every
+    distinct holder set and the CSR of their write-broadcast Steiner
+    edges.  They are built in one batched pass on the first serve and
+    again after each structural repair; bandwidth mutations keep them.
     """
 
     def __init__(
@@ -313,11 +305,7 @@ class StaticPlacementManager(OnlineStrategy):
         super().__init__(network, placement.n_objects, account=account)
         placement.validate_for(network, require_leaf_only=True)
         self._placement = placement
-        # nearest-copy table per object, resolved for every node by one
-        # nearest-table call on first touch
-        self._nearest_cache: Dict[int, np.ndarray] = {}
-        # per-object Steiner edge ids of the holder sets (write broadcasts)
-        self._steiner_ids_cache: Dict[int, np.ndarray] = {}
+        self._tables: Optional[StaticTables] = None
 
     def holders(self, obj: int) -> Set[int]:
         return set(self._placement.holders(obj))
@@ -325,8 +313,7 @@ class StaticPlacementManager(OnlineStrategy):
     def _repair_strategy_state(self, outcome) -> None:
         if not outcome.structural:
             return
-        self._nearest_cache.clear()  # tables are sized to the old node count
-        self._steiner_ids_cache.clear()  # edge ids renumber under mutations
+        self._tables = None  # sized to the old node count, old edge ids
         if outcome.removed_node is None:
             return  # attach/split keep node ids stable
         nm = outcome.node_map
@@ -341,177 +328,87 @@ class StaticPlacementManager(OnlineStrategy):
             new_holders.append(mapped)
         self._placement = Placement(new_holders)
 
-    def _nearest_table(self, obj: int) -> np.ndarray:
-        """Per-node nearest-copy table of one object (cached, batch-built)."""
-        if obj not in self._nearest_cache:
-            self._nearest_tables_bulk([obj])
-        return self._nearest_cache[obj]
+    def tables(self) -> StaticTables:
+        """The placement's two tables on the current topology.
 
-    def _nearest_tables_bulk(self, objs) -> None:
-        """Build the missing nearest-copy tables of many objects at once.
-
-        Thin wrapper over the shared :func:`_bulk_nearest_tables` builder:
-        one nearest-table call over the missing objects' holder sets, one
-        row per distinct set, instead of one table build per object.
+        Built on the first call after construction or a structural
+        repair, in one pass over the distinct holder sets: one
+        :meth:`~repro.network.rooted.RootedTree.nearest_tables` call for
+        the nearest-copy rows and one
+        :meth:`~repro.core.pathmatrix.PathMatrix.steiner_edge_csr` call
+        for the Steiner edges.
         """
-        requests = [
-            (self._nearest_cache, int(obj),
-             tuple(sorted({int(h) for h in self._placement.holders(int(obj))})))
-            for obj in objs
-            if int(obj) not in self._nearest_cache
-        ]
-        _bulk_nearest_tables(self.rooted, requests)
-
-    def _steiner_edge_ids_for(self, obj: int, stack) -> np.ndarray:
-        """Edge ids of one object's write-broadcast Steiner tree (cached).
-
-        ``stack`` is the :class:`~repro.core.loadstate.StackedLoadState`
-        owning the manager's lane; the ids only depend on the topology and
-        the holder set, so the per-object cache survives bandwidth
-        mutations and is cleared with the other holder-derived caches on
-        structural repair.
-        """
-        edge_ids = self._steiner_ids_cache.get(obj)
-        if edge_ids is None:
-            terminals = self._placement.holders(obj)
-            if len(terminals) < 2:
-                edge_ids = np.empty(0, dtype=np.int64)
-            else:
-                key = frozenset(int(t) for t in terminals)
-                edge_ids = stack._steiner_entry(key)[0]
-            self._steiner_ids_cache[obj] = edge_ids
-        return edge_ids
-
-    @staticmethod
-    def _aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
-        """Shared chunk aggregation of the sequential and fleet paths.
-
-        Collapses ``sequence[start:stop]`` into unique ``(processor,
-        object)`` request pairs with multiplicities, the pair rows grouped
-        per object, and the written objects with write counts.  Both
-        :meth:`serve_chunk` and :meth:`serve_chunk_fleet` feed off this one
-        function, so the two paths cannot drift apart in how they
-        aggregate -- the bit-for-bit fleet parity contract depends on
-        that.  Returns ``None`` for an empty chunk.
-
-        The unique-pair pass runs through
-        :func:`repro.core.kernels.aggregate_pairs` (one int64-key sort
-        instead of numpy's void-dtype column comparison); the differential
-        tests pin it to the historical ``np.unique(..., axis=1)``
-        aggregation kept in ``tests/scalar_oracle.py``.
-        """
-        procs, objs, writes = sequence.as_arrays()
-        procs = procs[start:stop]
-        objs = objs[start:stop]
-        writes = writes[start:stop]
-        if procs.size == 0:
-            return None
-        uprocs, uobjs, counts = kernels.aggregate_pairs(procs, objs)
-        # group the pair rows per object in one sort pass (pairs sort by
-        # processor first, so the object row is not globally sorted); the
-        # stable order keeps each group's row indices ascending
-        order = np.argsort(uobjs, kind="stable")
-        uniq_objs, starts = np.unique(uobjs[order], return_index=True)
-        bounds = np.append(starts[1:], order.size)
-        by_object = [
-            (int(obj), order[lo:hi])
-            for obj, lo, hi in zip(uniq_objs, starts, bounds)
-        ]
-        written, write_counts = np.unique(objs[writes], return_counts=True)
-        return uprocs, counts, by_object, written, write_counts
+        if self._tables is None:
+            rows: Dict[Tuple[int, ...], int] = {}
+            row_of = np.fromiter(
+                (rows.setdefault(tuple(sorted(holders)), len(rows))
+                 for holders in self._placement.all_holders()),
+                dtype=np.int64, count=self.n_objects,
+            )
+            sets = list(rows)
+            indptr, ids = self.rooted.path_matrix().steiner_edge_csr(sets)
+            self._tables = StaticTables(
+                self.rooted.nearest_tables(sets), row_of, indptr, ids
+            )
+        return self._tables
 
     def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
         """Vectorized batch replay of one chunk (exact event-loop parity).
 
-        The placement is fixed, so a chunk of events collapses into
-        aggregated request pairs (one column through the path-incidence
-        operator) plus one Steiner charge per written object.  All charged
-        quantities are integer-valued, so the resulting loads and cost units
-        are bit-for-bit equal to serving the same events one by one.
+        The one-lane case of :meth:`serve_chunk_fleet`: one pair
+        aggregation, one gather of the reference copies from the nearest
+        table, one pair charge and, when the chunk writes, one Steiner
+        column.
         """
-        aggregated = self._aggregate_chunk(sequence, start, stop)
-        if aggregated is None:
-            return
-        u, counts, by_object, written, write_counts = aggregated
-        # resolve each unique pair's reference copy via the per-object
-        # tables (built by one nearest-table call, gathered per object)
-        self._nearest_tables_bulk([obj for obj, _ in by_object])
-        targets = np.empty(u.size, dtype=np.int64)
-        for obj, rows in by_object:
-            targets[rows] = self._nearest_table(obj)[u[rows]]
-        self.account.charge_pairs(u, targets, counts)
-        for obj, count in zip(written, write_counts):
-            self.account.charge_steiner(
-                self.rooted,
-                sorted(self._placement.holders(int(obj))),
-                amount=int(count),
-            )
+        self.serve_chunk_fleet((self,), sequence, start, stop)
 
     @classmethod
     def serve_chunk_fleet(
         cls, managers: Sequence["StaticPlacementManager"], sequence, start, stop
     ) -> None:
-        """Serve one chunk for a whole fleet of static managers at once.
+        """Serve one chunk for every manager of a fleet.
 
         The fleet-replay group hook (see
-        :func:`~repro.sim.protocol.fleet_groups`): all managers replay the
-        same events, so the chunk aggregation (unique ``(processor,
-        object)`` pairs and write counts) is computed **once**, nearest-copy
-        targets are gathered per lane from the cached per-object tables,
-        the LCA/distance pass runs batched over all lanes and the resulting
-        per-lane edge-load columns go into the shared
-        :class:`~repro.core.loadstate.StackedLoadState` as one
-        lane-broadcast scatter.  Per-lane write broadcasts reuse the shared
-        Steiner scatter-entry cache.
+        :func:`~repro.sim.protocol.fleet_groups`).  All managers replay
+        the same events, so the chunk aggregation (unique ``(processor,
+        object)`` pairs with multiplicities, :func:`kernels.aggregate_pairs`)
+        and the per-object write counts are computed once.  Each lane then
+        gathers its reference copies ``table[row_of[objs], procs]``, makes
+        one pair charge, and charges its write broadcasts as one Steiner
+        column ``np.bincount(edge_ids, weights=np.repeat(write_counts,
+        sizes))`` through :meth:`LoadState.apply_edge_loads
+        <repro.core.loadstate.LoadState.apply_edge_loads>`.
 
-        All charged quantities are integer request counts, so every lane's
-        loads and cost units are bit-for-bit those of calling the member's
-        :meth:`serve_chunk` on its own.  The managers' accounts must sit on
-        lanes of one stacked state, as
-        :meth:`~repro.sim.engine.SimulationEngine.run_fleet` arranges.
+        Every charge is an integer request count and none is negative, so
+        each lane's loads, cost units and end-of-chunk congestion (the only
+        observation point) are bit-for-bit those of serving the chunk's
+        events one at a time.
         """
-        states = [m.account.state for m in managers]
-        aggregated = cls._aggregate_chunk(sequence, start, stop)
-        if aggregated is None:
+        procs, objs, writes = sequence.as_arrays()
+        procs, objs, writes = procs[start:stop], objs[start:stop], writes[start:stop]
+        if procs.size == 0:
             return
-        u, counts, by_object, written, write_counts = aggregated
-        targets = np.empty((u.size, len(managers)), dtype=np.int64)
-        for k, manager in enumerate(managers):
-            manager._nearest_tables_bulk([obj for obj, _ in by_object])
-            for obj, rows in by_object:
-                targets[rows, k] = manager._nearest_table(obj)[u[rows]]
-
-        stack = states[0].stack
-        lanes = [s.lane_index for s in states]
-        w = counts.astype(np.float64)
-        # one batched LCA pass feeds both the distance booking and the
-        # pair scatters (same depth arithmetic as pm.distances)
-        pm = stack.pm
-        anc = pm.lca(u[:, None], targets)
-        depth = pm.depths
-        dists = depth[u][:, None] + depth[targets] - 2 * depth[anc]
-        columns = pm.pair_edge_loads_lanes(u, targets, w, anc)
-        stack.apply_edge_loads_lanes(lanes, columns)
-        for k, manager in enumerate(managers):
-            manager.account._book(int(round(float(dists[:, k] @ w))), False)
-
-        # write broadcasts: one per-lane Steiner column through the shared
-        # entry cache, applied as a second lane-broadcast scatter.  All
-        # charges in a span are non-negative, so the end-of-span congestion
-        # (the only observation point) equals the per-charge running max of
-        # the sequential path bit-for-bit.
-        if written.size:
-            steiner_cols = np.zeros((stack.n_edges, len(managers)))
-            for k, manager in enumerate(managers):
-                column = steiner_cols[:, k]
-                booked = 0
-                for obj, count in zip(written, write_counts):
-                    edge_ids = manager._steiner_edge_ids_for(int(obj), stack)
-                    if edge_ids.size:
-                        column[edge_ids] += count
-                        booked += int(count) * int(edge_ids.size)
-                manager.account._book(booked, False)
-            stack.apply_edge_loads_lanes(lanes, steiner_cols)
+        u, uobjs, counts = kernels.aggregate_pairs(procs, objs)
+        written, write_counts = np.unique(objs[writes], return_counts=True)
+        for manager in managers:
+            nearest, row_of, indptr, ids = manager.tables()
+            account = manager.account
+            account.charge_pairs(u, nearest[row_of[uobjs], u], counts)
+            if not written.size:
+                continue
+            rows = row_of[written]
+            lo = indptr[rows]
+            sizes = indptr[rows + 1] - lo
+            total = int(sizes.sum())
+            if not total:
+                continue
+            # the written rows' CSR slices, end to end
+            at = np.arange(total) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+            state = account.state
+            state.apply_edge_loads(np.bincount(
+                ids[at], weights=np.repeat(write_counts, sizes), minlength=state.n_edges
+            ))
+            account._book(int(write_counts @ sizes), False)
 
 
 class EdgeCounterManager(OnlineStrategy):
@@ -649,7 +546,7 @@ class EdgeCounterManager(OnlineStrategy):
             if len(holders) > 1 and holders not in tables \
                     and holders not in seen:
                 seen.add(holders)
-                requests.append((tables, holders, holders))
+                requests.append((tables, holders))
         return requests
 
     def _apply_deferred(self, sorted_procs: np.ndarray, runs: List[tuple],

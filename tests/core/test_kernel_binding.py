@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.loadstate import LoadState, StackedLoadState
+from repro.core.loadstate import LoadState
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import sequence_from_pattern
@@ -271,18 +271,6 @@ def test_apply_columns_lanes_rejects_a_repeated_lane(backend):
         with pytest.raises(AlgorithmError, match="lane ids must be distinct"):
             fn(*args)
     assert _snapshot(args) == before
-
-
-@pytest.mark.parametrize("backend", kernels.available_backends())
-@pytest.mark.parametrize("bad", [-1, 2])
-def test_apply_edge_loads_lanes_rejects_a_lane_outside_the_stack(backend, bad):
-    net = balanced_tree(2, 2, 2)
-    with kernels.use_backend(backend):
-        stack = StackedLoadState(net, 2)
-        with pytest.raises(AlgorithmError, match=f"lane id {bad} is outside"):
-            stack.apply_edge_loads_lanes([bad], np.ones((net.n_edges, 1)))
-        assert not stack._loads.any()
-        assert [lane.congestion for lane in stack.lanes] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())

@@ -29,8 +29,11 @@ class TestCostAccount:
         p, q = net.processors[0], net.processors[-1]
         account.charge_pairs([p], [q], [2.0])
         assert account.total_load == 2.0 * rooted.distance(p, q)
-        account.charge_steiner(rooted, [p, q], amount=1.0, management=True)
-        assert account.management_units > 0
+        steiner = rooted.steiner_edge_ids([p, q])
+        assert account.state.apply_steiner([p, q], 1) == len(steiner)
+        assert account.total_load == 2.0 * rooted.distance(p, q) + len(steiner)
+        account.charge_pairs([q], [p], [1], management=True)
+        assert account.management_units == rooted.distance(p, q)
         assert account.congestion > 0
 
     def test_zero_amount_ignored(self):
@@ -38,8 +41,8 @@ class TestCostAccount:
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        account.charge_steiner(rooted, [p, q], amount=0)
-        account.charge_steiner(rooted, [p, p], amount=5)
+        assert account.state.apply_steiner([p, q], 0) > 0
+        assert account.state.apply_steiner([p, p], 5) == 0
         account.charge_pairs([p], [q], [0])
         account.charge_pairs([p], [p], [5])
         assert account.total_load == 0.0
@@ -49,13 +52,8 @@ class TestCostAccount:
         # the integer-valued-loads invariant (ARCHITECTURE.md invariant 2)
         # is enforced by the cost account, not just by convention
         net = single_bus(3)
-        rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        with pytest.raises(WorkloadError, match="integer-valued"):
-            account.charge_steiner(rooted, [p, q], amount=0.5)
-        with pytest.raises(WorkloadError, match="integer-valued"):
-            account.charge_steiner(rooted, [p, q], amount=1.5)
         with pytest.raises(WorkloadError, match="integer-valued"):
             account.charge_pairs([p], [q], [0.25])
         assert account.total_load == 0.0
@@ -65,7 +63,7 @@ class TestCostAccount:
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        account.charge_steiner(rooted, [p, q], amount=3.0)
+        account.charge_pairs([p], [q], [3.0])
         account.charge_pairs([p], [q], np.array([2.0]))
         assert isinstance(account.service_units, int)
         assert account.service_units == 5 * rooted.distance(p, q)
@@ -102,8 +100,9 @@ class TestStaticPlacementManager:
 
     def test_nearest_tables_take_the_memory_of_the_tables(self):
         """The offline-static shape (1024 leaves, 128 Zipf objects, the
-        hindsight placement): building every object's nearest table peaks
-        at the tables themselves, not at a processors x holders block."""
+        hindsight placement): building the placement's two tables peaks at
+        the tables themselves, not at a processors x holders block or an
+        unblocked nodes x sets indicator."""
         net = balanced_tree(4, 4, 16)
         pattern = zipf_pattern(
             net, 128, requests_per_processor=48, write_fraction=0.1, seed=7
@@ -111,21 +110,20 @@ class TestStaticPlacementManager:
         manager = StaticPlacementManager(net, extended_nibble(net, pattern).placement)
         tracemalloc.start()
         try:
-            manager._nearest_tables_bulk(range(pattern.n_objects))
+            tables = manager.tables()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = {id(t): t for t in manager._nearest_cache.values()}
-        table_bytes = sum(t.nbytes for t in tables.values())
-        assert len(manager._nearest_cache) == pattern.n_objects
-        assert table_bytes <= pattern.n_objects * net.n_nodes * 8
+        table_bytes = sum(a.nbytes for a in tables)
+        assert tables.row_of.shape == (pattern.n_objects,)
+        assert tables.nearest.shape[0] <= pattern.n_objects
         assert peak < 2 * table_bytes + 2**20, (peak, table_bytes)
         rooted = net.rooted()
         for obj in (0, 1, 77):
             holders = manager._placement.holders(obj)
-            table = manager._nearest_table(obj)
+            row = tables.nearest[tables.row_of[obj]]
             assert all(
-                table[p] == rooted.nearest_in_set(p, holders) for p in net.processors[::37]
+                row[p] == rooted.nearest_in_set(p, holders) for p in net.processors[::37]
             )
 
 
@@ -230,15 +228,15 @@ class TestEdgeCounterManager:
 
 
 class TestIntegerValidationHoist:
-    """The invariant-2 checks run once per batch, not per event, and scalar
-    amounts short-circuit genuine ints -- without loosening anything."""
+    """The invariant-2 checks run once per batch, not per event, and
+    integer arrays skip the modulo scan -- without loosening anything."""
 
     def test_numpy_integer_amounts_accepted(self):
         net = single_bus(3)
         rooted = net.rooted()
         account = OnlineCostAccount(net)
         p, q = net.processors[0], net.processors[1]
-        account.charge_steiner(rooted, [p, q], amount=np.int64(2))
+        account.charge_pairs([p], [q], [np.int64(2)])
         account.charge_pairs([p], [q], np.array([3], dtype=np.int64))
         assert isinstance(account.service_units, int)
         assert account.service_units == 5 * rooted.distance(p, q)
@@ -261,11 +259,3 @@ class TestIntegerValidationHoist:
         with pytest.raises(WorkloadError, match="integer-valued"):
             account.charge_pairs([p], [q], np.array([0.5]))
         assert account.total_load == 0.0
-
-    def test_fractional_scalar_amounts_still_raise(self):
-        from repro.dynamic.online import _integer_amount
-
-        with pytest.raises(WorkloadError, match="integer-valued"):
-            _integer_amount(2.5)
-        assert _integer_amount(7) == 7
-        assert _integer_amount(3.0) == 3

@@ -10,15 +10,10 @@ integer-valued request counts, so every float addition the kernels
 perform is exact in double precision and addition order cannot change
 the result.
 
-The suite also pins the two backend-*independent* rewrites that rode
-along with the kernels:
-
-* :func:`repro.core.kernels.aggregate_pairs` against the historical
-  ``np.unique(np.stack(...), axis=1)`` aggregation;
-* ``StaticPlacementManager._aggregate_chunk`` against its retained
-  ``reference_aggregate_chunk`` twin (:mod:`tests.scalar_oracle`);
-
-and closes with substrate-level end-to-end checks (PathMatrix batch ops
+The suite also pins the backend-*independent* rewrite that rode along
+with the kernels, :func:`repro.core.kernels.aggregate_pairs`, against the
+historical ``np.unique(np.stack(...), axis=1)`` aggregation, and closes
+with substrate-level end-to-end checks (PathMatrix batch ops
 and LoadState replay under every backend vs the numpy backend).  The
 fused pair charge is checked on a LoadState (with its journal and
 rollback) and on a lane of a multi-lane stack, against its twin and
@@ -39,15 +34,15 @@ import pytest
 
 from repro.core import kernels
 from repro.core.loadstate import LoadState, StackedLoadState
-from repro.dynamic.online import EdgeCounterManager, RentOrBuyManager, StaticPlacementManager
+from repro.dynamic.online import EdgeCounterManager, RentOrBuyManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.network.builders import balanced_tree, random_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
 from repro.sim.engine import SimulationEngine
 from repro.workload.churn import random_valid_mutation
-from repro.workload.generators import random_sparse_pattern, zipf_pattern
+from repro.workload.generators import zipf_pattern
 from tests.properties.test_fleet_parity import _adaptive_only_factories, _crossing_sequence
-from tests.scalar_oracle import add_holder, materialise, reference_aggregate_chunk
+from tests.scalar_oracle import add_holder, materialise
 
 DEFAULT_SEEDS = (0, 1, 2, 3)
 
@@ -370,7 +365,8 @@ class TestFusedPairCharge:
         for name in ("numpy", backend):
             with kernels.use_backend(name):
                 stacked = StackedLoadState(net, 3)
-                stacked.apply_edge_loads_lanes(np.arange(3), columns)
+                for k, lane in enumerate(stacked.lanes):
+                    lane.apply_edge_loads(columns[:, k])
                 cost = stacked.lanes[1].apply_pairs(u, v, w)
                 solo = LoadState(net)
                 solo.apply_edge_loads(columns[:, 1])
@@ -425,37 +421,6 @@ class TestAggregationParity:
         assert np.array_equal(uprocs, pairs[0])
         assert np.array_equal(uobjs, pairs[1])
         assert np.array_equal(counts, ref_counts)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_aggregate_chunk_matches_reference(self, seed):
-        net = random_tree(4, 10, seed=seed)
-        pat = random_sparse_pattern(net, 6, seed=seed)
-        seq = sequence_from_pattern(net, pat, seed=seed)
-        if len(seq) == 0:
-            pytest.skip("empty sequence for this seed")
-        rng = np.random.default_rng(seed)
-        start = int(rng.integers(0, len(seq)))
-        stop = int(rng.integers(start, len(seq) + 1))
-        got = StaticPlacementManager._aggregate_chunk(seq, start, stop)
-        ref = reference_aggregate_chunk(seq, start, stop)
-        if ref is None:
-            assert got is None
-            return
-        g_procs, g_counts, g_by_obj, g_written, g_wcounts = got
-        r_procs, r_counts, r_by_obj, r_written, r_wcounts = ref
-        assert np.array_equal(g_procs, r_procs)
-        assert np.array_equal(g_counts, r_counts)
-        assert np.array_equal(g_written, r_written)
-        assert np.array_equal(g_wcounts, r_wcounts)
-        assert len(g_by_obj) == len(r_by_obj)
-        for (g_obj, g_rows), (r_obj, r_rows) in zip(g_by_obj, r_by_obj):
-            assert g_obj == r_obj
-            assert np.array_equal(g_rows, r_rows)
-
-    def test_aggregate_chunk_empty(self):
-        seq = RequestSequence([], 3)
-        assert StaticPlacementManager._aggregate_chunk(seq, 0, 0) is None
-        assert reference_aggregate_chunk(seq, 0, 0) is None
 
 
 @pytest.mark.parametrize("backend", COMPILED)
@@ -514,7 +479,8 @@ class TestSubstrateEndToEnd:
             with kernels.use_backend(name):
                 stacked = StackedLoadState(net, n_lanes)
                 for lanes, cols in zip(lane_sets, columns):
-                    stacked.apply_edge_loads_lanes(lanes, cols[:, : lanes.size])
+                    for j, k in enumerate(lanes):
+                        stacked.lanes[k].apply_edge_loads(cols[:, j])
                 outputs[name] = (
                     stacked._loads.copy(),
                     [lane.congestion for lane in stacked.lanes],

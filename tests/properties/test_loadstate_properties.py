@@ -27,7 +27,12 @@ from repro.dynamic.sequence import sequence_from_pattern
 from repro.errors import AlgorithmError
 from repro.network.builders import balanced_tree
 from tests.conftest import instances, networks
-from tests.scalar_oracle import ReferenceOnlineCostAccount, charge_path, serve_events
+from tests.scalar_oracle import (
+    ReferenceOnlineCostAccount,
+    charge_path,
+    charge_steiner,
+    serve_events,
+)
 
 SETTINGS = dict(
     max_examples=25,
@@ -73,8 +78,8 @@ class TestChargeParity:
                         max_size=k,
                     )
                 )
-                incremental.charge_steiner(rooted, terminals, amount, management)
-                reference.charge_steiner(rooted, terminals, amount, management)
+                charge_steiner(incremental, rooted, terminals, amount, management)
+                charge_steiner(reference, rooted, terminals, amount, management)
             # the congestion read in the middle of the stream is the
             # streaming pattern: lazily-repaired max vs full rescan
             assert incremental.congestion == reference.congestion

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.extended_nibble import extended_nibble
 from repro.core.loadstate import LoadState
-from repro.distributed.request_sim import _expand_messages, replay_requests
+from repro.distributed.request_sim import _expand_messages, _schedule_rounds, replay_requests
 from repro.dynamic.online import (
     EdgeCounterManager,
     HysteresisCounterManager,
@@ -26,8 +26,14 @@ from repro.dynamic.online import (
     StaticPlacementManager,
 )
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
-from repro.network.builders import balanced_tree, star_of_buses
-from repro.network.mutation import AttachLeaf, ChurnTrace, apply_mutation
+from repro.network.builders import balanced_tree, random_tree, star_of_buses
+from repro.network.mutation import (
+    AttachLeaf,
+    ChurnTrace,
+    SetBusBandwidth,
+    SetEdgeBandwidth,
+    apply_mutation,
+)
 from repro.core.placement import RequestAssignment
 from repro.sim.engine import EngineStream, SimulationEngine
 from repro.sim.sinks import TrajectorySink
@@ -37,7 +43,7 @@ from repro.workload.churn import (
     rolling_maintenance_detach,
 )
 from repro.workload.generators import uniform_pattern, zipf_pattern
-from tests.scalar_oracle import serve
+from tests.scalar_oracle import reference_schedule_rounds, serve
 
 
 # --------------------------------------------------------------------------- #
@@ -126,78 +132,19 @@ def _reference_replay_with_churn(strategy, sequence, trace, sample_every=None):
 
 
 def _reference_round_replay(network, pattern, placement, assignment, batch=1):
-    """The round loop of ``replay_requests`` as it was before the refactor."""
+    """The round loop of ``replay_requests`` as it was before the refactor:
+    the oracle's scheduler, each round charged as its per-edge column."""
     rooted = network.rooted()
     traversals, per_edge, _dilation = _expand_messages(
         network, pattern, placement, assignment, rooted, batch
     )
-    edge_bw = np.asarray(network.edge_bandwidths)
-    bus_bw = np.asarray(network.bus_bandwidths)
     delivered_state = LoadState(network, rooted)
     round_congestion = []
-
-    pending_by_edge = {e: [] for e in range(network.n_edges)}
-    blocked_children = {}
-    remaining = 0
-    for idx, tr in enumerate(traversals):
-        remaining += 1
-        if tr.predecessor is None:
-            pending_by_edge[tr.edge_id].append(idx)
-        else:
-            blocked_children.setdefault(tr.predecessor, []).append(idx)
-    for queue in pending_by_edge.values():
-        queue.sort(key=lambda i: traversals[i].order)
-
     rounds = 0
-    while remaining > 0:
+    for ids in reference_schedule_rounds(network, traversals, 10_000_000):
         rounds += 1
-        edge_capacity = {
-            e: int(edge_bw[e]) if edge_bw[e] >= 1 else 1 for e in range(network.n_edges)
-        }
-        bus_capacity = {b: max(1, int(2 * bus_bw[b])) for b in network.buses}
-        newly_done = []
-        for eid in range(network.n_edges):
-            queue = pending_by_edge[eid]
-            if not queue:
-                continue
-            taken = []
-            for idx in queue:
-                if edge_capacity[eid] <= 0:
-                    break
-                tr = traversals[idx]
-                if any(bus_capacity[b] <= 0 for b in tr.bus_endpoints):
-                    continue
-                edge_capacity[eid] -= 1
-                for b in tr.bus_endpoints:
-                    bus_capacity[b] -= 1
-                tr.done = True
-                taken.append(idx)
-                newly_done.append(idx)
-            for idx in taken:
-                queue.remove(idx)
-        remaining -= len(newly_done)
-        # the load state takes no bare edge-id charge any more: the round
-        # goes in as its per-edge column
-        delivered_state.apply_edge_loads(
-            np.bincount(
-                np.fromiter(
-                    (traversals[i].edge_id for i in newly_done),
-                    dtype=np.int64,
-                    count=len(newly_done),
-                ),
-                minlength=network.n_edges,
-            )
-        )
+        delivered_state.apply_edge_loads(np.bincount(ids, minlength=network.n_edges))
         round_congestion.append(delivered_state.congestion)
-        for idx in newly_done:
-            for child in blocked_children.get(idx, ()):
-                pending_by_edge[traversals[child].edge_id].append(child)
-        for idx in newly_done:
-            if idx in blocked_children:
-                del blocked_children[idx]
-        for queue in pending_by_edge.values():
-            queue.sort(key=lambda i: traversals[i].order)
-
     return rounds, np.asarray(round_congestion, dtype=np.float64), per_edge
 
 
@@ -489,3 +436,36 @@ class TestRoundReplayParity:
         assert np.array_equal(kernel.round_congestion, round_congestion)
         assert np.array_equal(kernel.per_edge_traffic, per_edge)
         assert kernel.round_congestion[-1] == kernel.congestion
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_round_batches_equal_the_reference_scheduler(self, seed):
+        """Every round delivers the very edge-id batch of the reference
+        scheduler, under mixed edge and bus bandwidths (fractional ones
+        clamp to one traversal) and multi-hop precedence chains."""
+        rng = np.random.default_rng(seed)
+        net = random_tree(4, 10, seed=seed)
+        for e in net.edges:
+            bw = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            net = apply_mutation(net, SetEdgeBandwidth(e.u, e.v, bw)).network
+        for bus in net.buses:
+            bw = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+            net = apply_mutation(net, SetBusBandwidth(bus, bw)).network
+        pattern = zipf_pattern(
+            net, 12, requests_per_processor=12, write_fraction=0.3, seed=seed
+        )
+        placement = extended_nibble(net, pattern).placement
+        assignment = RequestAssignment.nearest_copy(net, pattern, placement)
+
+        def expand():
+            return _expand_messages(
+                net, pattern, placement, assignment, net.rooted(), 1
+            )[0]
+
+        traversals = expand()
+        assert any(tr.predecessor is not None for tr in traversals)
+        got = list(_schedule_rounds(net, traversals, 10_000))
+        want = list(reference_schedule_rounds(net, expand(), 10_000))
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+        assert all(tr.done for tr in traversals)

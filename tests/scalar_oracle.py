@@ -6,12 +6,12 @@ time; production serves every span, one event or many, through
 replaced, as the reference the differential suites and the online and
 adaptive-fleet benchmark gates compare against (ARCHITECTURE.md
 invariant 1): the scalar :func:`serve` with the ``AdaptiveState``
-transitions it makes, the pre-refactor cost account, the static chunk
-aggregation before ``kernels.aggregate_pairs``, the static cost model
+transitions it makes, the pre-refactor cost account, the static cost model
 before the path-incidence operator, and the greedy baseline's and the
 exact search's hand-rolled candidate blocks and scoring before both went
 through ``PathMatrix.pair_edge_loads_lanes`` and
-``LoadState.trial_congestions``.
+``LoadState.trial_congestions``, and the request replay's round scheduler
+before it kept its capacities and sorted only the queues that changed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from repro.core.congestion import LoadProfile
 from repro.core.placement import Placement, RequestAssignment
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import EdgeCounterManager, StaticPlacementManager
-from repro.dynamic.sequence import RequestEvent, RequestSequence
+from repro.dynamic.sequence import RequestEvent
+from repro.errors import SimulationError
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
@@ -109,6 +110,17 @@ def charge_path(account, rooted: RootedTree, src: int, dst: int, amount: int = 1
         account.charge_pairs([src], [dst], [amount], management=management)
 
 
+def charge_steiner(account, rooted: RootedTree, terminals, amount: int = 1,
+                   management: bool = False) -> None:
+    """Charge ``amount`` requests on every edge of the Steiner tree of
+    ``terminals``: the reference account walks the tree's edge ids, any
+    other account charges it through ``LoadState.apply_steiner``."""
+    if isinstance(account, ReferenceOnlineCostAccount):
+        account.charge_steiner(rooted, terminals, amount, management)
+    elif amount > 0 and len(terminals) > 1:
+        account._book(amount * account.state.apply_steiner(terminals, amount), management)
+
+
 def serve(strategy, event: RequestEvent) -> None:
     """Serve one request through ``strategy``, charging its account."""
     if isinstance(strategy, EdgeCounterManager):
@@ -127,15 +139,14 @@ def serve_events(strategy, events):
 
 
 def _serve_static(manager: StaticPlacementManager, event: RequestEvent) -> None:
-    # the per-object nearest-copy table serve_chunk gathers from: a
+    # the nearest-copy table serve_chunk gathers from: a
     # rooted.nearest_in_set call per event would triple the incremental
     # arm of the online speedup gate
-    target = int(manager._nearest_table(event.obj)[event.processor])
+    tables = manager.tables()
+    target = int(tables.nearest[tables.row_of[event.obj], event.processor])
     charge_path(manager.account, manager.rooted, event.processor, target)
     if event.is_write:
-        manager.account.charge_steiner(
-            manager.rooted, sorted(manager._placement.holders(event.obj))
-        )
+        charge_steiner(manager.account, manager.rooted, manager.holders(event.obj))
 
 
 def _serve_adaptive(manager: EdgeCounterManager, event: RequestEvent) -> None:
@@ -166,7 +177,7 @@ def _serve_adaptive(manager: EdgeCounterManager, event: RequestEvent) -> None:
 
     # write request: update the reference copy and broadcast to replicas
     charge_path(account, rooted, proc, nearest)
-    account.charge_steiner(rooted, holders)
+    charge_steiner(account, rooted, holders)
     # age replicas; drop the ones nobody read for a while (no traffic)
     writer_holder = proc if mask[proc] else nearest
     unread = adaptive.unread_writes[obj]
@@ -228,23 +239,6 @@ def set_sole_holder(state: AdaptiveState, obj: int, proc: int) -> None:
     state.unread_writes[obj, proc] = 0
     state.read_credit[obj, proc] = 0
     state.n_holders[obj] = 1
-
-
-def reference_aggregate_chunk(sequence: RequestSequence, start: int, stop: int):
-    """The static chunk aggregation through ``np.unique(..., axis=1)`` over
-    the stacked pair rows, in ``StaticPlacementManager._aggregate_chunk``'s
-    output shape."""
-    procs, objs, writes = sequence.as_arrays()
-    procs, objs, writes = procs[start:stop], objs[start:stop], writes[start:stop]
-    if procs.size == 0:
-        return None
-    pairs, counts = np.unique(np.stack([procs, objs]), axis=1, return_counts=True)
-    order = np.argsort(pairs[1], kind="stable")
-    uniq_objs, starts = np.unique(pairs[1][order], return_index=True)
-    bounds = np.append(starts[1:], order.size)
-    by_object = [(int(obj), order[lo:hi]) for obj, lo, hi in zip(uniq_objs, starts, bounds)]
-    written, write_counts = np.unique(objs[writes], return_counts=True)
-    return pairs[0], counts, by_object, written, write_counts
 
 
 def reference_object_edge_loads(
@@ -379,3 +373,75 @@ def reference_per_object_leaf_loads(
         np.add.at(delta, (lcas, cols), np.broadcast_to(-2.0 * counts[:, None], lcas.shape))
         out.append(pm.edge_loads_from_deltas(delta))
     return out
+
+
+def reference_schedule_rounds(network: HierarchicalBusNetwork, traversals, max_rounds: int):
+    """``request_sim._schedule_rounds`` as it was: every round rebuilds the
+    capacity dicts, removes taken entries one by one and re-sorts every
+    edge queue."""
+    edge_bw = np.asarray(network.edge_bandwidths)
+    bus_bw = np.asarray(network.bus_bandwidths)
+
+    # ready queue per edge, FIFO by message order
+    pending_by_edge = {e: [] for e in range(network.n_edges)}
+    blocked_children = {}
+    remaining = 0
+    for idx, tr in enumerate(traversals):
+        remaining += 1
+        if tr.predecessor is None:
+            pending_by_edge[tr.edge_id].append(idx)
+        else:
+            blocked_children.setdefault(tr.predecessor, []).append(idx)
+    for queue in pending_by_edge.values():
+        queue.sort(key=lambda i: traversals[i].order)
+
+    rounds = 0
+    while remaining > 0:
+        rounds += 1
+        if rounds > max_rounds:
+            raise SimulationError("request replay exceeded the round limit")
+        edge_capacity = {
+            e: int(edge_bw[e]) if edge_bw[e] >= 1 else 1 for e in range(network.n_edges)
+        }
+        bus_capacity = {
+            b: max(1, int(2 * bus_bw[b])) for b in network.buses
+        }
+        newly_done = []
+        for eid in range(network.n_edges):
+            queue = pending_by_edge[eid]
+            if not queue:
+                continue
+            taken = []
+            for idx in queue:
+                if edge_capacity[eid] <= 0:
+                    break
+                tr = traversals[idx]
+                if any(bus_capacity[b] <= 0 for b in tr.bus_endpoints):
+                    continue
+                edge_capacity[eid] -= 1
+                for b in tr.bus_endpoints:
+                    bus_capacity[b] -= 1
+                tr.done = True
+                taken.append(idx)
+                newly_done.append(idx)
+            for idx in taken:
+                queue.remove(idx)
+        if not newly_done:
+            # No progress is impossible with positive capacities unless there
+            # is nothing pending, which contradicts remaining > 0.
+            raise SimulationError("request replay deadlocked")  # pragma: no cover
+        remaining -= len(newly_done)
+        yield np.fromiter(
+            (traversals[i].edge_id for i in newly_done),
+            dtype=np.int64,
+            count=len(newly_done),
+        )
+        for idx in newly_done:
+            for child in blocked_children.get(idx, ()):  # release successors
+                pending_by_edge[traversals[child].edge_id].append(child)
+        for idx in newly_done:
+            if idx in blocked_children:
+                del blocked_children[idx]
+        # keep FIFO order stable
+        for queue in pending_by_edge.values():
+            queue.sort(key=lambda i: traversals[i].order)

@@ -54,8 +54,8 @@ counts (invariant 2), so every float addition performed by these kernels
 is exact in double precision and the order of additions cannot change the
 result; congestion values are maxima over identical division results.
 The differential suite (``tests/properties/test_kernel_differential.py``)
-pins this down on a seed matrix, and the compiled library is built
-without ``-ffast-math`` so IEEE semantics are preserved.
+pins this down on the drawn cases of ``tests/fuzz.py``, and the compiled
+library is built without ``-ffast-math`` so IEEE semantics are preserved.
 
 Index dtypes: the substrate stores node ids, edge ids and lifting-table
 entries as :data:`INDEX_DTYPE` (int32) so huge networks fit in memory;

@@ -534,11 +534,13 @@ class StackedLoadState:
     def memory_bytes(self) -> int:
         """Bytes held by the substrate arrays (the memory audit hook).
 
-        Counts the fused load array, the denominator and endpoint arrays and
-        the shared :class:`~repro.core.pathmatrix.PathMatrix` tables, with
-        arrays shared between the two deduplicated by identity.
+        Counts the fused load array, the denominator and endpoint arrays,
+        the shared :class:`~repro.core.pathmatrix.PathMatrix` tables and the
+        cached Steiner scatter entries, with arrays shared between them
+        deduplicated by identity.
         """
         pm = self.pm
+        entries = [a for entry in self._steiner_cache.values() for a in entry]
         arrays = {
             id(a): a
             for a in (
@@ -557,6 +559,7 @@ class StackedLoadState:
                 pm._edge_u,
                 pm._edge_v,
                 pm._bus_mask,
+                *entries,
             )
         }
         return int(sum(a.nbytes for a in arrays.values()))
@@ -581,12 +584,20 @@ class StackedLoadState:
         inc = np.concatenate([np.ones(edge_ids.size), mult.astype(np.float64)])
         return (edge_ids, fused, inc, self._denom[fused])
 
+    # Entries are rebuilt cheaply on a miss, so the cache is simply dropped
+    # once it holds this many terminal sets: an adaptive stream's holder
+    # sets are its keys, and no structural repair may come to clear it.
+    _MAX_STEINER_ENTRIES = 1024
+
     def _steiner_entry(self, key: frozenset) -> Tuple[np.ndarray, ...]:
-        entry = self._steiner_cache.get(key)
+        cache = self._steiner_cache
+        entry = cache.get(key)
         if entry is None:
+            if len(cache) >= self._MAX_STEINER_ENTRIES:
+                cache.clear()
             ids = np.asarray(self.rooted.steiner_edge_ids(key), dtype=np.int64)
             entry = self._make_entry(ids)
-            self._steiner_cache[key] = entry
+            cache[key] = entry
         return entry
 
     def _refresh_cached_denoms(self) -> None:

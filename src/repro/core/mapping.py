@@ -80,10 +80,6 @@ class MappingResult:
     up_acceptable_load: np.ndarray
     down_acceptable_load: np.ndarray
 
-    def mapping_load_of_edge(self, network: HierarchicalBusNetwork, child: int) -> float:
-        """Total (both directions) mapping load of the edge above ``child``."""
-        return float(self.up_mapping_load[child] + self.down_mapping_load[child])
-
 
 def directed_basic_loads(
     network: HierarchicalBusNetwork,

@@ -486,8 +486,13 @@ class PathMatrix:
         fewer than two terminals has no edges.  The sets of two or more
         terminals are evaluated ``_STEINER_BLOCK // n_nodes`` at a time, so
         the scratch stays a few hundred KiB whatever the number of sets.
+        A terminal outside the network raises
+        :class:`~repro.errors.InvalidNodeError` before any block.
         """
         sets = [np.fromiter({int(t) for t in s}, dtype=np.int64) for s in terminal_sets]
+        kernels._check_node_ids(
+            self.n_nodes, np.concatenate([np.empty(0, np.int64), *sets]), what="terminal"
+        )
         sizes = np.fromiter((s.size for s in sets), dtype=np.int64, count=len(sets))
         counts = np.zeros(len(sets), dtype=np.int64)
         parts = [np.empty(0, dtype=np.int64)]

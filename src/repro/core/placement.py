@@ -90,10 +90,6 @@ class Placement:
         """Holder sets of all objects, indexed by object."""
         return self._holders
 
-    def n_copies(self, obj: int) -> int:
-        """Number of distinct holder nodes of object ``obj``."""
-        return len(self._holders[obj])
-
     def total_copies(self) -> int:
         """Total number of (object, holder) pairs."""
         return sum(len(h) for h in self._holders)

@@ -122,11 +122,6 @@ class TreeSimulator:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    @property
-    def round_number(self) -> int:
-        """The current round (0 before the first round executes)."""
-        return self._round
-
     def _record(self, msg: Message) -> None:
         if not self.network.has_edge(msg.src, msg.dst):
             raise SimulationError(

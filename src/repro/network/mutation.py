@@ -166,14 +166,6 @@ class MutationOutcome:
         """True iff nodes/edges changed (bandwidth-only mutations are False)."""
         return self.mutation.structural
 
-    def map_nodes(self, nodes: np.ndarray) -> np.ndarray:
-        """Map an array of old node ids to new ids (``-1`` for removed)."""
-        return self.node_map[np.asarray(nodes, dtype=np.int64)]
-
-    def map_edges(self, edges: np.ndarray) -> np.ndarray:
-        """Map an array of old edge ids to new ids (``-1`` for removed)."""
-        return self.edge_map[np.asarray(edges, dtype=np.int64)]
-
     def mapped_edge_loads(self, old_edge_loads: np.ndarray) -> np.ndarray:
         """Carry a per-edge load vector over to the new edge numbering.
 

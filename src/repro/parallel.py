@@ -4,12 +4,12 @@ Both sweep entry points -- the lab's ``run-missing`` sweep of
 :mod:`repro.lab.registry` and the scenario sweeps of
 :mod:`repro.sim.scenario` -- fan independent jobs out over worker
 processes.  Spinning a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-up per call throws the workers' warm state away: imports, and (for
-scenario sweeps) the per-worker substrate caches that let one worker
-build a network size's substrate once and replay every strategy/spec job
-against it.  This module keeps one pool alive per worker count instead;
-repeated sweeps in one process (experiment batteries, test suites, the
-CLI called from a driver loop) reuse the same workers and their caches.
+up per call throws the workers' warm state away: their imports and the
+compiled kernel library each one loads.  Workers keep no substrate
+between jobs; every job builds its own.  This module keeps one pool
+alive per worker count instead; repeated sweeps in one process
+(experiment batteries, test suites, the CLI called from a driver loop)
+reuse the same warm workers.
 
 Pools are shut down at interpreter exit.  Determinism is unaffected:
 jobs carry their own seeds and the callers collect futures in submission
@@ -80,7 +80,7 @@ def _submit(pool: ProcessPoolExecutor, fn, args):
 def persistent_pool(max_workers: int) -> ProcessPoolExecutor:
     """The shared process pool for ``max_workers`` workers (created lazily).
 
-    The pool stays alive across calls so worker-side caches persist; it is
+    The pool stays alive across calls so its workers stay warm; it is
     shut down automatically at interpreter exit (or explicitly via
     :func:`shutdown_pools`).  Submitting to a pool whose workers died
     raises :class:`BrokenProcessPool`; callers that want the

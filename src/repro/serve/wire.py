@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -232,9 +232,3 @@ def mutation_from_dict(document: Mapping) -> Mutation:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"malformed mutation document {document!r}") from exc
     raise SimulationError(f"unknown mutation kind {document.get('kind')!r}")
-
-
-def roundtrip_check(mutation: Mutation) -> Tuple[Dict, Mutation]:
-    """Encode-decode one mutation (tests lean on the exact inverse)."""
-    encoded = mutation_to_dict(mutation)
-    return encoded, mutation_from_dict(encoded)

@@ -30,7 +30,9 @@ collapsed the cost bookkeeping onto one substrate:
 this kernel; trajectory sampling and churn interleaving are the engine
 itself (``SimulationEngine(strategy, sinks=(TrajectorySink(k),)).run(seq,
 trace)``).  All four match the pre-kernel loops bit-for-bit (pinned by
-``tests/properties/test_sim_kernel.py``).
+``tests/properties/test_serve_differential.py`` against the scalar churn
+replay of ``tests/scalar_oracle.py``, and by
+``tests/properties/test_sim_kernel.py`` for the round replay).
 """
 
 from repro.sim.engine import RoundReplayDriver, SimulationEngine, SimulationResult

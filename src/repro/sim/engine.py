@@ -24,8 +24,9 @@ into a :class:`~repro.core.loadstate.LoadState` as one per-edge column
 and notifies the same sink set once per round.
 
 Both produce **bit-for-bit** the results of the legacy loops they
-replaced; ``tests/properties/test_sim_kernel.py`` pins that against
-verbatim copies of the pre-refactor implementations.
+replaced; ``tests/properties/test_serve_differential.py`` and
+``tests/properties/test_sim_kernel.py`` pin that against verbatim copies
+of the pre-refactor implementations.
 """
 
 from __future__ import annotations

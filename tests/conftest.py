@@ -19,6 +19,7 @@ from repro.network.builders import (
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
 from repro.workload.generators import random_sparse_pattern
+from tests.fuzz import CASES
 
 
 # --------------------------------------------------------------------------- #
@@ -105,6 +106,12 @@ def make_instance(seed: int, n_buses: int = 5, n_procs: int = 8, n_objects: int 
 def instance_factory():
     """Factory fixture returning :func:`make_instance`."""
     return make_instance
+
+
+@pytest.fixture(params=CASES, ids=lambda case: case.spec.name)
+def case(request):
+    """One differential case per ``REPRO_FUZZ_SEEDS`` seed (tests/fuzz.py)."""
+    return request.param
 
 
 # --------------------------------------------------------------------------- #

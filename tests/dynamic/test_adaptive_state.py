@@ -11,6 +11,7 @@ entries outside the holder mask.
 import numpy as np
 import pytest
 
+from repro.core.loadstate import StackedLoadState
 from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import (
     EdgeCounterManager,
@@ -193,6 +194,41 @@ class TestHygieneSoak:
         for obj in range(16):
             assert manager.holders(obj) == reference.holders(obj)
         assert manager.account.congestion == reference.account.congestion
+
+    def test_steiner_entry_cache_is_capped(self, monkeypatch):
+        net = balanced_tree(2, 3, 2)
+        sequence = self._stream(net, 16, 24, seed=13)
+        manager = EdgeCounterManager(
+            net, 16, object_size=2, invalidation_patience=1
+        )
+        stack = manager.account.state.stack
+        monkeypatch.setattr(StackedLoadState, "_MAX_STEINER_ENTRIES", 1)
+        sizes = []
+        step = 8
+        for start in range(0, len(sequence.events), step):
+            manager.serve_chunk(
+                sequence, start, min(start + step, len(sequence.events))
+            )
+            sizes.append(len(stack._steiner_cache))
+        # the cap clears the cache before each new entry, so it never holds
+        # more than the one set a chunk last charged
+        assert max(sizes) == 1
+
+        reference = EdgeCounterManager(
+            net, 16, object_size=2, invalidation_patience=1
+        )
+        serve_events(reference, sequence)
+        for obj in range(16):
+            assert manager.holders(obj) == reference.holders(obj)
+        assert np.array_equal(
+            manager.account.edge_loads, reference.account.edge_loads
+        )
+        assert manager.account.congestion == reference.account.congestion
+
+        # the cached entries are part of the substrate's footprint
+        cached = sum(a.nbytes for e in stack._steiner_cache.values() for a in e)
+        assert cached
+        assert stack.memory_bytes() == StackedLoadState(net, 1).memory_bytes() + cached
 
     def test_state_memory_bytes_matches_array_sum(self):
         state = AdaptiveState(6, 9)

@@ -4,18 +4,17 @@ The chaos matrix runs the full serving stack (daemon-thread server,
 loadgen client) under a seeded fault plan mixing connection drops,
 engine crashes, torn journal writes and client-side read faults, and
 asserts the recovered stream is *byte-identical* to an uninterrupted
-run -- summary and replayed journal both.  CI widens the seed matrix via
-``REPRO_CHAOS_SEEDS``.
+run -- summary and replayed journal both.  The matrix serves each drawn
+case of ``tests/fuzz.py`` (its spec's events and its whole trace, the
+boundary mutations included) under a plan seeded by the case's seed, so
+``REPRO_FUZZ_SEEDS`` widens it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import warnings
-
-import pytest
 
 from repro import faults
 from repro.errors import SimulationError
@@ -23,13 +22,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.serve import PlacementServer, ServerThread, replay_recording
 from repro.serve.loadgen import loadgen, workload_from_spec
 from repro.serve.recorder import load_recording
-from repro.serve.wire import encode_events, encode_message
-
-CHAOS_SEEDS = [
-    int(token)
-    for token in os.environ.get("REPRO_CHAOS_SEEDS", "0,1,2,3").split(",")
-    if token.strip()
-]
+from repro.serve.wire import encode_events, encode_message, mutation_to_dict
 
 
 def chaos_plan(seed: int) -> FaultPlan:
@@ -61,12 +54,13 @@ def clean_baseline(spec, events, mutations, batch=8):
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("chaos_seed", CHAOS_SEEDS)
-    def test_recovered_equals_uninterrupted(self, spec, tmp_path, chaos_seed):
-        events, mutations = workload_from_spec(spec)
+    def test_recovered_equals_uninterrupted(self, case, tmp_path):
+        spec, built = case.spec, case.built
+        events = built.sequence.events
+        mutations = [(tm.time, mutation_to_dict(tm.mutation)) for tm in built.trace]
         baseline = clean_baseline(spec, events, mutations)
 
-        faults.install(chaos_plan(chaos_seed))
+        faults.install(chaos_plan(case.seed))
         server = PlacementServer(spec, record_dir=tmp_path, journal_sync=True)
         thread = ServerThread(server)
         host, port = thread.start()
@@ -81,7 +75,7 @@ class TestChaosMatrix:
                 retries=100,
                 backoff_base=0.01,
                 backoff_max=0.1,
-                backoff_seed=chaos_seed,
+                backoff_seed=case.seed,
             )
         finally:
             faults.clear()

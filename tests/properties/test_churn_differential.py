@@ -25,11 +25,10 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
   every earlier network of the chain still reads as it did (a mutation
   shares the columns it leaves unchanged and must never write them).
 
-The seed matrix is extendable via the ``REPRO_CHURN_SEEDS`` environment
-variable (comma-separated integers), which CI uses to pin a fixed matrix.
+The oracle walks the churn trace of every drawn case of ``tests/fuzz.py``
+(its spec's churn and its boundary mutations), so ``REPRO_FUZZ_SEEDS``
+sets its matrix.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -49,18 +48,7 @@ from repro.network.mutation import (
 from repro.network.node import BusSpec, ProcessorSpec
 from repro.network.rooted import RootedTree
 from repro.network.tree import Edge, HierarchicalBusNetwork
-from repro.workload.churn import random_valid_mutation
 from tests.properties.test_tree_queries import assert_tree_queries_match_reference
-
-DEFAULT_SEEDS = (0, 1, 2, 3)
-
-
-def _seed_matrix():
-    raw = os.environ.get("REPRO_CHURN_SEEDS", "")
-    if raw.strip():
-        return tuple(int(s) for s in raw.split(","))
-    return DEFAULT_SEEDS
-
 
 # --------------------------------------------------------------------------- #
 # the node-by-node rebuild apply_mutation replaced (verbatim)
@@ -216,14 +204,12 @@ def assert_loadstate_equals_rebuild(state, net, fresh_rooted, ground):
 
 
 class TestChurnDifferential:
-    """Seeded mutation/request interleavings, checked against rebuilds."""
+    """Each drawn case's mutation/request interleaving, checked against
+    rebuilds."""
 
-    @pytest.mark.parametrize("seed", _seed_matrix())
-    def test_repair_equals_rebuild(self, seed):
-        rng = np.random.default_rng(seed)
-        net = random_tree(
-            int(rng.integers(2, 7)), int(rng.integers(4, 11)), seed=seed
-        )
+    def test_repair_equals_rebuild(self, case):
+        rng = np.random.default_rng(case.seed)
+        net = case.built.network
         state = LoadState(net)
         ground = np.zeros(net.n_edges)
         fresh_rooted, fresh_pm = fresh_substrate(net)
@@ -231,8 +217,8 @@ class TestChurnDifferential:
         charge_random_paths(state, ground, fresh_rooted, procs, rng, 24)
 
         readings = [(net, read_network(net))]
-        for _ in range(10):
-            mutation = random_valid_mutation(net, rng)
+        for timed in case.built.trace or ():
+            mutation = timed.mutation
             outcome = apply_mutation(net, mutation)
             reading = read_network(outcome.network)
             assert reading == read_network(reference_apply_mutation(net, mutation))
@@ -263,6 +249,14 @@ class TestChurnDifferential:
             # read it as well
             assert state.rooted is net.rooted()
             assert_tree_queries_match_reference(net, state.rooted, rng)
+
+            # a snapshot round trip on the repaired state restores it exactly
+            before = (state._loads.copy(), state.congestion)
+            snap = state.snapshot()
+            charge_random_paths(state, ground.copy(), fresh_rooted, procs, rng, 8)
+            state.rollback(snap)
+            assert np.array_equal(state._loads, before[0])
+            assert state.congestion == before[1]
 
             # keep replaying requests on the repaired substrate
             charge_random_paths(state, ground, fresh_rooted, procs, rng, 10)
@@ -308,36 +302,6 @@ class TestChurnDifferential:
             state, ground, fresh_rooted, list(new_net.processors), rng, 8
         )
         assert_loadstate_equals_rebuild(state, new_net, fresh_rooted, ground)
-
-    @pytest.mark.parametrize("seed", _seed_matrix()[:2])
-    def test_snapshot_rollback_roundtrip_between_mutations(self, seed):
-        rng = np.random.default_rng(seed)
-        net = random_tree(3, 8, seed=seed)
-        state = LoadState(net)
-        procs = list(net.processors)
-        ground = np.zeros(net.n_edges)
-        rooted = RootedTree(net, net.canonical_root())
-        charge_random_paths(state, ground, rooted, procs, rng, 12)
-
-        for _ in range(5):
-            mutation = random_valid_mutation(net, rng)
-            outcome = apply_mutation(net, mutation)
-            state.repair(outcome)
-            net = outcome.network
-            ground = outcome.mapped_edge_loads(ground)
-            procs = list(net.processors)
-            rooted = RootedTree(net, net.canonical_root())
-
-            # a round-trip on the repaired state restores it exactly
-            before_loads = state._loads.copy()
-            before_congestion = state.congestion
-            snap = state.snapshot()
-            charge_random_paths(state, ground.copy(), rooted, procs, rng, 8)
-            state.rollback(snap)
-            assert np.array_equal(state._loads, before_loads)
-            assert state.congestion == before_congestion
-
-            charge_random_paths(state, ground, rooted, procs, rng, 4)
 
 
 class TestVerifyBusLoads:

@@ -22,12 +22,11 @@ call by call inside real adaptive replays, one-event chunks included:
 every call runs the twin on a copy of the state and must return the same
 records and leave the same counters, holder masks and holder counts.
 
-The seed matrix is extendable via the ``REPRO_KERNEL_SEEDS`` environment
-variable (comma-separated integers), which CI uses to pin a fixed
-matrix.
+The op-level tests take their substrate network and rng from each drawn
+case of ``tests/fuzz.py``, and the case oracle replays the case's whole
+roster as one fleet under each backend: records and load bytes must be
+equal, with every counter scan call twin-checked on the way.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -35,26 +34,13 @@ import pytest
 from repro.core import kernels
 from repro.core.loadstate import LoadState, StackedLoadState
 from repro.dynamic.online import EdgeCounterManager, RentOrBuyManager
-from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
-from repro.network.builders import balanced_tree, random_tree
+from repro.dynamic.sequence import RequestEvent, RequestSequence
+from repro.network.builders import balanced_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
 from repro.sim.engine import SimulationEngine
 from repro.workload.churn import random_valid_mutation
-from repro.workload.generators import zipf_pattern
-from tests.properties.test_fleet_parity import _adaptive_only_factories, _crossing_sequence
+from tests.fuzz import adaptive_only_factories, crossing_sequence, record_of
 from tests.scalar_oracle import add_holder, materialise
-
-DEFAULT_SEEDS = (0, 1, 2, 3)
-
-
-def _seed_matrix():
-    raw = os.environ.get("REPRO_KERNEL_SEEDS", "")
-    if raw.strip():
-        return tuple(int(s) for s in raw.split(","))
-    return DEFAULT_SEEDS
-
-
-SEEDS = _seed_matrix()
 
 #: Backends to pin against the reference (everything available but numpy).
 COMPILED = tuple(b for b in kernels.available_backends() if b != "numpy")
@@ -66,14 +52,10 @@ if not COMPILED:  # pragma: no cover - only in compiler-less environments
     )
 
 
-def _substrate(seed):
-    """A real path-matrix substrate plus an rng, from a seeded random tree."""
-    rng = np.random.default_rng(seed)
-    net = random_tree(
-        int(rng.integers(3, 9)), int(rng.integers(6, 20)), seed=seed
-    )
-    pm = net.rooted().path_matrix()
-    return net, pm, rng
+def _substrate(case):
+    """The case's network and path matrix, plus an rng seeded by the case."""
+    net = case.built.network
+    return net, net.rooted().path_matrix(), np.random.default_rng(case.seed)
 
 
 def _int_floats(rng, *shape):
@@ -82,12 +64,11 @@ def _int_floats(rng, *shape):
 
 
 @pytest.mark.parametrize("backend", COMPILED)
-@pytest.mark.parametrize("seed", SEEDS)
 class TestKernelOpsBitwise:
     """Each compiled kernel op is bitwise-equal to its numpy reference."""
 
-    def test_lca(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_lca(self, backend, case):
+        net, pm, rng = _substrate(case)
         m = 64
         u = rng.integers(0, net.n_nodes, size=m)
         v = rng.integers(0, net.n_nodes, size=m)
@@ -100,8 +81,8 @@ class TestKernelOpsBitwise:
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
-    def test_scatter_paths_1d(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_scatter_paths_1d(self, backend, case):
+        net, pm, rng = _substrate(case)
         delta = _int_floats(rng, net.n_nodes) - 4.0
         ref = np.zeros(net.n_edges, dtype=np.float64)
         got = np.zeros(net.n_edges, dtype=np.float64)
@@ -114,8 +95,8 @@ class TestKernelOpsBitwise:
             )
         assert np.array_equal(got, ref)
 
-    def test_scatter_paths_2d(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_scatter_paths_2d(self, backend, case):
+        net, pm, rng = _substrate(case)
         ncols = int(rng.integers(1, 5))
         delta = _int_floats(rng, net.n_nodes, ncols) - 4.0
         ref = np.zeros((net.n_edges, ncols), dtype=np.float64)
@@ -129,8 +110,8 @@ class TestKernelOpsBitwise:
             )
         assert np.array_equal(got, ref)
 
-    def test_pair_scatter(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_pair_scatter(self, backend, case):
+        net, pm, rng = _substrate(case)
         m = 48
         procs = np.asarray(net.processors)
         u = rng.choice(procs, size=m)
@@ -145,8 +126,8 @@ class TestKernelOpsBitwise:
             kernels.pair_scatter(got, u, v, anc, w)
         assert np.array_equal(got, ref)
 
-    def test_pair_scatter_lanes(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_pair_scatter_lanes(self, backend, case):
+        net, pm, rng = _substrate(case)
         m, lanes = 32, int(rng.integers(1, 6))
         procs = np.asarray(net.processors)
         u = rng.choice(procs, size=m)
@@ -167,8 +148,8 @@ class TestKernelOpsBitwise:
             )
         assert np.array_equal(got, ref)
 
-    def test_bus_fold_1d(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_bus_fold_1d(self, backend, case):
+        net, pm, rng = _substrate(case)
         vec = _int_floats(rng, net.n_edges)
         ref = np.zeros(net.n_nodes, dtype=np.float64)
         got = np.zeros(net.n_nodes, dtype=np.float64)
@@ -177,8 +158,8 @@ class TestKernelOpsBitwise:
             kernels.bus_fold(got, pm._edge_u, pm._edge_v, pm._bus_mask, vec)
         assert np.array_equal(got, ref)
 
-    def test_bus_fold_2d(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_bus_fold_2d(self, backend, case):
+        net, pm, rng = _substrate(case)
         ncols = int(rng.integers(1, 5))
         vec = _int_floats(rng, net.n_edges, ncols)
         ref = np.zeros((net.n_nodes, ncols), dtype=np.float64)
@@ -189,8 +170,8 @@ class TestKernelOpsBitwise:
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_apply_column(self, backend, seed, sign):
-        net, pm, rng = _substrate(seed)
+    def test_apply_column(self, backend, case, sign):
+        net, pm, rng = _substrate(case)
         width = net.n_edges + net.n_nodes
         vec = _int_floats(rng, net.n_edges)
         if rng.integers(0, 2):
@@ -207,8 +188,8 @@ class TestKernelOpsBitwise:
         assert neg_got == neg_ref
         assert np.array_equal(got, ref)
 
-    def test_apply_columns_lanes(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_apply_columns_lanes(self, backend, case):
+        net, pm, rng = _substrate(case)
         n_lanes = int(rng.integers(1, 5))
         width = net.n_edges + net.n_nodes
         sel = np.flatnonzero(rng.integers(0, 2, size=n_lanes))
@@ -228,8 +209,8 @@ class TestKernelOpsBitwise:
         assert np.array_equal(np.asarray(neg_got), np.asarray(neg_ref))
         assert np.array_equal(got, ref)
 
-    def test_nearest_tables(self, backend, seed):
-        net, _pm, rng = _substrate(seed)
+    def test_nearest_tables(self, backend, case):
+        net, _pm, rng = _substrate(case)
         views = [net.rooted(int(rng.integers(net.n_nodes)))]
         rooted = net.rooted()
         for _ in range(4):  # repaired views keep only a topological order
@@ -247,8 +228,8 @@ class TestKernelOpsBitwise:
             assert got.dtype == np.int64
             assert np.array_equal(got, ref)
 
-    def test_rescan(self, backend, seed):
-        rng = np.random.default_rng(seed)
+    def test_rescan(self, backend, case):
+        rng = np.random.default_rng(case.seed)
         n = int(rng.integers(1, 64))
         loads = _int_floats(rng, n)
         denom = rng.integers(1, 5, size=n).astype(np.float64)
@@ -257,8 +238,8 @@ class TestKernelOpsBitwise:
             got = kernels.rescan(loads, denom)
         assert got == ref
 
-    def test_rescan_rows(self, backend, seed):
-        rng = np.random.default_rng(seed)
+    def test_rescan_rows(self, backend, case):
+        rng = np.random.default_rng(case.seed)
         n_rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 40))
         loads = _int_floats(rng, n_rows, width)
         denom = rng.integers(1, 5, size=width).astype(np.float64)
@@ -297,10 +278,10 @@ def test_nan_triggers_negative_flag(backend):
     assert flags == [True, True]
 
 
-def _pair_charge_inputs(seed, sign):
+def _pair_charge_inputs(case, sign):
     """A seeded substrate, a pre-charge column and ``sign``-weighted pairs
     between arbitrary nodes (buses and repeated endpoints included)."""
-    net, pm, rng = _substrate(seed)
+    net, pm, rng = _substrate(case)
     m = 40
     u = rng.integers(0, net.n_nodes, size=m)
     v = rng.integers(0, net.n_nodes, size=m)
@@ -310,15 +291,14 @@ def _pair_charge_inputs(seed, sign):
 
 
 @pytest.mark.parametrize("backend", COMPILED)
-@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 class TestFusedPairCharge:
     """``kernels.charge_pairs`` (one C call) equals its numpy twin, bit for
     bit, on a LoadState and on a lane of a three-lane stack, with the
     journal."""
 
-    def test_op_equals_twin(self, backend, seed, sign):
-        net, _, rng, u, v, w, base = _pair_charge_inputs(seed, sign)
+    def test_op_equals_twin(self, backend, case, sign):
+        net, _, rng, u, v, w, base = _pair_charge_inputs(case, sign)
         stale = bool(rng.integers(0, 2))
         results = {}
         for name in ("numpy", backend):
@@ -333,8 +313,8 @@ class TestFusedPairCharge:
             results[name] = (sub.loads.tobytes(), out, col.tobytes())
         assert results["numpy"] == results[backend]
 
-    def test_loadstate_journal_and_rollback(self, backend, seed, sign):
-        net, _, _, u, v, w, base = _pair_charge_inputs(seed, sign)
+    def test_loadstate_journal_and_rollback(self, backend, case, sign):
+        net, _, _, u, v, w, base = _pair_charge_inputs(case, sign)
         results = {}
         for name in ("numpy", backend):
             with kernels.use_backend(name):
@@ -358,8 +338,8 @@ class TestFusedPairCharge:
             results[name] = (charged, rolled)
         assert results["numpy"] == results[backend]
 
-    def test_lane_row(self, backend, seed, sign):
-        net, _, rng, u, v, w, base = _pair_charge_inputs(seed, sign)
+    def test_lane_row(self, backend, case, sign):
+        net, _, rng, u, v, w, base = _pair_charge_inputs(case, sign)
         columns = _int_floats(rng, net.n_edges, 3)
         results = {}
         for name in ("numpy", backend):
@@ -383,10 +363,10 @@ class TestFusedPairCharge:
             )
         assert results["numpy"] == results[backend]
 
-    def test_equals_unfused_composition(self, backend, seed, sign):
+    def test_equals_unfused_composition(self, backend, case, sign):
         """The fused charge equals the path-matrix column applied through
         ``apply_edge_loads`` plus the ``distances`` cost it replaced."""
-        net, pm, _, u, v, w, base = _pair_charge_inputs(seed, sign)
+        net, pm, _, u, v, w, base = _pair_charge_inputs(case, sign)
         with kernels.use_backend(backend):
             fused = LoadState(net)
             fused.apply_edge_loads(base)
@@ -405,9 +385,8 @@ class TestFusedPairCharge:
 class TestAggregationParity:
     """The key-encoded aggregation equals the historical axis=1 unique."""
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_aggregate_pairs_matches_stack_unique(self, seed):
-        rng = np.random.default_rng(seed)
+    def test_aggregate_pairs_matches_stack_unique(self, case):
+        rng = np.random.default_rng(case.seed)
         n = int(rng.integers(0, 200))
         procs = rng.integers(0, 40, size=n)
         objs = rng.integers(0, 17, size=n)
@@ -424,12 +403,11 @@ class TestAggregationParity:
 
 
 @pytest.mark.parametrize("backend", COMPILED)
-@pytest.mark.parametrize("seed", SEEDS)
 class TestSubstrateEndToEnd:
     """Whole substrate operations agree across backends, bit for bit."""
 
-    def test_pathmatrix_batch_ops(self, backend, seed):
-        net, pm, rng = _substrate(seed)
+    def test_pathmatrix_batch_ops(self, backend, case):
+        net, pm, rng = _substrate(case)
         procs = np.asarray(net.processors)
         m = 40
         u = rng.choice(procs, size=m)
@@ -450,8 +428,8 @@ class TestSubstrateEndToEnd:
         for a, b in zip(results["numpy"], results[backend]):
             assert np.array_equal(a, b)
 
-    def test_loadstate_replay(self, backend, seed):
-        net, _, rng = _substrate(seed)
+    def test_loadstate_replay(self, backend, case):
+        net, _, rng = _substrate(case)
         vectors = [_int_floats(rng, net.n_edges) for _ in range(6)]
         signs = rng.integers(0, 2, size=6)
         outputs = {}
@@ -464,8 +442,8 @@ class TestSubstrateEndToEnd:
         assert np.array_equal(outputs["numpy"][0], outputs[backend][0])
         assert outputs["numpy"][1] == outputs[backend][1]
 
-    def test_stacked_replay(self, backend, seed):
-        net, _, rng = _substrate(seed)
+    def test_stacked_replay(self, backend, case):
+        net, _, rng = _substrate(case)
         n_lanes = 3
         columns = [_int_floats(rng, net.n_edges, n_lanes) for _ in range(4)]
         lane_sets = [
@@ -535,31 +513,30 @@ def _scan_once(backend, manager, events, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", COMPILED)
+def test_records_equal_the_reference(backend, case, monkeypatch):
+    """The case's roster, replayed as one fleet, leaves the same records and
+    load bytes under ``backend`` as under numpy (a fleet equals its members
+    replayed alone on either backend, so that covers them too); every
+    counter scan under ``backend`` is also checked against its twin."""
+    with kernels.use_backend("numpy"):
+        expected = [record_of(result) for result in case.fleet()]
+    calls = _twin_checked_scans(monkeypatch, backend)
+    with kernels.use_backend(backend):
+        assert [record_of(result) for result in case.fleet()] == expected
+    assert calls
+
+
+@pytest.mark.parametrize("backend", COMPILED)
 class TestAdaptiveScan:
     """``kernels.adaptive_scan`` (one C call per chunk) equals its numpy
     twin, the Python counter scan, call by call."""
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 32, None])
-    def test_seed_matrix(self, backend, seed, chunk_size, monkeypatch):
-        net = balanced_tree(2, 3, 2)
-        pattern = zipf_pattern(net, 12, requests_per_processor=10, seed=seed)
-        seq = sequence_from_pattern(net, pattern, seed=seed + 1)
-        calls = _twin_checked_scans(monkeypatch, backend)
-        factories = _adaptive_only_factories(net, seq.n_objects)
-        for factory in factories:
-            SimulationEngine(factory(), chunk_size=chunk_size).run(seq)
-        SimulationEngine.run_fleet(
-            [factory() for factory in factories], seq, chunk_size=chunk_size
-        )
-        assert calls and any(runs for runs, *_ in calls)
-
     @pytest.mark.parametrize("chunk_size", tuple(range(1, 14)))
     def test_crossing_sequence(self, backend, chunk_size, monkeypatch):
         net = balanced_tree(2, 2, 2)
-        seq = _crossing_sequence(net)
+        seq = crossing_sequence(net)
         calls = _twin_checked_scans(monkeypatch, backend)
-        for factory in _adaptive_only_factories(net, seq.n_objects):
+        for factory in adaptive_only_factories(net, seq.n_objects):
             SimulationEngine(factory(), chunk_size=chunk_size).run(seq)
         assert calls
 

@@ -14,8 +14,9 @@ This suite pins:
   the root, one set per block);
 * static serving against the scalar oracle of ``tests/scalar_oracle.py``,
   bit for bit: a fleet mixing several placements at chunk sizes 1, 7, 256
-  and the whole sequence, and one manager at 256 (``test_sim_kernel``
-  covers one manager at the other sizes).
+  and the whole sequence, and one manager at 256 (the served = offline
+  = scalar oracle of ``test_serve_differential.py`` covers one manager at
+  each drawn case's chunk size).
 """
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.core.pathmatrix import PathMatrix
 from repro.core.placement import Placement
 from repro.dynamic.online import StaticPlacementManager
 from repro.dynamic.sequence import sequence_from_pattern
+from repro.errors import InvalidNodeError
 from repro.network.builders import balanced_tree, random_tree
 from repro.network.mutation import DetachLeaf, apply_mutation
 from repro.network.rooted import RootedTree
@@ -127,6 +129,15 @@ def test_steiner_csr_equals_steiner_edge_ids(seed, one_set_per_block, monkeypatc
         )
 
 
+@pytest.mark.parametrize("bad", (-1, 7))
+def test_steiner_csr_refuses_terminals_outside_the_network(bad):
+    # seven nodes: a terminal of -1 must not wrap to node 6, and one of 7
+    # must not reach the indicator block
+    pm = balanced_tree(2, 2, 2).rooted().path_matrix()
+    with pytest.raises(InvalidNodeError, match=f"terminal {bad} is outside"):
+        pm.steiner_edge_csr([[bad, 3]])
+
+
 def _oracle_instances():
     yield "balanced", balanced_tree(2, 3, 2), 0
     yield "random", random_tree(5, 12, seed=4), 4
@@ -157,8 +168,8 @@ def test_static_fleet_and_serve_equal_the_scalar_oracle(name, net, seed, chunk):
         [StaticPlacementManager(net, pl) for pl in placements], seq, chunk_size=chunk_size
     )
     if chunk == 256:
-        # test_sim_kernel's TestRunParity.test_static_manager serves one
-        # manager at 1, 7 and the whole sequence
+        # the served = offline = scalar oracle serves one manager at the
+        # drawn chunk sizes (None, 1, 7, 64)
         results += [
             SimulationEngine(StaticPlacementManager(net, pl), chunk_size=256).run(seq)
             for pl in placements

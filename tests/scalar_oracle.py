@@ -6,7 +6,8 @@ time; production serves every span, one event or many, through
 replaced, as the reference the differential suites and the online and
 adaptive-fleet benchmark gates compare against (ARCHITECTURE.md
 invariant 1): the scalar :func:`serve` with the ``AdaptiveState``
-transitions it makes, the pre-refactor cost account, the static cost model
+transitions it makes, the request/churn interleaver it served under
+before the timeline loop, the pre-refactor cost account, the static cost model
 before the path-incidence operator, and the greedy baseline's and the
 exact search's hand-rolled candidate blocks and scoring before both went
 through ``PathMatrix.pair_edge_loads_lanes`` and
@@ -27,6 +28,7 @@ from repro.dynamic.adaptive_state import AdaptiveState
 from repro.dynamic.online import EdgeCounterManager, StaticPlacementManager
 from repro.dynamic.sequence import RequestEvent
 from repro.errors import SimulationError
+from repro.network.mutation import AttachLeaf, apply_mutation
 from repro.network.rooted import RootedTree
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
@@ -136,6 +138,67 @@ def serve_events(strategy, events):
     for event in events:
         serve(strategy, event)
     return strategy.account
+
+
+def reference_replay_with_churn(strategy, sequence, trace, sample_every=None):
+    """``replay_with_churn`` as it was before the kernel refactor: mutations
+    applied before the event at their time, every event served on its own
+    by :func:`serve` (or dropped once its processor detached), the
+    congestion sampled every ``sample_every`` events and at the end."""
+    base_n = strategy.network.n_nodes
+    timed = trace.events if trace else ()
+    n_refs = base_n + (trace.attach_count() if trace else 0)
+    current_of_ref = np.full(n_refs, -1, dtype=np.int64)
+    current_of_ref[:base_n] = np.arange(base_n, dtype=np.int64)
+    next_attach_ref = base_n
+
+    outcomes = []
+    served = 0
+    dropped = 0
+    samples = []
+    sample_times = []
+    ti = 0
+
+    def apply_pending(now):
+        nonlocal ti, next_attach_ref
+        while ti < len(timed) and timed[ti].time <= now:
+            mutation = timed[ti].mutation
+            outcome = apply_mutation(strategy.network, mutation)
+            strategy.apply_mutation(outcome)
+            outcomes.append(outcome)
+            alive = current_of_ref >= 0
+            current_of_ref[alive] = outcome.node_map[current_of_ref[alive]]
+            if isinstance(mutation, AttachLeaf):
+                current_of_ref[next_attach_ref] = int(outcome.new_node)
+                next_attach_ref += 1
+            ti += 1
+
+    for i, event in enumerate(sequence):
+        apply_pending(i)
+        proc = int(current_of_ref[event.processor])
+        if proc < 0:
+            dropped += 1
+        else:
+            if proc == event.processor:
+                serve(strategy, event)
+            else:
+                serve(strategy, RequestEvent(proc, event.obj, event.kind))
+            served += 1
+        if sample_every is not None and (
+            (i + 1) % sample_every == 0 or i + 1 == len(sequence)
+        ):
+            samples.append(strategy.account.congestion)
+            sample_times.append(i + 1)
+
+    apply_pending(max(len(sequence), trace.max_time if trace else -1))
+    return {
+        "account": strategy.account,
+        "outcomes": outcomes,
+        "served": served,
+        "dropped": dropped,
+        "trajectory": np.asarray(samples, dtype=np.float64) if sample_every else None,
+        "sample_times": np.asarray(sample_times, dtype=np.int64) if sample_every else None,
+    }
 
 
 def _serve_static(manager: StaticPlacementManager, event: RequestEvent) -> None:

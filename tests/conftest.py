@@ -19,7 +19,7 @@ from repro.network.builders import (
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
 from repro.workload.generators import random_sparse_pattern
-from tests.fuzz import CASES
+from tests.fuzz import CASES, MEMBERS
 
 
 # --------------------------------------------------------------------------- #
@@ -111,6 +111,15 @@ def instance_factory():
 @pytest.fixture(params=CASES, ids=lambda case: case.spec.name)
 def case(request):
     """One differential case per ``REPRO_FUZZ_SEEDS`` seed (tests/fuzz.py)."""
+    return request.param
+
+
+@pytest.fixture(
+    params=MEMBERS,
+    ids=lambda member: f"{member[0].spec.name}-{member[0].built.strategies[member[1]][0]}",
+)
+def member(request):
+    """One roster member of one differential case: ``(case, index)``."""
     return request.param
 
 

@@ -17,14 +17,17 @@ the chaos plan's ``at=`` rules fire on every case.
 
 :func:`draw_case` draws a case from a seed.  :func:`cases` draws the same
 fields under hypothesis, so a failing case shrinks: run an oracle as
-``given(case=cases())(oracle)()`` and the falsifying example prints as
-``Case.from_json(...)``, which replays it.  A counterexample worth
+``given(case=cases())(oracle)()`` (a per-member oracle as
+``given(member=members())(oracle)()``) and the falsifying example prints
+as ``Case.from_json(...)``, which replays it.  A counterexample worth
 keeping goes under ``tests/regressions/`` as its JSON document.
 
-``REPRO_FUZZ_SEEDS`` (comma-separated integers, default ``0,1,2,3``) is
-the one seed knob: the ``case`` fixture of ``tests/conftest.py`` runs
-every oracle over :data:`CASES`, the drawn cases plus the committed
-regressions.
+``REPRO_FUZZ_SEEDS`` (comma-separated integers, default ``0,1,2,3,4``,
+the shortest run of seeds that draws every chunk size) is the one seed
+knob: the ``case`` fixture of ``tests/conftest.py`` runs every oracle over
+:data:`CASES`, the drawn cases plus the committed regressions, and the
+``member`` fixture runs the oracles that replay one strategy over
+:data:`MEMBERS`, every roster member of every case.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from repro.workload.churn import random_valid_mutation
 from tests.scalar_oracle import reference_replay_with_churn
 
 FUZZ_SEEDS = tuple(
-    int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2,3").split(",") if s.strip()
+    int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2,3,4").split(",") if s.strip()
 )
 
 CHUNK_SIZES = (None, 1, 7, 64)
@@ -172,6 +175,12 @@ class Case:
             chunk_size=self.chunk_size,
         )
 
+    @cached_property
+    def together(self):
+        """The :meth:`fleet` of the roster, replayed once per case (the
+        fleet oracle reads one lane per member)."""
+        return self.fleet()
+
 
 def _compose(seed: int, pick: Callable[[int], int]) -> Case:
     """The case whose every choice ``pick(k)`` (an int in ``[0, k)``) made;
@@ -197,7 +206,8 @@ def _compose(seed: int, pick: Callable[[int], int]) -> Case:
                                     "detach_spacing": 2}
     else:
         if pick(2):  # two phases of half the requests each
-            half = {**objects, "requests_per_processor": max(2, objects["requests_per_processor"] // 2)}
+            half = {**objects,
+                    "requests_per_processor": max(2, objects["requests_per_processor"] // 2)}
             phases = [{"generator": "zipf", "args": {**half, "seed": seed}},
                       {"generator": "uniform", "args": {**half, "seed": seed + 4}}]
             workload = {"kind": "phases", "phases": phases, "sequence_seed": seed + 1}
@@ -263,10 +273,22 @@ def cases(draw) -> Case:
     return _compose(seed, lambda k: draw(st.integers(0, k - 1)))
 
 
+@st.composite
+def members(draw) -> Tuple[Case, int]:
+    """The hypothesis twin of :data:`MEMBERS`: a drawn case and the index
+    of one strategy of its roster, shrinking toward the first."""
+    case = draw(cases())
+    return case, draw(st.integers(0, len(case.built.strategies) - 1))
+
+
 REGRESSIONS = Path(__file__).parent / "regressions"
 CASES = [draw_case(seed) for seed in FUZZ_SEEDS] + [
     Case.from_json(path.read_text()) for path in sorted(REGRESSIONS.glob("*.json"))
 ]
+#: ``(case, index)`` of every roster member of every case: an oracle that
+#: replays one strategy runs once per member, so a failure names the
+#: strategy and one broken member cannot hide another.
+MEMBERS = [(case, index) for case in CASES for index in range(len(case.built.strategies))]
 
 
 # --------------------------------------------------------------------------- #

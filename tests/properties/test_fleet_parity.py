@@ -14,9 +14,11 @@ its churn and boundary mutations) over its whole roster: the
 group-served static managers (hindsight reference plus the four baseline
 placements, batched through ``serve_chunk_fleet``) and the adaptive
 counter family, which batches through its *own* group hook -- shared
-chunk decode and nearest-table build, per-lane counter cascades.  The
-crafted tests sweep every chunk alignment of an adaptation cascade and
-pin the refusals that must leave a fleet untouched.
+chunk decode and nearest-table build, per-lane counter cascades.  It
+runs once per roster member, comparing that member's lane of the fleet
+with the member replayed alone.  The crafted tests sweep every chunk
+alignment of an adaptation cascade and pin the refusals that must leave
+a fleet untouched.
 """
 
 import numpy as np
@@ -40,12 +42,12 @@ from repro.workload.generators import zipf_pattern
 from tests.fuzz import adaptive_only_factories, crossing_sequence, record_of
 
 
-def test_fleet_equals_sequential(case):
-    sequential, fleet = case.alone, case.fleet()
-    assert_results_equal(sequential, fleet)
-    assert [r.sink(DropAccountingSink).span_drops for r in fleet] == [
-        r.sink(DropAccountingSink).span_drops for r in sequential
-    ]
+def test_fleet_equals_sequential(member):
+    case, index = member
+    alone, lane = case.alone[index], case.together[index]
+    assert record_of(lane) == record_of(alone)
+    drops = lane.sink(DropAccountingSink).span_drops
+    assert drops == alone.sink(DropAccountingSink).span_drops
 
 
 def build_instance():

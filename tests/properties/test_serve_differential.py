@@ -40,20 +40,20 @@ from repro.serve.wire import mutation_to_dict
 from repro.sim.engine import EngineStream, SimulationEngine
 from repro.sim.scenario import build_scenario, scenario_spec
 from repro.sim.sinks import TrajectorySink
-from tests.fuzz import Case, cases, feed, record_of, scalar_record
+from tests.fuzz import Case, feed, members, record_of, scalar_record
 
 
-def test_served_equals_offline_equals_scalar(case):
+def test_served_equals_offline_equals_scalar(member):
+    case, index = member
     built = case.built
     sequence, trace = built.sequence, built.trace
-    for (label, factory), offline in zip(built.strategies, case.alone):
-        stream = EngineStream(
-            factory(), sinks=built.make_sinks(), chunk_size=case.chunk_size
-        )
-        served = feed(stream, sequence, trace, case.batches)
-        every = offline.sink(TrajectorySink).sample_every
-        expected = scalar_record(factory(), sequence, trace, every)
-        assert record_of(served) == record_of(offline) == expected, label
+    _label, factory = built.strategies[index]
+    offline = case.alone[index]
+    stream = EngineStream(factory(), sinks=built.make_sinks(), chunk_size=case.chunk_size)
+    served = feed(stream, sequence, trace, case.batches)
+    every = offline.sink(TrajectorySink).sample_every
+    expected = scalar_record(factory(), sequence, trace, every)
+    assert record_of(served) == record_of(offline) == expected
 
 
 def test_case_json_round_trips(case):
@@ -64,11 +64,14 @@ def test_case_json_round_trips(case):
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=cases())
+@given(drawn=members())
 def test_hypothesis_cases_round_trip(drawn):
-    """The hypothesis twin draws valid cases, and they round-trip too."""
-    assert eval(repr(drawn)) == drawn  # how a falsifying example prints
-    test_case_json_round_trips(drawn)
+    """The hypothesis twins draw valid cases and roster members, and the
+    cases round-trip too."""
+    case, index = drawn
+    assert eval(repr(case)) == case  # how a falsifying example prints
+    assert 0 <= index < len(case.built.strategies)
+    test_case_json_round_trips(case)
 
 
 def test_attach_then_address_new_processor():

@@ -19,7 +19,7 @@ from repro.network.builders import (
 from repro.network.tree import HierarchicalBusNetwork
 from repro.workload.access import AccessPattern
 from repro.workload.generators import random_sparse_pattern
-from tests.fuzz import CASES, MEMBERS
+from tests import fuzz
 
 
 # --------------------------------------------------------------------------- #
@@ -108,19 +108,23 @@ def instance_factory():
     return make_instance
 
 
-@pytest.fixture(params=CASES, ids=lambda case: case.spec.name)
-def case(request):
-    """One differential case per ``REPRO_FUZZ_SEEDS`` seed (tests/fuzz.py)."""
-    return request.param
-
-
-@pytest.fixture(
-    params=MEMBERS,
-    ids=lambda member: f"{member[0].spec.name}-{member[0].built.strategies[member[1]][0]}",
-)
-def member(request):
-    """One roster member of one differential case: ``(case, index)``."""
-    return request.param
+def pytest_generate_tests(metafunc):
+    """Run a test that takes ``case`` once per differential case of
+    ``tests/fuzz.py``, and one that takes ``member`` once per roster member
+    of each case, ``(case, index)``.  The cases are drawn when the first
+    such test is collected, so a run that collects none draws none.  A test
+    that parametrises the name itself keeps its own values."""
+    own = set()
+    for marker in metafunc.definition.iter_markers("parametrize"):
+        names = marker.args[0]
+        own.update(n.strip() for n in (names.split(",") if isinstance(names, str) else names))
+    if "case" in metafunc.fixturenames and "case" not in own:
+        metafunc.parametrize("case", fuzz.matrix(), ids=lambda case: case.spec.name)
+    if "member" in metafunc.fixturenames and "member" not in own:
+        metafunc.parametrize(
+            "member", fuzz.member_matrix(),
+            ids=lambda member: f"{member[0].spec.name}-{member[0].labels[member[1]]}",
+        )
 
 
 # --------------------------------------------------------------------------- #

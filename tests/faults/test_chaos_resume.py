@@ -6,7 +6,8 @@ engine crashes, torn journal writes and client-side read faults, and
 asserts the recovered stream is *byte-identical* to an uninterrupted
 run -- summary and replayed journal both.  The matrix serves each drawn
 case of ``tests/fuzz.py`` (its spec's events and its whole trace, the
-boundary mutations included) under a plan seeded by the case's seed, so
+boundary mutations included; a trace-free case is served with boundary
+mutations of its own) under a plan seeded by the case's seed, so
 ``REPRO_FUZZ_SEEDS`` widens it.
 """
 
@@ -19,10 +20,12 @@ import warnings
 from repro import faults
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, FaultRule
+from repro.network.mutation import ChurnTrace
 from repro.serve import PlacementServer, ServerThread, replay_recording
 from repro.serve.loadgen import loadgen, workload_from_spec
 from repro.serve.recorder import load_recording
 from repro.serve.wire import encode_events, encode_message, mutation_to_dict
+from tests.fuzz import boundary_mutations
 
 
 def chaos_plan(seed: int) -> FaultPlan:
@@ -57,7 +60,10 @@ class TestChaosMatrix:
     def test_recovered_equals_uninterrupted(self, case, tmp_path):
         spec, built = case.spec, case.built
         events = built.sequence.events
-        mutations = [(tm.time, mutation_to_dict(tm.mutation)) for tm in built.trace]
+        # a mutation barrier forces an ack and a journal write, so the
+        # plan's at= rules fire: a trace-free case gets boundary mutations
+        trace = built.trace or ChurnTrace(boundary_mutations(built, case.seed, tie=4))
+        mutations = [(tm.time, mutation_to_dict(tm.mutation)) for tm in trace]
         baseline = clean_baseline(spec, events, mutations)
 
         faults.install(chaos_plan(case.seed))

@@ -6,28 +6,27 @@ A *case* is one JSON document with two parts:
   tree, a Zipf or phase workload, churn that is none, a storm, a
   degradation, a maintenance or a flash crowd, and a strategy roster;
 * the replay fields a spec does not carry: a chunk size, a ragged batch
-  partition with one-event batches, and random valid mutations at
-  boundary times (0, a duplicate time, ``n - 1``, ``n`` and past the
-  end).  A built case also replays the owner, median, full-replication
-  and random baseline placements of the sequence.
+  partition with one-event batches, and none or six random valid
+  mutations at boundary times (0, a duplicate time, ``n - 1``, ``n`` and
+  past the end).  A built case also replays the owner, median,
+  full-replication and random baseline placements of the sequence.
 
-Every case carries its boundary mutations, so a served case always sends
-mutation barriers, and each barrier forces an ack and a journal write:
-the chaos plan's ``at=`` rules fire on every case.
+:func:`draw_case` draws a case from a seed, fixing by construction the
+axes a short matrix must span (churn kind, chunk size, roster, boundary
+mutations or none), so the default matrix spans them all.
+:func:`cases` draws every field under hypothesis, so a failing case
+shrinks: run an oracle as ``given(case=cases())(oracle)()`` (a
+per-member oracle as ``given(member=members())(oracle)()``) and the
+falsifying example prints as ``Case.from_json(...)``, which replays it.
+A counterexample worth keeping goes under ``tests/regressions/`` as its
+JSON document.
 
-:func:`draw_case` draws a case from a seed.  :func:`cases` draws the same
-fields under hypothesis, so a failing case shrinks: run an oracle as
-``given(case=cases())(oracle)()`` (a per-member oracle as
-``given(member=members())(oracle)()``) and the falsifying example prints
-as ``Case.from_json(...)``, which replays it.  A counterexample worth
-keeping goes under ``tests/regressions/`` as its JSON document.
-
-``REPRO_FUZZ_SEEDS`` (comma-separated integers, default ``0,1,2,3,4``,
-the shortest run of seeds that draws every chunk size) is the one seed
-knob: the ``case`` fixture of ``tests/conftest.py`` runs every oracle over
-:data:`CASES`, the drawn cases plus the committed regressions, and the
-``member`` fixture runs the oracles that replay one strategy over
-:data:`MEMBERS`, every roster member of every case.
+``REPRO_FUZZ_SEEDS`` (comma-separated integers, default
+:data:`DEFAULT_SEEDS`) is the one seed knob: ``tests/conftest.py`` runs
+every test that takes a ``case`` over :func:`matrix`, the drawn cases
+plus the committed regressions, and every test that takes a ``member``
+(an oracle replaying one strategy) over :func:`member_matrix`, every
+roster member of every case.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -63,9 +62,11 @@ from repro.sim.sinks import TrajectorySink
 from repro.workload.churn import random_valid_mutation
 from tests.scalar_oracle import reference_replay_with_churn
 
+#: The shortest seed run that spans every churn kind and chunk size.
+DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 FUZZ_SEEDS = tuple(
-    int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "0,1,2,3,4").split(",") if s.strip()
-)
+    int(s) for s in os.environ.get("REPRO_FUZZ_SEEDS", "").split(",") if s.strip()
+) or DEFAULT_SEEDS
 
 CHUNK_SIZES = (None, 1, 7, 64)
 BATCH_SIZES = (1, 2, 3, 5, 9, 13, 50, 120)
@@ -83,6 +84,14 @@ EXTRA_STRATEGIES = (
     {"kind": "rent-or-buy", "args": {"replicate_threshold": 3, "migrate_threshold": 2}},
     {"kind": "first-touch"},
 )
+BASELINES = ("owner", "median", "full-replication", "random")
+
+
+@lru_cache(maxsize=64)
+def _scenario(spec_json: str):
+    """The spec built, once per spec: a case's draw, its pattern and its
+    replays share one build."""
+    return build_scenario(ScenarioSpec.from_json(spec_json))[0]
 
 
 @dataclass(frozen=True)
@@ -118,11 +127,22 @@ class Case:
     def __repr__(self) -> str:
         return f"Case.from_json({self.to_json()!r})"
 
+    @property
+    def scenario(self):
+        """The spec built, without the boundary mutations or baselines."""
+        return _scenario(self.spec.to_json())
+
+    @property
+    def labels(self):
+        """The labels of :attr:`built`'s roster, read from the spec, so
+        listing a case's members builds nothing."""
+        return [s.get("label", s["kind"]) for s in self.spec.strategies] + list(BASELINES)
+
     @cached_property
     def pattern(self):
         """The sequence's aggregate over the base network, as the
         hindsight-static strategy takes it."""
-        built = build_scenario(self.spec)[0]
+        built = self.scenario
         procs, objs, writes = built.sequence.as_arrays()
         keep = procs < built.network.n_nodes
         return RequestSequence.from_columns(
@@ -133,21 +153,21 @@ class Case:
     def built(self):
         """The spec built, with the boundary mutations merged into its trace
         (ties keep the spec's first) and the baselines added to its roster."""
-        built = build_scenario(self.spec)[0]
+        built = self.scenario
         net, pattern = built.network, self.pattern
         events = list(built.trace or ()) + list(self.mutations)
-        placements = {
-            "owner": owner_placement(net, pattern),
-            "median": median_leaf_placement(net, pattern),
-            "full-replication": full_replication_placement(net, pattern),
-            "random": random_placement(net, pattern, seed=self.seed),
-        }
+        placements = (
+            owner_placement(net, pattern),
+            median_leaf_placement(net, pattern),
+            full_replication_placement(net, pattern),
+            random_placement(net, pattern, seed=self.seed),
+        )
         return replace(
             built,
             trace=ChurnTrace(events) if events else None,
             strategies=built.strategies + [
                 (name, partial(StaticPlacementManager, net, placement))
-                for name, placement in placements.items()
+                for name, placement in zip(BASELINES, placements)
             ],
         )
 
@@ -182,9 +202,12 @@ class Case:
         return self.fleet()
 
 
-def _compose(seed: int, pick: Callable[[int], int]) -> Case:
-    """The case whose every choice ``pick(k)`` (an int in ``[0, k)``) made;
-    choice 0 is always the simplest, so hypothesis shrinks toward it."""
+def _compose(seed: int, pick: Callable[[int], int], churn_kind: str,
+             chunk_size: Optional[int], extras: tuple, boundary: bool) -> Case:
+    """The case of the given churn kind, chunk size, extra roster members
+    and boundary mutations (or none), whose every other choice ``pick(k)``
+    (an int in ``[0, k)``) made; choice 0 is always the simplest, so
+    hypothesis shrinks toward it."""
     if pick(2):
         network = {"builder": "balanced-tree",
                    "args": {"arity": 2 + pick(2), "depth": 2, "leaves_per_bus": 2 + pick(2)}}
@@ -195,7 +218,6 @@ def _compose(seed: int, pick: Callable[[int], int]) -> Case:
     objects = {"n_objects": 4 + pick(12), "requests_per_processor": max(4, 120 // n_procs),
                "write_fraction": (0.1, 0.3, 0.5)[pick(3)]}
     zipf = {"generator": "zipf", "args": {**objects, "seed": seed}}
-    churn_kind = CHURN[pick(len(CHURN))]
     churn = []
     if churn_kind == "flash-crowd":
         workload = {"kind": "flash-crowd", "base": zipf, "n_new": 2 + pick(4),
@@ -218,8 +240,7 @@ def _compose(seed: int, pick: Callable[[int], int]) -> Case:
             churn.append({"generator": generator, "args": {
                 count: least + pick(6), "start": {"events_div": 5},
                 "spacing": {"events_div": 16, "min": 1}, "seed": seed + 5}})
-    roster = [{"kind": "hindsight-static"}, {"kind": "edge-counter"}]
-    roster += [strategy for strategy in EXTRA_STRATEGIES if pick(2)]
+    roster = [{"kind": "hindsight-static"}, {"kind": "edge-counter"}, *extras]
     spec = ScenarioSpec(
         name=f"fuzz-{seed}",
         description="a drawn differential case",
@@ -230,65 +251,89 @@ def _compose(seed: int, pick: Callable[[int], int]) -> Case:
         sinks=({"kind": "trajectory", "args": {"samples": (1, 3, 7, 1000)[pick(4)]}},
                {"kind": "cost-breakdown"}, {"kind": "drops"}),
     )
-    chunk_size = CHUNK_SIZES[pick(len(CHUNK_SIZES))]
     batches = [BATCH_SIZES[pick(len(BATCH_SIZES))] for _ in range(1 + pick(4))]
     batches.insert(pick(len(batches) + 1), 1)
-    mutations = _boundary_mutations(spec, seed, tie=1 + pick(7))
-    return Case(seed, spec, chunk_size, tuple(batches), mutations)
+    case = Case(seed, spec, chunk_size, tuple(batches))
+    if not boundary:
+        return case
+    return replace(case, mutations=boundary_mutations(case.scenario, seed, tie=1 + pick(7)))
 
 
-def _boundary_mutations(spec: ScenarioSpec, seed: int, tie: int) -> Tuple[tuple, ...]:
-    """Random mutations at 0, twice at ``tie / 8`` of the way, at ``n - 1``,
-    ``n`` and past the end, each valid for the network it meets on the
-    merged timeline.  Beside the spec's own churn they only change
-    bandwidths: a structural one could invalidate a later spec mutation."""
-    built = build_scenario(spec)[0]
+def boundary_mutations(built, seed: int, tie: int) -> Tuple[tuple, ...]:
+    """Random mutations of the built scenario at 0, twice at ``tie / 8`` of
+    the way, at ``n - 1``, ``n`` and past the end, each valid for the
+    network it meets on the merged timeline.  Until the spec's own churn
+    has run they only change bandwidths: a structural one could
+    invalidate a later spec mutation."""
     n = len(built.sequence)
     spec_events = [(tm.time, tm.mutation) for tm in built.trace or ()]
     times = (0, n * tie // 8, n * tie // 8, n - 1, n, n + 7)
     timeline = sorted(spec_events + [(t, None) for t in times], key=lambda e: e[0])
     rng = np.random.default_rng(seed)
-    network, drawn = built.network, []
+    network, drawn, ahead = built.network, [], len(spec_events)
     for time, mutation in timeline:
         if mutation is None:
             mutation = random_valid_mutation(network, rng)
-            while spec_events and mutation.structural:
+            while ahead and mutation.structural:
                 mutation = random_valid_mutation(network, rng)
             drawn.append((time, mutation))
+        else:
+            ahead -= 1
         network = apply_mutation(network, mutation).network
     return tuple(drawn)
 
 
 def draw_case(seed: int) -> Case:
-    """The case of ``seed``."""
+    """The case of ``seed``.  The axes a short matrix must span are fixed
+    by the seed, not drawn: seed ``k`` takes ``CHURN[k % 5]``,
+    ``CHUNK_SIZES[k % 4]`` and the whole roster, and carries boundary
+    mutations unless ``k % 10 == 0``, so seed 0 is trace-free and seed 5
+    is churn-free with boundary mutations of every kind."""
     rng = np.random.default_rng(seed)
-    return _compose(seed, lambda k: int(rng.integers(k)))
+    return _compose(seed, lambda k: int(rng.integers(k)), CHURN[seed % len(CHURN)],
+                    CHUNK_SIZES[seed % len(CHUNK_SIZES)], EXTRA_STRATEGIES, seed % 10 != 0)
 
 
 @st.composite
 def cases(draw) -> Case:
-    """The hypothesis twin of :func:`draw_case`: the same fields, shrinking
-    toward small trees, no churn, short rosters and one-event batches."""
+    """The hypothesis twin of :func:`draw_case`, drawing every field,
+    shrinking toward small trees, no churn, no boundary mutations, short
+    rosters and one-event batches."""
     seed = draw(st.integers(0, 2**16))
-    return _compose(seed, lambda k: draw(st.integers(0, k - 1)))
+
+    def pick(k):
+        return draw(st.integers(0, k - 1))
+
+    churn_kind, chunk_size = CHURN[pick(len(CHURN))], CHUNK_SIZES[pick(len(CHUNK_SIZES))]
+    extras = tuple(strategy for strategy in EXTRA_STRATEGIES if pick(2))
+    return _compose(seed, pick, churn_kind, chunk_size, extras, bool(pick(2)))
 
 
 @st.composite
 def members(draw) -> Tuple[Case, int]:
-    """The hypothesis twin of :data:`MEMBERS`: a drawn case and the index
-    of one strategy of its roster, shrinking toward the first."""
+    """The hypothesis twin of :func:`member_matrix`: a drawn case and the
+    index of one strategy of its roster, shrinking toward the first."""
     case = draw(cases())
-    return case, draw(st.integers(0, len(case.built.strategies) - 1))
+    return case, draw(st.integers(0, len(case.labels) - 1))
 
 
 REGRESSIONS = Path(__file__).parent / "regressions"
-CASES = [draw_case(seed) for seed in FUZZ_SEEDS] + [
-    Case.from_json(path.read_text()) for path in sorted(REGRESSIONS.glob("*.json"))
-]
-#: ``(case, index)`` of every roster member of every case: an oracle that
-#: replays one strategy runs once per member, so a failure names the
-#: strategy and one broken member cannot hide another.
-MEMBERS = [(case, index) for case in CASES for index in range(len(case.built.strategies))]
+
+
+@lru_cache(maxsize=None)
+def matrix() -> List[Case]:
+    """The cases of ``REPRO_FUZZ_SEEDS`` plus the committed regressions,
+    drawn on the first call."""
+    return [draw_case(seed) for seed in FUZZ_SEEDS] + [
+        Case.from_json(path.read_text()) for path in sorted(REGRESSIONS.glob("*.json"))
+    ]
+
+
+def member_matrix() -> List[Tuple[Case, int]]:
+    """``(case, index)`` of every roster member of every case: an oracle
+    that replays one strategy runs once per member, so a failure names the
+    strategy and one broken member cannot hide another."""
+    return [(case, index) for case in matrix() for index in range(len(case.labels))]
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,8 @@ every mutation the repaired substrate must equal a from-scratch rebuild:
 
 The oracle walks the churn trace of every drawn case of ``tests/fuzz.py``
 (its spec's churn and its boundary mutations), so ``REPRO_FUZZ_SEEDS``
-sets its matrix.
+sets its matrix, then eight random valid mutations of every kind, so a
+trace-free or bandwidth-only case repairs structure too.
 """
 
 import numpy as np
@@ -48,6 +49,7 @@ from repro.network.mutation import (
 from repro.network.node import BusSpec, ProcessorSpec
 from repro.network.rooted import RootedTree
 from repro.network.tree import Edge, HierarchicalBusNetwork
+from repro.workload.churn import random_valid_mutation
 from tests.properties.test_tree_queries import assert_tree_queries_match_reference
 
 # --------------------------------------------------------------------------- #
@@ -217,8 +219,10 @@ class TestChurnDifferential:
         charge_random_paths(state, ground, fresh_rooted, procs, rng, 24)
 
         readings = [(net, read_network(net))]
-        for timed in case.built.trace or ():
-            mutation = timed.mutation
+        trace = [timed.mutation for timed in case.built.trace or ()]
+        for step in range(len(trace) + 8):
+            # the case's trace, then eight random mutations of every kind
+            mutation = trace[step] if step < len(trace) else random_valid_mutation(net, rng)
             outcome = apply_mutation(net, mutation)
             reading = read_network(outcome.network)
             assert reading == read_network(reference_apply_mutation(net, mutation))

@@ -21,7 +21,10 @@ The crafted tests pin the attach-then-address case, an empty batch
 before a trailing mutation, and a served session closed through its
 recording: a ``repro.stream-recording/v2`` file replayed offline via
 :func:`repro.serve.recorder.replay_recording` must reproduce the served
-summary exactly.
+summary exactly.  Three more pin the generator: every case's JSON
+round-trips, the hypothesis twins draw valid cases, and the default
+matrix spans every churn kind, chunk size and roster member, a
+trace-free case among them.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.serve.wire import mutation_to_dict
 from repro.sim.engine import EngineStream, SimulationEngine
 from repro.sim.scenario import build_scenario, scenario_spec
 from repro.sim.sinks import TrajectorySink
+from tests import fuzz
 from tests.fuzz import Case, feed, members, record_of, scalar_record
 
 
@@ -70,8 +74,33 @@ def test_hypothesis_cases_round_trip(drawn):
     cases round-trip too."""
     case, index = drawn
     assert eval(repr(case)) == case  # how a falsifying example prints
-    assert 0 <= index < len(case.built.strategies)
+    assert [label for label, _ in case.built.strategies] == case.labels
+    assert 0 <= index < len(case.labels)
     test_case_json_round_trips(case)
+
+
+def churn_kind(spec):
+    """Which of ``fuzz.CHURN`` a drawn spec carries."""
+    if spec.workload["kind"] == "flash-crowd":
+        return "flash-crowd"
+    generators = {generator: kind for kind, (generator, _, _) in fuzz.CHURN_ENTRIES.items()}
+    return generators[spec.churn[0]["generator"]] if spec.churn else "none"
+
+
+def test_default_matrix_spans_every_axis():
+    """The default seeds draw every churn kind, every chunk size and every
+    roster member, a trace-free case and cases with boundary mutations,
+    whatever the other draws are (``draw_case`` fixes these axes)."""
+    drawn = [fuzz.draw_case(seed) for seed in fuzz.DEFAULT_SEEDS]
+    assert {churn_kind(case.spec) for case in drawn} == set(fuzz.CHURN)
+    assert {case.chunk_size for case in drawn} == set(fuzz.CHUNK_SIZES)
+    roster = {"hindsight-static", "edge-counter", "edge-counter-s2-p1", "hysteresis",
+              "rent-or-buy", "first-touch", "owner", "median", "full-replication", "random"}
+    for case in drawn:
+        assert [label for label, _ in case.built.strategies] == case.labels
+        assert set(case.labels) == roster
+    assert any(case.built.trace is None for case in drawn)
+    assert any(case.mutations for case in drawn)
 
 
 def test_attach_then_address_new_processor():

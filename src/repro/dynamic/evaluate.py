@@ -16,8 +16,9 @@ the scalar summary used by the tests and the benchmark.
 Since the load-state refactor all cost accounts sit on the incremental
 :class:`~repro.core.loadstate.LoadState` engine, so reading the congestion
 after every event costs O(touched entries) instead of a full edge/bus
-rescan, and the non-adaptive hindsight-static reference is replayed in
-vectorized chunks (``chunk_size``) with bit-for-bit identical results.
+rescan.  The strategy set is served as one fleet replay
+(:meth:`~repro.sim.engine.SimulationEngine.run_fleet`), whose records
+are bit-for-bit those of serving each strategy alone.
 """
 
 from __future__ import annotations
@@ -119,20 +120,17 @@ def evaluate_strategies(
     sequence: RequestSequence,
     extra_strategies: Optional[Dict[str, Callable[[], OnlineStrategy]]] = None,
     object_size: int = 4,
-    chunk_size: Optional[int] = 1024,
 ) -> List[OnlineRunRecord]:
     """Run the standard strategy set (plus any extras) over a sequence.
 
     The standard set is: the hindsight-static reference, the adaptive
     edge-counter strategy, and a naive "first-touch, never adapt" strategy
     (an :class:`EdgeCounterManager` with an effectively infinite replication
-    threshold).
-
-    ``chunk_size`` drives the batch replay mode: static strategies serve
-    whole chunks through one vectorized scatter and the adaptive counter
-    strategies through their exact two-phase batched replay, so the
-    records are identical for any value.
+    threshold).  The whole set is one fleet replay of the sequence; an
+    extra strategy must be fresh and built on ``network`` itself.
     """
+    from repro.sim.engine import SimulationEngine
+
     sequence.validate_for(network)
     runs: List[Tuple[str, OnlineStrategy]] = [
         ("hindsight-static", hindsight_static_manager(network, sequence)),
@@ -146,11 +144,8 @@ def evaluate_strategies(
         for name, factory in extra_strategies.items():
             runs.append((name, factory()))
 
-    records = []
-    for name, strategy in runs:
-        account = strategy.run(sequence, chunk_size=chunk_size)
-        records.append(_record(name, account))
-    return records
+    results = SimulationEngine.run_fleet([strategy for _name, strategy in runs], sequence)
+    return [_record(name, result.account) for (name, _s), result in zip(runs, results)]
 
 
 def empirical_competitive_ratio(

@@ -24,11 +24,12 @@ This module provides:
 * :class:`EdgeCounterManager` -- an adaptive strategy in the spirit of the
   dynamic strategies of [MMVW97]: per-object read counters trigger
   replication towards frequent readers once they have paid the equivalent of
-  a copy migration (``object_size`` requests), and writes invalidate replicas
-  that have not been read since the previous write burst.  We make no
-  competitive-ratio claim for this exact variant; the evaluation harness
-  (:mod:`repro.dynamic.evaluate`) measures its empirical ratio against the
-  hindsight-static reference.
+  a copy migration (``object_size`` requests, unless the replicate and
+  migrate thresholds are set apart), and writes invalidate replicas that
+  have not been read since the previous write burst.  Every tuning of the
+  family is this one class.  We make no competitive-ratio claim for this
+  exact variant; the evaluation harness (:mod:`repro.dynamic.evaluate`)
+  measures its empirical ratio against the hindsight-static reference.
 
 Every strategy serves every span, one event or many, through
 ``serve_chunk``, with exactly the loads of serving its events one at a
@@ -56,16 +57,14 @@ __all__ = [
     "OnlineStrategy",
     "StaticPlacementManager",
     "EdgeCounterManager",
-    "HysteresisCounterManager",
-    "RentOrBuyManager",
 ]
 
 
 def _count_parameter(name: str, value) -> int:
     """Validate one adaptive strategy parameter: an integer of at least 1.
 
-    ``object_size``, ``invalidation_patience``, ``migration_factor`` and
-    the rent-or-buy thresholds count requests, so an ``int`` or numpy
+    ``object_size``, ``invalidation_patience``, the two adaptation
+    thresholds and ``migration_factor`` count requests, so an ``int`` or numpy
     integer is taken as is and an integer-valued float is normalised to
     an ``int``.  A ``bool``, a fractional or non-finite float, a string or
     anything else raises
@@ -178,31 +177,6 @@ def _rehome_target(outcome) -> int:
     survivors = [p for p in old_net.processors if p != detached]
     home = old_net.rooted().nearest_in_set(detached, survivors)
     return int(outcome.node_map[home])
-
-
-def _bulk_nearest_tables(rooted, requests) -> None:
-    """Build content-keyed nearest-copy tables in one nearest-table call.
-
-    ``requests`` is a list of ``(cache, holders)`` sinks: ``cache`` is a
-    strategy's table dict to fill, keyed by ``holders``, an ascending
-    tuple of holder ids.  One
-    :meth:`~repro.network.rooted.RootedTree.nearest_tables` call over the
-    distinct holder sets fills every sink: each table is one row, which
-    gives every node its nearest holder, ties to the smallest id exactly
-    like ``nearest_in_set``, and identical holder sets (fleet lanes that
-    agree on an object's holders) share one table object.  The rows are
-    all the memory the call takes: no processors × holders distance
-    block is built.
-    """
-    if not requests:
-        return
-    by_holders: Dict[tuple, list] = {}
-    for cache, holders in requests:
-        by_holders.setdefault(holders, []).append(cache)
-    tables = rooted.nearest_tables(list(by_holders))
-    for table, (holders, caches) in zip(tables, by_holders.items()):
-        for cache in caches:
-            cache[holders] = table
 
 
 class OnlineStrategy:
@@ -414,15 +388,27 @@ class StaticPlacementManager(OnlineStrategy):
 class EdgeCounterManager(OnlineStrategy):
     """Adaptive replication / invalidation driven by per-processor counters.
 
+    Every tuning of the family is one automaton with two thresholds: a
+    processor earns a replica once its remote reads reach
+    ``replicate_threshold``, and the only copy follows a persistent remote
+    writer once that writer's request credit reaches
+    ``migrate_threshold``.  A copy costs ``object_size`` per edge whenever
+    it moves.  The scenario registry names two tunings: ``hysteresis``
+    holds migration to ``migration_factor`` times the copy cost (moving
+    the only copy is the decision that hurts most when it flaps), and
+    ``rent-or-buy`` sets both thresholds apart from the copy cost (lower
+    buys earlier and pays more management traffic, higher rents longer
+    and pays more service traffic).
+
     The counter state lives in the array-backed
     :class:`~repro.dynamic.adaptive_state.AdaptiveState` substrate (flat
     holder/credit/unread-write arrays keyed by ``(object, processor)``),
-    which is what enables the vectorized :meth:`serve_chunk` and the
-    :meth:`serve_chunk_fleet` group hook: within a chunk, counters for a
-    pair only advance on requests to exactly that pair, so the next
-    threshold crossing per object is computable up front and every maximal
-    static run between adaptation events collapses into one batched pair
-    scatter -- bit-for-bit equal to the scalar event loop.
+    which is what enables the vectorized :meth:`serve_chunk_fleet`:
+    within a chunk, counters for a pair only advance on requests to
+    exactly that pair, so the next threshold crossing per object is
+    computable up front and every maximal static run between adaptation
+    events collapses into one batched pair scatter -- bit-for-bit equal to
+    the scalar event loop.
 
     Parameters
     ----------
@@ -431,16 +417,27 @@ class EdgeCounterManager(OnlineStrategy):
     n_objects:
         Number of shared objects.
     object_size:
-        Cost (in load units per edge) of copying an object across an edge;
-        also the number of remote reads a processor must issue before it
-        earns a local replica (rent-or-buy threshold).
+        Cost (in load units per edge) of copying an object across an edge.
     invalidation_patience:
         Number of consecutive writes an unused replica survives before it is
         dropped.
+    replicate_threshold:
+        Remote reads that earn a processor a local replica; defaults to
+        ``object_size`` (rent-or-buy: buy once the copy's worth has been
+        paid in remote requests).
+    migrate_threshold:
+        Request credit at which the only copy migrates to a remote writer;
+        defaults to ``replicate_threshold``.
     initial_placement:
         Optional starting placement; defaults to the first requester
         ("first touch").
     """
+
+    # Content-keyed nearest tables are regenerated cheaply in bulk, so a
+    # lane's cache is simply dropped when too many distinct holder sets
+    # accumulate (keeps memory_bytes() bounded by the universe sizes,
+    # never the stream).
+    _MAX_HOLDER_TABLES = 1024
 
     def __init__(
         self,
@@ -448,6 +445,8 @@ class EdgeCounterManager(OnlineStrategy):
         n_objects: int,
         object_size: int = 4,
         invalidation_patience: int = 2,
+        replicate_threshold: Optional[int] = None,
+        migrate_threshold: Optional[int] = None,
         initial_placement: Optional[Placement] = None,
         account: Optional[OnlineCostAccount] = None,
     ) -> None:
@@ -456,12 +455,14 @@ class EdgeCounterManager(OnlineStrategy):
         self.invalidation_patience = _count_parameter(
             "invalidation_patience", invalidation_patience
         )
-        # adaptation thresholds: the base strategy uses the copy cost for
-        # both (rent-or-buy -- buy once you have paid the copy's worth in
-        # remote requests).  Subclasses tune them independently; the
-        # charged copy amount is always ``object_size``.
-        self._replicate_threshold = self.object_size
-        self._migrate_threshold = self.object_size
+        self.replicate_threshold = (
+            self.object_size if replicate_threshold is None
+            else _count_parameter("replicate_threshold", replicate_threshold)
+        )
+        self.migrate_threshold = (
+            self.replicate_threshold if migrate_threshold is None
+            else _count_parameter("migrate_threshold", migrate_threshold)
+        )
         self._adaptive = AdaptiveState(self.n_objects, network.n_nodes)
         # nearest tables keyed by holder-set *content*: thrash cycles
         # revisit the same holder sets, so tables survive transitions and
@@ -513,11 +514,6 @@ class EdgeCounterManager(OnlineStrategy):
     # ------------------------------------------------------------------ #
     # vectorized chunk replay: per-object scans with deferred batch charges
     # ------------------------------------------------------------------ #
-    # Content-keyed nearest tables are regenerated cheaply in bulk, so the
-    # cache is simply dropped when too many distinct holder sets accumulate
-    # (keeps memory_bytes() bounded by the universe sizes, never the stream).
-    _MAX_HOLDER_TABLES = 1024
-
     def _scan(self, chunk) -> Tuple[List[tuple], List[tuple], List[tuple]]:
         """Phase 1 of the batched replay: one :func:`kernels.adaptive_scan`
         call advances every chunk object's counters, applying every
@@ -530,24 +526,9 @@ class EdgeCounterManager(OnlineStrategy):
         return kernels.adaptive_scan(
             adaptive.holder_mask, adaptive.read_credit,
             adaptive.unread_writes, adaptive.n_holders, pm._up, pm._depth,
-            *chunk, self._replicate_threshold, self._migrate_threshold,
+            *chunk, self.replicate_threshold, self.migrate_threshold,
             self.invalidation_patience,
         )
-
-    def _table_requests_for_runs(self, runs: List[tuple]) -> List[tuple]:
-        """Bulk-build requests for the multi-holder run holder sets that
-        have no content-keyed nearest table yet (replication sources in
-        ``mgmt_rep`` always share the holder set of their crossing run, so
-        the run sets cover every phase-2 lookup)."""
-        tables = self._tables_by_holders
-        seen = set()
-        requests = []
-        for _obj, holders, _lo, _hi, _wc in runs:
-            if len(holders) > 1 and holders not in tables \
-                    and holders not in seen:
-                seen.add(holders)
-                requests.append((tables, holders))
-        return requests
 
     def _apply_deferred(self, sorted_procs: np.ndarray, runs: List[tuple],
                         mgmt_direct: List[tuple],
@@ -609,160 +590,72 @@ class EdgeCounterManager(OnlineStrategy):
                 management=True,
             )
 
-    @staticmethod
-    def _decode_chunk(sequence: RequestSequence, start: int, stop: int):
-        """Chunk decode shared by the sequential and fleet paths: the
-        chunk's event columns ``(procs, writes, objs)`` plus its
-        per-object CSR ``order``, a stable argsort of the objects, so
-        ``order[lo:hi]`` lists one object's positions in event order."""
-        procs_all, objs_all, writes_all = sequence.as_arrays()
-        procs = np.ascontiguousarray(procs_all[start:stop], dtype=np.int64)
-        objs = np.ascontiguousarray(objs_all[start:stop], dtype=np.int64)
-        writes = np.ascontiguousarray(writes_all[start:stop], dtype=bool)
-        return procs, writes, objs, np.argsort(objs, kind="stable")
-
     def serve_chunk(self, sequence: RequestSequence, start: int, stop: int) -> None:
         """Vectorized batch replay of one chunk (exact event-loop parity).
 
-        Within a chunk, the counters of an ``(object, processor)`` pair
-        only advance on requests to exactly that pair and an object\'s
-        holder set only changes at its own adaptation events -- so each
-        object\'s replicate/invalidate/migrate cascade is computed by one
-        counter scan over its positions (:meth:`_scan`, one kernel call
-        for the whole chunk), decoupled from the charge frontier.  The
-        recorded maximal static runs are then charged in bulk
-        (:meth:`_apply_deferred`): one nearest-table call builds every
-        missing nearest table, one aggregated pair scatter carries the
-        service traffic, one Steiner column the write broadcasts, and one
-        management scatter the copy movements.  Integer charges commute
-        exactly, so loads, cost units, holder sets and end-of-chunk
-        congestion are bit-for-bit those of event-by-event serving; the
-        differential suites pin this under churn and across chunk grids.
+        The one-lane case of :meth:`serve_chunk_fleet`: one counter scan,
+        one nearest-table call for the holder sets it lacks, and one
+        service, one Steiner and one management charge.
         """
-        if stop <= start:
-            return
-        chunk = self._decode_chunk(sequence, start, stop)
-        runs, mgmt_direct, mgmt_rep = self._scan(chunk)
-        if len(self._tables_by_holders) > self._MAX_HOLDER_TABLES:
-            self._tables_by_holders.clear()
-        _bulk_nearest_tables(self.rooted, self._table_requests_for_runs(runs))
-        procs, _writes, _objs, order = chunk
-        self._apply_deferred(procs[order], runs, mgmt_direct, mgmt_rep)
+        self.serve_chunk_fleet((self,), sequence, start, stop)
 
-    # ------------------------------------------------------------------ #
-    # fleet group hook: K adaptive lanes share decode and table builds
-    # ------------------------------------------------------------------ #
     @classmethod
     def serve_chunk_fleet(
         cls, managers: Sequence["EdgeCounterManager"], sequence, start, stop
     ) -> None:
-        """Serve one chunk for a whole fleet of adaptive managers at once.
+        """Serve one chunk for every adaptive manager of a fleet.
 
-        K lanes (different ``object_size`` / ``invalidation_patience`` /
-        threshold tunings) share one chunk decode with its per-object
-        CSR, and one nearest-table call for every nearest table any
-        lane is missing -- lanes whose holder sets agree share the very
-        table object, lanes that diverge get their own.  Each lane then
-        runs its own counter scan (one kernel call per lane) and applies
-        its own deferred charges (through its lane of the shared
-        :class:`~repro.core.loadstate.StackedLoadState`, with the Steiner
-        scatter entries shared substrate-wide), because the run grids of
-        differently-tuned lanes genuinely diverge.  Every lane\'s loads,
-        cost units and holder sets are bit-for-bit those of K sequential
-        runs (ARCHITECTURE.md invariants 6/7); ``test_fleet_parity.py``
-        pins it.  The managers must share one network object and sit on
-        lanes of one stacked state, as
+        The fleet-replay group hook (see
+        :func:`~repro.sim.protocol.fleet_groups`).  Within a chunk, the
+        counters of an ``(object, processor)`` pair only advance on
+        requests to exactly that pair and an object's holder set only
+        changes at its own adaptation events, so each lane's whole
+        replicate/invalidate/migrate cascade is one counter scan over the
+        chunk (:meth:`_scan`, one kernel call per lane), decoupled from
+        the charge frontier.  The lanes share one chunk decode with its
+        per-object position index (a stable argsort of the objects, so
+        ``order[lo:hi]`` lists one object's positions in event order) and
+        one fill step: each lane drops its nearest-table cache once it
+        holds more than its ``_MAX_HOLDER_TABLES`` entries, then one
+        :meth:`~repro.network.rooted.RootedTree.nearest_tables` call
+        builds every multi-holder run set any lane lacks, and each row is
+        installed in every lane that asked for it (lanes whose holder
+        sets agree share the very row).  Each lane then charges its own
+        runs (:meth:`_apply_deferred`) through its lane of the shared
+        :class:`~repro.core.loadstate.StackedLoadState`.
+
+        Integer charges commute exactly, so every lane's loads, cost
+        units, holder sets and end-of-chunk congestion are bit-for-bit
+        those of serving the chunk's events one at a time
+        (ARCHITECTURE.md invariants 6/7); the differential suites pin
+        this under churn and across chunk grids.  The managers must share
+        one network object and sit on lanes of one stacked state, as
         :meth:`~repro.sim.engine.SimulationEngine.run_fleet` arranges.
         """
         if stop <= start:
             return
-        lead = managers[0]
-        chunk = cls._decode_chunk(sequence, start, stop)
-        per_lane: List[tuple] = []
-        requests: List[tuple] = []
-        for manager in managers:
-            records = manager._scan(chunk)
-            per_lane.append(records)
-            if len(manager._tables_by_holders) > cls._MAX_HOLDER_TABLES:
-                manager._tables_by_holders.clear()
-            requests.extend(manager._table_requests_for_runs(records[0]))
-        _bulk_nearest_tables(lead.rooted, requests)
-        procs, _writes, _objs, order = chunk
+        procs_all, objs_all, writes_all = sequence.as_arrays()
+        procs = np.ascontiguousarray(procs_all[start:stop], dtype=np.int64)
+        objs = np.ascontiguousarray(objs_all[start:stop], dtype=np.int64)
+        writes = np.ascontiguousarray(writes_all[start:stop], dtype=bool)
+        order = np.argsort(objs, kind="stable")
+        chunk = (procs, writes, objs, order)
+        records = [manager._scan(chunk) for manager in managers]
+        # replication sources in mgmt_rep always share the holder set of
+        # their crossing run, so the run sets cover every phase-2 lookup
+        wanted: Dict[Tuple[int, ...], List[dict]] = {}
+        for manager, (runs, _direct, _rep) in zip(managers, records):
+            tables = manager._tables_by_holders
+            if len(tables) > manager._MAX_HOLDER_TABLES:
+                tables.clear()
+            missing = {run[1] for run in runs if len(run[1]) > 1}.difference(tables)
+            for holders in missing:
+                wanted.setdefault(holders, []).append(tables)
+        if wanted:
+            rows = managers[0].rooted.nearest_tables(list(wanted))
+            for row, (holders, lanes) in zip(rows, wanted.items()):
+                for tables in lanes:
+                    tables[holders] = row
         sorted_procs = procs[order]
-        for manager, records in zip(managers, per_lane):
-            manager._apply_deferred(sorted_procs, *records)
-
-
-class HysteresisCounterManager(EdgeCounterManager):
-    """Edge-counter adaptation with migration hysteresis.
-
-    Replicas are earned at the base rent-or-buy threshold, but a lonely
-    copy only follows a persistent remote writer after
-    ``migration_factor`` times as much accumulated credit.  Migrating the
-    only copy is the decision that hurts most when it flaps (every
-    subsequent reader pays the relocation), so it is held to a stricter
-    standard than replication -- classic hysteresis damping for
-    alternating-writer workloads.  The copy still costs ``object_size``
-    per edge when it does move.
-    """
-
-    def __init__(
-        self,
-        network: HierarchicalBusNetwork,
-        n_objects: int,
-        object_size: int = 4,
-        invalidation_patience: int = 2,
-        migration_factor: int = 2,
-        initial_placement: Optional[Placement] = None,
-        account: Optional[OnlineCostAccount] = None,
-    ) -> None:
-        super().__init__(
-            network, n_objects, object_size=object_size,
-            invalidation_patience=invalidation_patience,
-            initial_placement=initial_placement, account=account,
-        )
-        self.migration_factor = _count_parameter("migration_factor", migration_factor)
-        self._migrate_threshold = self.object_size * self.migration_factor
-
-
-class RentOrBuyManager(EdgeCounterManager):
-    """Rent-or-buy variant with thresholds decoupled from the copy cost.
-
-    The base strategy replicates/migrates once a processor has paid the
-    copy cost in remote requests (both thresholds equal ``object_size``).
-    This variant keeps the *charged* copy amount at ``object_size`` but
-    exposes the decision thresholds as independent tuning knobs -- the
-    classic rent-or-buy trade-off: lower thresholds buy (replicate or
-    migrate) earlier and pay more management traffic, higher thresholds
-    rent longer and pay more service traffic.  The tournament layer sweeps
-    these against the base strategy.
-    """
-
-    def __init__(
-        self,
-        network: HierarchicalBusNetwork,
-        n_objects: int,
-        object_size: int = 4,
-        invalidation_patience: int = 2,
-        replicate_threshold: Optional[int] = None,
-        migrate_threshold: Optional[int] = None,
-        initial_placement: Optional[Placement] = None,
-        account: Optional[OnlineCostAccount] = None,
-    ) -> None:
-        super().__init__(
-            network, n_objects, object_size=object_size,
-            invalidation_patience=invalidation_patience,
-            initial_placement=initial_placement, account=account,
-        )
-        replicate_at = (
-            self.object_size if replicate_threshold is None
-            else _count_parameter("replicate_threshold", replicate_threshold)
-        )
-        migrate_at = (
-            replicate_at if migrate_threshold is None
-            else _count_parameter("migrate_threshold", migrate_threshold)
-        )
-        self.replicate_threshold = replicate_at
-        self.migrate_threshold = migrate_at
-        self._replicate_threshold = replicate_at
-        self._migrate_threshold = migrate_at
+        for manager, lane_records in zip(managers, records):
+            manager._apply_deferred(sorted_procs, *lane_records)

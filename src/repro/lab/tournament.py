@@ -15,9 +15,10 @@ RESULTS.md leaderboard without hand transcription.
 The scenario runner replays every entry through the fleet engine, which
 makes this shape cheap: all lanes of one tournament entry replay in a
 single timeline pass over a shared
-:class:`~repro.core.loadstate.StackedLoadState`, with the adaptive lanes
-of one class sharing one chunk decode and nearest-table build through
-``EdgeCounterManager.serve_chunk_fleet``.
+:class:`~repro.core.loadstate.StackedLoadState`.  Every adaptive tuning,
+first-touch included, is one :class:`EdgeCounterManager` with its own
+thresholds, so all five adaptive lanes share one chunk decode and one
+nearest-table fill through ``EdgeCounterManager.serve_chunk_fleet``.
 """
 
 from __future__ import annotations

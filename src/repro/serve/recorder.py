@@ -54,8 +54,8 @@ import numpy as np
 from repro import faults
 from repro.dynamic.sequence import Columns, RequestSequence
 from repro.errors import SimulationError
-from repro.network.mutation import ChurnTrace
-from repro.serve.wire import decode_events, mutation_from_dict
+from repro.network.mutation import ChurnTrace, Mutation
+from repro.serve.wire import decode_events, int64_column, is_int64, mutation_from_dict
 
 __all__ = [
     "RECORDING_FORMAT",
@@ -222,20 +222,27 @@ def _check_format(path, header: Dict) -> None:
 
 
 def _item_columns(item: Dict) -> Columns:
-    """The columns of one events item: v2 columns or v1 wire rows."""
+    """The columns of one events item: v2 columns or v1 wire rows.
+
+    Both are held to the wire's rule: every column is a list of JSON
+    integers in int64 (:func:`~repro.serve.wire.int64_column`), and the
+    write positions are strictly increasing and inside the item.
+    """
     payload = item["events"]
     if isinstance(payload, list):
         return decode_events(payload)
     try:
-        procs = np.array(payload["procs"], dtype=np.int64)
-        objs = np.array(payload["objs"], dtype=np.int64)
-        at = np.array(payload["writes"], dtype=np.int64)
-        if procs.ndim != 1 or procs.shape != objs.shape or (at < 0).any():
-            raise ValueError("columns of unequal length or a negative position")
-        writes = np.zeros(len(procs), dtype=bool)
-        writes[at] = True
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        procs = int64_column(payload["procs"])
+        objs = int64_column(payload["objs"])
+        at = int64_column(payload["writes"])
+        if len(procs) != len(objs):
+            raise ValueError("columns of unequal length")
+        if at.size and (at[0] < 0 or at[-1] >= len(procs) or (np.diff(at) <= 0).any()):
+            raise ValueError("write positions not increasing inside the item")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"malformed recording events item {item!r}") from exc
+    writes = np.zeros(len(procs), dtype=bool)
+    writes[at] = True
     return procs, objs, writes
 
 
@@ -257,19 +264,23 @@ class JournalHeal:
         return self.truncated_torn_line or self.dropped_aborted_footer
 
 
-def _parse_lines(text: str) -> Tuple[List[Dict], Optional[str]]:
-    """Split journal text into parsed item lines plus an optional torn tail.
+def _parse_lines(data: bytes) -> Tuple[List[Dict], List[int], Optional[bytes]]:
+    """Split journal bytes into parsed item lines plus an optional torn tail.
 
-    A line is *torn* when it is the final line and either fails to parse
-    or is not newline-terminated (the write may have been cut after the
-    payload but before the terminator).  A malformed line anywhere else
-    is corruption, not a crash artefact, and raises.
+    ``ends[i]`` is the byte offset just past item ``i``'s newline, so
+    ``data[:ends[i]]`` is the journal up to that item.  A line is *torn*
+    when it is the final line and either fails to parse or is not
+    newline-terminated (the write may have been cut after the payload but
+    before the terminator).  A malformed line anywhere else is
+    corruption, not a crash artefact, and raises.
     """
     items: List[Dict] = []
-    raw_lines = text.split("\n")
-    terminated = text.endswith("\n")
+    ends: List[int] = []
+    raw_lines = data.split(b"\n")
+    terminated = data.endswith(b"\n")
     if terminated:
         raw_lines = raw_lines[:-1]  # the split artefact after the final \n
+    end = 0
     for index, line in enumerate(raw_lines):
         last = index == len(raw_lines) - 1
         try:
@@ -278,45 +289,48 @@ def _parse_lines(text: str) -> Tuple[List[Dict], Optional[str]]:
                 raise ValueError("journal lines must be JSON objects")
         except ValueError as exc:
             if last:
-                return items, line
+                return items, ends, line
             raise SimulationError(
                 f"corrupt journal line {index + 1}: {line!r}"
             ) from exc
         if last and not terminated:
             # parses, but the newline never made it to disk: the write
             # was not durably complete, so treat it as torn
-            return items, line
+            return items, ends, line
         items.append(item)
-    return items, None
+        end += len(line) + 1
+        ends.append(end)
+    return items, ends, None
 
 
 def heal_journal(path) -> JournalHeal:
     """Repair a journal in place back to its last durable item.
 
-    Truncates a torn trailing line (crash mid-write) and drops a trailing
+    Drops a torn trailing line (crash mid-write) and a trailing
     ``aborted`` footer (a *graceful* abort is not a seal -- the session it
-    marks can still be resumed).  Raises when the file is missing, not a
-    recording, or corrupt beyond a trailing-line tear.
+    marks can still be resumed) by truncating the file where the last
+    kept item ends.  The kept bytes are never rewritten, so an
+    interrupted heal still leaves the durable prefix on disk.  Raises
+    when the file is missing, not a recording, or corrupt beyond a
+    trailing-line tear, and then leaves the file as it is.
     """
     path = Path(path)
     if not path.exists():
         raise SimulationError(f"no journal at {path}")
-    text = path.read_text(encoding="utf-8")
-    items, torn = _parse_lines(text)
+    items, ends, torn = _parse_lines(path.read_bytes())
     if not items:
         raise SimulationError(f"journal {path} has no intact header line")
     _check_format(path, items[0])
-    dropped_aborted = False
-    if "aborted" in items[-1]:
-        items = items[:-1]
-        dropped_aborted = True
-    healed = "".join(
-        json.dumps(item, separators=(",", ":")) + "\n" for item in items
-    )
-    if torn is not None or dropped_aborted:
-        path.write_text(healed, encoding="utf-8")
+    dropped_aborted = len(items) > 1 and "aborted" in items[-1]
+    if dropped_aborted:
+        items.pop()
+        ends.pop()
     n_events = sum(len(_item_columns(item)[0]) for item in items if "events" in item)
     n_mutations = sum(1 for item in items if "mutation" in item)
+    if torn is not None or dropped_aborted:
+        with open(path, "r+b") as fh:
+            fh.truncate(ends[-1])
+            os.fsync(fh.fileno())
     return JournalHeal(
         n_events=n_events,
         n_mutations=n_mutations,
@@ -336,7 +350,7 @@ class Recording:
         self,
         header: Dict,
         events: RequestSequence,
-        mutations: List[Tuple[int, Dict]],
+        mutations: List[Tuple[int, Mutation]],
         summary: Optional[Dict],
         aborted: Optional[str],
     ) -> None:
@@ -353,11 +367,7 @@ class Recording:
 
     def trace(self) -> Optional[ChurnTrace]:
         """The recorded churn trace (``None`` when no mutation arrived)."""
-        if not self.mutations:
-            return None
-        return ChurnTrace(
-            [(time, mutation_from_dict(op)) for time, op in self.mutations]
-        )
+        return ChurnTrace(self.mutations) if self.mutations else None
 
 
 def load_recording(path) -> Recording:
@@ -368,8 +378,7 @@ def load_recording(path) -> Recording:
     intact prefix is exactly the durable journal, which is what crash
     recovery replays.  Corruption anywhere else still raises.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    items, torn = _parse_lines(text)
+    items, _ends, torn = _parse_lines(Path(path).read_bytes())
     if torn is not None:
         warnings.warn(
             f"recording {path} ends in a torn line (crash mid-write); "
@@ -380,15 +389,30 @@ def load_recording(path) -> Recording:
         raise SimulationError(f"recording {path} is empty")
     header = items[0]
     _check_format(path, header)
+    if not is_int64(header.get("n_objects")):
+        raise SimulationError(
+            f"recording {path} header has a malformed n_objects "
+            f"{header.get('n_objects')!r}"
+        )
     chunks: List[Columns] = []
-    mutations: List[Tuple[int, Dict]] = []
+    mutations: List[Tuple[int, Mutation]] = []
     summary: Optional[Dict] = None
     aborted: Optional[str] = None
+    n_events = 0
     for item in items[1:]:
         if "events" in item:
             chunks.append(_item_columns(item))
+            n_events += len(chunks[-1][0])
         elif "mutation" in item:
-            mutations.append((int(item["time"]), item["mutation"]))
+            # write-ahead order: a mutation is journaled at the number of
+            # events journaled before it
+            time = item.get("time")
+            if not (is_int64(time) and time == n_events):
+                raise SimulationError(
+                    f"recording {path} mutation item {item!r} is not at time "
+                    f"{n_events}, the number of events before it"
+                )
+            mutations.append((time, mutation_from_dict(item["mutation"])))
         elif "summary" in item:
             summary = item["summary"]
         elif "aborted" in item:
@@ -396,7 +420,7 @@ def load_recording(path) -> Recording:
         else:
             raise SimulationError(f"unknown recording item {item!r}")
     columns = [np.concatenate(column) for column in zip(*chunks)] or ([], [], [])
-    events = RequestSequence.from_columns(*columns, int(header["n_objects"]))
+    events = RequestSequence.from_columns(*columns, header["n_objects"])
     return Recording(header, events, mutations, summary, aborted)
 
 

@@ -20,7 +20,7 @@ overloaded server therefore slows its clients down instead of buffering
 unboundedly.
 
 **Recording.**  With a record directory configured, every session is
-persisted as a ``repro.stream-recording/v1`` file while it is served;
+persisted as a ``repro.stream-recording/v2`` file while it is served;
 :func:`repro.serve.recorder.replay_recording` re-runs it offline
 (invariant 10: served equals replayed).
 

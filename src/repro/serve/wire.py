@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -113,15 +113,29 @@ def encode_events(events: Sequence[RequestEvent]) -> List[List]:
     return [[ev.processor, ev.obj, _KIND_CODE[ev.kind]] for ev in events]
 
 
+def is_int64(value) -> bool:
+    """A JSON integer in int64 range (``bool`` is not one)."""
+    return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+
+
+def int64_column(values) -> np.ndarray:
+    """A list of JSON integers in int64 range as one int64 column.
+
+    The id rule of the wire and the journal: ``bool`` is not an integer.
+    Anything else raises ``ValueError`` (``OverflowError`` beyond int64).
+    """
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise ValueError("not a list of integers")
+    return np.array(values, dtype=np.int64)
+
+
 def _row_ok(row) -> bool:
     """One row is ``[int, int, code]``: int64 ids (``bool`` is not an id)."""
     return (
         type(row) is list
         and len(row) == 3
-        and type(row[0]) is int
-        and type(row[1]) is int
-        and _INT64_MIN <= row[0] <= _INT64_MAX
-        and _INT64_MIN <= row[1] <= _INT64_MAX
+        and is_int64(row[0])
+        and is_int64(row[1])
         and type(row[2]) is str
         and row[2] in _IS_WRITE
     )
@@ -144,13 +158,10 @@ def decode_events(rows: Sequence) -> Columns:
         if set(map(type, rows)) != {list} or set(map(len, rows)) != {3}:
             raise ValueError
         flat = list(chain.from_iterable(rows))
-        procs, objs, codes = flat[0::3], flat[1::3], flat[2::3]
-        if set(map(type, procs)) != {int} or set(map(type, objs)) != {int}:
-            raise ValueError
         columns = (
-            np.array(procs, dtype=np.int64),
-            np.array(objs, dtype=np.int64),
-            np.fromiter(map(_IS_WRITE.__getitem__, codes), bool, n),
+            int64_column(flat[0::3]),
+            int64_column(flat[1::3]),
+            np.fromiter(map(_IS_WRITE.__getitem__, flat[2::3]), bool, n),
         )
     except (KeyError, TypeError, ValueError, OverflowError):
         bad = next(row for row in rows if not _row_ok(row))
@@ -198,37 +209,55 @@ def mutation_to_dict(mutation: Mutation) -> Dict:
 
 
 def mutation_from_dict(document: Mapping) -> Mutation:
-    """Exact inverse of :func:`mutation_to_dict`."""
+    """Exact inverse of :func:`mutation_to_dict`, as strict as the event rows.
+
+    Node ids and ``moved`` entries are JSON integers in int64 (``bool`` is
+    not one), bandwidths are integers or floats (never ``bool`` or
+    strings), ``moved`` is a list and ``name`` a string or null.  Anything
+    else raises :class:`~repro.errors.SimulationError` naming the document,
+    so a session refuses it before it is scheduled or journaled.
+    """
+
+    def node(key: str) -> int:
+        if not is_int64(document[key]):
+            raise ValueError(f"{key} is not an int64 id")
+        return document[key]
+
+    def bandwidth(key: str, default=None) -> float:
+        value = document.get(key, default)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{key} is not a number")
+        return float(value)
+
+    def name() -> Optional[str]:
+        value = document.get("name")
+        if value is not None and type(value) is not str:
+            raise ValueError("name is not a string")
+        return value
+
     try:
         kind = document["kind"]
         if kind == "set-edge-bandwidth":
-            return SetEdgeBandwidth(
-                int(document["u"]),
-                int(document["v"]),
-                float(document["bandwidth"]),
-            )
+            return SetEdgeBandwidth(node("u"), node("v"), bandwidth("bandwidth"))
         if kind == "set-bus-bandwidth":
-            return SetBusBandwidth(
-                int(document["bus"]), float(document["bandwidth"])
-            )
+            return SetBusBandwidth(node("bus"), bandwidth("bandwidth"))
         if kind == "attach-leaf":
-            name = document.get("name")
             return AttachLeaf(
-                int(document["bus"]),
-                name=str(name) if name is not None else None,
-                bandwidth=float(document.get("bandwidth", 1.0)),
+                node("bus"), name=name(), bandwidth=bandwidth("bandwidth", 1.0)
             )
         if kind == "detach-leaf":
-            return DetachLeaf(int(document["processor"]))
+            return DetachLeaf(node("processor"))
         if kind == "split-bus":
-            name = document.get("name")
+            moved = document["moved"]
+            if type(moved) is not list or not all(map(is_int64, moved)):
+                raise ValueError("moved is not a list of int64 ids")
             return SplitBus(
-                int(document["bus"]),
-                moved=tuple(int(x) for x in document["moved"]),
-                name=str(name) if name is not None else None,
-                bus_bandwidth=float(document.get("bus_bandwidth", 1.0)),
-                trunk_bandwidth=float(document.get("trunk_bandwidth", 1.0)),
+                node("bus"),
+                moved=tuple(moved),
+                name=name(),
+                bus_bandwidth=bandwidth("bus_bandwidth", 1.0),
+                trunk_bandwidth=bandwidth("trunk_bandwidth", 1.0),
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed mutation document {document!r}") from exc
     raise SimulationError(f"unknown mutation kind {document.get('kind')!r}")

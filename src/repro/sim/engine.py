@@ -269,13 +269,14 @@ class SimulationEngine:
         * strategies of one class that implements the
           ``serve_chunk_fleet`` group hook (see
           :func:`~repro.sim.protocol.fleet_groups`) share per-chunk work
-          across their lanes: static lanes share the chunk aggregation,
-          batched LCA/distance pass and one lane-broadcast edge scatter;
-          adaptive counter lanes
-          (:class:`~repro.dynamic.online.EdgeCounterManager` and its
-          tournament subclasses) share the chunk decode, the per-object
-          position index and one bulk nearest-table build, each lane
-          replaying its own counter cascade exactly;
+          across their lanes: static lanes share the chunk's pair
+          aggregation and per-object write counts, each lane gathering
+          from its own nearest table and charging its own pairs and
+          Steiner column; adaptive counter lanes
+          (:class:`~repro.dynamic.online.EdgeCounterManager`, every
+          tuning) share the chunk decode, the per-object position index
+          and one nearest-table fill, each lane replaying its own counter
+          cascade exactly;
         * a lone member of such a class, and every strategy without the
           hook, is served through its own ``serve_chunk`` against its
           lane, so custom strategies remain exact;

@@ -53,11 +53,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dynamic.online import (
-    EdgeCounterManager,
-    HysteresisCounterManager,
-    RentOrBuyManager,
-)
+from repro.dynamic.online import EdgeCounterManager, _count_parameter
 from repro.dynamic.sequence import (
     RequestSequence,
     phase_change_sequence,
@@ -519,15 +515,23 @@ def _build_strategies(
         if kind == "hindsight-static":
             def factory():
                 return hindsight_static_manager(net, sequence)
-        elif kind == "edge-counter":
+        elif kind in ("edge-counter", "rent-or-buy"):
             def factory():
                 return EdgeCounterManager(net, sequence.n_objects, **args)
         elif kind == "hysteresis":
+            # replicas at the copy cost, migration at migration_factor
+            # times it
             def factory():
-                return HysteresisCounterManager(net, sequence.n_objects, **args)
-        elif kind == "rent-or-buy":
-            def factory():
-                return RentOrBuyManager(net, sequence.n_objects, **args)
+                kwargs = dict(args)
+                size = _count_parameter("object_size", kwargs.pop("object_size", 4))
+                factor = _count_parameter(
+                    "migration_factor", kwargs.pop("migration_factor", 2)
+                )
+                return EdgeCounterManager(
+                    net, sequence.n_objects, object_size=size,
+                    replicate_threshold=size, migrate_threshold=size * factor,
+                    **kwargs,
+                )
         elif kind == "first-touch":
             def factory():
                 return first_touch_manager(

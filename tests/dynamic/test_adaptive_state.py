@@ -13,14 +13,11 @@ import pytest
 
 from repro.core.loadstate import StackedLoadState
 from repro.dynamic.adaptive_state import AdaptiveState
-from repro.dynamic.online import (
-    EdgeCounterManager,
-    HysteresisCounterManager,
-    RentOrBuyManager,
-)
+from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import sequence_from_pattern
 from repro.errors import WorkloadError
 from repro.network.builders import balanced_tree
+from repro.sim.engine import SimulationEngine
 from repro.workload.generators import zipf_pattern
 from tests.scalar_oracle import add_holder, drop_holder, materialise, serve_events, set_sole_holder
 
@@ -120,10 +117,10 @@ class TestHygieneSoak:
             lambda net, n: EdgeCounterManager(
                 net, n, object_size=2, invalidation_patience=1
             ),
-            lambda net, n: HysteresisCounterManager(
-                net, n, object_size=2, migration_factor=2
+            lambda net, n: EdgeCounterManager(
+                net, n, object_size=2, migrate_threshold=4
             ),
-            lambda net, n: RentOrBuyManager(
+            lambda net, n: EdgeCounterManager(
                 net, n, replicate_threshold=3, migrate_threshold=2
             ),
         ],
@@ -194,6 +191,20 @@ class TestHygieneSoak:
         for obj in range(16):
             assert manager.holders(obj) == reference.holders(obj)
         assert manager.account.congestion == reference.account.congestion
+
+        # the fleet's fill step reads the cap per lane: only the lane that
+        # lowered it keeps a small cache, and both lanes stay exact
+        capped, free = (
+            EdgeCounterManager(net, 16, object_size=2, invalidation_patience=1)
+            for _ in range(2)
+        )
+        capped._MAX_HOLDER_TABLES = 1
+        SimulationEngine.run_fleet([capped, free], sequence, chunk_size=step)
+        assert len(capped._tables_by_holders) <= step < len(free._tables_by_holders)
+        for lane in (capped, free):
+            assert lane.account.congestion == reference.account.congestion
+            for obj in range(16):
+                assert lane.holders(obj) == reference.holders(obj)
 
     def test_steiner_entry_cache_is_capped(self, monkeypatch):
         net = balanced_tree(2, 3, 2)

@@ -10,15 +10,22 @@ from repro.core.extended_nibble import extended_nibble
 from repro.core.placement import Placement
 from repro.dynamic.online import (
     EdgeCounterManager,
-    HysteresisCounterManager,
     OnlineCostAccount,
-    RentOrBuyManager,
     StaticPlacementManager,
 )
 from repro.dynamic.sequence import RequestEvent, RequestSequence, sequence_from_pattern
 from repro.errors import PlacementError, WorkloadError
 from repro.network.builders import balanced_tree, single_bus, star_of_buses
+from repro.sim.scenario import _build_strategies
 from repro.workload.generators import uniform_pattern, zipf_pattern
+
+
+def hysteresis(net, n_objects, **args):
+    """The strategy of a ``hysteresis`` scenario spec, built as the
+    scenario registry builds it."""
+    spec = {"kind": "hysteresis", "args": args}
+    [(_label, factory)] = _build_strategies(net, RequestSequence([], n_objects), [spec])
+    return factory()
 
 
 class TestCostAccount:
@@ -188,30 +195,35 @@ class TestEdgeCounterManager:
 
     @pytest.mark.parametrize("bad", [2.5, True, "3", 0])
     @pytest.mark.parametrize(
-        "strategy, parameter",
+        "strategy, parameter, attribute, expected",
         [
-            (EdgeCounterManager, "object_size"),
-            (EdgeCounterManager, "invalidation_patience"),
-            (HysteresisCounterManager, "migration_factor"),
-            (RentOrBuyManager, "replicate_threshold"),
-            (RentOrBuyManager, "migrate_threshold"),
+            (EdgeCounterManager, "object_size", "object_size", 3),
+            (EdgeCounterManager, "invalidation_patience", "invalidation_patience", 3),
+            # 3 times the default copy cost of 4
+            (hysteresis, "migration_factor", "migrate_threshold", 12),
+            (EdgeCounterManager, "replicate_threshold", "replicate_threshold", 3),
+            (EdgeCounterManager, "migrate_threshold", "migrate_threshold", 3),
         ],
     )
-    def test_count_parameters_are_never_truncated(self, strategy, parameter, bad):
+    def test_count_parameters_are_never_truncated(
+        self, strategy, parameter, attribute, expected, bad
+    ):
         net = single_bus(3)
         with pytest.raises(WorkloadError, match=parameter):
             strategy(net, 1, **{parameter: bad})
         for good in (3, np.int64(3), 3.0):
             manager = strategy(net, 1, **{parameter: good})
-            value = getattr(manager, parameter)
-            assert value == 3 and type(value) is int
+            value = getattr(manager, attribute)
+            assert value == expected and type(value) is int
 
     def test_thresholds_follow_the_validated_parameters(self):
         net = single_bus(3)
-        hysteresis = HysteresisCounterManager(net, 1, object_size=2.0, migration_factor=3)
-        assert hysteresis._migrate_threshold == 6
-        rent = RentOrBuyManager(net, 1, replicate_threshold=np.int32(2))
-        assert (rent._replicate_threshold, rent._migrate_threshold) == (2, 2)
+        default = EdgeCounterManager(net, 1, object_size=5.0)
+        assert (default.replicate_threshold, default.migrate_threshold) == (5, 5)
+        damped = hysteresis(net, 1, object_size=2.0, migration_factor=3)
+        assert (damped.replicate_threshold, damped.migrate_threshold) == (2, 6)
+        rent = EdgeCounterManager(net, 1, replicate_threshold=np.int32(2))
+        assert (rent.replicate_threshold, rent.migrate_threshold) == (2, 2)
 
     def test_initial_placement_respected(self):
         net = single_bus(3)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import faults
 from repro.errors import InjectedFault, SimulationError
 from repro.faults import FaultPlan, FaultRule
+from repro.network.mutation import SetBusBandwidth
 from repro.serve.recorder import (
     StreamRecorder,
     heal_journal,
@@ -107,6 +109,29 @@ class TestHealJournal:
         assert heal.n_events == 6
         assert heal.n_mutations == 1
 
+    def test_heal_truncates_to_the_durable_prefix(self, spec, tmp_path, monkeypatch):
+        """Healing cuts the file where the last kept item ends: the kept
+        bytes stay exactly as written (here one item is not in the
+        recorder's compact form), the file is never rewritten whole, and
+        a tail torn inside a multi-byte character is still a torn tail."""
+        path = tmp_path / "j.jsonl"
+        write_session_journal(spec, path, 5)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = json.dumps(json.loads(lines[1])).encode() + b"\n"
+        durable = b"".join(lines)
+        torn = '{"aborted": "café"}'.encode()[:-3]  # cut inside the é
+        path.write_bytes(durable + b'{"aborted": "lost"}\n' + torn)
+
+        def rewrite(*args, **kwargs):
+            raise OSError("a heal must not rewrite the whole journal")
+
+        monkeypatch.setattr(Path, "write_text", rewrite)
+        monkeypatch.setattr(Path, "write_bytes", rewrite)
+        heal = heal_journal(path)
+        assert heal.truncated_torn_line and heal.dropped_aborted_footer
+        assert heal.n_events == 5
+        assert path.read_bytes() == durable
+
     def test_missing_and_headerless_files_are_loud(self, tmp_path):
         with pytest.raises(SimulationError, match="no journal"):
             heal_journal(tmp_path / "nope.jsonl")
@@ -114,6 +139,68 @@ class TestHealJournal:
         torn_header.write_text('{"format": "repro.stream-recor')
         with pytest.raises(SimulationError, match="no intact header"):
             heal_journal(torn_header)
+
+
+class TestStrictItems:
+    """Journal items are decoded as strictly as wire rows, and each refusal
+    names the item at load."""
+
+    @staticmethod
+    def journal_lines(spec, tmp_path):
+        path = tmp_path / "j.jsonl"
+        write_session_journal(spec, path, 6)
+        return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+    @staticmethod
+    def write(path, items):
+        path.write_text("".join(json.dumps(item) + "\n" for item in items))
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("procs", [1.7, True]),
+            ("objs", ["2", 0]),
+            ("writes", [1.9]),
+            ("writes", [True]),
+            ("writes", [1, 0]),  # not increasing
+            ("writes", [0, 0]),  # a repeated position
+            ("writes", [-1]),  # before the item
+            ("writes", [2]),  # past the item's two events
+            ("procs", [2**63, 3]),  # beyond int64
+        ],
+    )
+    def test_malformed_column_is_refused(self, spec, tmp_path, column, values):
+        path, items = self.journal_lines(spec, tmp_path)
+        item = {"events": {"procs": [3, 4], "objs": [0, 1], "writes": [1]}}
+        item["events"][column] = values
+        self.write(path, items + [item])
+        with pytest.raises(SimulationError, match="malformed recording events item"):
+            load_recording(path)
+
+    @pytest.mark.parametrize("n_objects", ["8", 8.0, True, None])
+    def test_malformed_header_n_objects_is_refused(self, spec, tmp_path, n_objects):
+        path, items = self.journal_lines(spec, tmp_path)
+        items[0]["n_objects"] = n_objects
+        self.write(path, items)
+        with pytest.raises(SimulationError, match="malformed n_objects"):
+            load_recording(path)
+
+    @pytest.mark.parametrize("time", [5, 7, 6.0, "6", None])
+    def test_mutation_time_is_the_events_before_it(self, spec, tmp_path, time):
+        path, items = self.journal_lines(spec, tmp_path)
+        op = {"kind": "set-bus-bandwidth", "bus": 0, "bandwidth": 2.0}
+        self.write(path, items + [{"mutation": op, "time": 6}])
+        assert load_recording(path).mutations == [(6, SetBusBandwidth(0, 2.0))]
+        self.write(path, items + [{"mutation": op, "time": time}])
+        with pytest.raises(SimulationError, match="not at time 6"):
+            load_recording(path)
+
+    def test_malformed_mutation_document_is_refused_at_load(self, spec, tmp_path):
+        path, items = self.journal_lines(spec, tmp_path)
+        op = {"kind": "detach-leaf", "processor": 3.9}
+        self.write(path, items + [{"mutation": op, "time": 6}])
+        with pytest.raises(SimulationError, match="malformed mutation document"):
+            load_recording(path)
 
 
 class TestRecorderModes:

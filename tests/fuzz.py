@@ -47,12 +47,7 @@ from repro.core.baselines import (
     owner_placement,
     random_placement,
 )
-from repro.dynamic.online import (
-    EdgeCounterManager,
-    HysteresisCounterManager,
-    RentOrBuyManager,
-    StaticPlacementManager,
-)
+from repro.dynamic.online import EdgeCounterManager, StaticPlacementManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence
 from repro.network.mutation import ChurnTrace, apply_mutation
 from repro.serve.wire import mutation_from_dict, mutation_to_dict
@@ -392,7 +387,8 @@ def feed(stream, sequence, trace, batches):
 # the crafted adaptive cascade (fleet and kernel suites)
 # --------------------------------------------------------------------------- #
 def adaptive_only_factories(net, n_objects):
-    """An all-adaptive fleet: three counter tunings plus both subclasses."""
+    """An all-adaptive fleet: three counter tunings plus the hysteresis
+    and rent-or-buy threshold splits of the scenario registry's roster."""
     return [
         lambda: EdgeCounterManager(net, n_objects, object_size=2),
         lambda: EdgeCounterManager(
@@ -401,10 +397,10 @@ def adaptive_only_factories(net, n_objects):
         lambda: EdgeCounterManager(
             net, n_objects, object_size=4, invalidation_patience=3
         ),
-        lambda: HysteresisCounterManager(
-            net, n_objects, object_size=2, migration_factor=2
+        lambda: EdgeCounterManager(
+            net, n_objects, object_size=2, migrate_threshold=4
         ),
-        lambda: RentOrBuyManager(
+        lambda: EdgeCounterManager(
             net, n_objects, replicate_threshold=3, migrate_threshold=2
         ),
     ]

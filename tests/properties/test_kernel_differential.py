@@ -33,7 +33,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.loadstate import LoadState, StackedLoadState
-from repro.dynamic.online import EdgeCounterManager, RentOrBuyManager
+from repro.dynamic.online import EdgeCounterManager
 from repro.dynamic.sequence import RequestEvent, RequestSequence
 from repro.network.builders import balanced_tree
 from repro.network.mutation import AttachLeaf, DetachLeaf, apply_mutation
@@ -629,7 +629,7 @@ class TestAdaptiveScan:
 
     def test_threshold_beyond_int64_never_trips(self, backend, monkeypatch):
         net = balanced_tree(2, 2, 2)
-        manager = RentOrBuyManager(
+        manager = EdgeCounterManager(
             net, 1, replicate_threshold=2**70, migrate_threshold=2**70
         )
         procs = net.processors
@@ -648,7 +648,7 @@ class TestAdaptiveScan:
         fail."""
         net = balanced_tree(3, 3, 4)
         procs = list(net.processors)
-        manager = RentOrBuyManager(
+        manager = EdgeCounterManager(
             net, 1, invalidation_patience=1, replicate_threshold=1,
             migrate_threshold=1,
         )

@@ -227,7 +227,7 @@ def _serve_adaptive(manager: EdgeCounterManager, event: RequestEvent) -> None:
         charge_path(account, rooted, proc, nearest)
         if not mask[proc]:
             credit = int(adaptive.read_credit[obj, proc]) + 1
-            if credit >= manager._replicate_threshold:
+            if credit >= manager.replicate_threshold:
                 # replicate: ship the object from the nearest copy
                 charge_path(account, rooted, nearest, proc,
                             amount=manager.object_size, management=True)
@@ -258,7 +258,7 @@ def _serve_adaptive(manager: EdgeCounterManager, event: RequestEvent) -> None:
     # migration: a lonely copy follows a persistent remote writer
     if adaptive.n_holders[obj] == 1 and not adaptive.holder_mask[obj, proc]:
         credit = int(adaptive.read_credit[obj, proc]) + 1
-        if credit >= manager._migrate_threshold:
+        if credit >= manager.migrate_threshold:
             old = adaptive.holders_list(obj)[0]
             charge_path(account, rooted, old, proc,
                         amount=manager.object_size, management=True)

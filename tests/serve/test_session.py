@@ -94,6 +94,17 @@ class TestJournalHoldsOnlyAcceptedItems:
         _, position, n_mutations = resume_session(path)
         assert (position, n_mutations) == (2, 0)
 
+    def test_malformed_mutation_document_is_rejected_before_journal(self, tmp_path):
+        session, path = self.journaled_session(tmp_path)
+        session.feed([RequestEvent(3, 0, READ)])
+        journal = path.read_bytes()
+        processor = session.strategy.network.processors[-1]
+        with pytest.raises(SimulationError, match="malformed mutation"):
+            session.mutate({"kind": "detach-leaf", "processor": processor + 0.5})
+        assert path.read_bytes() == journal
+        _, position, n_mutations = resume_session(path)
+        assert (position, n_mutations) == (1, 0)
+
     def test_queued_mutations_chain(self, tmp_path):
         # the second detach is checked against the network the first leaves
         session, path = self.journaled_session(tmp_path)

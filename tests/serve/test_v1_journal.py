@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.serve.batcher import MicroBatcher, resume_session
 from repro.serve.loadgen import workload_from_spec
 from repro.serve.recorder import heal_journal, load_recording, replay_recording
@@ -29,6 +30,22 @@ def test_v1_journal_replays_to_its_recorded_summary():
     replayed, recorded = replay_recording(V1_JOURNAL)
     assert recorded is not None
     assert replayed == recorded
+
+
+def test_v1_journal_with_a_moved_mutation_is_refused_at_load(tmp_path):
+    """A mutation item is journaled at the number of events before it;
+    moving the first one from time 4 to 9 is refused at load, not deep in
+    the replay."""
+    lines = list(LINES)
+    first = next(i for i, line in enumerate(lines) if '"mutation"' in line)
+    item = json.loads(lines[first])
+    assert item["time"] == 4
+    item["time"] = 9
+    lines[first] = json.dumps(item) + "\n"
+    path = tmp_path / "moved.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(SimulationError, match="not at time 4"):
+        load_recording(path)
 
 
 @pytest.mark.parametrize("cut", range(1, len(LINES)))

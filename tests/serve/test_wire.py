@@ -54,6 +54,26 @@ class TestMutationSerialisation:
         with pytest.raises(SimulationError, match="malformed mutation"):
             mutation_from_dict({"kind": "detach-leaf"})  # missing processor
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"kind": "detach-leaf", "processor": 3.9},
+            {"kind": "detach-leaf", "processor": True},
+            {"kind": "set-bus-bandwidth", "bus": "2", "bandwidth": "1.5"},
+            {"kind": "split-bus", "bus": 1, "moved": "34"},
+            {"kind": "set-bus-bandwidth", "bus": 2, "bandwidth": True},
+            {"kind": "set-edge-bandwidth", "u": 1, "v": 2**63, "bandwidth": 1.0},
+            {"kind": "attach-leaf", "bus": 1, "name": 7},
+            {"kind": "split-bus", "bus": 1, "moved": [3, False]},
+        ],
+    )
+    def test_documents_are_decoded_as_strictly_as_event_rows(self, document):
+        """Node ids and ``moved`` entries are int64 JSON integers (not
+        ``bool``), bandwidths are numbers and names are strings: nothing
+        is coerced by ``int()``, ``float()`` or ``str()``."""
+        with pytest.raises(SimulationError, match="malformed mutation"):
+            mutation_from_dict(document)
+
 
 class TestEventEncoding:
     def test_roundtrip(self):

@@ -203,13 +203,16 @@ class TestProtocol:
         groups = fleet_groups([statics[0], counter, statics[1]])
         assert groups == [(StaticPlacementManager, statics), (None, [counter])]
 
-        def refuse(cls, members, sequence, start, stop):
-            raise AssertionError("a lone member reached serve_chunk_fleet")
+        served = []
+        serve_chunk = EdgeCounterManager.serve_chunk
 
-        monkeypatch.setattr(
-            EdgeCounterManager, "serve_chunk_fleet", classmethod(refuse)
-        )
+        def spy(self, sequence, start, stop):
+            served.append(self)
+            serve_chunk(self, sequence, start, stop)
+
+        monkeypatch.setattr(EdgeCounterManager, "serve_chunk", spy)
         fleet = SimulationEngine.run_fleet([statics[0], counter, statics[1]], seq)
+        assert served and all(member is counter for member in served)
         alone = SimulationEngine(EdgeCounterManager(net, seq.n_objects)).run(seq)
         assert np.array_equal(fleet[1].account.edge_loads, alone.account.edge_loads)
         assert fleet[1].account.service_units == alone.account.service_units

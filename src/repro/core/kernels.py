@@ -36,6 +36,16 @@ every nearest-copy resolution of the placement pipeline and the
 strategies goes through it (``RootedTree.nearest_tables``).  Its numpy
 twin runs the same sweeps, vectorised per depth level.
 
+Two ops are the wire codec of the streaming service.
+:func:`scan_requests` decodes one ``requests`` wire line of a strict
+row grammar into its id and columns in one pass over the bytes, and
+declines every other line; its numpy twin declines every line, so
+``repro.serve.wire.decode_message`` then decodes it through
+``json.loads`` and the row decoder, the reference the compiled scan
+equals.  :func:`events_item` writes the journal's v2 events item of one
+micro-batch; its numpy twin writes the same item with ``json.dumps``,
+and the two agree byte for byte.
+
 Selection is controlled by the ``REPRO_BACKEND`` environment variable
 (``cc`` | ``numpy`` | ``auto``, default ``auto``: cc if it builds, else
 numpy).  With no C compiler on PATH, ``auto`` falls back to numpy
@@ -67,6 +77,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -103,6 +114,8 @@ __all__ = [
     "charge_pairs",
     "adaptive_scan",
     "nearest_tables",
+    "scan_requests",
+    "events_item",
 ]
 
 #: Narrowest safe index dtype of the substrate's CSR / lifting tables.
@@ -565,6 +578,23 @@ def _reference_nearest_tables(parent, order, depth, indptr, members):
     return keys
 
 
+def _reference_scan_requests(line):
+    """The numpy twin of the compiled scan declines every line."""
+    return None
+
+
+def _reference_events_item(procs, objs, writes) -> bytes:
+    """The journal's v2 events item through ``json.dumps``."""
+    document = {
+        "events": {
+            "procs": procs.tolist(),
+            "objs": objs.tolist(),
+            "writes": np.flatnonzero(writes).tolist(),
+        }
+    }
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode()
+
+
 _NUMPY_OPS: Dict[str, Callable] = {
     "lca": _reference_lca,
     "scatter_paths": _reference_scatter_paths,
@@ -578,6 +608,8 @@ _NUMPY_OPS: Dict[str, Callable] = {
     "charge_pairs": _reference_charge_pairs,
     "adaptive_scan": _reference_adaptive_scan,
     "nearest_tables": _reference_nearest_tables,
+    "scan_requests": _reference_scan_requests,
+    "events_item": _reference_events_item,
 }
 
 
@@ -588,6 +620,7 @@ _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
 _I32 = np.dtype(np.int32)
 _BOOL = np.dtype(np.bool_)
+_U8 = np.dtype(np.uint8)
 _BYTE = ctypes.c_char
 
 
@@ -1351,6 +1384,221 @@ done:
         free(out[j].data);
     return status;
 }
+
+/* ---- wire codec ------------------------------------------------------ */
+
+static const uint8_t *repro_skip_ws(const uint8_t *p, const uint8_t *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+        p++;
+    return p;
+}
+
+static int repro_token(const uint8_t *p, const uint8_t *end, const char *token,
+                       int64_t len)
+{
+    return end - p >= len && memcmp(p, token, (size_t)len) == 0;
+}
+
+/* -?(0|[1-9][0-9]*) within int64, not followed by '.', 'e', 'E' or a
+ * digit; the position after it, or NULL */
+static const uint8_t *repro_scan_int(const uint8_t *p, const uint8_t *end,
+                                     int64_t *out)
+{
+    uint64_t mag = 0, limit = (uint64_t)INT64_MAX;
+    int neg = 0;
+    if (p < end && *p == '-') {
+        neg = 1;
+        limit += 1;
+        p++;
+    }
+    if (p >= end || *p < '0' || *p > '9')
+        return NULL;
+    if (*p == '0') {
+        p++;
+    } else {
+        for (; p < end && *p >= '0' && *p <= '9'; p++) {
+            uint64_t d = (uint64_t)(*p - '0');
+            if (mag > (limit - d) / 10)
+                return NULL;
+            mag = mag * 10 + d;
+        }
+    }
+    if (p < end && ((*p >= '0' && *p <= '9') || *p == '.' || *p == 'e' || *p == 'E'))
+        return NULL;
+    *out = !neg ? (int64_t)mag : mag ? -(int64_t)(mag - 1) - 1 : 0;
+    return p;
+}
+
+/* ROWS: [[INT, INT, KIND], ...] into at most cap rows; the position after
+ * the closing bracket, or NULL */
+static const uint8_t *repro_scan_rows(const uint8_t *p, const uint8_t *end,
+                                      int64_t cap, int64_t *procs,
+                                      int64_t *objs, uint8_t *writes,
+                                      int64_t *count)
+{
+    int64_t k = 0;
+    if (p >= end || *p != '[')
+        return NULL;
+    p = repro_skip_ws(p + 1, end);
+    if (p < end && *p == ']') {
+        *count = 0;
+        return p + 1;
+    }
+    for (;;) {
+        int64_t proc, obj;
+        uint8_t is_write;
+        if (p >= end || *p != '[' || k >= cap)
+            return NULL;
+        p = repro_scan_int(repro_skip_ws(p + 1, end), end, &proc);
+        if (p == NULL || (p = repro_skip_ws(p, end)) >= end || *p != ',')
+            return NULL;
+        p = repro_scan_int(repro_skip_ws(p + 1, end), end, &obj);
+        if (p == NULL || (p = repro_skip_ws(p, end)) >= end || *p != ',')
+            return NULL;
+        p = repro_skip_ws(p + 1, end);
+        if (repro_token(p, end, "\"r\"", 3)) {
+            is_write = 0;
+            p += 3;
+        } else if (repro_token(p, end, "\"w\"", 3)) {
+            is_write = 1;
+            p += 3;
+        } else if (repro_token(p, end, "\"read\"", 6)) {
+            is_write = 0;
+            p += 6;
+        } else if (repro_token(p, end, "\"write\"", 7)) {
+            is_write = 1;
+            p += 7;
+        } else {
+            return NULL;
+        }
+        p = repro_skip_ws(p, end);
+        if (p >= end || *p != ']')
+            return NULL;
+        procs[k] = proc;
+        objs[k] = obj;
+        writes[k] = is_write;
+        k++;
+        p = repro_skip_ws(p + 1, end);
+        if (p < end && *p == ']') {
+            *count = k;
+            return p + 1;
+        }
+        if (p >= end || *p != ',')
+            return NULL;
+        p = repro_skip_ws(p + 1, end);
+    }
+}
+
+/* One requests line of the strict row grammar: the number of rows written
+ * (at most cap) and the id into ident[0], or -1 to decline the line. */
+int64_t repro_scan_requests(const uint8_t *line, int64_t n, int64_t cap,
+                            int64_t *procs, int64_t *objs, uint8_t *writes,
+                            int64_t *ident)
+{
+    const uint8_t *p = line, *end = line + n;
+    int64_t rows = 0;
+    int seen = 0;
+    p = repro_skip_ws(p, end);
+    if (p >= end || *p != '{')
+        return -1;
+    p++;
+    for (;;) {
+        int member;
+        p = repro_skip_ws(p, end);
+        if (repro_token(p, end, "\"type\"", 6)) {
+            member = 1;
+            p += 6;
+        } else if (repro_token(p, end, "\"id\"", 4)) {
+            member = 2;
+            p += 4;
+        } else if (repro_token(p, end, "\"events\"", 8)) {
+            member = 4;
+            p += 8;
+        } else {
+            return -1;
+        }
+        if (seen & member)
+            return -1;
+        seen |= member;
+        p = repro_skip_ws(p, end);
+        if (p >= end || *p != ':')
+            return -1;
+        p = repro_skip_ws(p + 1, end);
+        if (member == 1)
+            p = repro_token(p, end, "\"requests\"", 10) ? p + 10 : NULL;
+        else if (member == 2)
+            p = repro_scan_int(p, end, ident);
+        else
+            p = repro_scan_rows(p, end, cap, procs, objs, writes, &rows);
+        if (p == NULL)
+            return -1;
+        p = repro_skip_ws(p, end);
+        if (p < end && *p == '}')
+            break;
+        if (p >= end || *p != ',')
+            return -1;
+        p++;
+    }
+    if (seen != 7 || repro_skip_ws(p + 1, end) != end)
+        return -1;
+    return rows;
+}
+
+static char *repro_put_int(char *w, int64_t v)
+{
+    char digits[20];
+    int n = 0;
+    uint64_t mag = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *w++ = '-';
+    do {
+        digits[n++] = (char)('0' + mag % 10);
+        mag /= 10;
+    } while (mag);
+    while (n)
+        *w++ = digits[--n];
+    return w;
+}
+
+static char *repro_put_ints(char *w, const int64_t *values, int64_t m)
+{
+    int64_t i;
+    for (i = 0; i < m; i++) {
+        if (i)
+            *w++ = ',';
+        w = repro_put_int(w, values[i]);
+    }
+    return w;
+}
+
+/* The journal's v2 events item of m events, as compact JSON plus the
+ * newline: its length, or -1 when cap < 46 + 63 * m (the longest item). */
+int64_t repro_events_item(const int64_t *procs, const int64_t *objs,
+                          const uint8_t *writes, int64_t m, char *out,
+                          int64_t cap)
+{
+    char *w = out;
+    int64_t i, first = 1;
+    if (m < 0 || cap < 46 || m > (cap - 46) / 63)
+        return -1;
+    memcpy(w, "{\"events\":{\"procs\":[", 20);
+    w = repro_put_ints(w + 20, procs, m);
+    memcpy(w, "],\"objs\":[", 10);
+    w = repro_put_ints(w + 10, objs, m);
+    memcpy(w, "],\"writes\":[", 12);
+    w += 12;
+    for (i = 0; i < m; i++) {
+        if (!writes[i])
+            continue;
+        if (!first)
+            *w++ = ',';
+        first = 0;
+        w = repro_put_int(w, i);
+    }
+    memcpy(w, "]}}\n", 4);
+    return w + 4 - out;
+}
 """
 
 
@@ -1432,6 +1680,8 @@ _C_SIGNATURES: Dict[str, Tuple[object, Tuple[object, ...]]] = {
         (_VP, _VP, _VP, _VP, _C64, _C64, _VP, _C64, _VP, _VP, _VP, _VP, _VP,
          _C64, _C64, _C64, _C64, _VP),
     ),
+    "repro_scan_requests": (_C64, (_VP, _C64, _C64, _VP, _VP, _VP, _VP)),
+    "repro_events_item": (_C64, (_VP, _VP, _VP, _C64, _VP, _C64)),
 }
 
 
@@ -1691,6 +1941,43 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
             lib.repro_nearest_tables(*args)
         return out
 
+    def cc_scan_requests(line):
+        if type(line) is not bytes:
+            return None
+        n = len(line)
+        # a row takes at least ten bytes, `[0,0,"r"],` (the last one nine)
+        cap = n // 10 + 1
+        procs = np.empty(cap, dtype=np.int64)
+        objs = np.empty(cap, dtype=np.int64)
+        writes = np.empty(cap, dtype=np.bool_)
+        ident = (_C64 * 1)()
+        rows = lib.repro_scan_requests(
+            line,
+            n,
+            cap,
+            a(procs, _I64, cap, "procs"),
+            a(objs, _I64, cap, "objs"),
+            a(writes, _BOOL, cap, "writes"),
+            ident,
+        )
+        if rows < 0:
+            return None
+        return ident[0], procs[:rows], objs[:rows], writes[:rows]
+
+    def cc_events_item(procs, objs, writes):
+        m = procs.size
+        cap = 46 + 63 * m  # the fixed text, and 20 digits and a comma per entry
+        out = np.empty(cap, dtype=np.uint8)
+        size = lib.repro_events_item(
+            a(procs, _I64, m, "procs"),
+            a(objs, _I64, m, "objs"),
+            a(writes, _BOOL, m, "writes"),
+            m,
+            a(out, _U8, cap, "out"),
+            cap,
+        )
+        return out[:size].tobytes()
+
     return {
         "lca": cc_lca,
         "scatter_paths": cc_scatter_paths,
@@ -1704,6 +1991,8 @@ def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
         "charge_pairs": cc_charge_pairs,
         "adaptive_scan": cc_adaptive_scan,
         "nearest_tables": cc_nearest_tables,
+        "scan_requests": cc_scan_requests,
+        "events_item": cc_events_item,
     }
 
 
@@ -2051,3 +2340,32 @@ def nearest_tables(
         raise InvalidNodeError("candidate set must not be empty")
     _check_node_ids(n, members, what="candidate")
     return _op("nearest_tables")(parent, order, depth, indptr, members)
+
+
+def scan_requests(line: bytes) -> Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """One ``requests`` wire line as ``(id, procs, objs, writes)``, or ``None``.
+
+    The line is taken only when it is one JSON object whose members are
+    exactly ``"type": "requests"``, ``"id": INT`` and ``"events": ROWS``,
+    in any order and each once, with JSON whitespace between tokens and
+    nothing after the object.  ``ROWS`` is an array of ``[INT, INT,
+    KIND]``, ``KIND`` one of ``"r"``, ``"w"``, ``"read"``, ``"write"``
+    without escapes, and ``INT`` is ``-?(0|[1-9][0-9]*)`` in int64, not
+    followed by ``.``, ``e``, ``E`` or a digit.  Every other line (and
+    every line under the numpy backend) is declined with ``None``: the
+    caller decodes it the reference way, which gives the same message
+    for every line this scan takes.  Returns the int64 ``procs`` and
+    ``objs`` and the bool ``writes`` columns.
+    """
+    return _op("scan_requests")(line)
+
+
+def events_item(procs: np.ndarray, objs: np.ndarray, writes: np.ndarray) -> bytes:
+    """The journal's v2 events item of one batch, newline included.
+
+    ``{"events":{"procs":[...],"objs":[...],"writes":[...]}}`` in compact
+    JSON, ``writes`` listing the positions of the write requests: byte for
+    byte what ``json.dumps`` writes for the int64 ``procs``/``objs`` and
+    bool ``writes`` columns of one size.
+    """
+    return _op("events_item")(procs, objs, writes)

@@ -34,6 +34,7 @@ topology churn can be interleaved deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -191,10 +192,11 @@ def _identity_maps(network: HierarchicalBusNetwork) -> Tuple[np.ndarray, np.ndar
 
 
 def _positive(value: float, what: str) -> float:
-    """``value`` as a float; :class:`BandwidthError` unless it is > 0 (NaN is not)."""
+    """``value`` as a float; :class:`BandwidthError` unless it is finite
+    and > 0 (NaN is not)."""
     bandwidth = float(value)
-    if not bandwidth > 0:
-        raise BandwidthError(f"{what} must be positive, got {value}")
+    if not 0 < bandwidth < math.inf:
+        raise BandwidthError(f"{what} must be positive and finite, got {value}")
     return bandwidth
 
 

@@ -67,6 +67,11 @@ class Edge(Tuple[int, int]):
         raise InvalidEdgeError(f"node {node} is not an endpoint of {self}")
 
 
+def _positive_and_finite(values: np.ndarray) -> bool:
+    """Every entry is finite and > 0 (NaN is neither): two reductions."""
+    return not values.size or bool(values.min() > 0 and values.max() < np.inf)
+
+
 class HierarchicalBusNetwork:
     """Immutable weighted tree with processor leaves and bus inner nodes.
 
@@ -224,7 +229,7 @@ class HierarchicalBusNetwork:
             the degenerate single-processor network), or the single node is
             a bus.
         BandwidthError
-            If any bandwidth is not positive (NaN included).
+            If any bandwidth is not finite and positive (NaN is neither).
         """
         n = self.n_nodes
         adjacency = self._adjacency
@@ -264,10 +269,10 @@ class HierarchicalBusNetwork:
                 raise TopologyError(
                     f"bus {v} must be an inner node, has degree {degree[v]}"
                 )
-        if not np.all(self._edge_bandwidth > 0):
-            raise BandwidthError("all edge bandwidths must be positive")
-        if not np.all(self._bus_bandwidth > 0):
-            raise BandwidthError("all bus bandwidths must be positive")
+        if not _positive_and_finite(self._edge_bandwidth):
+            raise BandwidthError("all edge bandwidths must be positive and finite")
+        if not _positive_and_finite(self._bus_bandwidth):
+            raise BandwidthError("all bus bandwidths must be positive and finite")
 
     # ------------------------------------------------------------------ #
     # basic accessors

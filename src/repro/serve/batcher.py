@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.dynamic.sequence import Columns, RequestSequence
 from repro.errors import SimulationError
-from repro.serve.wire import decode_events, mutation_from_dict
+from repro.serve.wire import is_int64, mutation_from_dict
 from repro.sim.engine import EngineStream, SimulationResult
 from repro.sim.sinks import CostBreakdownSink, MetricsSink, TrajectorySink
 
@@ -196,14 +196,15 @@ class ServeSession:
 class MicroBatcher:
     """Coalesce decoded messages into engine micro-batches.
 
-    ``add(message)`` decodes and buffers request events (as column chunks)
-    and returns the list of reply payloads produced by whatever the
-    message forced to happen; mutation, flush and end messages are
-    barriers that drain the buffer first.  A malformed message raises
-    :class:`~repro.errors.SimulationError` before any of its events is
-    buffered.  The caller (the server's engine task) decides *when* to
-    call :meth:`drain` for opportunistic batching -- typically when its
-    inbound queue runs empty.
+    ``add(message)`` buffers the columns of a ``requests`` message as
+    :func:`~repro.serve.wire.decode_message` decoded them and returns the
+    list of reply payloads produced by whatever the message forced to
+    happen; mutation, flush and end messages are barriers that drain the
+    buffer first.  A malformed message, or an ``id`` that is not an int64
+    JSON integer, raises :class:`~repro.errors.SimulationError` before any
+    of its events is buffered.  The caller (the server's engine task)
+    decides *when* to call :meth:`drain` for opportunistic batching --
+    typically when its inbound queue runs empty.
     """
 
     def __init__(self, session: ServeSession, max_batch: int = 1024) -> None:
@@ -252,15 +253,19 @@ class MicroBatcher:
             raise SimulationError("stream already ended")
         mtype = message.get("type")
         if "id" in message:
-            try:
-                self._last_id = int(message["id"])
-            except (TypeError, ValueError, OverflowError):
+            if not is_int64(message["id"]):
                 raise SimulationError(
-                    f"message id must be an integer, got {message['id']!r}"
-                ) from None
+                    f"message id must be an int64 JSON integer, got {message['id']!r}"
+                )
+            self._last_id = message["id"]
         replies: List[Dict[str, object]] = []
         if mtype == "requests":
-            columns = decode_events(message.get("events"))
+            columns = message.get("events")
+            if type(columns) is not tuple:
+                raise SimulationError(
+                    "a requests message must carry the columns decode_message "
+                    f"decodes, got {type(columns).__name__}"
+                )
             if len(columns[0]):
                 self._chunks.append(columns)
                 self._buffered += len(columns[0])

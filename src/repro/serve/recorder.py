@@ -52,10 +52,18 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import faults
+from repro.core.kernels import events_item
 from repro.dynamic.sequence import Columns, RequestSequence
 from repro.errors import SimulationError
 from repro.network.mutation import ChurnTrace, Mutation
-from repro.serve.wire import decode_events, int64_column, is_int64, mutation_from_dict
+from repro.serve.wire import (
+    NonFiniteNumber,
+    decode_events,
+    int64_column,
+    is_int64,
+    loads_finite,
+    mutation_from_dict,
+)
 
 __all__ = [
     "RECORDING_FORMAT",
@@ -109,13 +117,10 @@ class StreamRecorder:
     def _handle(self):
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(
-                self.path, "a" if self._append else "w", encoding="utf-8"
-            )
+            self._fh = open(self.path, "ab" if self._append else "wb")
         return self._fh
 
-    def _emit(self, document: Dict) -> None:
-        line = json.dumps(document, separators=(",", ":")) + "\n"
+    def _emit(self, line: bytes) -> None:
         fh = self._handle()
         fault = faults.fault_point("recorder.write")
         if fault is not None and fault.kind == "torn-write":
@@ -132,13 +137,13 @@ class StreamRecorder:
         if self.sync:
             os.fsync(fh.fileno())
 
-    def _write(self, document: Dict) -> None:
+    def _write(self, line: bytes) -> None:
         if self._closed:
             raise SimulationError(f"recording {self.path} is already closed")
         if self._pending_header is not None:
             header, self._pending_header = self._pending_header, None
-            self._emit(header)
-        self._emit(document)
+            self._emit(_json_line(header))
+        self._emit(line)
 
     def write_header(
         self,
@@ -167,25 +172,17 @@ class StreamRecorder:
         }
 
     def record_events(self, batch: RequestSequence) -> None:
-        """One validated micro-batch, in arrival order, as its columns."""
-        procs, objs, writes = batch.as_arrays()
-        self._write(
-            {
-                "events": {
-                    "procs": procs.tolist(),
-                    "objs": objs.tolist(),
-                    "writes": np.flatnonzero(writes).tolist(),
-                }
-            }
-        )
+        """One validated micro-batch, in arrival order, as its columns
+        (:func:`~repro.core.kernels.events_item`)."""
+        self._write(events_item(*batch.as_arrays()))
 
     def record_mutation(self, op: Dict, time: int) -> None:
         """One churn mutation at stream position ``time``."""
-        self._write({"mutation": dict(op), "time": int(time)})
+        self._write(_json_line({"mutation": dict(op), "time": int(time)}))
 
     def close(self, summary: Dict) -> None:
         """The footer of a completed stream."""
-        self._write({"summary": summary})
+        self._write(_json_line({"summary": summary}))
         self._closed = True
         if self._fh is not None:
             self._fh.close()
@@ -193,7 +190,7 @@ class StreamRecorder:
     def abort(self, reason: str) -> None:
         """The footer of a stream that died mid-flight."""
         if not self._closed:
-            self._write({"aborted": str(reason)})
+            self._write(_json_line({"aborted": str(reason)}))
             self._closed = True
             if self._fh is not None:
                 self._fh.close()
@@ -211,6 +208,11 @@ class StreamRecorder:
                 self._fh.close()
             except OSError:
                 pass
+
+
+def _json_line(document: Dict) -> bytes:
+    """One journal line: compact JSON plus the newline."""
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode()
 
 
 def _check_format(path, header: Dict) -> None:
@@ -272,7 +274,9 @@ def _parse_lines(data: bytes) -> Tuple[List[Dict], List[int], Optional[bytes]]:
     when it is the final line and either fails to parse or is not
     newline-terminated (the write may have been cut after the payload but
     before the terminator).  A malformed line anywhere else is
-    corruption, not a crash artefact, and raises.
+    corruption, not a crash artefact, and raises; so does a complete
+    line holding ``NaN`` or ``±Infinity``, which no write ever cut short
+    into.
     """
     items: List[Dict] = []
     ends: List[int] = []
@@ -284,11 +288,11 @@ def _parse_lines(data: bytes) -> Tuple[List[Dict], List[int], Optional[bytes]]:
     for index, line in enumerate(raw_lines):
         last = index == len(raw_lines) - 1
         try:
-            item = json.loads(line)
+            item = loads_finite(line)
             if not isinstance(item, dict):
                 raise ValueError("journal lines must be JSON objects")
         except ValueError as exc:
-            if last:
+            if last and not (terminated and isinstance(exc, NonFiniteNumber)):
                 return items, ends, line
             raise SimulationError(
                 f"corrupt journal line {index + 1}: {line!r}"

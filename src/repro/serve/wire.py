@@ -9,6 +9,8 @@ narrative description.  Client messages:
     monotonically increasing integer used for ack matching.  A row is
     exactly two int64 ids and a kind code (``"r"``, ``"w"``, ``"read"``
     or ``"write"``); a message with any other row is rejected whole.
+    :func:`decode_message` returns the message with its rows decoded to
+    the columns ``(procs, objs, is_write)``.
 ``{"type": "mutation", "id": n, "op": {...}}``
     One churn mutation, scheduled at the current stream position (i.e.
     before the next request event).  ``op`` is the mutation encoding of
@@ -50,20 +52,31 @@ Server messages:
     back later", ``watchdog`` means the engine-pass deadline fired,
     ``unknown-token``/``no-journal`` reject a ``resume``.
 
+Every message ``id`` is a JSON integer in int64, and no line may hold
+the non-JSON tokens ``NaN``, ``Infinity`` or ``-Infinity``.
+
 The mutation encoding covers the closed mutation set of
 :mod:`repro.network.mutation`; :func:`mutation_from_dict` is its exact
 inverse and rejects unknown kinds, so a recorded stream replays only
 mutations the offline engine understands.
+
+A ``requests`` line in the row grammar of
+:func:`repro.core.kernels.scan_requests` (compact or spaced, members in
+any order) is decoded by that compiled scan in one pass; every other
+line goes through ``json.loads`` and :func:`decode_events`, the
+reference, and both give the same message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.kernels import scan_requests
 from repro.dynamic.sequence import READ, WRITE, Columns, RequestEvent
 from repro.errors import SimulationError
 from repro.network.mutation import (
@@ -81,6 +94,7 @@ __all__ = [
     "decode_message",
     "encode_events",
     "decode_events",
+    "loads_finite",
     "mutation_to_dict",
     "mutation_from_dict",
 ]
@@ -97,14 +111,40 @@ def encode_message(message: Mapping) -> bytes:
     return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+class NonFiniteNumber(ValueError):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token: not JSON."""
+
+
+def _refuse_constant(token: str):
+    raise NonFiniteNumber(f"non-finite number {token} is not JSON")
+
+
+def loads_finite(text):
+    """``json.loads`` refusing ``NaN`` and ``±Infinity``
+    (:class:`NonFiniteNumber`), which it would otherwise take."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def decode_message(line: bytes) -> Dict:
-    """Inverse of :func:`encode_message` (raises on non-object payloads)."""
+    """Inverse of :func:`encode_message` (raises on non-object payloads).
+
+    A ``requests`` message comes back with its ``events`` decoded to the
+    columns ``(procs, objs, is_write)``, whichever path decoded it: the
+    compiled scan of :func:`repro.core.kernels.scan_requests` or, for
+    every line it declines, ``json.loads`` and :func:`decode_events`.
+    """
+    scanned = scan_requests(line)
+    if scanned is not None:
+        ident, procs, objs, writes = scanned
+        return {"type": "requests", "id": ident, "events": (procs, objs, writes)}
     try:
-        message = json.loads(line.decode("utf-8"))
+        message = loads_finite(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
-        raise SimulationError(f"malformed wire line {line!r}") from exc
+        raise SimulationError(f"malformed wire line {line!r}: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise SimulationError("wire messages must be JSON objects with a 'type'")
+    if message["type"] == "requests":
+        message["events"] = decode_events(message.get("events"))
     return message
 
 
@@ -212,7 +252,7 @@ def mutation_from_dict(document: Mapping) -> Mutation:
     """Exact inverse of :func:`mutation_to_dict`, as strict as the event rows.
 
     Node ids and ``moved`` entries are JSON integers in int64 (``bool`` is
-    not one), bandwidths are integers or floats (never ``bool`` or
+    not one), bandwidths are finite integers or floats (never ``bool`` or
     strings), ``moved`` is a list and ``name`` a string or null.  Anything
     else raises :class:`~repro.errors.SimulationError` naming the document,
     so a session refuses it before it is scheduled or journaled.
@@ -227,6 +267,8 @@ def mutation_from_dict(document: Mapping) -> Mutation:
         value = document.get(key, default)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{key} is not a number")
+        if not math.isfinite(value):
+            raise ValueError(f"{key} is not finite")
         return float(value)
 
     def name() -> Optional[str]:
@@ -258,6 +300,6 @@ def mutation_from_dict(document: Mapping) -> Mutation:
                 bus_bandwidth=bandwidth("bus_bandwidth", 1.0),
                 trunk_bandwidth=bandwidth("trunk_bandwidth", 1.0),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"malformed mutation document {document!r}") from exc
     raise SimulationError(f"unknown mutation kind {document.get('kind')!r}")

@@ -59,7 +59,7 @@ from repro.dynamic.sequence import (
     phase_change_sequence,
     sequence_from_pattern,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WorkloadError
 from repro.network.builders import (
     balanced_tree,
     fat_tree,
@@ -508,10 +508,31 @@ def _build_strategies(
     :func:`~repro.dynamic.evaluate.first_touch_manager`); every factory is
     lazy, so merely *building* a scenario (the suite functions do that to
     hand out networks and sequences) never pays for a placement solve.
+    An argument a kind does not take raises
+    :class:`~repro.errors.WorkloadError` here, before anything replays.
     """
     from repro.dynamic.evaluate import first_touch_manager, hindsight_static_manager
 
+    counter_args = frozenset(inspect.signature(EdgeCounterManager).parameters) - {
+        "network", "n_objects",
+    }
+    accepted = {
+        "hindsight-static": frozenset(),
+        "edge-counter": counter_args,
+        "rent-or-buy": counter_args,
+        # hysteresis derives both thresholds from its two arguments
+        "hysteresis": counter_args - {"replicate_threshold", "migrate_threshold"}
+        | {"migration_factor"},
+        "first-touch": counter_args,
+    }
+
     def make_factory(kind: str, args: Mapping) -> Callable[[], object]:
+        unknown = sorted(set(args) - accepted.get(kind, frozenset(args)))
+        if unknown:
+            raise WorkloadError(
+                f"strategy kind {kind!r} takes no argument {unknown[0]!r} "
+                f"(it takes {sorted(accepted[kind]) or 'none'})"
+            )
         if kind == "hindsight-static":
             def factory():
                 return hindsight_static_manager(net, sequence)

@@ -143,6 +143,14 @@ def _inputs():
                 np.array([3, 6, 4], dtype=np.int64),
             ),
         ),
+        "scan_requests": (
+            kernels.scan_requests,
+            (b'{"type":"requests","id":1,"events":[[3,0,"r"],[4,1,"w"]]}\n',),
+        ),
+        "events_item": (
+            kernels.events_item,
+            (u.copy(), v.copy(), np.array([True, False, False, True])),
+        ),
     }
 
 
@@ -175,7 +183,11 @@ _BAD_ARGS = {
     "charge_pairs": (1, 3, 6),
     "adaptive_scan": (9, 0, 1),
     "nearest_tables": (4, 1, 4),
+    "events_item": (0, 2, 1),
 }
+#: ops that take no array: the wire scan reads one ``bytes`` line and stays
+#: inside it, and declines any other argument
+_ARRAYLESS = {"scan_requests"}
 
 
 def _snapshot(args):
@@ -185,7 +197,7 @@ def _snapshot(args):
 
 
 def test_every_cc_op_is_covered():
-    assert set(_BAD_ARGS) == set(kernels._NUMPY_OPS) == set(_inputs())
+    assert set(_BAD_ARGS) | _ARRAYLESS == set(kernels._NUMPY_OPS) == set(_inputs())
 
 
 @needs_cc
@@ -206,7 +218,7 @@ def test_bad_array_raises_before_the_c_code(op, bad):
     assert _snapshot(args) == before
 
 
-@pytest.mark.parametrize("op", sorted(_BAD_ARGS))
+@pytest.mark.parametrize("op", sorted(_BAD_ARGS.keys() | _ARRAYLESS))
 def test_valid_arguments_pass(op):
     for backend in kernels.available_backends():
         fn, args = _inputs()[op]

@@ -195,6 +195,39 @@ class TestStrictItems:
         with pytest.raises(SimulationError, match="not at time 6"):
             load_recording(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"mutation": {"kind": "set-bus-bandwidth", "bus": 0, "bandwidth": %s},'
+            ' "time": 6}',
+            '{"events": {"procs": [3, %s], "objs": [0, 1], "writes": []}}',
+        ],
+        ids=["bandwidth", "proc"],
+    )
+    @pytest.mark.parametrize("where", ["last", "after-header"])
+    def test_non_finite_number_is_corruption_not_a_torn_tail(
+        self, spec, tmp_path, token, template, where
+    ):
+        """``json.loads`` takes these tokens; a complete line holding one is
+        refused by load and heal, never skipped or truncated."""
+        path, items = self.journal_lines(spec, tmp_path)
+        lines = [json.dumps(item) + "\n" for item in items]
+        lines.insert(len(lines) if where == "last" else 1, template % token + "\n")
+        path.write_text("".join(lines))
+        journal = path.read_bytes()
+        with pytest.raises(SimulationError, match="corrupt journal line"):
+            load_recording(path)
+        with pytest.raises(SimulationError, match="corrupt journal line"):
+            heal_journal(path)
+        assert path.read_bytes() == journal
+        if where == "last":
+            # without its newline the same line is a write cut short
+            path.write_bytes(journal[:-1])
+            with pytest.warns(UserWarning, match="torn line"):
+                load_recording(path)
+            assert heal_journal(path).truncated_torn_line
+
     def test_malformed_mutation_document_is_refused_at_load(self, spec, tmp_path):
         path, items = self.journal_lines(spec, tmp_path)
         op = {"kind": "detach-leaf", "processor": 3.9}

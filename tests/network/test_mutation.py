@@ -100,10 +100,11 @@ BANDWIDTH_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0, float("inf")])
 @pytest.mark.parametrize("entry", sorted(BANDWIDTH_ENTRY_POINTS))
 def test_bandwidth_not_above_zero_rejected(entry, bandwidth):
-    # NaN compares false with everything, so a `<= 0` guard lets it through
+    # NaN compares false with everything, so a `<= 0` guard lets it
+    # through; inf passes `> 0` but is no finite bandwidth
     with pytest.raises(BandwidthError):
         BANDWIDTH_ENTRY_POINTS[entry](bandwidth)
     BANDWIDTH_ENTRY_POINTS[entry](2.0)  # the same call with a valid value passes

@@ -239,13 +239,13 @@ def reference_validate(net):
                 raise TopologyError(
                     f"bus {v} must be an inner node, has degree {deg}"
                 )
-    if np.any(net._edge_bandwidth <= 0):
-        raise BandwidthError("all edge bandwidths must be positive")
-    if np.any(net._bus_bandwidth <= 0):
-        raise BandwidthError("all bus bandwidths must be positive")
+    if np.any((net._edge_bandwidth <= 0) | np.isinf(net._edge_bandwidth)):
+        raise BandwidthError("all edge bandwidths must be positive and finite")
+    if np.any((net._bus_bandwidth <= 0) | np.isinf(net._bus_bandwidth)):
+        raise BandwidthError("all bus bandwidths must be positive and finite")
 
 
-NON_POSITIVE = st.floats(min_value=-4.0, max_value=0.0)
+BAD_BANDWIDTH = st.floats(min_value=-4.0, max_value=0.0) | st.just(np.inf)
 POSITIVE = st.floats(min_value=0.25, max_value=8.0)
 
 
@@ -258,7 +258,7 @@ def unchecked_networks(draw):
     Kinds either fit the degrees (leaves are processors), with one node
     possibly flipped, or are random: so valid trees, bus leaves and inner
     processors all occur.  At most one edge and one bus bandwidth are
-    non-positive.
+    non-positive or infinite.
     """
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for v in range(n) for u in range(v)]
@@ -289,11 +289,11 @@ def unchecked_networks(draw):
     ]
     edge_bandwidths = [draw(POSITIVE) for _ in edges]
     if edges and draw(st.sampled_from([False, False, True])):
-        edge_bandwidths[draw(st.integers(0, len(edges) - 1))] = draw(NON_POSITIVE)
+        edge_bandwidths[draw(st.integers(0, len(edges) - 1))] = draw(BAD_BANDWIDTH)
     net = HierarchicalBusNetwork(specs, edges, edge_bandwidths, validate=False)
     if net.buses and draw(st.sampled_from([False, False, True])):
         # NodeSpec refuses such a bus, so it can only be planted
-        net._bus_bandwidth[draw(st.sampled_from(net.buses))] = draw(NON_POSITIVE)
+        net._bus_bandwidth[draw(st.sampled_from(net.buses))] = draw(BAD_BANDWIDTH)
     return net
 
 

@@ -7,6 +7,7 @@ client as the driver -- the same path the CI smoke job exercises.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import subprocess
@@ -15,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
+from repro.core import kernels
 from repro.errors import SimulationError
-from repro.serve import PlacementServer, ServerThread, replay_recording
+from repro.serve import PlacementServer, ServerThread, replay_recording, wire
 from repro.serve.loadgen import loadgen, workload_from_spec
 from repro.serve.recorder import load_recording
-from repro.serve.wire import encode_message
+from repro.serve.wire import encode_events, encode_message
 from repro.sim.scenario import scenario_spec
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -74,6 +77,92 @@ class TestServedStream:
             stats = loadgen(host, port, events, rate=rate, batch=4)
         # pacing keeps the achieved rate near (and never far above) target
         assert stats["events_per_sec"] <= rate * 1.5
+
+
+def _stream_messages(spec, batch=8):
+    """The spec's events in ``batch``-event requests messages, each mutation
+    at its time, then ``end``: the loadgen's stream, ids from 1."""
+    events, mutations = workload_from_spec(spec)
+    messages, pending, position = [], list(mutations), 0
+    while position < len(events) or pending:
+        if pending and pending[0][0] <= position:
+            messages.append({"type": "mutation", "op": pending.pop(0)[1]})
+            continue
+        stop = min(position + batch, len(events), *(t for t, _ in pending[:1]))
+        if stop == position:  # a mutation past the last event
+            messages.append({"type": "mutation", "op": pending.pop(0)[1]})
+            continue
+        messages.append({"type": "requests", "events": encode_events(events[position:stop])})
+        position = stop
+    messages.append({"type": "end"})
+    return [{**message, "id": index} for index, message in enumerate(messages, 1)]
+
+
+def _compact(message) -> bytes:
+    return encode_message(message)
+
+
+def _pretty(message) -> bytes:
+    """``indent=1`` on one line (its newlines made carriage returns), the
+    members in reverse order plus an unknown one, and the first kind code
+    escaped: a line the compiled scan declines."""
+    document = {"note": "pretty", **dict(reversed(list(message.items())))}
+    text = json.dumps(document, indent=1)
+    for code in ('"w"', '"r"'):
+        if code in text:
+            text = text.replace(code, '"\\u%04x"' % ord(code[1]), 1)
+            break
+    return text.replace("\n", "\r").encode() + b"\n"
+
+
+class TestLineShapes:
+    @pytest.mark.skipif("cc" not in kernels.available_backends(), reason="no C compiler")
+    def test_every_line_shape_is_served_alike(self, spec, tmp_path, monkeypatch):
+        """One event stream in three closed-loop sessions: compact lines
+        (the compiled scan), pretty lines (the JSON path) and compact lines
+        under the numpy backend (the JSON path) get the same acks and
+        summary, journal the same bytes, and each journal replays."""
+        taken = {}  # line -> whether the scan took it (the first line is read twice)
+
+        def scan(line):
+            columns = kernels.scan_requests(line)
+            taken[line] = columns is not None
+            return columns
+
+        monkeypatch.setattr(wire, "scan_requests", scan)
+        messages = _stream_messages(spec)
+        n_requests = sum(message["type"] == "requests" for message in messages)
+
+        async def drive(host, port, lines):
+            reader, writer = await asyncio.open_connection(host, port)
+            await reader.readline()  # session hello
+            replies = []
+            for line in lines:  # one message in flight
+                writer.write(line)
+                await writer.drain()
+                replies.append(json.loads(await asyncio.wait_for(reader.readline(), 30)))
+            writer.close()
+            return replies
+
+        sessions = {}
+        for name, shape, backend in (
+            ("compact", _compact, "cc"),
+            ("pretty", _pretty, "cc"),
+            ("numpy", _compact, "numpy"),
+        ):
+            taken.clear()
+            with kernels.use_backend(backend):
+                with run_server(spec, record_dir=tmp_path / name) as (host, port):
+                    replies = asyncio.run(drive(host, port, [shape(m) for m in messages]))
+            (journal,) = (tmp_path / name).glob("session-*.jsonl")
+            sessions[name] = (replies, journal.read_bytes(), sum(taken.values()))
+            assert main(["replay-stream", str(journal), "--check"], stream=io.StringIO()) == 0
+        assert [sessions[name][2] for name in sessions] == [n_requests, 0, 0]
+        compact = sessions["compact"]
+        assert compact[0][-1]["type"] == "end"
+        assert len(compact[0]) == len(messages)
+        for name in ("pretty", "numpy"):
+            assert sessions[name][:2] == compact[:2], name
 
 
 class TestServerEdges:

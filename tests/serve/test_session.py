@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.errors import MutationError, SimulationError, WorkloadError
 from repro.network.builders import balanced_tree
 from repro.serve.batcher import MicroBatcher, ServeSession, build_session, resume_session
 from repro.serve.recorder import StreamRecorder, heal_journal
+from repro.serve.wire import decode_message, encode_message
 from repro.sim.scenario import scenario_spec
 
 
@@ -20,8 +22,17 @@ def make_session(**kwargs):
     return ServeSession(EdgeCounterManager(net, 4), n_objects=4, **kwargs)
 
 
-def req(msg_id, *rows):
+def wire(message):
+    """``message`` as the server hands it to the batcher: sent, then decoded."""
+    return decode_message(encode_message(message))
+
+
+def rows_message(msg_id, *rows):
     return {"type": "requests", "id": msg_id, "events": list(rows)}
+
+
+def req(msg_id, *rows):
+    return wire(rows_message(msg_id, *rows))
 
 
 class TestServeSession:
@@ -105,6 +116,74 @@ class TestJournalHoldsOnlyAcceptedItems:
         _, position, n_mutations = resume_session(path)
         assert (position, n_mutations) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"type": "flush", "id": 2.7},
+            {"type": "flush", "id": True},
+            {"type": "flush", "id": "9"},
+            {"type": "flush", "id": None},
+            {"type": "requests", "id": 2.7, "events": [[3, 1, "r"]]},
+            {"type": "mutation", "id": "9", "op": {"kind": "set-bus-bandwidth",
+                                                   "bus": 0, "bandwidth": 2.0}},
+        ],
+        ids=["flush-float", "flush-true", "flush-string", "flush-null",
+             "requests-float", "mutation-string"],
+    )
+    def test_id_that_is_not_an_int64_integer_is_refused(self, tmp_path, message):
+        """Refused, not coerced: ``int()`` would ack a flush with id 2.7 as
+        id 2, ``true`` as 1 and ``"9"`` as 9."""
+        session, path = self.journaled_session(tmp_path)
+        batcher = MicroBatcher(session, max_batch=100)
+        batcher.add(req(1, [3, 0, "r"]))
+        assert batcher.drain()["id"] == 1
+        journal = path.read_bytes()
+        refused = f"message id must be an int64 JSON integer, got {message['id']!r}"
+        with pytest.raises(SimulationError, match=re.escape(refused)):
+            batcher.add(wire(message))
+        assert (batcher.buffered, path.read_bytes()) == (0, journal)
+        assert batcher.add(wire({"type": "flush", "id": 3})) == [
+            {"type": "ack", "id": 3, "position": 1}
+        ]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"type": "mutation", "id": 1, "op": {"kind": "set-bus-bandwidth", '
+            b'"bus": 0, "bandwidth": Infinity}}',
+            b'{"type": "mutation", "id": 1, "op": {"kind": "set-bus-bandwidth", '
+            b'"bus": 0, "bandwidth": -Infinity}}',
+            b'{"type": "requests", "id": NaN, "events": []}',
+            b'{"type": "requests", "id": 1, "events": [[3, 0, "r"]], "x": NaN}',
+        ],
+        ids=["infinite-bandwidth", "negative-infinite-bandwidth", "nan-id", "nan-member"],
+    )
+    def test_non_finite_number_is_refused_before_the_journal(self, tmp_path, line):
+        """``json.loads`` takes these tokens: the first line would schedule
+        ``SetBusBandwidth(0, inf)`` and the third decode to id ``nan``."""
+        session, path = self.journaled_session(tmp_path)
+        session.feed([RequestEvent(3, 0, READ)])
+        journal = path.read_bytes()
+        with pytest.raises(SimulationError, match="non-finite number .* is not JSON"):
+            decode_message(line + b"\n")
+        assert path.read_bytes() == journal
+        assert resume_session(path)[1:] == (1, 0)
+
+    def test_huge_bandwidth_is_refused_before_the_journal(self, tmp_path):
+        # a finite-looking number that json.loads reads as inf, or that no
+        # float holds
+        session, path = self.journaled_session(tmp_path)
+        journal = path.read_bytes() if path.exists() else b""
+        for bandwidth in (b"1e999", b"1" + b"0" * 400):
+            message = decode_message(
+                b'{"type": "mutation", "id": 1, "op": {"kind": "set-bus-bandwidth", '
+                b'"bus": 0, "bandwidth": ' + bandwidth + b"}}"
+            )
+            with pytest.raises(SimulationError, match="malformed mutation"):
+                MicroBatcher(session).add(message)
+        assert (path.read_bytes() if path.exists() else b"") == journal
+        assert session.stream.position == 0
+
     def test_queued_mutations_chain(self, tmp_path):
         # the second detach is checked against the network the first leaves
         session, path = self.journaled_session(tmp_path)
@@ -181,13 +260,13 @@ class TestMicroBatcher:
     @pytest.mark.parametrize(
         "message",
         [
-            req(1, [3, 0, "r"], [3.7, 0, "r"]),
-            req(1, [3, 2.9, "r"]),
-            req(1, ["3", 0, "r"]),
-            req(1, [True, 0, "r"]),
-            req(1, [3, 0, "r"], [10**30, 0, "r"]),
-            req(1, [3, 0, "r", 1]),
-            req(1, [3, 0, "x"]),
+            rows_message(1, [3, 0, "r"], [3.7, 0, "r"]),
+            rows_message(1, [3, 2.9, "r"]),
+            rows_message(1, ["3", 0, "r"]),
+            rows_message(1, [True, 0, "r"]),
+            rows_message(1, [3, 0, "r"], [10**30, 0, "r"]),
+            rows_message(1, [3, 0, "r", 1]),
+            rows_message(1, [3, 0, "x"]),
             {"type": "requests", "id": 1},
             {"type": "requests", "id": 1, "events": "3,0,r"},
             {"type": "requests", "id": "one", "events": [[3, 0, "r"]]},
@@ -204,9 +283,15 @@ class TestMicroBatcher:
         batcher = MicroBatcher(session, max_batch=100)
         batcher.add(req(0, [4, 1, "w"]))
         with pytest.raises(SimulationError):
-            batcher.add(message)
+            batcher.add(wire(message))
         assert batcher.buffered == 1  # nothing of the bad message buffered
         assert batcher.drain()["position"] == 1
+
+    def test_rows_are_decoded_on_the_wire_not_in_the_batcher(self):
+        batcher = MicroBatcher(make_session(), max_batch=100)
+        with pytest.raises(SimulationError, match="columns decode_message decodes"):
+            batcher.add(rows_message(1, [3, 0, "r"]))
+        assert batcher.buffered == 0
 
     def test_unknown_message_type_is_loud(self):
         batcher = MicroBatcher(make_session(), max_batch=4)

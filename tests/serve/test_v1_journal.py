@@ -18,7 +18,7 @@ from repro.errors import SimulationError
 from repro.serve.batcher import MicroBatcher, resume_session
 from repro.serve.loadgen import workload_from_spec
 from repro.serve.recorder import heal_journal, load_recording, replay_recording
-from repro.serve.wire import encode_events
+from repro.serve.wire import decode_message, encode_events, encode_message
 from repro.sim.scenario import ScenarioSpec
 
 V1_JOURNAL = Path(__file__).parent / "data" / "storm-small-v1.jsonl"
@@ -74,7 +74,8 @@ def test_footer_stripped_v1_journal_resumes_and_seals(tmp_path, cut):
             stop = min(stop, pending[0][0])
         message_id += 1
         rows = encode_events(events[position:stop])
-        replies += batcher.add({"type": "requests", "id": message_id, "events": rows})
+        message = {"type": "requests", "id": message_id, "events": rows}
+        replies += batcher.add(decode_message(encode_message(message)))
         position = stop
     for _, op in pending:
         message_id += 1

@@ -65,12 +65,14 @@ class TestMutationSerialisation:
             {"kind": "set-edge-bandwidth", "u": 1, "v": 2**63, "bandwidth": 1.0},
             {"kind": "attach-leaf", "bus": 1, "name": 7},
             {"kind": "split-bus", "bus": 1, "moved": [3, False]},
+            {"kind": "set-bus-bandwidth", "bus": 2, "bandwidth": float("inf")},
+            {"kind": "attach-leaf", "bus": 1, "bandwidth": 10**400},
         ],
     )
     def test_documents_are_decoded_as_strictly_as_event_rows(self, document):
         """Node ids and ``moved`` entries are int64 JSON integers (not
-        ``bool``), bandwidths are numbers and names are strings: nothing
-        is coerced by ``int()``, ``float()`` or ``str()``."""
+        ``bool``), bandwidths are finite numbers and names are strings:
+        nothing is coerced by ``int()``, ``float()`` or ``str()``."""
         with pytest.raises(SimulationError, match="malformed mutation"):
             mutation_from_dict(document)
 
@@ -100,10 +102,18 @@ class TestEventEncoding:
 
 class TestMessageFraming:
     def test_roundtrip(self):
-        message = {"type": "requests", "id": 7, "events": [[0, 1, "r"]]}
+        message = {"type": "flush", "id": 7}
         line = encode_message(message)
         assert line.endswith(b"\n")
         assert decode_message(line) == message
+
+    def test_requests_roundtrip_to_their_columns(self):
+        rows = [[0, 1, "r"], [5, 2, "w"]]
+        decoded = decode_message(encode_message({"type": "requests", "id": 7, "events": rows}))
+        procs, objs, writes = decoded.pop("events")
+        assert decoded == {"type": "requests", "id": 7}
+        assert (procs.tolist(), objs.tolist(), writes.tolist()) == ([0, 5], [1, 2], [False, True])
+        assert (procs.dtype, objs.dtype, writes.dtype) == (np.int64, np.int64, bool)
 
     def test_non_object_payload_is_rejected(self):
         with pytest.raises(SimulationError):

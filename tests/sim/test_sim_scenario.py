@@ -151,6 +151,51 @@ class TestBuildAndRun:
         with pytest.raises(WorkloadError, match="object_size"):
             run_scenario(spec)
 
+    @pytest.mark.parametrize(
+        "kind, argument",
+        [
+            ("edge-counter", "bogus"),
+            ("rent-or-buy", "migration_factor"),
+            ("hysteresis", "replicate_threshold"),
+            ("first-touch", "bogus"),
+            ("hindsight-static", "object_size"),
+        ],
+    )
+    def test_unknown_strategy_argument_is_refused_at_build(self, kind, argument):
+        """An unknown argument is refused as input when the scenario is
+        built, on the offline and on the server's path, not as a
+        ``TypeError`` at the first replay."""
+        from repro.serve.batcher import build_session
+
+        document = scenario_spec("zipf", seed=0, small=True).to_dict()
+        document["strategies"] = [{"kind": kind, "args": {argument: 2}}]
+        spec = ScenarioSpec.from_dict(document)
+        refused = f"strategy kind '{kind}' takes no argument '{argument}'"
+        with pytest.raises(WorkloadError, match=refused):
+            build_scenario(spec)
+        with pytest.raises(WorkloadError, match=refused):
+            build_session(spec)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"kind": "edge-counter", "args": {"object_size": 2, "invalidation_patience": 1,
+                                              "replicate_threshold": 3, "migrate_threshold": 2}},
+            {"kind": "rent-or-buy", "args": {"replicate_threshold": 3, "migrate_threshold": 2}},
+            {"kind": "hysteresis", "args": {"object_size": 2, "migration_factor": 3,
+                                            "invalidation_patience": 1}},
+            {"kind": "first-touch", "args": {"object_size": 3, "invalidation_patience": 1}},
+            {"kind": "hindsight-static", "args": {}},
+        ],
+        ids=lambda strategy: strategy["kind"],
+    )
+    def test_every_accepted_strategy_argument_still_builds(self, strategy):
+        document = scenario_spec("zipf", seed=0, small=True).to_dict()
+        document["strategies"] = [strategy]
+        (built,) = build_scenario(ScenarioSpec.from_dict(document))
+        ((_, factory),) = built.strategies
+        assert factory().n_objects == built.sequence.n_objects
+
 
 def _oracle_specs():
     """Every registered family and the tournament suite, at ``--small``."""

@@ -345,6 +345,22 @@ class TestSimulateCommand:
         with pytest.raises(WorkloadError, match="chunk_size"):
             main(["replay-stream", str(journal), "--check"], stream=io.StringIO())
 
+    def test_unknown_strategy_argument_is_one_error_line_and_exit_2(self, tmp_path, capsys):
+        # refused when the spec is built, not as a TypeError traceback at
+        # the first replay
+        from repro.sim.scenario import scenario_spec
+
+        document = scenario_spec("zipf", seed=0, small=True).to_dict()
+        document["strategies"] = [{"kind": "edge-counter", "args": {"bogus": 1}}]
+        spec_path = tmp_path / "bogus.json"
+        spec_path.write_text(json.dumps(document))
+        assert main(["simulate", "--spec", str(spec_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "repro: error: WorkloadError: strategy kind 'edge-counter' takes no "
+            "argument 'bogus'"
+        )
+
     @pytest.mark.parametrize(
         "scenario", ["adversarial-storm", "flash-crowd-recovery", "fleet-sweep"]
     )

@@ -14,11 +14,22 @@ implementations:
     A tiny C library embedded in this file, compiled on first use with the
     system C compiler (``cc``/``gcc``/``clang``) into a shared object that
     is cached on disk keyed by the source hash, and loaded via ctypes.
-    Available wherever a C compiler is installed.  Its entry points take
-    plain addresses (``ctypes.c_void_p``): every array argument is checked
-    for dtype, C-contiguity and length by :func:`_address` before any C
-    code runs, and the arrays of a load substrate are checked once per
-    topology epoch (:class:`PairSubstrate`).
+    Available wherever a C compiler is installed, and loaded only from a
+    private cache directory.
+
+**The prototype is the declaration.**  Each exported ``repro_*``
+function of :data:`_C_SOURCE` is declared only by its C prototype
+(:func:`_prototypes`), which gives its ctypes types and, per pointer
+parameter, the element dtype and whether it is ``const``.  Every array
+handed to C is checked against its parameter before any C code runs
+(:func:`_address`: exact dtype, C-contiguous, at least the entries the op
+states, writable unless ``const``; else :class:`TypeError`), the arrays
+of a load substrate once per topology epoch (:class:`PairSubstrate`).
+Under numpy too, an op refuses a read-only array where its C function
+writes (:func:`_twin`).  Each public op runs its shared pre-checks, then
+its numpy twin or ``repro_<op>``.  The lane ops
+:func:`apply_columns_lanes` and :func:`rescan_rows` have no caller here;
+perfbench's tracer binds them by name.
 
 One op is fused: :func:`charge_pairs` makes a whole weighted pair charge
 (LCA, pair deltas, path scatter, load apply, rescan and the booked cost)
@@ -55,7 +66,9 @@ backend that is unavailable raises :class:`~repro.errors.AlgorithmError`
 (with the build error, if there was one) instead of silently falling
 back.  :func:`set_backend` / :func:`use_backend` override the
 environment at runtime (used by the differential suite and the
-compiled-vs-numpy benchmark gates).
+compiled-vs-numpy benchmark gates).  They and :func:`active_backend`
+resolve the backend; between those calls an op only compares
+``REPRO_BACKEND`` with the value last resolved.
 
 **Compiled equals reference (ARCHITECTURE.md invariant 9).**  Every
 compiled kernel is bit-for-bit equal to its numpy ``_reference_*`` twin,
@@ -76,17 +89,22 @@ entries as :data:`INDEX_DTYPE` (int32) so huge networks fit in memory;
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
+import stat
 import subprocess
 import tempfile
 import warnings
 from bisect import insort
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -269,9 +287,7 @@ def _reference_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, sign):
     else:
         loads[:n_edges] -= vec
     bus2 = np.zeros(loads.size - n_edges, dtype=np.float64)
-    np.add.at(bus2, edge_u, vec)
-    np.add.at(bus2, edge_v, vec)
-    bus2[~is_bus] = 0.0
+    _reference_bus_fold(bus2, edge_u, edge_v, is_bus, vec)
     if sign >= 0:
         loads[n_edges:] += bus2
     else:
@@ -282,9 +298,7 @@ def _reference_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, sign):
 def _reference_apply_columns_lanes(loads, lanes, cols, edge_u, edge_v, is_bus, n_edges):
     loads[lanes, :n_edges] += cols.T
     bus2 = np.zeros((loads.shape[1] - n_edges, lanes.size), dtype=np.float64)
-    np.add.at(bus2, edge_u, cols)
-    np.add.at(bus2, edge_v, cols)
-    bus2[~is_bus] = 0.0
+    _reference_bus_fold(bus2, edge_u, edge_v, is_bus, cols)
     loads[lanes, n_edges:] += bus2.T
     return ~np.all(cols >= 0, axis=0)
 
@@ -595,26 +609,8 @@ def _reference_events_item(procs, objs, writes) -> bytes:
     return (json.dumps(document, separators=(",", ":")) + "\n").encode()
 
 
-_NUMPY_OPS: Dict[str, Callable] = {
-    "lca": _reference_lca,
-    "scatter_paths": _reference_scatter_paths,
-    "pair_scatter": _reference_pair_scatter,
-    "pair_scatter_lanes": _reference_pair_scatter_lanes,
-    "bus_fold": _reference_bus_fold,
-    "apply_column": _reference_apply_column,
-    "apply_columns_lanes": _reference_apply_columns_lanes,
-    "rescan": _reference_rescan,
-    "rescan_rows": _reference_rescan_rows,
-    "charge_pairs": _reference_charge_pairs,
-    "adaptive_scan": _reference_adaptive_scan,
-    "nearest_tables": _reference_nearest_tables,
-    "scan_requests": _reference_scan_requests,
-    "events_item": _reference_events_item,
-}
-
-
 # --------------------------------------------------------------------- #
-# raw-pointer arguments, checked once
+# raw-pointer arguments, checked against their C parameters
 # --------------------------------------------------------------------- #
 _F64 = np.dtype(np.float64)
 _I64 = np.dtype(np.int64)
@@ -624,13 +620,21 @@ _U8 = np.dtype(np.uint8)
 _BYTE = ctypes.c_char
 
 
-def _address(arr, dtype: np.dtype, n: int, what: str) -> int:
-    """Address of one array argument of a cc op, checked first.
+def _read_only_error(name: str, arr: np.ndarray) -> TypeError:
+    return TypeError(
+        f"kernel argument {name}: the op writes into it, got a read-only "
+        f"{arr.dtype} array of shape {arr.shape}"
+    )
 
-    The cc ops are bound with plain addresses (``ctypes.c_void_p``), which
-    ctypes passes unchecked, so every array goes through here before any
-    C code runs: it must be a C-contiguous ndarray of exactly ``dtype``
-    with at least ``n`` entries, or :class:`TypeError` is raised.
+
+def _address(arr, n: int, dtype: np.dtype, const: bool, name: str) -> int:
+    """Address of one array argument of a C function, checked first.
+
+    ``dtype``, ``const`` and ``name`` are the parameter's, as its
+    prototype declares it (:func:`_prototypes`).  The array must be a
+    C-contiguous ndarray of exactly ``dtype`` with at least ``n`` entries,
+    and writable unless the parameter is ``const``, or :class:`TypeError`
+    is raised.
     """
     if not (
         isinstance(arr, np.ndarray)
@@ -645,7 +649,7 @@ def _address(arr, dtype: np.dtype, n: int, what: str) -> int:
             else type(arr).__name__
         )
         raise TypeError(
-            f"kernel argument {what}: expected a C-contiguous {dtype} array "
+            f"kernel argument {name}: expected a C-contiguous {dtype} array "
             f"of at least {n} entries, got {got}"
         )
     try:
@@ -653,6 +657,8 @@ def _address(arr, dtype: np.dtype, n: int, what: str) -> int:
         # helper object on every call
         return ctypes.addressof(_BYTE.from_buffer(arr))
     except (TypeError, ValueError):  # read-only or empty buffer
+        if not (const or arr.flags.writeable):
+            raise _read_only_error(name, arr) from None
         return arr.ctypes.data
 
 
@@ -666,10 +672,11 @@ class PairSubstrate:
     (``StackedLoadState._pair_substrate``), so the dtype, contiguity and
     length checks of these arrays (:class:`TypeError`, like every cc
     argument check) and their address lookups run once per topology
-    epoch, not once per charge.  The numpy twin reads the arrays; the cc
-    op takes ``c_args``, their addresses and sizes, as its leading
-    arguments and writes its ``(cost, congestion, stale)`` into ``out``,
-    so one substrate serves one thread at a time.
+    epoch, not once per charge; ``loads`` must be writable, under every
+    backend.  The numpy twin reads the arrays; the cc op takes
+    ``c_args``, their addresses and sizes, as its leading arguments and
+    writes its ``(cost, congestion, stale)`` into ``out``, so one
+    substrate serves one thread at a time.
     """
 
     __slots__ = (
@@ -694,27 +701,21 @@ class PairSubstrate:
         levels, n = up.shape
         n_edges = edge_u.size
         width = n_edges + n
-        indptr_address = _address(rp_indptr, _I64, n + 1, "rp_indptr")
+        # rp_edges holds rp_indptr[n] entries; a short rp_indptr is refused
+        entries = int(rp_indptr[n]) if rp_indptr.size > n else 0
         self.up, self.depth = up, depth
         self.rp_edges, self.rp_nodes, self.rp_indptr = rp_edges, rp_nodes, rp_indptr
         self.edge_u, self.edge_v, self.is_bus = edge_u, edge_v, is_bus
         self.denom, self.loads = denom, loads
         self.n_nodes, self.n_edges = n, n_edges
         self.out = np.zeros(3, dtype=np.float64)
-        self.c_args = (
-            _address(up, _I32, levels * n, "up"),
-            levels,
-            n,
-            _address(depth, _I64, n, "depth"),
-            _address(rp_edges, _I32, int(rp_indptr[n]), "rp_edges"),
-            indptr_address,
-            _address(edge_u, _I32, n_edges, "edge_u"),
-            _address(edge_v, _I32, n_edges, "edge_v"),
-            _address(is_bus, _BOOL, n, "is_bus"),
-            _address(denom, _F64, width, "denom"),
-            n_edges,
-            _address(loads, _F64, width, "loads"),
-            _address(self.out, _F64, 3, "out"),
+        params = {i: param for i, *param in _prototypes(_C_SOURCE)["repro_charge_pairs"].arrays}
+        args = ((up, levels * n), levels, n, (depth, n), (rp_edges, entries),
+                (rp_indptr, n + 1), (edge_u, n_edges), (edge_v, n_edges), (is_bus, n),
+                (denom, width), n_edges, (loads, width), (self.out, 3))
+        self.c_args = tuple(
+            _address(*arg, *params[i]) if type(arg) is tuple else arg
+            for i, arg in enumerate(args)
         )
 
 
@@ -762,31 +763,19 @@ void repro_lca(const int32_t *up, int64_t levels, int64_t n,
         out[i] = repro_lca_one(up, levels, n, depth, u[i], v[i]);
 }
 
-/* Zero-skip CSR scatter.  Nodes whose delta is (+/-)0.0 are skipped
- * entirely: x + 0.0 == x bitwise unless x is -0.0, and the substrate's
- * accumulators start at +0.0 and only ever receive IEEE additions, which
- * can never produce -0.0 from a +0.0 start ((+0)+(-0) rounds to +0).
- * Skipping therefore preserves bit-for-bit equality with the reference
- * full-table scatter while making sparse-delta scatters (the replay
- * inner loop) active-path-bound instead of CSR-size-bound. */
-void repro_scatter_paths(double *out, const int32_t *rp_edges,
-                         const int64_t *rp_indptr, const double *delta,
-                         int64_t n_nodes)
-{
-    int64_t v, t;
-    for (v = 0; v < n_nodes; v++) {
-        double d = delta[v];
-        if (d != 0.0) {
-            int64_t end = rp_indptr[v + 1];
-            for (t = rp_indptr[v]; t < end; t++)
-                out[rp_edges[t]] += d;
-        }
-    }
-}
-
-void repro_scatter_paths_cols(double *out, const int32_t *rp_edges,
-                              const int64_t *rp_indptr, const double *delta,
-                              int64_t n_nodes, int64_t ncols)
+/* Zero-skip CSR scatter of ncols columns (row-major).  Nodes whose delta
+ * row is all (+/-)0.0 are skipped entirely: x + 0.0 == x bitwise unless x
+ * is -0.0, and the substrate's accumulators start at +0.0 and only ever
+ * receive IEEE additions, which can never produce -0.0 from a +0.0 start
+ * ((+0)+(-0) rounds to +0).  Skipping therefore preserves bit-for-bit
+ * equality with the reference full-table scatter while making
+ * sparse-delta scatters (the replay inner loop) active-path-bound instead
+ * of CSR-size-bound.  Static, so that repro_charge_pairs' call with
+ * ncols = 1 compiles to the one-column loop; a call to an exported
+ * function, which the loader may interpose, is not specialized. */
+static void repro_scatter(double *out, const int32_t *rp_edges,
+                          const int64_t *rp_indptr, const double *delta,
+                          int64_t n_nodes, int64_t ncols)
 {
     int64_t v, t, c;
     for (v = 0; v < n_nodes; v++) {
@@ -803,6 +792,13 @@ void repro_scatter_paths_cols(double *out, const int32_t *rp_edges,
             }
         }
     }
+}
+
+void repro_scatter_paths(double *out, const int32_t *rp_edges,
+                         const int64_t *rp_indptr, const double *delta,
+                         int64_t n_nodes, int64_t ncols)
+{
+    repro_scatter(out, rp_edges, rp_indptr, delta, n_nodes, ncols);
 }
 
 void repro_pair_scatter(double *delta, const int64_t *u, const int64_t *v,
@@ -836,26 +832,11 @@ void repro_pair_scatter_lanes(double *delta, const int64_t *u,
 
 void repro_bus_fold(double *out, const int32_t *edge_u, const int32_t *edge_v,
                     const uint8_t *is_bus, const double *vec,
-                    int64_t n_edges, int64_t n_nodes)
-{
-    int64_t e, i;
-    for (e = 0; e < n_edges; e++) {
-        out[edge_u[e]] += vec[e];
-        out[edge_v[e]] += vec[e];
-    }
-    for (i = 0; i < n_nodes; i++)
-        if (!is_bus[i])
-            out[i] = 0.0;
-}
-
-void repro_bus_fold_cols(double *out, const int32_t *edge_u,
-                         const int32_t *edge_v, const uint8_t *is_bus,
-                         const double *cols, int64_t n_edges,
-                         int64_t n_nodes, int64_t ncols)
+                    int64_t n_edges, int64_t n_nodes, int64_t ncols)
 {
     int64_t e, i, c;
     for (e = 0; e < n_edges; e++) {
-        const double *row = cols + e * ncols;
+        const double *row = vec + e * ncols;
         double *bu = out + (int64_t)edge_u[e] * ncols;
         double *bv = out + (int64_t)edge_v[e] * ncols;
         for (c = 0; c < ncols; c++) {
@@ -877,7 +858,7 @@ int32_t repro_apply_column(double *loads, const double *vec,
     /* x == 0.0 entries are skipped: the fused accumulator starts at +0.0
      * and IEEE add/sub chains cannot produce -0.0 there, so adding or
      * subtracting a (+/-)0.0 is an exact no-op (the zero-skip argument of
-     * repro_scatter_paths); the flag is unchanged because (+/-)0.0 >= 0. */
+     * repro_scatter); the flag is unchanged because (+/-)0.0 >= 0. */
     int64_t e;
     int32_t any_neg = 0;
     double *node_block = loads + n_edges;
@@ -1015,7 +996,7 @@ int64_t repro_charge_pairs(const int32_t *up, int64_t levels, int64_t n_nodes,
         delta[a] -= 2.0 * w[i];
         cost += w[i] * (double)(depth[u[i]] + depth[v[i]] - 2 * depth[a]);
     }
-    repro_scatter_paths(vec, rp_edges, rp_indptr, delta, n_nodes);
+    repro_scatter(vec, rp_edges, rp_indptr, delta, n_nodes, 1);
     if (repro_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, 1.0)) {
         stale = 1;
     } else if (!stale) {
@@ -1602,6 +1583,51 @@ int64_t repro_events_item(const int64_t *procs, const int64_t *objs,
 """
 
 
+# --------------------------------------------------------------------- #
+# the prototypes: the one declaration of each exported C function
+# --------------------------------------------------------------------- #
+_PROTOTYPE = re.compile(r"^(?!static\b)(\w[\w \t*]*?)\s*\b(repro_\w+)\s*\(([^)]*)\)\s*\{", re.M)
+_PARAMETER = re.compile(r"(const\s+)?(\w+)\s*(\*?)\s*(\w+)")
+_C_SCALARS = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+#: pointer element dtypes: ``uint8_t`` holds bools and ``char`` bytes; a
+#: ``void *`` takes only an address the op got from C
+_C_ELEMENTS = {"int32_t": _I32, "int64_t": _I64, "double": _F64, "uint8_t": _BOOL, "char": _U8,
+               "void": None}
+#: ``arrays`` holds ``(position, dtype, const, name)`` per array parameter
+_Prototype = NamedTuple("_Prototype", [("restype", object), ("argtypes", list), ("arrays", tuple)])
+
+
+@functools.lru_cache(maxsize=None)
+def _prototypes(source: str) -> Dict[str, _Prototype]:
+    """Every exported ``repro_*`` function of a C source, by name.
+
+    A type outside :data:`_C_SCALARS` and pointers to :data:`_C_ELEMENTS`
+    raises :class:`ValueError` naming the function: the library then
+    fails to bind, loudly.
+    """
+    prototypes = {}
+    for ret, name, params in _PROTOTYPE.findall(source):
+        argtypes, arrays = [], []
+        for i, param in enumerate(p.strip() for p in params.split(",")):
+            match = _PARAMETER.fullmatch(param)
+            const, ctype, pointer, pname = match.groups() if match else (None,) * 4
+            if pointer and ctype in _C_ELEMENTS:
+                argtypes.append(ctypes.c_void_p)
+                if _C_ELEMENTS[ctype] is not None:
+                    arrays.append((i, _C_ELEMENTS[ctype], bool(const), pname))
+            elif not (pointer or const) and ctype in _C_SCALARS:
+                argtypes.append(_C_SCALARS[ctype])
+            else:
+                raise ValueError(f"unreadable prototype of {name}: parameter {param!r}")
+        if ret != "void" and ret not in _C_SCALARS:
+            raise ValueError(f"unreadable prototype of {name}: return type {ret!r}")
+        prototypes[name] = _Prototype(_C_SCALARS.get(ret), argtypes, tuple(arrays))
+    return prototypes
+
+
+# --------------------------------------------------------------------- #
+# cc backend: built into a private cache, bound from the prototypes
+# --------------------------------------------------------------------- #
 def _find_compiler() -> Optional[str]:
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
         if candidate:
@@ -1614,19 +1640,28 @@ def _find_compiler() -> Optional[str]:
 def _load_cc_library() -> Optional[ctypes.CDLL]:
     """Compile (once, disk-cached by source hash) and load the C kernels.
 
-    Returns ``None`` when the library is not cached yet and no C compiler
-    is on PATH.  A compiler that fails raises
+    The cache is ``REPRO_KERNEL_CACHE`` or else ``repro-kernels-<uid>`` in
+    the temporary directory, made with mode 0700.  A cache directory that
+    another user owns, or that anyone but its owner can write, raises
+    :class:`OSError` naming it before anything is compiled into or loaded
+    from it: a library planted there would run in this process.  Returns
+    ``None`` when the library is not cached yet and no C compiler is on
+    PATH.  A compiler that fails raises
     :class:`subprocess.CalledProcessError`; file-system and loader
     failures raise :class:`OSError`.
     """
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    uid = getattr(os, "getuid", lambda: 0)()
     cache = os.environ.get("REPRO_KERNEL_CACHE")
-    if cache:
-        base = Path(cache)
-    else:
-        uid = getattr(os, "getuid", lambda: 0)()
-        base = Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
-    base.mkdir(parents=True, exist_ok=True)
+    base = Path(cache) if cache else Path(tempfile.gettempdir()) / f"repro-kernels-{uid}"
+    base.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = base.stat()
+    if info.st_uid != uid or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise OSError(
+            f"kernel cache directory {base} is not private (owner uid "
+            f"{info.st_uid}, mode {stat.filemode(info.st_mode)}): it must be "
+            "owned by the current user and writable by no one else"
+        )
     lib_path = base / f"repro_kernels_{digest}.so"
     if not lib_path.exists():
         compiler = _find_compiler()
@@ -1644,45 +1679,45 @@ def _load_cc_library() -> Optional[ctypes.CDLL]:
     return ctypes.CDLL(str(lib_path))
 
 
-_VP = ctypes.c_void_p
-_C64 = ctypes.c_int64
-_C32 = ctypes.c_int32
-_CD = ctypes.c_double
+def _bind(lib: ctypes.CDLL) -> SimpleNamespace:
+    """The exported C functions, typed from their prototypes, by name.  A
+    function the library lacks raises :class:`OSError`."""
+    functions = {}
+    for name, (restype, argtypes, arrays) in _prototypes(_C_SOURCE).items():
+        fn = getattr(lib, name, None)
+        if fn is None:
+            raise OSError(f"kernel library {lib._name} lacks {name}")
+        fn.restype, fn.argtypes = restype, argtypes
+        functions[name] = _checked(fn, arrays) if arrays else fn
+    return SimpleNamespace(**functions)
 
-#: ``name -> (restype, argtypes)`` of every exported C function.  Pointers
-#: are plain addresses, so ctypes checks no array here: :func:`_address`
-#: does, in each wrapper below, and a tier-1 test pins this table to the
-#: prototypes of :data:`_C_SOURCE` position by position.
-_C_SIGNATURES: Dict[str, Tuple[object, Tuple[object, ...]]] = {
-    "repro_lca": (None, (_VP, _C64, _C64, _VP, _VP, _VP, _C64, _VP)),
-    "repro_scatter_paths": (None, (_VP, _VP, _VP, _VP, _C64)),
-    "repro_scatter_paths_cols": (None, (_VP, _VP, _VP, _VP, _C64, _C64)),
-    "repro_pair_scatter": (None, (_VP, _VP, _VP, _VP, _VP, _C64)),
-    "repro_pair_scatter_lanes": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64)),
-    "repro_bus_fold": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64)),
-    "repro_bus_fold_cols": (None, (_VP, _VP, _VP, _VP, _VP, _C64, _C64, _C64)),
-    "repro_apply_column": (_C32, (_VP, _VP, _VP, _VP, _VP, _C64, _CD)),
-    "repro_apply_columns_lanes": (
-        None,
-        (_VP, _C64, _VP, _C64, _VP, _VP, _VP, _VP, _C64, _VP),
-    ),
-    "repro_rescan": (_CD, (_VP, _VP, _C64)),
-    "repro_rescan_rows": (None, (_VP, _C64, _VP, _C64, _VP, _VP)),
-    "repro_charge_pairs": (
-        _C64,
-        (_VP, _C64, _C64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _C64, _VP, _VP,
-         _VP, _VP, _VP, _C64, _CD, _C32, _VP),
-    ),
-    "repro_nearest_tables": (None, (_VP, _VP, _C64, _VP, _VP, _C64, _VP)),
-    "repro_free": (None, (_VP,)),
-    "repro_adaptive_scan": (
-        _C64,
-        (_VP, _VP, _VP, _VP, _C64, _C64, _VP, _C64, _VP, _VP, _VP, _VP, _VP,
-         _C64, _C64, _C64, _C64, _VP),
-    ),
-    "repro_scan_requests": (_C64, (_VP, _C64, _C64, _VP, _VP, _VP, _VP)),
-    "repro_events_item": (_C64, (_VP, _VP, _VP, _C64, _VP, _C64)),
-}
+
+def _checked(fn, arrays):
+    """``fn`` taking each array argument as ``(array, min_entries)``, passed
+    on as its address once :func:`_address` accepts it against its
+    parameter (``arrays``, of :class:`_Prototype`).  Any other value passes
+    as it is: an address checked before, a ctypes buffer or ``bytes`` the
+    op made, or ``None``."""
+    ndarray, addressof, from_buffer = np.ndarray, ctypes.addressof, _BYTE.from_buffer
+
+    def call(*args):
+        args = list(args)
+        for i, dtype, const, name in arrays:
+            arg = args[i]
+            if type(arg) is tuple:
+                arr, n = arg
+                # the common case without _address's call: from_buffer
+                # takes only a C-contiguous, writable, non-empty buffer
+                if type(arr) is ndarray and arr.dtype == dtype and arr.size >= n:
+                    try:
+                        args[i] = addressof(from_buffer(arr))
+                        continue
+                    except (TypeError, ValueError):
+                        pass
+                args[i] = _address(arr, n, dtype, const, name)
+        return fn(*args)
+
+    return call
 
 
 def _count_arg(value) -> int:
@@ -1715,330 +1750,41 @@ def _scan_records(flat):
     return runs, mgmt_direct, mgmt_rep
 
 
-def _bind_cc_ops(lib: ctypes.CDLL) -> Dict[str, Callable]:
-    for name, (restype, argtypes) in _C_SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.restype = restype
-        fn.argtypes = list(argtypes)
-    a = _address
-
-    # Only array types and sizes are checked here: the dispatched ops
-    # range-check the node ids of the caller (lca, nearest_tables) and the
-    # lane ids (apply_columns_lanes, rescan_rows) before either backend
-    # runs, the fused charge in C; substrate arrays (the lifting table,
-    # parents, orders) are trusted.
-    def cc_lca(up, depth, u, v):
-        m = u.size
-        levels, n = up.shape
-        out = np.empty(m, dtype=np.int64)
-        args = (
-            a(up, _I32, levels * n, "up"),
-            levels,
-            n,
-            a(depth, _I64, n, "depth"),
-            a(u, _I64, m, "u"),
-            a(v, _I64, m, "v"),
-            m,
-            a(out, _I64, m, "out"),
-        )
-        if m:
-            lib.repro_lca(*args)
-        return out
-
-    def cc_scatter_paths(out, rp_edges, rp_nodes, rp_indptr, delta):
-        indptr = a(rp_indptr, _I64, 1, "rp_indptr")
-        n_nodes = rp_indptr.size - 1
-        ncols = int(np.prod(out.shape[1:]))
-        # a tree over n_nodes nodes has n_nodes - 1 edges: rp_edges' range
-        args = (
-            a(out, _F64, max(n_nodes - 1, 0) * ncols, "out"),
-            a(rp_edges, _I32, int(rp_indptr[n_nodes]), "rp_edges"),
-            indptr,
-            a(delta, _F64, n_nodes * ncols, "delta"),
-            n_nodes,
-        )
-        if out.ndim == 1:
-            lib.repro_scatter_paths(*args)
-        else:
-            lib.repro_scatter_paths_cols(*args, ncols)
-
-    def cc_pair_scatter(delta, u, v, anc, w):
-        m = u.size
-        lib.repro_pair_scatter(
-            a(delta, _F64, 0, "delta"),
-            a(u, _I64, m, "u"),
-            a(v, _I64, m, "v"),
-            a(anc, _I64, m, "anc"),
-            a(w, _F64, m, "w"),
-            m,
-        )
-
-    def cc_pair_scatter_lanes(delta, u, targets, anc, w):
-        m, lanes = u.size, targets.shape[1]
-        lib.repro_pair_scatter_lanes(
-            a(delta, _F64, 0, "delta"),
-            a(u, _I64, m, "u"),
-            a(targets, _I64, m * lanes, "targets"),
-            a(anc, _I64, m * lanes, "anc"),
-            a(w, _F64, m, "w"),
-            m,
-            lanes,
-        )
-
-    def cc_bus_fold(out, edge_u, edge_v, is_bus, vec):
-        n_edges, n_nodes = edge_u.size, is_bus.size
-        ncols = int(np.prod(out.shape[1:]))
-        args = (
-            a(out, _F64, n_nodes * ncols, "out"),
-            a(edge_u, _I32, n_edges, "edge_u"),
-            a(edge_v, _I32, n_edges, "edge_v"),
-            a(is_bus, _BOOL, n_nodes, "is_bus"),
-            a(vec, _F64, n_edges * ncols, "vec"),
-            n_edges,
-            n_nodes,
-        )
-        if out.ndim == 1:
-            lib.repro_bus_fold(*args)
-        else:
-            lib.repro_bus_fold_cols(*args, ncols)
-
-    def cc_apply_column(loads, vec, edge_u, edge_v, is_bus, n_edges, sign):
-        return bool(
-            lib.repro_apply_column(
-                a(loads, _F64, n_edges + is_bus.size, "loads"),
-                a(vec, _F64, n_edges, "vec"),
-                a(edge_u, _I32, n_edges, "edge_u"),
-                a(edge_v, _I32, n_edges, "edge_v"),
-                a(is_bus, _BOOL, 0, "is_bus"),
-                n_edges,
-                sign,
-            )
-        )
-
-    def cc_apply_columns_lanes(loads, lanes, cols, edge_u, edge_v, is_bus, n_edges):
-        n_lanes, row_len = lanes.size, loads.shape[1]
-        if row_len < n_edges + is_bus.size:
-            raise TypeError(
-                f"kernel argument loads: rows of {row_len} entries, expected at "
-                f"least {n_edges + is_bus.size}"
-            )
-        neg = np.zeros(n_lanes, dtype=np.bool_)
-        lib.repro_apply_columns_lanes(
-            a(loads, _F64, 0, "loads"),
-            row_len,
-            a(lanes, _I64, n_lanes, "lanes"),
-            n_lanes,
-            a(cols, _F64, n_edges * n_lanes, "cols"),
-            a(edge_u, _I32, n_edges, "edge_u"),
-            a(edge_v, _I32, n_edges, "edge_v"),
-            a(is_bus, _BOOL, 0, "is_bus"),
-            n_edges,
-            a(neg, _BOOL, n_lanes, "neg"),
-        )
-        return neg
-
-    def cc_rescan(loads, denom):
-        n = loads.size
-        return float(
-            lib.repro_rescan(a(loads, _F64, n, "loads"), a(denom, _F64, n, "denom"), n)
-        )
-
-    def cc_rescan_rows(loads, rows, denom):
-        n_rows, row_len = rows.size, loads.shape[1]
-        out = np.empty(n_rows, dtype=np.float64)
-        args = (
-            a(loads, _F64, 0, "loads"),
-            row_len,
-            a(rows, _I64, n_rows, "rows"),
-            n_rows,
-            a(denom, _F64, row_len, "denom"),
-            a(out, _F64, n_rows, "out"),
-        )
-        if n_rows:
-            lib.repro_rescan_rows(*args)
-        return out
-
-    def cc_charge_pairs(sub, u, v, w, congestion, stale, col):
-        m = u.size
-        status = lib.repro_charge_pairs(
-            *sub.c_args,
-            a(u, _I64, m, "u"),
-            a(v, _I64, m, "v"),
-            a(w, _F64, m, "w"),
-            m,
-            congestion,
-            stale,
-            None if col is None else a(col, _F64, sub.n_edges, "col"),
-        )
-        if status == -1:
-            cost, congestion, stale = sub.out.tolist()
-            return cost, congestion, bool(stale)
-        if status == -2:
-            raise MemoryError("cc charge_pairs could not allocate its scratch")
-        raise _bad_pair_error(u, v, status, sub.n_nodes)
-
-    def cc_adaptive_scan(holder_mask, read_credit, unread_writes, n_holders,
-                         up, depth, procs, writes, objs, order,
-                         replicate_at, migrate_at, patience):
-        n_objects, n_nodes = holder_mask.shape
-        levels = up.shape[0]
-        cells, m = n_objects * n_nodes, order.size
-        if up.shape[-1] != n_nodes:
-            raise TypeError(
-                f"kernel argument up: a lifting table over {up.shape[-1]} "
-                f"nodes, expected {n_nodes} (the holder mask's columns)"
-            )
-        result = (_C64 * 2)()
-        status = lib.repro_adaptive_scan(
-            a(holder_mask, _BOOL, cells, "holder_mask"),
-            a(read_credit, _I64, cells, "read_credit"),
-            a(unread_writes, _I64, cells, "unread_writes"),
-            a(n_holders, _I64, n_objects, "n_holders"),
-            n_objects,
-            n_nodes,
-            a(up, _I32, levels * n_nodes, "up"),
-            levels,
-            a(depth, _I64, n_nodes, "depth"),
-            a(procs, _I64, m, "procs"),
-            a(writes, _BOOL, m, "writes"),
-            a(objs, _I64, m, "objs"),
-            a(order, _I64, m, "order"),
-            m,
-            _count_arg(replicate_at),
-            _count_arg(migrate_at),
-            _count_arg(patience),
-            result,
-        )
-        if status >= 0:  # entry ``status`` failed a check; nothing written
-            raise _first_scan_error(holder_mask, n_holders, procs, objs, order)
-        if status == -2:
-            raise MemoryError("cc adaptive_scan could not allocate its scratch")
-        if status == -3:
-            raise MemoryError(
-                "cc adaptive_scan ran out of memory for its records; the "
-                "chunk's counters are partly advanced"
-            )
-        block, total = result
-        try:
-            flat = memoryview(ctypes.string_at(block, 8 * total)).cast("q")
-        finally:
-            lib.repro_free(block)
-        return _scan_records(flat.tolist())
-
-    def cc_nearest_tables(parent, order, depth, indptr, members):
-        n, n_sets = parent.size, indptr.size - 1
-        out = np.empty((n_sets, n), dtype=np.int64)
-        args = (
-            a(parent, _I64, n, "parent"),
-            a(order, _I64, n, "order"),
-            n,
-            a(indptr, _I64, n_sets + 1, "indptr"),
-            a(members, _I64, int(indptr[-1]), "members"),
-            n_sets,
-            a(out, _I64, n_sets * n, "out"),
-        )
-        if n_sets:
-            lib.repro_nearest_tables(*args)
-        return out
-
-    def cc_scan_requests(line):
-        if type(line) is not bytes:
-            return None
-        n = len(line)
-        # a row takes at least ten bytes, `[0,0,"r"],` (the last one nine)
-        cap = n // 10 + 1
-        procs = np.empty(cap, dtype=np.int64)
-        objs = np.empty(cap, dtype=np.int64)
-        writes = np.empty(cap, dtype=np.bool_)
-        ident = (_C64 * 1)()
-        rows = lib.repro_scan_requests(
-            line,
-            n,
-            cap,
-            a(procs, _I64, cap, "procs"),
-            a(objs, _I64, cap, "objs"),
-            a(writes, _BOOL, cap, "writes"),
-            ident,
-        )
-        if rows < 0:
-            return None
-        return ident[0], procs[:rows], objs[:rows], writes[:rows]
-
-    def cc_events_item(procs, objs, writes):
-        m = procs.size
-        cap = 46 + 63 * m  # the fixed text, and 20 digits and a comma per entry
-        out = np.empty(cap, dtype=np.uint8)
-        size = lib.repro_events_item(
-            a(procs, _I64, m, "procs"),
-            a(objs, _I64, m, "objs"),
-            a(writes, _BOOL, m, "writes"),
-            m,
-            a(out, _U8, cap, "out"),
-            cap,
-        )
-        return out[:size].tobytes()
-
-    return {
-        "lca": cc_lca,
-        "scatter_paths": cc_scatter_paths,
-        "pair_scatter": cc_pair_scatter,
-        "pair_scatter_lanes": cc_pair_scatter_lanes,
-        "bus_fold": cc_bus_fold,
-        "apply_column": cc_apply_column,
-        "apply_columns_lanes": cc_apply_columns_lanes,
-        "rescan": cc_rescan,
-        "rescan_rows": cc_rescan_rows,
-        "charge_pairs": cc_charge_pairs,
-        "adaptive_scan": cc_adaptive_scan,
-        "nearest_tables": cc_nearest_tables,
-        "scan_requests": cc_scan_requests,
-        "events_item": cc_events_item,
-    }
-
-
-def _try_build_cc() -> Tuple[Optional[Dict[str, Callable]], Optional[str]]:
-    """Build the cc ops: ``(ops, None)``; ``(None, None)`` when no C
-    compiler is on PATH; ``(None, error)`` when the build fails."""
-    try:
-        lib = _load_cc_library()
-    except subprocess.CalledProcessError as exc:
-        stderr = (exc.stderr or b"").decode(errors="replace").strip()
-        error = f"C compiler {exc.cmd[0]} exited with status {exc.returncode}"
-        if stderr:
-            error += f": {stderr[-400:]}"
-    except OSError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    else:
-        return (None, None) if lib is None else (_bind_cc_ops(lib), None)
-    return None, f"cc kernel build failed: {error}"
-
-
 # --------------------------------------------------------------------- #
 # backend selection
 # --------------------------------------------------------------------- #
 _forced: Optional[str] = None
-#: backend -> (ops, build error), each built at most once per process
-_ops_cache: Dict[str, Tuple[Optional[Dict[str, Callable]], Optional[str]]] = {}
-_resolved: Tuple[object, str] = (object(), "")
+#: The cc build, made at most once per process: ``(bound C functions,
+#: None)``, ``(None, None)`` with no C compiler on PATH, or ``(None,
+#: build error)``.
+_cc_build: Optional[Tuple[Optional[SimpleNamespace], Optional[str]]] = None
+#: ``(REPRO_BACKEND value, backend, its bound C functions or None)`` as
+#: last resolved; no value equals the first entry of the unresolved state.
+_UNRESOLVED: Tuple[object, str, Optional[SimpleNamespace]] = (object(), "", None)
+_resolved = _UNRESOLVED
 
 
-def _backend(name: str) -> Tuple[Optional[Dict[str, Callable]], Optional[str]]:
-    if name not in _ops_cache:
-        if name == "numpy":
-            _ops_cache[name] = (_NUMPY_OPS, None)
-        elif name == "cc":
-            _ops_cache[name] = _try_build_cc()
-        else:
-            raise AlgorithmError(
-                f"unknown kernel backend {name!r}: expected one of "
-                f"{', '.join(BACKENDS)} or 'auto'"
-            )
-    return _ops_cache[name]
+def _cc_library() -> Tuple[Optional[SimpleNamespace], Optional[str]]:
+    """The cc build: its bound C functions, or why there are none."""
+    global _cc_build
+    if _cc_build is None:
+        try:
+            lib = _load_cc_library()
+            _cc_build = (None if lib is None else _bind(lib), None)
+        except subprocess.CalledProcessError as exc:
+            stderr = (exc.stderr or b"").decode(errors="replace").strip()
+            error = f"C compiler {exc.cmd[0]} exited with status {exc.returncode}"
+            if stderr:
+                error += f": {stderr[-400:]}"
+            _cc_build = (None, f"cc kernel build failed: {error}")
+        except (OSError, ValueError) as exc:
+            _cc_build = (None, f"cc kernel build failed: {type(exc).__name__}: {exc}")
+    return _cc_build
 
 
 def available_backends() -> Tuple[str, ...]:
     """The kernel backends usable in this environment (numpy always is)."""
-    return tuple(name for name in BACKENDS if _backend(name)[0] is not None)
+    return BACKENDS if _cc_library()[0] is not None else ("numpy",)
 
 
 def active_backend() -> str:
@@ -2050,44 +1796,46 @@ def active_backend() -> str:
     :class:`~repro.errors.AlgorithmError` rather than silently degrading.
     """
     global _resolved
-    key = (_forced, os.environ.get("REPRO_BACKEND"))
-    if _resolved[0] == key:
-        return _resolved[1]
+    env, resolved = os.environ.get("REPRO_BACKEND"), _resolved
+    if env == resolved[0]:
+        return resolved[1]
     requested = _forced
     if requested is None:
-        requested = (os.environ.get("REPRO_BACKEND") or "auto").strip().lower()
-        requested = requested or "auto"
+        requested = (env or "auto").strip().lower() or "auto"
+    functions = None
     if requested == "auto":
-        name = available_backends()[0]
-        error = _backend("cc")[1]
+        functions, error = _cc_library()
+        name = "numpy" if functions is None else "cc"
         if error is not None:
             warnings.warn(
                 f"{error}; REPRO_BACKEND=auto falls back to numpy",
                 RuntimeWarning,
                 stacklevel=2,
             )
+    elif requested not in BACKENDS:
+        raise AlgorithmError(
+            f"unknown kernel backend {requested!r}: expected one of "
+            f"{', '.join(BACKENDS)} or 'auto'"
+        )
     else:
-        if requested not in BACKENDS:
-            raise AlgorithmError(
-                f"unknown kernel backend {requested!r}: expected one of "
-                f"{', '.join(BACKENDS)} or 'auto'"
-            )
-        ops, error = _backend(requested)
-        if ops is None:
-            raise AlgorithmError(
-                f"kernel backend {requested!r} was requested but is not "
-                f"available in this environment ({error or 'no C compiler on PATH'}); "
-                "unset REPRO_BACKEND or choose 'numpy'"
-            )
         name = requested
-    _resolved = (key, name)
+        if name == "cc":
+            functions, error = _cc_library()
+            if functions is None:
+                raise AlgorithmError(
+                    f"kernel backend {name!r} was requested but is not "
+                    f"available in this environment ({error or 'no C compiler on PATH'}); "
+                    "unset REPRO_BACKEND or choose 'numpy'"
+                )
+    _resolved = (env, name, functions)
     return name
 
 
 def set_backend(name: Optional[str]) -> None:
     """Force a backend at runtime (``None`` restores ``REPRO_BACKEND``/auto)."""
-    global _forced
+    global _forced, _resolved
     _forced = name
+    _resolved = _UNRESOLVED
     if name is not None:
         active_backend()  # validate eagerly
 
@@ -2095,19 +1843,41 @@ def set_backend(name: Optional[str]) -> None:
 @contextmanager
 def use_backend(name: Optional[str]):
     """Context manager form of :func:`set_backend` (restores on exit)."""
-    global _forced
+    global _forced, _resolved
     previous = _forced
     set_backend(name)
     try:
         yield
     finally:
         _forced = previous
+        _resolved = _UNRESOLVED
 
 
-def _op(name: str) -> Callable:
-    ops = _backend(active_backend())[0]
-    assert ops is not None  # active_backend() only returns available ones
-    return ops[name]
+def _cc() -> Optional[SimpleNamespace]:
+    """The active backend's bound C functions, ``None`` under numpy.
+
+    The dispatch step of every op: it resolves the backend again only
+    when ``REPRO_BACKEND`` differs from the value last resolved
+    (:func:`set_backend` and :func:`use_backend` resolve it anew).
+    """
+    resolved = _resolved
+    if os.environ.get("REPRO_BACKEND") != resolved[0]:
+        active_backend()
+        resolved = _resolved
+    return resolved[2]
+
+
+def _twin(twin, *args):
+    """Call the numpy twin ``_reference_<op>``, refusing first, as the C
+    binding does, a read-only array in an argument named like a
+    non-``const`` pointer of ``repro_<op>``."""
+    params = twin.__code__.co_varnames[:len(args)]
+    proto = _prototypes(_C_SOURCE)["repro_" + twin.__name__.removeprefix("_reference_")]
+    for _i, _dtype, const, name in proto.arrays:
+        arr = args[params.index(name)] if not const and name in params else None
+        if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+            raise _read_only_error(name, arr)
+    return twin(*args)
 
 
 # --------------------------------------------------------------------- #
@@ -2123,7 +1893,14 @@ def lca(up: np.ndarray, depth: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.n
     :class:`~repro.errors.InvalidNodeError` naming it, under every backend.
     """
     _check_node_ids(up.shape[-1], u, v)
-    return _op("lca")(up, depth, u, v)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_lca, up, depth, u, v)
+    m = u.size
+    levels, n = up.shape
+    out = np.empty(m, dtype=np.int64)
+    c.repro_lca((up, levels * n), levels, n, (depth, n), (u, m), (v, m), m, (out, m))
+    return out
 
 
 def scatter_paths(
@@ -2148,14 +1925,27 @@ def scatter_paths(
     operations are exact no-ops (callers must not pass ``out`` buffers
     containing -0.0 entries -- no substrate path does).
     """
-    _op("scatter_paths")(out, rp_edges, rp_nodes, rp_indptr, delta)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_scatter_paths, out, rp_edges, rp_nodes, rp_indptr, delta)
+    n_nodes = rp_indptr.size - 1
+    ncols = math.prod(out.shape[1:])
+    # rp_edges holds rp_indptr[-1] entries (an empty rp_indptr is refused);
+    # a tree over n_nodes nodes has n_nodes - 1 edges
+    entries = int(rp_indptr[-1]) if rp_indptr.size else 0
+    c.repro_scatter_paths((out, max(n_nodes - 1, 0) * ncols), (rp_edges, entries),
+                          (rp_indptr, 1), (delta, n_nodes * ncols), n_nodes, ncols)
 
 
 def pair_scatter(
     delta: np.ndarray, u: np.ndarray, v: np.ndarray, anc: np.ndarray, w: np.ndarray
 ) -> None:
     """Scatter pair node-deltas: ``+w`` at ``u, v``, ``-2w`` at ``anc``."""
-    _op("pair_scatter")(delta, u, v, anc, w)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_pair_scatter, delta, u, v, anc, w)
+    m = u.size
+    c.repro_pair_scatter((delta, 0), (u, m), (v, m), (anc, m), (w, m), m)
 
 
 def pair_scatter_lanes(
@@ -2166,7 +1956,13 @@ def pair_scatter_lanes(
     w: np.ndarray,
 ) -> None:
     """Per-lane pair node-delta scatter into ``delta`` of shape ``(n, L)``."""
-    _op("pair_scatter_lanes")(delta, u, targets, anc, w)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_pair_scatter_lanes, delta, u, targets, anc, w)
+    m, lanes = u.size, targets.shape[1]
+    c.repro_pair_scatter_lanes(
+        (delta, 0), (u, m), (targets, m * lanes), (anc, m * lanes), (w, m), m, lanes
+    )
 
 
 def bus_fold(
@@ -2177,7 +1973,13 @@ def bus_fold(
     vec: np.ndarray,
 ) -> None:
     """Fold per-edge loads onto both endpoints, zeroing non-bus rows."""
-    _op("bus_fold")(out, edge_u, edge_v, is_bus, vec)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_bus_fold, out, edge_u, edge_v, is_bus, vec)
+    n_edges, n_nodes = edge_u.size, is_bus.size
+    ncols = math.prod(out.shape[1:])
+    c.repro_bus_fold((out, n_nodes * ncols), (edge_u, n_edges), (edge_v, n_edges),
+                     (is_bus, n_nodes), (vec, n_edges * ncols), n_edges, n_nodes, ncols)
 
 
 def apply_column(
@@ -2195,7 +1997,12 @@ def apply_column(
     block in one pass; returns whether any entry of ``vec`` fails
     ``>= 0`` (the staleness trigger of the running-max congestion).
     """
-    return _op("apply_column")(loads, vec, edge_u, edge_v, is_bus, n_edges, sign)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_apply_column, loads, vec, edge_u, edge_v, is_bus, n_edges, sign)
+    return bool(c.repro_apply_column((loads, n_edges + is_bus.size), (vec, n_edges),
+                                     (edge_u, n_edges), (edge_v, n_edges), (is_bus, 0),
+                                     n_edges, sign))
 
 
 def apply_columns_lanes(
@@ -2218,14 +2025,32 @@ def apply_columns_lanes(
     if np.unique(lanes).size != lanes.size:
         # numpy's buffered "+=" would charge a repeated lane once, cc twice
         raise AlgorithmError("lane ids must be distinct")
-    return _op("apply_columns_lanes")(
-        loads, lanes, cols, edge_u, edge_v, is_bus, n_edges
-    )
+    c = _cc()
+    if c is None:
+        return _twin(
+            _reference_apply_columns_lanes, loads, lanes, cols, edge_u, edge_v, is_bus, n_edges
+        )
+    n_lanes, row_len = lanes.size, loads.shape[1]
+    if row_len < n_edges + is_bus.size:
+        raise TypeError(
+            f"kernel argument loads: rows of {row_len} entries, expected at "
+            f"least {n_edges + is_bus.size}"
+        )
+    neg = np.zeros(n_lanes, dtype=np.bool_)
+    c.repro_apply_columns_lanes((loads, 0), row_len, (lanes, n_lanes), n_lanes,
+                                (cols, n_edges * n_lanes), (edge_u, n_edges),
+                                (edge_v, n_edges), (is_bus, 0), n_edges, (neg, n_lanes))
+    return neg
 
 
 def rescan(loads: np.ndarray, denom: np.ndarray) -> float:
     """Running-max repair: ``max(loads / denom)`` over one fused array."""
-    return _op("rescan")(loads, denom)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_rescan, loads, denom)
+    n = loads.size
+    # the C maximum starts at entry 0: an empty array is refused
+    return float(c.repro_rescan((loads, n or 1), (denom, n), n))
 
 
 def rescan_rows(loads: np.ndarray, rows: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -2235,7 +2060,14 @@ def rescan_rows(loads: np.ndarray, rows: np.ndarray, denom: np.ndarray) -> np.nd
     :class:`~repro.errors.AlgorithmError` naming it, under every backend.
     """
     _check_lane_ids(loads, rows)
-    return _op("rescan_rows")(loads, rows, denom)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_rescan_rows, loads, rows, denom)
+    n_rows, row_len = rows.size, loads.shape[1]
+    out = np.empty(n_rows, dtype=np.float64)
+    c.repro_rescan_rows((loads, 0), row_len, (rows, n_rows), n_rows, (denom, row_len),
+                        (out, n_rows))
+    return out
 
 
 def charge_pairs(
@@ -2260,7 +2092,18 @@ def charge_pairs(
     raises :class:`~repro.errors.InvalidNodeError` before anything is
     written, under every backend.
     """
-    return _op("charge_pairs")(sub, u, v, w, congestion, stale, col)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_charge_pairs, sub, u, v, w, congestion, stale, col)
+    m = u.size
+    status = c.repro_charge_pairs(*sub.c_args, (u, m), (v, m), (w, m), m, congestion, stale,
+                                  None if col is None else (col, sub.n_edges))
+    if status == -1:
+        cost, congestion, stale = sub.out.tolist()
+        return cost, congestion, bool(stale)
+    if status == -2:
+        raise MemoryError("cc charge_pairs could not allocate its scratch")
+    raise _bad_pair_error(u, v, status, sub.n_nodes)
 
 
 def adaptive_scan(
@@ -2295,10 +2138,57 @@ def adaptive_scan(
     :class:`InvalidNodeError` for a processor outside the network), and
     thresholds beyond int64 never trip.
     """
-    return _op("adaptive_scan")(
-        holder_mask, read_credit, unread_writes, n_holders, up, depth,
-        procs, writes, objs, order, replicate_at, migrate_at, patience,
+    c = _cc()
+    if c is None:
+        return _twin(
+            _reference_adaptive_scan, holder_mask, read_credit, unread_writes,
+            n_holders, up, depth, procs, writes, objs, order, replicate_at,
+            migrate_at, patience,
+        )
+    n_objects, n_nodes = holder_mask.shape
+    levels = up.shape[0]
+    cells, m = n_objects * n_nodes, order.size
+    if up.shape[-1] != n_nodes:
+        raise TypeError(
+            f"kernel argument up: a lifting table over {up.shape[-1]} "
+            f"nodes, expected {n_nodes} (the holder mask's columns)"
+        )
+    result = (ctypes.c_int64 * 2)()
+    status = c.repro_adaptive_scan(
+        (holder_mask, cells),
+        (read_credit, cells),
+        (unread_writes, cells),
+        (n_holders, n_objects),
+        n_objects,
+        n_nodes,
+        (up, levels * n_nodes),
+        levels,
+        (depth, n_nodes),
+        (procs, m),
+        (writes, m),
+        (objs, m),
+        (order, m),
+        m,
+        _count_arg(replicate_at),
+        _count_arg(migrate_at),
+        _count_arg(patience),
+        result,
     )
+    if status >= 0:  # entry ``status`` failed a check; nothing written
+        raise _first_scan_error(holder_mask, n_holders, procs, objs, order)
+    if status == -2:
+        raise MemoryError("cc adaptive_scan could not allocate its scratch")
+    if status == -3:
+        raise MemoryError(
+            "cc adaptive_scan ran out of memory for its records; the "
+            "chunk's counters are partly advanced"
+        )
+    block, total = result
+    try:
+        flat = memoryview(ctypes.string_at(block, 8 * total)).cast("q")
+    finally:
+        c.repro_free(block)
+    return _scan_records(flat.tolist())
 
 
 def nearest_tables(
@@ -2339,7 +2229,14 @@ def nearest_tables(
     if (indptr[1:] <= indptr[:-1]).any():
         raise InvalidNodeError("candidate set must not be empty")
     _check_node_ids(n, members, what="candidate")
-    return _op("nearest_tables")(parent, order, depth, indptr, members)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_nearest_tables, parent, order, depth, indptr, members)
+    n_sets = indptr.size - 1
+    out = np.empty((n_sets, n), dtype=np.int64)
+    c.repro_nearest_tables((parent, n), (order, n), n, (indptr, n_sets + 1),
+                           (members, int(indptr[-1])), n_sets, (out, n_sets * n))
+    return out
 
 
 def scan_requests(line: bytes) -> Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -2357,7 +2254,22 @@ def scan_requests(line: bytes) -> Optional[Tuple[int, np.ndarray, np.ndarray, np
     for every line this scan takes.  Returns the int64 ``procs`` and
     ``objs`` and the bool ``writes`` columns.
     """
-    return _op("scan_requests")(line)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_scan_requests, line)
+    if type(line) is not bytes:
+        return None
+    n = len(line)
+    # a row takes at least ten bytes, `[0,0,"r"],` (the last one nine)
+    cap = n // 10 + 1
+    procs = np.empty(cap, dtype=np.int64)
+    objs = np.empty(cap, dtype=np.int64)
+    writes = np.empty(cap, dtype=np.bool_)
+    ident = (ctypes.c_int64 * 1)()
+    rows = c.repro_scan_requests(line, n, cap, (procs, cap), (objs, cap), (writes, cap), ident)
+    if rows < 0:
+        return None
+    return ident[0], procs[:rows], objs[:rows], writes[:rows]
 
 
 def events_item(procs: np.ndarray, objs: np.ndarray, writes: np.ndarray) -> bytes:
@@ -2368,4 +2280,11 @@ def events_item(procs: np.ndarray, objs: np.ndarray, writes: np.ndarray) -> byte
     byte what ``json.dumps`` writes for the int64 ``procs``/``objs`` and
     bool ``writes`` columns of one size.
     """
-    return _op("events_item")(procs, objs, writes)
+    c = _cc()
+    if c is None:
+        return _twin(_reference_events_item, procs, objs, writes)
+    m = procs.size
+    cap = 46 + 63 * m  # the fixed text, and 20 digits and a comma per entry
+    out = np.empty(cap, dtype=np.uint8)
+    size = c.repro_events_item((procs, m), (objs, m), (writes, m), m, (out, cap), cap)
+    return out[:size].tobytes()

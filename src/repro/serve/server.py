@@ -390,8 +390,9 @@ class PlacementServer:
                 if not line:
                     return
 
-        async def engine_pass(item) -> Tuple[List[Dict], bool]:
-            """One engine iteration: the item plus whatever is queued."""
+        async def engine_pass(item, message=None) -> Tuple[List[Dict], bool]:
+            """One engine iteration: the item plus whatever is queued
+            (``message``: the item, decoded already)."""
             fault = faults.fault_point("server.engine")
             if fault is not None:
                 if fault.kind == "stall":
@@ -408,7 +409,8 @@ class PlacementServer:
                 if item is None:
                     eof = True
                     break
-                replies.extend(batcher.add(decode_message(item)))
+                replies.extend(batcher.add(message or decode_message(item)))
+                message = None
                 if batcher.finished:
                     break
                 try:
@@ -427,6 +429,7 @@ class PlacementServer:
             eof = False
             while not (state["batcher"].finished or eof):
                 item = await queue.get()
+                message = None
                 if first:
                     first = False
                     if item is not None:
@@ -446,7 +449,7 @@ class PlacementServer:
                 if self.watchdog is not None:
                     try:
                         replies, eof = await asyncio.wait_for(
-                            engine_pass(item), self.watchdog
+                            engine_pass(item, message), self.watchdog
                         )
                     except asyncio.TimeoutError:
                         raise _coded(
@@ -455,7 +458,7 @@ class PlacementServer:
                             "watchdog",
                         ) from None
                 else:
-                    replies, eof = await engine_pass(item)
+                    replies, eof = await engine_pass(item, message)
                 for reply in replies:
                     data = encode_message(reply)
                     fault = faults.fault_point("server.ack-write")

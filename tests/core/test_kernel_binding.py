@@ -1,11 +1,14 @@
-"""The raw-pointer cc bindings: checked arguments and pinned prototypes.
+"""The raw-pointer cc bindings: checked arguments, read from the prototypes.
 
 The cc ops are bound with plain addresses (``ctypes.c_void_p``), which
 ctypes passes without looking at them.  So:
 
-* every array argument goes through ``kernels._address``, which must
+* every array argument is checked against its C parameter, which must
   reject a wrong dtype, a non-contiguous array and a too-short array
   before any C code runs, leaving every input untouched;
+* every op refuses a read-only array in an argument its C function
+  writes (a non-``const`` pointer), under every backend, before anything
+  is written, while a read-only array still passes into a ``const`` one;
 * the fused pair charge range-checks its node ids and raises the same
   exception under both backends, with the loads untouched;
 * the batched LCA and the nearest tables range-check the node ids they
@@ -20,13 +23,12 @@ ctypes passes without looking at them.  So:
   processor id and first-touch row before it writes a counter, raising
   the same exception under both backends, and under cc the batched
   replay runs the compiled scan, never its Python twin;
-* the bound ``argtypes``/``restype`` of every exported C function match
-  its prototype in ``kernels._C_SOURCE`` position by position, since
-  ctypes no longer notices a pointer swapped with a scalar;
+* the prototype parser sees every exported function of
+  ``kernels._C_SOURCE`` (its ``argtypes`` and array checks come from
+  there);
 * the C source compiles cleanly under ``-Wall -Wextra -Werror``.
 """
 
-import ctypes
 import re
 import subprocess
 
@@ -167,23 +169,30 @@ def _short(a):
     return np.ascontiguousarray(a[..., :-1]) if a.ndim == 2 else a[:-1]
 
 
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 #: op -> (position of an index array, of the array made non-contiguous, of
-#: the array cut one entry short).  Where an op's output length depends on
-#: index values (pair_scatter*), an array tied to the input size is cut.
+#: the array cut one entry short, of every array the op writes).  Where an
+#: op's output length depends on index values (pair_scatter*), an array
+#: tied to the input size is cut.
 _BAD_ARGS = {
-    "lca": (2, 3, 3),
-    "scatter_paths": (1, 4, 0),
-    "pair_scatter": (3, 1, 4),
-    "pair_scatter_lanes": (2, 3, 3),
-    "bus_fold": (1, 4, 0),
-    "apply_column": (3, 1, 0),
-    "apply_columns_lanes": (1, 2, 0),
-    "rescan": (1, 0, 1),
-    "rescan_rows": (1, 2, 2),
-    "charge_pairs": (1, 3, 6),
-    "adaptive_scan": (9, 0, 1),
-    "nearest_tables": (4, 1, 4),
-    "events_item": (0, 2, 1),
+    "lca": (2, 3, 3, ()),
+    "scatter_paths": (1, 4, 0, (0,)),
+    "pair_scatter": (3, 1, 4, (0,)),
+    "pair_scatter_lanes": (2, 3, 3, (0,)),
+    "bus_fold": (1, 4, 0, (0,)),
+    "apply_column": (3, 1, 0, (0,)),
+    "apply_columns_lanes": (1, 2, 0, (0,)),
+    "rescan": (1, 0, 1, ()),
+    "rescan_rows": (1, 2, 2, ()),
+    "charge_pairs": (1, 3, 6, (6,)),
+    "adaptive_scan": (9, 0, 1, (0, 1, 2, 3)),
+    "nearest_tables": (4, 1, 4, ()),
+    "events_item": (0, 2, 1, ()),
 }
 #: ops that take no array: the wire scan reads one ``bytes`` line and stays
 #: inside it, and declines any other argument
@@ -197,25 +206,57 @@ def _snapshot(args):
 
 
 def test_every_cc_op_is_covered():
-    assert set(_BAD_ARGS) | _ARRAYLESS == set(kernels._NUMPY_OPS) == set(_inputs())
+    ops = {name.removeprefix("repro_") for name in kernels._prototypes(kernels._C_SOURCE)}
+    assert set(_BAD_ARGS) | _ARRAYLESS == ops - {"free"} == set(_inputs())
+
+
+_SPOILERS = {"float32": _float32, "strided": _strided, "short": _short, "read-only": _read_only}
+#: (op, spoiler, position): the read-only spoiler meets every argument an
+#: op writes, the others their one position of _BAD_ARGS
+_BAD_CASES = [
+    (op, spoiler, pos)
+    for op, (*positions, written) in sorted(_BAD_ARGS.items())
+    for spoiler, pos in [*zip(_SPOILERS, positions), *(("read-only", w) for w in written)]
+]
+
+
+@pytest.mark.parametrize("op, spoiler, pos", _BAD_CASES)
+def test_bad_array_raises_before_the_c_code(op, spoiler, pos):
+    # a read-only array is refused under every backend, the rest by the
+    # checks of the cc binding
+    backends = kernels.available_backends() if spoiler == "read-only" else ("cc",)
+    if not set(backends) <= set(kernels.available_backends()):
+        pytest.skip("no C compiler on PATH")
+    for backend in backends:
+        fn, args = _inputs()[op]
+        args = list(args)
+        args[pos] = _SPOILERS[spoiler](args[pos])
+        before = _snapshot(args)
+        with kernels.use_backend(backend):
+            with pytest.raises(TypeError, match="kernel argument"):
+                fn(*args)
+        assert _snapshot(args) == before
 
 
 @needs_cc
-@pytest.mark.parametrize("op", sorted(_BAD_ARGS))
-@pytest.mark.parametrize(
-    "bad", [(0, _float32), (1, _strided), (2, _short)], ids=["float32", "strided", "short"]
-)
-def test_bad_array_raises_before_the_c_code(op, bad):
-    which, spoil = bad
-    fn, args = _inputs()[op]
-    args = list(args)
-    pos = _BAD_ARGS[op][which]
-    args[pos] = spoil(args[pos])
-    before = _snapshot(args)
+def test_rescan_refuses_an_empty_row():
+    # the C maximum starts at entry 0, so an empty row would be read out
+    # of bounds; numpy's max refuses it as well
     with kernels.use_backend("cc"):
-        with pytest.raises(TypeError, match="kernel argument"):
-            fn(*args)
-    assert _snapshot(args) == before
+        with pytest.raises(TypeError, match="kernel argument loads: .* at least 1 entries"):
+            kernels.rescan(np.empty(0), np.empty(0))
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_a_substrate_over_a_read_only_row_is_refused(backend):
+    fn, args = _inputs()["charge_pairs"]
+    sub = args[0]
+    with kernels.use_backend(backend):
+        with pytest.raises(TypeError, match="kernel argument loads: the op writes"):
+            kernels.PairSubstrate(
+                sub.up, sub.depth, sub.rp_edges, sub.rp_nodes, sub.rp_indptr,
+                sub.edge_u, sub.edge_v, sub.is_bus, sub.denom, _read_only(sub.loads),
+            )
 
 
 @pytest.mark.parametrize("op", sorted(_BAD_ARGS.keys() | _ARRAYLESS))
@@ -224,6 +265,19 @@ def test_valid_arguments_pass(op):
         fn, args = _inputs()[op]
         with kernels.use_backend(backend):
             fn(*args)
+
+
+@needs_cc
+@pytest.mark.parametrize("op", sorted(_BAD_ARGS))
+def test_read_only_arrays_pass_where_the_c_code_only_reads(op):
+    fn, args = _inputs()[op]
+    written = _BAD_ARGS[op][3]
+    args = [
+        _read_only(a) if isinstance(a, np.ndarray) and i not in written else a
+        for i, a in enumerate(args)
+    ]
+    with kernels.use_backend("cc"):
+        fn(*args)
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())
@@ -391,7 +445,7 @@ def test_cc_batched_replay_never_runs_the_python_scan(monkeypatch):
 
 @needs_cc
 def test_numpy_batched_replay_never_calls_the_compiled_scan(monkeypatch):
-    monkeypatch.setitem(kernels._backend("cc")[0], "adaptive_scan", _raise)
+    monkeypatch.setattr(kernels._cc_library()[0], "repro_adaptive_scan", _raise)
     scanned = []
     twin = kernels._replay_positions
     monkeypatch.setattr(
@@ -407,45 +461,9 @@ def test_numpy_batched_replay_never_calls_the_compiled_scan(monkeypatch):
 # --------------------------------------------------------------------- #
 # prototypes and compiler warnings
 # --------------------------------------------------------------------- #
-_PROTOTYPE = re.compile(r"^(\w+)\s+(repro_\w+)\s*\(([^)]*)\)\s*\{", re.M)
-_C_SCALARS = {
-    "int64_t": ctypes.c_int64,
-    "int32_t": ctypes.c_int32,
-    "double": ctypes.c_double,
-}
-
-
-def _parsed_prototypes():
-    """``name -> (restype, argtypes)`` of every exported (non-static)
-    ``repro_*`` function in the C source."""
-    prototypes = {}
-    for ret, name, params in _PROTOTYPE.findall(kernels._C_SOURCE):
-        argtypes = []
-        for param in params.split(","):
-            words = param.replace("const", " ").split()
-            if "*" in param:
-                argtypes.append(ctypes.c_void_p)
-            else:
-                argtypes.append(_C_SCALARS[words[0]])
-        prototypes[name] = (None if ret == "void" else _C_SCALARS[ret], argtypes)
-    return prototypes
-
-
 def test_parser_sees_every_exported_function():
     exported = set(re.findall(r"^\w+\s+(repro_\w+)\s*\(", kernels._C_SOURCE, re.M))
-    assert exported and set(_parsed_prototypes()) == exported
-
-
-@needs_cc
-def test_bindings_match_the_c_prototypes():
-    lib = kernels._load_cc_library()
-    kernels._bind_cc_ops(lib)
-    prototypes = _parsed_prototypes()
-    assert set(prototypes) == set(kernels._C_SIGNATURES)
-    for name, (restype, argtypes) in prototypes.items():
-        fn = getattr(lib, name)
-        assert fn.restype is restype, name
-        assert list(fn.argtypes) == argtypes, name
+    assert exported and set(kernels._prototypes(kernels._C_SOURCE)) == exported
 
 
 def test_c_source_compiles_without_warnings(tmp_path):

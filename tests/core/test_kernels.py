@@ -2,13 +2,20 @@
 
 Covers the dispatch machinery of :mod:`repro.core.kernels` (environment
 and runtime backend selection, explicit failure on unavailable
-backends, a loud failure for a C compiler that cannot build), the int32
+backends, a loud failure for a C compiler that cannot build, a cache
+directory that is not private, a library that lacks a function and a
+prototype the binder cannot read), the int32
 capacity guard of the memory-scaled substrate (raises
 :class:`~repro.errors.CapacityError`, never wraps), and the
 int32/int64 parity of the shrunken CSR tables -- including across churn
 repairs, where NEP 50 dtype promotion could silently widen them back.
 """
 
+import hashlib
+import os
+import re
+import subprocess
+import tempfile
 import warnings
 
 import numpy as np
@@ -28,8 +35,8 @@ INT32_MAX = np.iinfo(np.int32).max
 def _fresh_kernel_state(monkeypatch, tmp_path):
     """An empty kernel cache directory and no built or resolved backend."""
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kernel-cache"))
-    monkeypatch.setattr(kernels, "_ops_cache", {})
-    monkeypatch.setattr(kernels, "_resolved", (object(), ""))
+    monkeypatch.setattr(kernels, "_cc_build", None)
+    monkeypatch.setattr(kernels, "_resolved", kernels._UNRESOLVED)
 
 
 @pytest.fixture
@@ -131,6 +138,105 @@ class TestBrokenCompiler:
         with pytest.raises(AlgorithmError, match="/bin/false") as info:
             kernels.active_backend()
         assert "exited with status 1" in str(info.value)
+
+
+def _compile(tmp_path, source: str, library) -> None:
+    """Build ``source`` into the shared library ``library``."""
+    compiler = kernels._find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    path = tmp_path / "planted.c"
+    path.write_text(source)
+    subprocess.run(
+        [compiler, "-shared", "-fPIC", "-o", str(library), str(path)],
+        check=True,
+        capture_output=True,
+    )
+
+
+def _library_name() -> str:
+    """The file name the kernel cache looks up for the embedded source."""
+    digest = hashlib.sha256(kernels._C_SOURCE.encode()).hexdigest()[:16]
+    return f"repro_kernels_{digest}.so"
+
+
+def _assert_build_fails(monkeypatch, match: str) -> None:
+    """The build failure path: explicit cc raises, auto warns once and
+    falls back to numpy, both naming the cause."""
+    monkeypatch.setenv("REPRO_BACKEND", "cc")
+    with pytest.raises(AlgorithmError, match=match):
+        kernels.active_backend()
+    monkeypatch.setenv("REPRO_BACKEND", "auto")
+    with pytest.warns(RuntimeWarning, match=match):
+        assert kernels.active_backend() == "numpy"
+
+
+#: a library whose constructor leaves a marker file when it is loaded
+_PLANTED = """#include <stdio.h>
+__attribute__((constructor)) static void planted(void)
+{
+    FILE *marker = fopen("%s", "w");
+    if (marker)
+        fclose(marker);
+}
+"""
+
+
+class TestKernelCache:
+    """Kernels load only from a private cache, and only a library that
+    binds every prototype; anything else fails the build loudly."""
+
+    @pytest.mark.parametrize("where", ["default", "REPRO_KERNEL_CACHE"])
+    @pytest.mark.parametrize("fault", ["writable-by-others", "owned-by-another-user"])
+    def test_a_library_in_a_cache_that_is_not_private_never_loads(
+        self, monkeypatch, tmp_path, where, fault
+    ):
+        _fresh_kernel_state(monkeypatch, tmp_path)
+        uid = os.getuid()
+        if fault == "owned-by-another-user":
+            uid += 1
+            monkeypatch.setattr(os, "getuid", lambda: uid)
+        if where == "default":
+            monkeypatch.delenv("REPRO_KERNEL_CACHE")
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+            cache = tmp_path / f"repro-kernels-{uid}"
+        else:
+            cache = tmp_path / "kernel-cache"
+        cache.mkdir()
+        cache.chmod(0o777 if fault == "writable-by-others" else 0o700)
+        marker = tmp_path / "constructor-ran"
+        _compile(tmp_path, _PLANTED % marker, cache / _library_name())
+        _assert_build_fails(
+            monkeypatch, f"OSError: kernel cache directory {re.escape(str(cache))} is not private"
+        )
+        assert not marker.exists()
+
+    def test_the_default_cache_is_made_private(self, monkeypatch, tmp_path):
+        _fresh_kernel_state(monkeypatch, tmp_path)
+        monkeypatch.delenv("REPRO_KERNEL_CACHE")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+        assert kernels._load_cc_library() is None
+        info = (tmp_path / f"repro-kernels-{os.getuid()}").stat()
+        assert info.st_mode & 0o777 == 0o700
+
+    def test_a_library_that_lacks_a_function_fails_the_build(self, monkeypatch, tmp_path):
+        _fresh_kernel_state(monkeypatch, tmp_path)
+        cache = tmp_path / "kernel-cache"
+        cache.mkdir(mode=0o700)
+        _compile(tmp_path, "int repro_unrelated;\n", cache / _library_name())
+        _assert_build_fails(monkeypatch, "OSError: kernel library .* lacks repro_lca")
+
+    @pytest.mark.parametrize(
+        "prototype",
+        ["void repro_bad(float x)", "float repro_bad(int64_t n)", "void repro_bad(int64_t **rows)"],
+    )
+    def test_an_unreadable_prototype_fails_the_build(self, monkeypatch, tmp_path, prototype):
+        _fresh_kernel_state(monkeypatch, tmp_path)
+        monkeypatch.setattr(kernels, "_C_SOURCE", f"#include <stdint.h>\n{prototype}\n{{\n}}\n")
+        if kernels._find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        _assert_build_fails(monkeypatch, "ValueError: unreadable prototype of repro_bad")
 
 
 class TestCapacityGuard:

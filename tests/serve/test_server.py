@@ -122,11 +122,11 @@ class TestLineShapes:
         (the compiled scan), pretty lines (the JSON path) and compact lines
         under the numpy backend (the JSON path) get the same acks and
         summary, journal the same bytes, and each journal replays."""
-        taken = {}  # line -> whether the scan took it (the first line is read twice)
+        scans = []  # per scan call: whether the scan took the line
 
         def scan(line):
             columns = kernels.scan_requests(line)
-            taken[line] = columns is not None
+            scans.append(columns is not None)
             return columns
 
         monkeypatch.setattr(wire, "scan_requests", scan)
@@ -150,12 +150,13 @@ class TestLineShapes:
             ("pretty", _pretty, "cc"),
             ("numpy", _compact, "numpy"),
         ):
-            taken.clear()
+            scans.clear()
             with kernels.use_backend(backend):
                 with run_server(spec, record_dir=tmp_path / name) as (host, port):
                     replies = asyncio.run(drive(host, port, [shape(m) for m in messages]))
             (journal,) = (tmp_path / name).glob("session-*.jsonl")
-            sessions[name] = (replies, journal.read_bytes(), sum(taken.values()))
+            sessions[name] = (replies, journal.read_bytes(), sum(scans))
+            assert len(scans) == len(messages), name  # each line decoded once
             assert main(["replay-stream", str(journal), "--check"], stream=io.StringIO()) == 0
         assert [sessions[name][2] for name in sessions] == [n_requests, 0, 0]
         compact = sessions["compact"]
